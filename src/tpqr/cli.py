@@ -153,7 +153,7 @@ def _cmd_lattice(args) -> int:
         "signature": list(quadlattice.signature(lat)),
         "parity": quadlattice.parity(lat),
         "snf": snf.to_json(),
-        "radical_rank": len(quadlattice.radical(lat)),
+        "radical_rank": snf.divisors.count(0),
     }
     _emit(
         report,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .quadlattice import GramLattice, _bareiss_det, t_tilde_lattice
+from .quadlattice import GramLattice, t_tilde_lattice
 
 __all__ = [
     "SurfaceSystem",
@@ -134,37 +135,18 @@ def section_vector(p: int, q: int, r: int) -> tuple[int, ...]:
 def char_poly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(x*I - M), exact.
 
-    Evaluated at n+1 integer points by fraction-free elimination and
-    interpolated back; coefficients of an integer matrix are integers.
+    Berkowitz's division-free algorithm: the polynomial of each leading
+    (k+1)x(k+1) block is a lower-triangular Toeplitz matrix, built from the
+    new row R, column C and corner a as (1, -a, -R C, -R A C, ...,
+    -R A^(k-1) C), times the polynomial of the k x k block A.
     """
-    n = len(m)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        rows = [
-            [(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)
-        ]
-        ys.append(_bareiss_det(rows))
-    # Lagrange interpolation with exact rationals
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                new[k] -= c * xj
-                new[k + 1] += c
-            poly = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(poly):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:  # pragma: no cover - integrality guard
-            raise AssertionError("non-integer characteristic coefficient")
-        out.append(int(c))
-    return tuple(out)
+    poly = [1]  # highest degree first
+    for k in range(len(m)):
+        block = [row[:k] for row in m[:k]]
+        r, c = m[k][:k], [row[k] for row in m[:k]]
+        toeplitz = [1, -m[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, r, c)))
+            c = [sum(map(mul, row, c)) for row in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+    return tuple(reversed(poly))

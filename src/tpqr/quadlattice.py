@@ -1,9 +1,9 @@
 """Exact integral-lattice arithmetic.
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
-extensions, discriminants by fraction-free elimination, signatures by
-exact rational congruence, Smith normal form with transforms, radicals,
-and the rank/signature/parity isomorphism test for indefinite unimodular
+extensions, discriminants and signatures from one fraction-free integer
+elimination, Smith normal form with transforms, radicals, and the
+rank/signature/parity isomorphism test for indefinite unimodular
 lattices.
 """
 
@@ -219,72 +219,68 @@ def k3_lattice() -> GramLattice:
     return direct_sum(e_lattice(8), e_lattice(8), h, h, h)
 
 
-def discriminant(lat: GramLattice) -> int:
-    """Exact determinant of the Gram matrix (Bareiss elimination)."""
-    return _bareiss_det([list(row) for row in lat.gram])
+def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
+    """Determinant and, for symmetric input, inertia (n+, n0, n-) of a
+    square integer matrix given as a sequence of rows (left unchanged), by
+    one fraction-free elimination.
 
-
-def _bareiss_det(m: list[list[int]]) -> int:
+    Bareiss updates divided by the previous pivot keep every entry an
+    integer minor; the trailing block is the previous pivot times the Schur
+    complement, so the sign of pivot/previous pivot is one term of the
+    inertia.  A zero pivot is replaced, in order of preference, by a
+    symmetric swap with a nonzero diagonal entry, by the unimodular
+    congruence v_a += v_b when m_ab + m_ba != 0, or by a row swap; the last
+    only happens once the remaining block is skew, so never for symmetric
+    input, and the inertia is then meaningless.
+    """
+    m = [list(row) for row in rows]
     n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    sign, prev, pos, neg = 1, 1, 0, 0
+    for k in range(n):
+        d = next((i for i in range(k, n) if m[i][i]), None)
+        if d is None:
+            d, b = next(
+                ((a, b) for a in range(k, n) for b in range(a + 1, n) if m[a][b] + m[b][a]),
+                (None, None),
+            )
+            if d is not None:
+                for j in range(k, n):
+                    m[d][j] += m[b][j]
+                for i in range(k, n):
+                    m[i][d] += m[i][b]
+        if d is None:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0, (pos, n - k, neg)
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        elif d != k:
+            m[k], m[d] = m[d], m[k]
+            for row in m:
+                row[k], row[d] = row[d], row[k]
+        piv, pivot_row = m[k][k], m[k]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [
+                (x * piv - f * y) // prev
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = piv
+    return sign * prev, (pos, 0, neg)
+
+
+def discriminant(lat: GramLattice) -> int:
+    """Exact determinant of the Gram matrix."""
+    return _eliminate(lat.gram)[0]
 
 
 def signature(lat: GramLattice) -> tuple[int, int, int]:
-    """(n+, n0, n-) by congruence reduction over exact rationals."""
-    g = [[Fraction(v) for v in row] for row in lat.gram]
-    return _sig(g)
-
-
-def _sig(g: list[list[Fraction]]) -> tuple[int, int, int]:
-    n = len(g)
-    if n == 0:
-        return (0, 0, 0)
-    i = next((i for i in range(n) if g[i][i] != 0), None)
-    if i is not None:
-        piv = g[i][i]
-        rest = [k for k in range(n) if k != i]
-        sub = [
-            [g[k][l] - g[k][i] * g[i][l] / piv for l in rest]
-            for k in rest
-        ]
-        pos, zero, neg = _sig(sub)
-        return (pos + 1, zero, neg) if piv > 0 else (pos, zero, neg + 1)
-    pair = next(
-        ((a, b) for a in range(n) for b in range(a + 1, n) if g[a][b] != 0), None
-    )
-    if pair is None:
-        return (0, n, 0)
-    i, j = pair
-    c = g[i][j]
-    rest = [k for k in range(n) if k not in (i, j)]
-    # w_k = v_k - (g[k][j]/c) v_i - (g[k][i]/c) v_j kills both pairings;
-    # since w_k is orthogonal to v_i, v_j, w_k.w_l = w_k.v_l.
-    lam = {k: -g[k][j] / c for k in rest}
-    mu = {k: -g[k][i] / c for k in rest}
-    sub = [
-        [g[k][l] + lam[k] * g[i][l] + mu[k] * g[j][l] for l in rest]
-        for k in rest
-    ]
-    pos, zero, neg = _sig(sub)
-    # the (v_i, v_j) block is (0 c; c 0): one plus, one minus
-    return (pos + 1, zero, neg + 1)
+    """(n+, n0, n-) of the Gram matrix."""
+    return _eliminate(lat.gram)[1]
 
 
 def parity(lat: GramLattice) -> str:
@@ -319,10 +315,7 @@ class SNFResult:
             return False
         if any(d < 0 for d in self.divisors):
             return False
-        return (
-            abs(_bareiss_det([list(r) for r in self.u])) == 1
-            and abs(_bareiss_det([list(r) for r in self.v])) == 1
-        )
+        return all(abs(_eliminate(t)[0]) == 1 for t in (self.u, self.v))
 
     def to_json(self) -> dict:
         return {
@@ -431,9 +424,9 @@ def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:
     signature and parity decide."""
     sigs = []
     for lat in (l1, l2):
-        if abs(discriminant(lat)) != 1:
+        det, sig = _eliminate(lat.gram)
+        if abs(det) != 1:
             raise NotUnimodularError(f"|det| != 1 for lattice of rank {lat.rank}")
-        sig = signature(lat)
         if sig[0] == 0 or sig[2] == 0:
             raise DefiniteLatticeError("definite lattice outside the test's scope")
         sigs.append(sig)

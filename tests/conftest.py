@@ -2,11 +2,17 @@
 
 The brute-force conjugator search is deliberately independent of the
 production RL/normal-form machinery and is used only as an oracle here.
+The determinant, signature and characteristic-polynomial oracles are the
+library's earlier kernels: plain Bareiss elimination, recursive congruence
+over exact rationals, and Lagrange interpolation of n+1 determinants.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from tpqr.sl2z import SL2Matrix
 
@@ -45,6 +51,147 @@ def brute_conjugator(m: SL2Matrix, n: SL2Matrix, bound: int = 20):
                         if p * m == n * p:
                             return p
     return None
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:
+    n = len(g)
+    if n == 0:
+        return (0, 0, 0)
+    i = next((i for i in range(n) if g[i][i] != 0), None)
+    if i is not None:
+        piv = g[i][i]
+        rest = [k for k in range(n) if k != i]
+        sub = [
+            [g[k][l] - g[k][i] * g[i][l] / piv for l in rest]
+            for k in rest
+        ]
+        pos, zero, neg = congruence_sig(sub)
+        return (pos + 1, zero, neg) if piv > 0 else (pos, zero, neg + 1)
+    pair = next(
+        ((a, b) for a in range(n) for b in range(a + 1, n) if g[a][b] != 0), None
+    )
+    if pair is None:
+        return (0, n, 0)
+    i, j = pair
+    c = g[i][j]
+    rest = [k for k in range(n) if k not in (i, j)]
+    # w_k = v_k - (g[k][j]/c) v_i - (g[k][i]/c) v_j kills both pairings;
+    # since w_k is orthogonal to v_i, v_j, w_k.w_l = w_k.v_l.
+    lam = {k: -g[k][j] / c for k in rest}
+    mu = {k: -g[k][i] / c for k in rest}
+    sub = [
+        [g[k][l] + lam[k] * g[i][l] + mu[k] * g[j][l] for l in rest]
+        for k in rest
+    ]
+    pos, zero, neg = congruence_sig(sub)
+    # the (v_i, v_j) block is (0 c; c 0): one plus, one minus
+    return (pos + 1, zero, neg + 1)
+
+
+def interpolated_char_poly(m) -> tuple[int, ...]:
+    """Coefficients (c_0, ..., c_n) of det(x*I - M), exact.
+
+    Evaluated at n+1 integer points by fraction-free elimination and
+    interpolated back; coefficients of an integer matrix are integers.
+    """
+    n = len(m)
+    xs = list(range(n + 1))
+    ys = []
+    for x in xs:
+        rows = [
+            [(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)
+        ]
+        ys.append(bareiss_det(rows))
+    # Lagrange interpolation with exact rationals
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        poly = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(poly) + 1)
+            for k, c in enumerate(poly):
+                new[k] -= c * xj
+                new[k + 1] += c
+            poly = new
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(poly):
+            coeffs[k] += c * scale
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:  # pragma: no cover - integrality guard
+            raise AssertionError("non-integer characteristic coefficient")
+        out.append(int(c))
+    return tuple(out)
+
+
+SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=16):
+    """Sparse symmetric integer matrices, optionally with an all-zero
+    diagonal, a repeated row and column, or a hyperbolic summand."""
+    n = draw(st.integers(0, max_n))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(SMALL)
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        for i in range(n):
+            g[i][b] = 0
+            g[b][i] = 0
+        g[a][a] = g[b][b] = 0
+        g[a][b] = g[b][a] = draw(st.sampled_from([1, -1, 2]))
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        g[a] = list(g[b])
+        for row in g:
+            row[a] = row[b]
+    return g
+
+
+@st.composite
+def square_matrices(draw, max_n=10):
+    """Sparse integer matrices, optionally with an all-zero diagonal or
+    skew-symmetric."""
+    n = draw(st.integers(0, max_n))
+    m = [[draw(SMALL) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero diagonal", "skew"]))
+    for i in range(n if shape != "plain" else 0):
+        m[i][i] = 0
+        if shape == "skew":
+            for j in range(i):
+                m[i][j] = -m[j][i]
+    return m
 
 
 @pytest.fixture(scope="session")

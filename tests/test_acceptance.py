@@ -4,6 +4,7 @@ line per criterion (run with -s to see them)."""
 import math
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -98,17 +99,8 @@ def test_criterion_08_monodromy_isometry():
                 mu = [list(row) for row in milnorfiber.monodromy_action(p, q, r)]
                 g = [list(row) for row in quadlattice.t_tilde_lattice(p, q, r, "S'").gram]
                 n = len(mu)
-                mugmu = [
-                    [
-                        sum(
-                            mu[k][i] * g[k][l] * mu[l][j]
-                            for k in range(n)
-                            for l in range(n)
-                        )
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
+                gmu = [[sum(map(mul, row, col)) for col in zip(*mu)] for row in g]
+                mugmu = [[sum(map(mul, col, gcol)) for gcol in zip(*gmu)] for col in zip(*mu)]
                 ok = ok and mugmu == g
                 ok = ok and [mu[i][n - 1] for i in range(n)] == [0] * (n - 1) + [1]
     report(8, "mu* isometry and fixed fiber class for all cusp triples to 10", ok)

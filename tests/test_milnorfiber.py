@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import interpolated_char_poly, square_matrices
 from tpqr.milnorfiber import (
     char_poly,
     monodromy_action,
@@ -89,10 +91,10 @@ def test_monodromy_isometry_all_triples_to_ten():
 
 
 def test_monodromy_determinant_unit():
-    from tpqr.quadlattice import _bareiss_det
+    from conftest import bareiss_det
 
     for triple in [(2, 3, 7), (3, 3, 4), (2, 4, 6), (3, 3, 3)]:
-        assert abs(_bareiss_det([list(r) for r in monodromy_action(*triple)])) == 1
+        assert abs(bareiss_det([list(r) for r in monodromy_action(*triple)])) == 1
 
 
 def test_p2_wrap_formula():
@@ -169,11 +171,34 @@ def test_char_poly_against_direct_expansion():
     assert len(coeffs) == n + 1
     assert coeffs[-1] == 1  # monic
     # evaluate at a few integers and compare against a determinant oracle
-    from tpqr.quadlattice import _bareiss_det
+    from conftest import bareiss_det
 
     for x in (-2, 2, 5):
         value = sum(c * x**k for k, c in enumerate(coeffs))
         rows = [[(x if i == j else 0) - mu[i][j] for j in range(n)] for i in range(n)]
-        assert value == _bareiss_det(rows)
+        assert value == bareiss_det(rows)
     # the fixed fiber class forces a root at 1
     assert sum(coeffs) == 0
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_char_poly_is_the_closed_form_monodromy_polynomial():
+    # (x^p - 1)(x^q - 1)(x^r - 1)/(x - 1), coefficients lowest degree first
+    for p, q, r in all_triples(10, strict=True):
+        want = [1] * p  # (x^p - 1)/(x - 1)
+        for k in (q, r):
+            want = poly_mul(want, [-1] + [0] * (k - 1) + [1])
+        assert list(char_poly(monodromy_action(p, q, r))) == want, (p, q, r)
+
+
+@given(square_matrices())
+@settings(max_examples=50, deadline=None)
+def test_char_poly_matches_interpolation_oracle(m):
+    assert char_poly(m) == interpolated_char_poly(m)

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import bareiss_det, congruence_sig, square_matrices, symmetric_matrices
 from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
     LatticeError,
     NotUnimodularError,
+    _eliminate,
     a_block,
     direct_sum,
     discriminant,
@@ -227,6 +230,20 @@ def test_signature_zero_block_handled():
     # all-zero corner exercised through the hyperbolic pivot
     lat = GramLattice.from_rows(["a", "b", "c"], [[0, 1, 0], [1, 0, 0], [0, 0, -2]])
     assert signature(lat) == (1, 0, 2)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=80, deadline=None)
+def test_det_and_inertia_match_oracles(g):
+    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
+    assert discriminant(lat) == bareiss_det([list(r) for r in g])
+    assert signature(lat) == congruence_sig([[Fraction(v) for v in r] for r in g])
+
+
+@given(square_matrices())
+@settings(max_examples=80, deadline=None)
+def test_det_of_general_matrices_matches_oracle(m):
+    assert _eliminate(m)[0] == bareiss_det([list(r) for r in m])
 
 
 def test_snf_239():
