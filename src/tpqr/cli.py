@@ -7,8 +7,8 @@ failing certificate is in the report), 2 usage or precondition error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -19,6 +19,15 @@ from . import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z
 CONFIG_ENV = "TPQR_CONFIG"
 
 _JSON_INT_LIMIT = 2**53
+
+# Input size limits: the rank p+q+r-1 of the H_2 action `monodromy`
+# computes, the rank of a `lattice t|ttilde` Gram matrix (`lattice e`
+# accepts only k in 6..10) and the sample count of `verify-fibration`.
+# At each limit the slowest case takes 1.4-2.5 s in a fresh process on a
+# 2-vCPU x86-64 machine with Python 3.11.
+_MONODROMY_RANK_LIMIT = 120
+_LATTICE_RANK_LIMIT = 180
+_SAMPLES_LIMIT = 10_000
 
 
 def _sanitize(obj):
@@ -57,22 +66,21 @@ def _parse_triple(values: list[str] | str) -> tuple[int, int, int]:
     return tuple(int(v) for v in values)  # type: ignore[return-value]
 
 
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} exceeds the limit {limit}")
+
+
 def _load_config(args) -> numcheck.NumericalConfig:
     path = getattr(args, "tolerance_file", None) or os.environ.get(CONFIG_ENV)
     cfg = numcheck.parse_config_file(path) if path else numcheck.NumericalConfig()
-    updates = {}
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if updates:
-        cfg = numcheck.NumericalConfig(
-            residual_tol=cfg.residual_tol,
-            rank_tol=cfg.rank_tol,
-            fd_step=cfg.fd_step,
-            samples=updates.get("samples", cfg.samples),
-            seed=updates.get("seed", cfg.seed),
-        )
+    updates = {
+        key: getattr(args, key)
+        for key in ("samples", "seed")
+        if getattr(args, key, None) is not None
+    }
+    cfg = dataclasses.replace(cfg, **updates)
+    _check_limit("sample count", cfg.samples, _SAMPLES_LIMIT)
     return cfg
 
 
@@ -89,6 +97,7 @@ def _cmd_monodromy(args) -> int:
     if cls is sl2z.MatrixClass.HYPERBOLIC:
         report["rl_word"] = list(sl2z.rl_word(m).exponents)
     if 1 / p + 1 / q + 1 / r <= 1:
+        _check_limit("H_2 rank", p + q + r - 1, _MONODROMY_RANK_LIMIT)
         sys_ = milnorfiber.surface_system(p, q, r)
         mu = milnorfiber.monodromy_action(p, q, r)
         report["h2_action"] = {
@@ -131,12 +140,14 @@ def _cmd_dual(args) -> int:
 
 def _cmd_lattice(args) -> int:
     name = args.name
-    if name == "t":
-        lat = quadlattice.t_lattice(*_parse_triple(args.triple))
-    elif name == "ttilde":
-        lat = quadlattice.t_tilde_lattice(
-            *_parse_triple(args.triple), generator=args.generator
-        )
+    if name in ("t", "ttilde"):
+        p, q, r = _parse_triple(args.triple)
+        rank = p + q + r - (2 if name == "t" else 1)
+        _check_limit("lattice rank", rank, _LATTICE_RANK_LIMIT)
+        if name == "t":
+            lat = quadlattice.t_lattice(p, q, r)
+        else:
+            lat = quadlattice.t_tilde_lattice(p, q, r, generator=args.generator)
     elif name == "e":
         lat = quadlattice.e_lattice(args.k)
     elif name == "h":
@@ -146,11 +157,12 @@ def _cmd_lattice(args) -> int:
     else:
         raise ValueError(f"unknown lattice {name!r}")
     snf = quadlattice.smith_normal_form(lat)
+    disc, sig = quadlattice._eliminate(lat.gram)
     report = {
         "lattice": lat.to_json(),
         "rank": lat.rank,
-        "disc": quadlattice.discriminant(lat),
-        "signature": list(quadlattice.signature(lat)),
+        "disc": disc,
+        "signature": list(sig),
         "parity": quadlattice.parity(lat),
         "snf": snf.to_json(),
         "radical_rank": snf.divisors.count(0),
@@ -403,6 +415,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -52,22 +52,27 @@ class CuspDualityError(ValueError):
 
 @lru_cache(maxsize=None)
 def _squarefree(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d).
+    """n = s^2 * d with d squarefree; returns (s, d), exact for n < 10^18.
 
-    Trial division stops at 10^6, which extracts every square factor of
-    any n < 10^12 and is plenty for the discriminants the cycle engine
-    produces; a square prime factor beyond the bound would be left in
-    place, consistently for all values sharing that discriminant."""
+    Trial division removes every prime up to 10^6 or the cube root of the
+    cofactor; a cofactor below 10^18 then has at most two prime factors,
+    so isqrt settles whether it is a square.  Past 10^18 a square prime
+    factor above 10^6 can stay in d."""
     if n <= 0:
         raise ValueError("positive argument required")
-    s, d = 1, n
+    s, d, m = 1, 1, n
     f = 2
-    while f * f <= d and f <= 1_000_000:
-        while d % (f * f) == 0:
-            d //= f * f
-            s *= f
+    while f <= 1_000_000 and f * f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            s *= f ** (e // 2)
+            d *= f ** (e % 2)
         f += 1 if f == 2 else 2
-    return s, d
+    root = math.isqrt(m)
+    return (s * root, d) if root * root == m else (s, d * m)
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,9 @@ def dual_cycle(cycle: CycleData) -> CycleData:
 
 def dual_triple(p: int, q: int, r: int) -> Triple:
     """Strange-dual triple, via the cycle calculus."""
-    dual = cycle_to_triple(dual_cycle(triple_to_cycle(p, q, r)))
+    cycle = triple_to_cycle(p, q, r)
+    short = sum(c - 2 for c in cycle.entries) <= 3  # the dual cycle's length
+    dual = cycle_to_triple(dual_cycle(cycle)) if short else None
     if dual is None:
         raise CuspDualityError(
             f"dual cycle of ({p},{q},{r}) has length > 3: no hypersurface dual"
@@ -428,17 +435,19 @@ def cf_value(cycle: CycleData) -> QuadIrrational:
 
 
 def alpha_v(cycle: CycleData) -> QuadIrrational:
-    """Product of cf_value over all cyclic rotations of the cycle: the
-    totally positive unit generating the automorphism group of the cusp."""
-    out = QuadIrrational.rational(1)
-    for rot in cycle.rotations():
-        out = out * cf_value(CycleData(rot))
-    return out
+    """The totally positive unit generating the automorphism group of the
+    cusp, i.e. the product of cf_value over all cyclic rotations: the larger
+    eigenvalue (t + sqrt(t^2 - 4))/2 of the cycle matrix of trace t."""
+    t = _cycle_matrix(cycle.entries).trace
+    return QuadIrrational.make(t, 1, 2, t * t - 4)
 
 
 def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     """Matrix of multiplication by alpha_v on Z + Z*omega in the basis
     (1, omega), omega = cf_value(cycle); exact, determinant 1.
+
+    omega is the fixed point of the cycle matrix (A B; C D), so alpha =
+    C*omega + D and alpha*omega = B + A*omega: the action is (D C; B A).
 
     Row convention: row i holds the expansion of alpha * basis_i, so the
     matrix acts on integer coordinate rows.  This is the arrangement under
@@ -446,24 +455,8 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     own torus-bundle monodromy (the column arrangement lands in the
     inverse class, i.e. the dual partner's).
     """
-    omega = cf_value(cycle)
-    alpha = alpha_v(cycle)
-    s, t = _in_module_basis(alpha, omega)
-    u, v = _in_module_basis(alpha * omega, omega)
-    return SL2Matrix(s, t, u, v)
-
-
-def _in_module_basis(x: QuadIrrational, omega: QuadIrrational) -> tuple[int, int]:
-    """Integer coordinates (s, t) with x = s + t*omega, or error."""
-    if omega.is_rational:  # pragma: no cover
-        raise CuspDualityError("module basis degenerate")
-    t = Fraction(x.b, x.c) / Fraction(omega.b, omega.c)
-    s = Fraction(x.a, x.c) - t * Fraction(omega.a, omega.c)
-    if t.denominator != 1 or s.denominator != 1:
-        raise CuspDualityError(
-            f"{x} does not lie in Z + Z*({omega}): module not preserved"
-        )
-    return int(s), int(t)
+    m = _cycle_matrix(cycle.entries)
+    return SL2Matrix(m.d, m.c, m.b, m.a)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +514,9 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     units, the module action conjugate to the monodromy, and the
     monodromies of the pair conjugate-inverse to each other."""
     t = Triple.of(p, q, r)
+    dual = dual_triple(p, q, r)
     dual_side = triple_to_cycle(p, q, r)
     self_cycle = dual_cycle(dual_side)
-    dual = dual_triple(p, q, r)
 
     omega_self = cf_value(self_cycle)
     omega_dual = cf_value(dual_side)

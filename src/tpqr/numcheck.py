@@ -36,7 +36,6 @@ __all__ = [
     "phi_gradients",
     "f_eval",
     "f_grad",
-    "f_antigrad",
     "h_eval",
     "ft_eval",
     "ft_grad",
@@ -316,10 +315,6 @@ def f_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def f_antigrad(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    return np.zeros(3, dtype=complex)
 
 
 def h_eval(params: FibrationParams, pt: C3Point) -> complex:

@@ -4,7 +4,10 @@ The brute-force conjugator search is deliberately independent of the
 production RL/normal-form machinery and is used only as an oracle here.
 The determinant, signature and characteristic-polynomial oracles are the
 library's earlier kernels: plain Bareiss elimination, recursive congruence
-over exact rationals, and Lagrange interpolation of n+1 determinants.
+over exact rationals, and Lagrange interpolation of n+1 determinants.  The
+cusp-unit and module-action oracles are likewise the earlier product of
+continued-fraction values over all rotations and the rational solve for
+coordinates in the basis (1, omega).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.sl2z import SL2Matrix
 
 
@@ -51,6 +55,38 @@ def brute_conjugator(m: SL2Matrix, n: SL2Matrix, bound: int = 20):
                         if p * m == n * p:
                             return p
     return None
+
+
+def rotation_alpha_v(cycle: CycleData) -> QuadIrrational:
+    """Product of cf_value over all cyclic rotations of the cycle: the
+    totally positive unit generating the automorphism group of the cusp."""
+    out = QuadIrrational.rational(1)
+    for rot in cycle.rotations():
+        out = out * cf_value(CycleData(rot))
+    return out
+
+
+def basis_solve_action(cycle: CycleData) -> SL2Matrix:
+    """Matrix of multiplication by the unit on Z + Z*omega in the basis
+    (1, omega), rows = images, solved over the rationals."""
+    omega = cf_value(cycle)
+    alpha = rotation_alpha_v(cycle)
+    s, t = in_module_basis(alpha, omega)
+    u, v = in_module_basis(alpha * omega, omega)
+    return SL2Matrix(s, t, u, v)
+
+
+def in_module_basis(x: QuadIrrational, omega: QuadIrrational) -> tuple[int, int]:
+    """Integer coordinates (s, t) with x = s + t*omega, or error."""
+    if omega.is_rational:  # pragma: no cover
+        raise CuspDualityError("module basis degenerate")
+    t = Fraction(x.b, x.c) / Fraction(omega.b, omega.c)
+    s = Fraction(x.a, x.c) - t * Fraction(omega.a, omega.c)
+    if t.denominator != 1 or s.denominator != 1:
+        raise CuspDualityError(
+            f"{x} does not lie in Z + Z*({omega}): module not preserved"
+        )
+    return int(s), int(t)
 
 
 def bareiss_det(m: list[list[int]]) -> int:

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,8 @@ from tpqr import cli
 from tpqr.cuspdual import QuadIrrational
 from tpqr.quadlattice import GramLattice
 from tpqr.sl2z import SL2Matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -145,3 +152,76 @@ def test_big_int_sanitizer():
     assert out["v"] == str(big)
     assert out["w"] == [3, str(-big)]
     assert out["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monodromy", "2", "3", str(cli._MONODROMY_RANK_LIMIT - 3)],
+        ["lattice", "t", "--triple", f"2,3,{cli._LATTICE_RANK_LIMIT - 2}"],
+        ["lattice", "ttilde", "--triple", f"2,3,{cli._LATTICE_RANK_LIMIT - 3}"],
+        ["verify-fibration", "--pqr", "2,3,7", "--samples", str(cli._SAMPLES_LIMIT + 1)],
+    ],
+    ids=["monodromy", "lattice-t", "lattice-ttilde", "samples"],
+)
+def test_size_limit_one_past_is_usage_error(capsys, argv):
+    assert cli.main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds the limit" in err
+
+
+def test_memory_error_is_usage_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.cuspdual, "verify_duality", exhausted)
+    assert cli.main(["dual", "2", "3", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
+# The child caps its own address space before importing tpqr.
+CAPPED_CLI = (
+    "import resource, sys; cap = 1_500_000_000; "
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "from tpqr.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "2", "3", "1000000000"],
+        ["lattice", "t", "--triple", "2,3,100000"],
+        ["monodromy", "2", "3", "1000000000"],
+    ],
+    ids=["dual", "lattice-t", "monodromy"],
+)
+def test_oversized_input_exits_2_under_memory_cap(argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv, "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_recorded_cli_outputs_are_byte_identical(capsys):
+    """Every request of the benchmark's recorded set gives the recorded
+    exit code and stdout bytes when run in-process."""
+    recorded = json.loads((ROOT / "bench" / "expected_stdout.json").read_text())
+    assert len(recorded["requests"]) == 729
+    for key, want in recorded["requests"].items():
+        rc = cli.main(key.split(" "))
+        out, err = capsys.readouterr()
+        assert rc == want["rc"], key
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], key
+        if rc == 2:
+            assert len(err.splitlines()) == 1, key

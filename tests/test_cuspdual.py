@@ -1,15 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conjugator
+from conftest import basis_solve_action, brute_conjugator, rotation_alpha_v
 from tpqr.cuspdual import (
     CuspDualityError,
     CycleData,
     QuadIrrational,
     Triple,
+    _squarefree,
     alpha_v,
     cf_value,
     cycle_to_triple,
@@ -107,6 +109,37 @@ def test_quad_field_axioms(a1, b1, c1, a2, b2, c2):
     # norm and trace through conjugation
     assert (x * x.conjugate()).is_rational
     assert Fraction((x + x.conjugate()).a, (x + x.conjugate()).c) == x.trace()
+
+
+LARGE_PRIME_PAIRS = [
+    (),
+    (999983,),
+    (1000003,),
+    (999983, 1000003),
+    (1000003, 1000033),
+    (1000003, 1000003),
+    (1000039, 1000039),
+]
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.sampled_from(LARGE_PRIME_PAIRS),
+)
+@example([1, 1, 0], (1000003, 1000003))  # 6 * 1000003^2 -> (1000003, 6)
+@settings(max_examples=100, deadline=None)
+def test_squarefree_against_factorisation(small, large):
+    # n < 10^18 built from known primes, square factors above the 10^6
+    # trial-division bound included: (s, d) follows from the exponents
+    factors = [2] * small[0] + [3] * small[1] + [5] * small[2] + list(large)
+    n, s, d = 1, 1, 1
+    for f in set(factors):
+        e = factors.count(f)
+        n *= f**e
+        s *= f ** (e // 2)
+        d *= f ** (e % 2)
+    assert n < 10**18
+    assert _squarefree(n) == (s, d)
 
 
 def test_quad_comparisons_exact():
@@ -243,6 +276,13 @@ def test_alpha_v_of_the_worked_example():
     assert alpha_v(CycleData.of(4)) == two_plus_root3
 
 
+@given(valid_cycles(max_len=12, max_entry=7))
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_match_rotation_and_basis_solve_oracles(cycle):
+    assert alpha_v(cycle) == rotation_alpha_v(cycle)
+    assert module_action_matrix(cycle) == basis_solve_action(cycle)
+
+
 # --- module action -----------------------------------------------------------------
 
 
@@ -296,6 +336,8 @@ def test_actions_of_dual_cycles_are_inverse_conjugate():
         a = module_action_matrix(self_cycle)
         b = module_action_matrix(dual_side)
         assert is_conjugate_to_inverse(a, b) is not None, t
+        assert (a, b) == (basis_solve_action(self_cycle), basis_solve_action(dual_side))
+        assert alpha_v(self_cycle) == rotation_alpha_v(self_cycle), t
     # but not plainly conjugate for a genuinely non-self-dual pair
     a = module_action_matrix(CycleData.of(3, 2))
     b = module_action_matrix(CycleData.of(4))
@@ -330,6 +372,16 @@ def test_all_fourteen_report():
         assert rep.alphas_equal
         seen_pairs.add(frozenset({t, rep.dual.sorted}))
     assert len(seen_pairs) == 10
+
+
+def test_oversized_dual_rejected_before_it_is_built():
+    # the dual cycle of (2,3,10^9) would hold 10^9 - 6 entries
+    t0 = time.perf_counter()
+    with pytest.raises(CuspDualityError):
+        verify_duality(2, 3, 10**9)
+    assert time.perf_counter() - t0 < 0.05
+    with pytest.raises(CuspDualityError):
+        dual_triple(10**9, 10**9, 10**9)
 
 
 def test_triple_normalization():

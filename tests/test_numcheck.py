@@ -13,7 +13,6 @@ from tpqr.numcheck import (
     critical_points,
     critical_values,
     domain_y_audit,
-    f_antigrad,
     f_eval,
     f_grad,
     ft_antigrad,
@@ -137,7 +136,6 @@ def test_f_on_unit_axis_and_critical_origin(minimal_params_237):
     for phase in (0.0, 1.3, 2.9):
         assert abs(abs(f_eval(params, point(np.exp(1j * phase), 0, 0))) - 1.0) < 1e-12
     assert np.allclose(f_grad(params, point(0, 0, 0)), 0)
-    assert np.allclose(f_antigrad(params, point(0, 0, 0)), 0)
 
 
 def _fd_wirtinger(func, pt, h):
