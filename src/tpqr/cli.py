@@ -12,9 +12,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z
+# numcheck, and with it numpy, is imported only by the commands that need it.
+from . import cuspdual, k3glue, milnorfiber, quadlattice, sl2z
 
 CONFIG_ENV = "TPQR_CONFIG"
 
@@ -43,8 +42,6 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
     return obj
 
 
@@ -71,7 +68,9 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ValueError(f"{what} {value} exceeds the limit {limit}")
 
 
-def _load_config(args) -> numcheck.NumericalConfig:
+def _load_config(args):
+    from . import numcheck
+
     path = getattr(args, "tolerance_file", None) or os.environ.get(CONFIG_ENV)
     cfg = numcheck.parse_config_file(path) if path else numcheck.NumericalConfig()
     updates = {
@@ -239,6 +238,8 @@ def _cmd_inose(args) -> int:
 
 
 def _cmd_verify_fibration(args) -> int:
+    from . import numcheck
+
     p, q, r = _parse_triple(args.pqr)
     cfg = _load_config(args)
     if args.a is not None:

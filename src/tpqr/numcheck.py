@@ -18,7 +18,7 @@ the domain-shrinking bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +55,7 @@ __all__ = [
     "parse_config_file",
 ]
 
-C3Point = np.ndarray  # shape (3,), complex128
+C3Point = np.ndarray  # shape (3,), or a stack (..., 3); complex128
 
 _OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -153,12 +153,11 @@ class FibrationParams:
     def minimal(cls, p: int, q: int, r: int, theta: float = 0.0, t: float = 1.0,
                 domain_y: bool = False) -> "FibrationParams":
         """Minimal admissible a + 1 for the requested checks."""
-        big_m = max(p, q, r)
-        m = 30 * big_m
-        bound = max(12 * big_m, m * m * (m + 3))
+        probe = cls(p, q, r, a=1.0, theta=theta, t=t)
+        bound = probe.tube_bound
         if domain_y:
-            bound = max(bound, 3**big_m)
-        return cls(p, q, r, a=float(bound + 1), theta=theta, t=t)
+            bound = max(bound, probe.domain_bound)
+        return replace(probe, a=bound + 1.0)
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,10 @@ def parse_config_file(path: str) -> NumericalConfig:
 
 
 # ---------------------------------------------------------------------------
+# Pointwise kernels.  Each acts on the last axis: a (3,) point and an
+# (N, 3) stack of points go through the same code, and a stack gives one
+# value (or gradient, or Jacobian) per row.
+#
 # Bump function: identically 1 on [0,1/6], identically 0 from 1/2 on,
 # derivative within [-3.75, 0].  The transition is a C^2 piecewise
 # polynomial whose derivative profile ramps up with a quintic smoothstep
@@ -207,125 +210,135 @@ def parse_config_file(path: str) -> NumericalConfig:
 _ALPHA = 0.2
 _PLATEAU = 1.0 / (1.0 - _ALPHA)
 
+# Row j: axis j followed by the next two axes cyclically (the adapted chart
+# at an axis critical point, and the transverse pair of each bump ratio).
+_CHART_ORDER = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+# Row j: the two axes other than j, ascending.
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+_G_WEIGHTS = np.array([1.0, _OMEGA, _OMEGA**2])
 
-def _smoothstep(t: float) -> float:
+
+def _smoothstep(t):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _smoothstep_integral(t: float) -> float:
+def _smoothstep_integral(t):
     return t * t * t * t * (2.5 + t * (-3.0 + t))
 
 
-def _profile(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    if u < _ALPHA:
-        return _PLATEAU * _smoothstep(u / _ALPHA)
-    if u > 1.0 - _ALPHA:
-        return _PLATEAU * _smoothstep((1.0 - u) / _ALPHA)
-    return _PLATEAU
-
-
-def _profile_integral(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    if u < _ALPHA:
-        return _PLATEAU * _ALPHA * _smoothstep_integral(u / _ALPHA)
-    if u <= 1.0 - _ALPHA:
-        return _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
-    return 1.0 - _PLATEAU * _ALPHA * _smoothstep_integral((1.0 - u) / _ALPHA)
-
-
-def bump(s: float) -> float:
-    """1 on [0, 1/6], 0 on [1/2, inf], monotone C^2 in between."""
-    if s < 0:
-        raise ValueError("bump argument must be >= 0")
-    if s <= 1.0 / 6.0:
-        return 1.0
-    if s >= 0.5:  # also swallows s = inf
-        return 0.0
-    return 1.0 - _profile_integral(3.0 * (s - 1.0 / 6.0))
-
-
-def bump_deriv(s: float) -> float:
-    if s < 0:
-        raise ValueError("bump argument must be >= 0")
-    if s <= 1.0 / 6.0 or s >= 0.5:
-        return 0.0
-    return -3.0 * _profile(3.0 * (s - 1.0 / 6.0))
-
-
-def _ratios(pt: C3Point) -> tuple[float, float, float]:
-    ax, ay, az = (abs(pt[0]), abs(pt[1]), abs(pt[2]))
-    if ax == 0.0 and ay == 0.0 and az == 0.0:
-        raise ValueError("bump factors are undefined at the origin")
-
-    def ratio(num: float, den: float) -> float:
-        return math.inf if den == 0.0 else num / den
-
-    return (
-        ratio(math.hypot(ay, az), ax),
-        ratio(math.hypot(az, ax), ay),
-        ratio(math.hypot(ax, ay), az),
+def _profile(u):
+    """Derivative profile of the transition, for u in [0, 1]."""
+    return _PLATEAU * np.where(
+        u < _ALPHA,
+        _smoothstep(u / _ALPHA),
+        np.where(u > 1.0 - _ALPHA, _smoothstep((1.0 - u) / _ALPHA), 1.0),
     )
 
 
-def phi_values(pt: C3Point) -> tuple[float, float, float]:
+def _profile_integral(u):
+    """Integral of the profile from 0 to u, for u in [0, 1]."""
+    ramp_in = _PLATEAU * _ALPHA * _smoothstep_integral(u / _ALPHA)
+    plateau = _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
+    ramp_out = 1.0 - _PLATEAU * _ALPHA * _smoothstep_integral((1.0 - u) / _ALPHA)
+    return np.where(u < _ALPHA, ramp_in, np.where(u <= 1.0 - _ALPHA, plateau, ramp_out))
+
+
+def _transition(s):
+    """The argument as an array, checked, and its position in [0, 1]
+    across the transition interval [1/6, 1/2]."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("bump argument must be >= 0")
+    return s, np.clip(3.0 * (np.minimum(s, 0.5) - 1.0 / 6.0), 0.0, 1.0)
+
+
+def bump(s):
+    """1 on [0, 1/6], 0 on [1/2, inf], monotone C^2 in between."""
+    s, u = _transition(s)
+    return np.where(
+        s <= 1.0 / 6.0, 1.0, np.where(s >= 0.5, 0.0, 1.0 - _profile_integral(u))
+    )[()]
+
+
+def bump_deriv(s):
+    s, u = _transition(s)
+    return np.where((s <= 1.0 / 6.0) | (s >= 0.5), 0.0, -3.0 * _profile(u))[()]
+
+
+def _exponents(params: FibrationParams) -> np.ndarray:
+    return np.array([params.p, params.q, params.r])
+
+
+def _radii(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
+    """|u_j| and the transverse radius |(u_{j+1}, u_{j+2})| for each axis j."""
+    mod = np.abs(pt)
+    if np.any(np.all(mod == 0.0, axis=-1)):
+        raise ValueError("bump factors are undefined at the origin")
+    return mod, np.hypot(mod[..., _CHART_ORDER[:, 1]], mod[..., _CHART_ORDER[:, 2]])
+
+
+def _ratios(pt: C3Point) -> np.ndarray:
+    """Transverse radius over |u_j| for each axis j; inf where u_j = 0."""
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        return rho / mod
+
+
+def phi_values(pt: C3Point) -> np.ndarray:
     """The three radial bump factors; their supports are pairwise disjoint."""
-    s1, s2, s3 = _ratios(pt)
-    return bump(s1), bump(s2), bump(s3)
+    return bump(_ratios(pt))
+
+
+def _phi_gradient_parts(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, diag): the holomorphic Wirtinger gradient of the j-th bump
+    factor is coef_j * conj(u_k) in entry k != j and diag_j in entry j."""
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        dphi = bump_deriv(rho / mod)
+    # Both vanish with dphi; unit radii there keep the quotients finite.
+    active = dphi != 0.0
+    au = np.where(active, mod, 1.0)
+    rho = np.where(active, rho, 1.0)
+    # d(rho/|u|)/du = -rho conj(u) / (2|u|^3); d/dv = conj(v)/(2|u| rho)
+    return dphi / (2.0 * au * rho), -dphi * rho / (2.0 * au * au) * (np.conj(pt) / au)
 
 
 def phi_gradients(pt: C3Point) -> np.ndarray:
     """Rows j = holomorphic Wirtinger gradient of the j-th bump factor;
     the antiholomorphic gradients are the complex conjugates."""
-    x, y, z = pt
-    out = np.zeros((3, 3), dtype=complex)
-    s1, s2, s3 = _ratios(pt)
-    for j, (s, axis) in enumerate(((s1, 0), (s2, 1), (s3, 2))):
-        dphi = bump_deriv(s)
-        if dphi == 0.0:
-            continue
-        u = pt[axis]
-        au = abs(u)
-        others = [k for k in (0, 1, 2) if k != axis]
-        rho = math.hypot(abs(pt[others[0]]), abs(pt[others[1]]))
-        # d(rho/|u|)/du = -rho conj(u) / (2|u|^3); d/dv = conj(v)/(2|u| rho)
-        out[j, axis] = -dphi * rho / (2.0 * au * au) * (np.conj(u) / au)
-        for k in others:
-            out[j, k] = dphi * np.conj(pt[k]) / (2.0 * au * rho)
+    pt = np.asarray(pt, dtype=complex)
+    coef, diag = _phi_gradient_parts(pt)
+    out = coef[..., :, None] * np.conj(pt)[..., None, :]
+    out[..., range(3), range(3)] = diag
     return out
 
 
+def _monomials(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    return np.asarray(pt) ** _exponents(params)
+
+
+def _axyz(params: FibrationParams, pt: C3Point):
+    x, y, z = np.moveaxis(np.asarray(pt), -1, 0)  # scalars, or columns of a stack
+    return params.a * x * y * z
+
+
 def f_eval(params: FibrationParams, pt: C3Point) -> complex:
-    x, y, z = pt
-    return x**params.p + y**params.q + z**params.r + params.a * x * y * z
+    return np.sum(_monomials(params, pt), axis=-1) + _axyz(params, pt)
+
+
+def _cross_terms(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    """a*y*z, a*z*x, a*x*y: the gradient of a*x*y*z."""
+    pt = np.asarray(pt)
+    return params.a * pt[..., _CHART_ORDER[:, 1]] * pt[..., _CHART_ORDER[:, 2]]
 
 
 def f_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    x, y, z = pt
-    a = params.a
-    return np.array(
-        [
-            params.p * x ** (params.p - 1) + a * y * z,
-            params.q * y ** (params.q - 1) + a * z * x,
-            params.r * z ** (params.r - 1) + a * x * y,
-        ],
-        dtype=complex,
-    )
+    n = _exponents(params)
+    return n * np.asarray(pt, dtype=complex) ** (n - 1) + _cross_terms(params, pt)
 
 
 def h_eval(params: FibrationParams, pt: C3Point) -> complex:
-    ph = phi_values(pt)
-    x, y, z = pt
-    return (
-        ph[0] * x**params.p
-        + ph[1] * y**params.q
-        + ph[2] * z**params.r
-        + params.a * x * y * z
-    )
+    return np.sum(phi_values(pt) * _monomials(params, pt), axis=-1) + _axyz(params, pt)
 
 
 def ft_eval(params: FibrationParams, pt: C3Point) -> complex:
@@ -336,64 +349,53 @@ def ft_eval(params: FibrationParams, pt: C3Point) -> complex:
     return (1.0 - t) * f_eval(params, pt) + t * h_eval(params, pt)
 
 
-def _monomials(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    x, y, z = pt
-    return np.array([x**params.p, y**params.q, z**params.r], dtype=complex)
+def _bump_part(params: FibrationParams, pt: np.ndarray, anti: bool) -> np.ndarray:
+    """sum_j m_j dphi_j for the monomials m_j, with dphi_j the holomorphic
+    (or, with anti, the antiholomorphic) gradient of the j-th bump factor."""
+    coef, diag = _phi_gradient_parts(pt)
+    mono = _monomials(params, pt)
+    w = mono * coef
+    others = w[..., _CHART_ORDER[:, 1]] + w[..., _CHART_ORDER[:, 2]]  # j != k
+    if anti:
+        return pt * others + mono * np.conj(diag)
+    return np.conj(pt) * others + mono * diag
 
 
 def ft_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    x, y, z = pt
+    pt = np.asarray(pt, dtype=complex)
     t = params.t
-    a = params.a
-    ph = phi_values(pt)
-    weights = [1.0 - t + t * ph[j] for j in range(3)]
-    grad = np.array(
-        [
-            weights[0] * params.p * x ** (params.p - 1) + a * y * z,
-            weights[1] * params.q * y ** (params.q - 1) + a * z * x,
-            weights[2] * params.r * z ** (params.r - 1) + a * x * y,
-        ],
-        dtype=complex,
-    )
+    n = _exponents(params)
+    weights = 1.0 - t + t * phi_values(pt)
+    grad = weights * n * pt ** (n - 1) + _cross_terms(params, pt)
     if t != 0.0:
-        mono = _monomials(params, pt)
-        grad = grad + t * (phi_gradients(pt).T @ mono)
+        grad = grad + t * _bump_part(params, pt, anti=False)
     return grad
 
 
 def ft_antigrad(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    pt = np.asarray(pt, dtype=complex)
     t = params.t
     if t == 0.0:
         _ratios(pt)
-        return np.zeros(3, dtype=complex)
-    mono = _monomials(params, pt)
-    return t * (np.conj(phi_gradients(pt)).T @ mono)
+        return np.zeros(pt.shape, dtype=complex)
+    return t * _bump_part(params, pt, anti=True)
 
 
 def g_eval(pt: C3Point) -> complex:
-    x, y, z = pt
-    return abs(x) ** 2 + _OMEGA * abs(y) ** 2 + _OMEGA**2 * abs(z) ** 2
+    return np.sum(_G_WEIGHTS * np.abs(pt) ** 2, axis=-1)
 
 
 def _g_wirtinger(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
-    x, y, z = pt
-    holo = np.array([np.conj(x), _OMEGA * np.conj(y), _OMEGA**2 * np.conj(z)])
-    anti = np.array([x, _OMEGA * y, _OMEGA**2 * z])
-    return holo, anti
+    return _G_WEIGHTS * np.conj(pt), _G_WEIGHTS * np.asarray(pt)
 
 
 def _real_jacobian(holo: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """2x6 real Jacobian of a complex function from its Wirtinger pair,
     coordinates ordered (Re x, Im x, Re y, Im y, Re z, Im z)."""
-    jac = np.zeros((2, 6))
-    for j in range(3):
-        dx = holo[j] + anti[j]
-        dy = 1j * (holo[j] - anti[j])
-        jac[0, 2 * j] = dx.real
-        jac[0, 2 * j + 1] = dy.real
-        jac[1, 2 * j] = dx.imag
-        jac[1, 2 * j + 1] = dy.imag
-    return jac
+    dx = holo + anti
+    dy = 1j * (holo - anti)
+    row = np.stack([dx, dy], axis=-1).reshape(*dx.shape[:-1], 6)
+    return np.stack([row.real, row.imag], axis=-2)
 
 
 def ft_real_jacobian(params: FibrationParams, pt: C3Point) -> np.ndarray:
@@ -407,10 +409,23 @@ def g_real_jacobian(pt: C3Point) -> np.ndarray:
 def _omega0(u: np.ndarray, v: np.ndarray) -> float:
     """Standard symplectic form on R^6 = C^3 in (Re, Im)-interleaved
     coordinates."""
-    total = 0.0
-    for j in range(3):
-        total += u[2 * j] * v[2 * j + 1] - u[2 * j + 1] * v[2 * j]
-    return total
+    return np.sum(u[..., 0::2] * v[..., 1::2] - u[..., 1::2] * v[..., 0::2], axis=-1)
+
+
+def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
+    """Newton iteration on the rows of pts, (n, 3), in place, towards
+    ft = tau.  Each row stops at its first iterate within tol;
+    step(rows, residuals) gives the next iterate of the rows still moving."""
+    todo = np.arange(len(pts))
+    for _ in range(max_iter):
+        rows = pts[todo]
+        res = ft_eval(params, rows) - tau
+        moving = ~(np.abs(res) <= tol)
+        todo = todo[moving]
+        if todo.size == 0:
+            return pts
+        pts[todo] = step(rows[moving], res[moving])
+    raise ProjectionError(failure)
 
 
 def project_to_level(
@@ -421,20 +436,23 @@ def project_to_level(
     max_iter: int = 50,
 ) -> C3Point:
     """Newton step along the holomorphic gradient until the map value
-    reaches the target within the relative residual tolerance."""
+    reaches the target within the relative residual tolerance; a stack is
+    projected row by row."""
     tau = params.target if target is None else target
     scale = max(abs(tau), 1e-300)
     cur = np.array(pt, dtype=complex)
-    for _ in range(max_iter):
-        res = ft_eval(params, cur) - tau
-        if abs(res) <= config.residual_tol * scale:
-            return cur
-        grad = ft_grad(params, cur)
-        norm2 = float(np.vdot(grad, grad).real)
-        if norm2 == 0.0:
+
+    def step(rows, res):
+        grad = ft_grad(params, rows)
+        norm2 = np.sum(grad.real**2 + grad.imag**2, axis=-1)
+        if np.any(norm2 == 0.0):
             raise ProjectionError("vanishing gradient during projection")
-        cur = cur - res * np.conj(grad) / norm2
-    raise ProjectionError(f"no convergence after {max_iter} iterations")
+        return rows - res[:, None] * np.conj(grad) / norm2[:, None]
+
+    return _newton(
+        params, cur.reshape(-1, 3), tau, config.residual_tol * scale, max_iter, step,
+        f"no convergence after {max_iter} iterations",
+    ).reshape(cur.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +460,19 @@ def project_to_level(
 # ---------------------------------------------------------------------------
 
 
-def critical_points(params: FibrationParams) -> list[C3Point]:
+def critical_points(params: FibrationParams) -> np.ndarray:
     """The p+q+r closed-form critical points of g restricted to X_t, on
-    the three coordinate axes."""
+    the three coordinate axes, as a (p+q+r, 3) stack: the p points on the
+    x-axis first, then the q on the y-axis, then the r on the z-axis."""
     params.check()
-    out = []
-    for axis, n in ((0, params.p), (1, params.q), (2, params.r)):
-        radius = params.a ** (-1.0 / n)
-        for j in range(n):
-            coords = [0j, 0j, 0j]
-            coords[axis] = radius * np.exp(1j * (params.theta + 2 * math.pi * j) / n)
-            out.append(point(*coords))
+    exps = _exponents(params)
+    axis = np.repeat(np.arange(3), exps)
+    n = exps[axis]
+    j = np.concatenate([np.arange(k) for k in exps])
+    out = np.zeros((len(axis), 3), dtype=complex)
+    out[np.arange(len(axis)), axis] = params.a ** (-1.0 / n) * np.exp(
+        1j * (params.theta + 2 * math.pi * j) / n
+    )
     return out
 
 
@@ -463,6 +483,11 @@ def critical_values(params: FibrationParams) -> list[complex]:
         _OMEGA * params.a ** (-2.0 / params.q),
         _OMEGA**2 * params.a ** (-2.0 / params.r),
     ]
+
+
+def _fields(report, *skip: str) -> dict:
+    """A report's fields, in declaration order, except those named."""
+    return {k: v for k, v in vars(report).items() if k not in skip}
 
 
 @dataclass(frozen=True)
@@ -488,11 +513,11 @@ class CriticalPointReport:
         }
 
 
-def verify_critical_point(
-    params: FibrationParams, pt: C3Point, config: NumericalConfig = NumericalConfig()
-) -> CriticalPointReport:
+def _critical_reports(
+    params: FibrationParams, pts: np.ndarray, config: NumericalConfig
+) -> list[CriticalPointReport]:
     """Checks level-set membership and rank deficiency of the restricted
-    differential of g.
+    differential of g at each row of pts.
 
     The tangent space of X_t is the numerical kernel of the 2x6 real
     Jacobian of the defining map; the reduced 2x4 Jacobian of g on it must
@@ -500,31 +525,38 @@ def verify_critical_point(
     ambient Jacobian of g.
     """
     tau = params.target
-    residual = abs(ft_eval(params, pt) - tau) / abs(tau)
-    jf = ft_real_jacobian(params, pt)
-    _, _, vh = np.linalg.svd(jf, full_matrices=True)
-    tangent = vh[2:].T  # 6x4 orthonormal kernel basis
-    jg = g_real_jacobian(pt)
-    reduced = jg @ tangent
-    svals = np.linalg.svd(reduced, compute_uv=False)
-    ambient = float(np.linalg.svd(jg, compute_uv=False)[0])
-    rank_ratio = float(svals[-1] / ambient)
-    corank2_ratio = float(svals[0] / ambient)
-    return CriticalPointReport(
-        point=(complex(pt[0]), complex(pt[1]), complex(pt[2])),
-        residual_rel=float(residual),
-        rank_ratio=rank_ratio,
-        corank2_ratio=corank2_ratio,
-        residual_ok=bool(residual < config.residual_tol),
-        rank_ok=bool(rank_ratio < config.rank_tol),
-    )
+    residual = np.abs(ft_eval(params, pts) - tau) / abs(tau)
+    _, _, vh = np.linalg.svd(ft_real_jacobian(params, pts), full_matrices=True)
+    tangent = np.swapaxes(vh[:, 2:], -1, -2)  # 6x4 orthonormal kernel bases
+    jg = g_real_jacobian(pts)
+    svals = np.linalg.svd(jg @ tangent, compute_uv=False)
+    ambient = np.linalg.svd(jg, compute_uv=False)[:, 0]
+    rank_ratio = svals[:, -1] / ambient
+    corank2_ratio = svals[:, 0] / ambient
+    return [
+        CriticalPointReport(
+            point=tuple(complex(c) for c in pts[i]),
+            residual_rel=float(residual[i]),
+            rank_ratio=float(rank_ratio[i]),
+            corank2_ratio=float(corank2_ratio[i]),
+            residual_ok=bool(residual[i] < config.residual_tol),
+            rank_ok=bool(rank_ratio[i] < config.rank_tol),
+        )
+        for i in range(len(pts))
+    ]
+
+
+def verify_critical_point(
+    params: FibrationParams, pt: C3Point, config: NumericalConfig = NumericalConfig()
+) -> CriticalPointReport:
+    return _critical_reports(params, np.asarray(pt, dtype=complex)[None], config)[0]
 
 
 def verify_critical_points(
     params: FibrationParams, config: NumericalConfig = NumericalConfig()
 ) -> list[CriticalPointReport]:
     params.check()
-    return [verify_critical_point(params, pt, config) for pt in critical_points(params)]
+    return _critical_reports(params, critical_points(params), config)
 
 
 # ---------------------------------------------------------------------------
@@ -586,31 +618,48 @@ def hessian_model(p: int, a: float) -> HessianModel:
     return HessianModel(lam, A, B, P, ptap, ptbp, dev, bool(dev <= 1e-12))
 
 
-_CHART_ORDER = {0: (0, 1, 2), 1: (1, 2, 0), 2: (2, 0, 1)}
-
-
 def _solve_axial(
-    params: FibrationParams, axis: int, transverse: tuple[complex, complex],
-    seed: complex
-) -> complex:
-    """1D Newton for the axial coordinate on the level set; valid in the
-    chart region where the bump factor of the axis is identically 1."""
-    n = (params.p, params.q, params.r)[axis]
+    params: FibrationParams, axis: int, transverse: np.ndarray, seed: complex
+) -> np.ndarray:
+    """1D Newton for the axial coordinate on the level set, from the seed,
+    for each row of transverse chart coordinates (n, 2); valid in the
+    chart region where the bump factor of the axis is identically 1.
+    Returns the (n, 3) points."""
     order = _CHART_ORDER[axis]
     tau = params.target
-    u = seed
-    for _ in range(60):
-        coords = [0j, 0j, 0j]
-        coords[order[0]] = u
-        coords[order[1]] = transverse[0]
-        coords[order[2]] = transverse[1]
-        pt = np.array(coords, dtype=complex)
-        res = ft_eval(params, pt) - tau
-        if abs(res) <= 1e-15 * abs(tau):
-            return u
-        dres = ft_grad(params, pt)[order[0]]
-        u = u - res / dres
-    raise ProjectionError("axial Newton did not converge")
+    pts = np.empty((len(transverse), 3), dtype=complex)
+    pts[:, order[0]] = seed
+    pts[:, order[1:]] = transverse
+
+    def step(rows, res):
+        rows[:, axis] -= res / ft_grad(params, rows)[:, axis]
+        return rows
+
+    return _newton(
+        params, pts, tau, 1e-15 * abs(tau), 60, step, "axial Newton did not converge"
+    )
+
+
+# Offsets of the central second differences in R^4, in steps: the origin,
+# +-e_i for each i, then e_i+e_j, e_i-e_j, -e_i+e_j, -e_i-e_j for each i < j.
+_STENCIL = np.array(
+    [np.zeros(4)]
+    + [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+    + [si * np.eye(4)[i] + sj * np.eye(4)[j] for i, j in zip(*np.triu_indices(4, 1))
+       for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+)
+
+
+def _fd_hessian(values: np.ndarray, delta: float) -> np.ndarray:
+    """4x4 Hessian from the values on delta * _STENCIL."""
+    g0 = values[0]
+    h = np.diag((values[1:9:2] - 2.0 * g0 + values[2:9:2]) / delta**2)
+    corners = values[9:].reshape(6, 4)
+    upper = np.triu_indices(4, 1)
+    h[upper] = h[upper[::-1]] = (
+        corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]
+    ) / (4.0 * delta**2)
+    return h
 
 
 @dataclass(frozen=True)
@@ -628,17 +677,7 @@ class HessianReport:
     matches: bool
 
     def to_json(self) -> dict:
-        return {
-            "axis": self.axis,
-            "exponent": self.exponent,
-            "lam_model": self.lam_model,
-            "lam_measured": self.lam_measured,
-            "center_rel_err": self.center_rel_err,
-            "a_rel_err": self.a_rel_err,
-            "b_rel_err": self.b_rel_err,
-            "residual_rel": self.residual_rel,
-            "matches": self.matches,
-        }
+        return _fields(self, "a_fd", "b_fd")
 
 
 def hessian_fd_check(
@@ -666,7 +705,6 @@ def hessian_fd_check(
     pt = np.asarray(pt, dtype=complex)
     axis = int(np.argmax(np.abs(pt)))
     n = (params.p, params.q, params.r)[axis]
-    order = _CHART_ORDER[axis]
     tau = params.target
     residual = abs(ft_eval(params, pt) - tau) / abs(tau)
 
@@ -676,40 +714,15 @@ def hessian_fd_check(
     model = hessian_model(n, params.a)
     center_expected = _OMEGA**axis * params.a ** (-2.0 / n)
 
-    def g_chart(vw: np.ndarray) -> complex:
-        v = complex(vw[0], vw[1])
-        w = complex(vw[2], vw[3]) * c_w
-        u = _solve_axial(params, axis, (v, w), u0)
-        coords = [0j, 0j, 0j]
-        coords[order[0]] = u
-        coords[order[1]] = v
-        coords[order[2]] = w
-        return g_eval(np.array(coords, dtype=complex))
-
-    def fd_hessian(delta: float) -> np.ndarray:
-        h = np.zeros((4, 4), dtype=complex)
-        g0 = g_chart(np.zeros(4))
-        for i in range(4):
-            ei = np.zeros(4)
-            ei[i] = delta
-            h[i, i] = (g_chart(ei) - 2.0 * g0 + g_chart(-ei)) / delta**2
-            for j in range(i + 1, 4):
-                ej = np.zeros(4)
-                ej[j] = delta
-                val = (
-                    g_chart(ei + ej)
-                    - g_chart(ei - ej)
-                    - g_chart(-ei + ej)
-                    + g_chart(-ei - ej)
-                ) / (4.0 * delta**2)
-                h[i, j] = h[j, i] = val
-        return h
-
-    g0 = g_chart(np.zeros(4))
     delta_a = min(step_rel, 0.02 / math.sqrt(model.lam)) * au0
     delta_b = step_rel * au0
-    a_fd = (fd_hessian(delta_a) * _OMEGA ** (-axis)).real
-    b_fd = (fd_hessian(delta_b) * _OMEGA ** (-axis)).imag
+    # Chart coordinates (v, w / c_w) of both stencils, one axial solve.
+    transverse = np.concatenate([delta_a * _STENCIL, delta_b * _STENCIL]).view(complex)
+    transverse[:, 1] *= c_w
+    values = g_eval(_solve_axial(params, axis, transverse, u0))
+    g0 = values[0]
+    a_fd = (_fd_hessian(values[:33], delta_a) * _OMEGA ** (-axis)).real
+    b_fd = (_fd_hessian(values[33:], delta_b) * _OMEGA ** (-axis)).imag
 
     a_scale = float(np.max(np.abs(model.a_matrix)))
     b_scale = math.sqrt(3.0)
@@ -745,49 +758,66 @@ def hessian_fd_check(
 # ---------------------------------------------------------------------------
 
 
-def _torus_seed(params: FibrationParams, rng: np.random.Generator) -> C3Point:
+def _torus_seeds(params: FibrationParams, phases: np.ndarray) -> np.ndarray:
+    """Points of the regular torus |x| = |y| = |z| = a^(-2/3) with
+    arg(xyz) = theta, from the phases (n, 2) of x and y."""
     c = params.a ** (-2.0 / 3.0)
-    ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    ph3 = params.theta - ph1 - ph2
-    return point(c * np.exp(1j * ph1), c * np.exp(1j * ph2), c * np.exp(1j * ph3))
+    last = params.theta - phases[:, 0] - phases[:, 1]
+    return c * np.exp(1j * np.column_stack([phases, last]))
 
 
-def _shell_seed(
-    params: FibrationParams, crit: C3Point, rng: np.random.Generator
-) -> C3Point:
-    """Point near a critical point, transverse radius covering the bump
-    transition region."""
-    axis = int(np.argmax(np.abs(crit)))
-    scale = abs(crit[axis])
-    eta = rng.uniform(0.02, 0.48)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    split = rng.uniform(0.0, math.pi / 2.0)
-    others = [k for k in (0, 1, 2) if k != axis]
-    coords = [0j, 0j, 0j]
-    coords[axis] = crit[axis] * (1.0 + rng.uniform(-0.05, 0.05))
-    coords[others[0]] = eta * scale * math.cos(split) * np.exp(1j * phases[0])
-    coords[others[1]] = eta * scale * math.sin(split) * np.exp(1j * phases[1])
-    return point(*coords)
+def _draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high):
+    """For each of count seeds in turn: an index below choices, then one
+    uniform in [low[k], high[k]) for each k.  The random stream is that of
+    rng.integers followed by scalar rng.uniform calls."""
+    picks = np.empty(count, dtype=int)
+    unit = np.empty((count, len(low)))
+    for i in range(count):
+        picks[i] = rng.integers(choices)
+        unit[i] = rng.random(len(low))
+    low = np.asarray(low)
+    return picks, low + (np.asarray(high) - low) * unit
+
+
+def _shell_seeds(
+    params: FibrationParams, crits: np.ndarray, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Points near the critical points, transverse radius covering the bump
+    transition region.  Per seed: the critical point, the transverse
+    radius relative to it, two phases, the split between the transverse
+    coordinates and the relative stretch of the axial one."""
+    picks, draws = _draw_per_seed(
+        rng, count, len(crits),
+        (0.02, 0.0, 0.0, 0.0, -0.05), (0.48, 2 * math.pi, 2 * math.pi, math.pi / 2, 0.05),
+    )
+    eta, ph1, ph2, split, stretch = draws.T
+    crit = crits[picks]
+    rows = np.arange(count)
+    axis = np.argmax(np.abs(crit), axis=-1)
+    center = crit[rows, axis]
+    others = _OTHERS[axis]
+    out = np.zeros((count, 3), dtype=complex)
+    out[rows, axis] = center * (1.0 + stretch)
+    out[rows, others[:, 0]] = eta * np.abs(center) * np.cos(split) * np.exp(1j * ph1)
+    out[rows, others[:, 1]] = eta * np.abs(center) * np.sin(split) * np.exp(1j * ph2)
+    return out
 
 
 def sample_on_level(
     params: FibrationParams, config: NumericalConfig = NumericalConfig()
-) -> list[C3Point]:
-    """Sample points of X_t: seeds on the regular torus and on transverse
-    shells around each critical point, Newton-projected onto the level."""
+) -> np.ndarray:
+    """Sample points of X_t, as a (samples, 3) stack: seeds on the regular
+    torus and on transverse shells around each critical point,
+    Newton-projected onto the level."""
     params.check()
     rng = np.random.default_rng(config.seed)
     crits = critical_points(params)
-    out: list[C3Point] = []
     n_torus = config.samples // 2
-    for _ in range(n_torus):
-        out.append(project_to_level(params, _torus_seed(params, rng), config=config))
-    while len(out) < config.samples:
-        crit = crits[rng.integers(len(crits))]
-        out.append(
-            project_to_level(params, _shell_seed(params, crit, rng), config=config)
-        )
-    return out
+    seeds = np.concatenate([
+        _torus_seeds(params, rng.uniform(0.0, 2.0 * math.pi, size=(n_torus, 2))),
+        _shell_seeds(params, crits, rng, config.samples - n_torus),
+    ])
+    return project_to_level(params, seeds, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -816,15 +846,7 @@ class InequalityAudit:
         )
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "min_margin": self.min_margin,
-            "antigrad_active": self.antigrad_active,
-            "coordinate_bound_ok": self.coordinate_bound_ok,
-            "violations": self.violations,
-            "precondition_error": self.precondition_error,
-            "passed": self.passed,
-        }
+        return {**_fields(self, "min_margin_point"), "passed": self.passed}
 
 
 def symplectic_inequality_audit(
@@ -838,29 +860,20 @@ def symplectic_inequality_audit(
     except AdmissibilityError as exc:
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
     pts = sample_on_level(params, config)
-    floor = params.m / params.a
-    min_margin = math.inf
-    argmin = None
-    active = 0
-    violations = 0
-    coord_ok = True
-    for pt in pts:
-        margin = float(
-            np.linalg.norm(ft_grad(params, pt))
-            - np.linalg.norm(ft_antigrad(params, pt))
-        )
-        if np.linalg.norm(ft_antigrad(params, pt)) > 0.0:
-            active += 1
-        if margin <= 0.0:
-            violations += 1
-        if margin < min_margin:
-            min_margin = margin
-            argmin = (complex(pt[0]), complex(pt[1]), complex(pt[2]))
-        if not float(np.max(np.abs(pt))) > floor:
-            coord_ok = False
+    anti = np.linalg.norm(ft_antigrad(params, pts), axis=-1)
+    margin = np.linalg.norm(ft_grad(params, pts), axis=-1) - anti
+    worst = int(np.argmin(margin))  # the first of equal minima
+    coord_ok = bool(np.all(np.max(np.abs(pts), axis=-1) > params.m / params.a))
     note = None if params.precision_reviewed else "index above 9: review precision"
     return InequalityAudit(
-        len(pts), min_margin, argmin, active, coord_ok, violations, None, note
+        len(pts),
+        float(margin[worst]),
+        tuple(complex(c) for c in pts[worst]),
+        int(np.count_nonzero(anti > 0.0)),
+        coord_ok,
+        int(np.count_nonzero(margin <= 0.0)),
+        None,
+        note,
     )
 
 
@@ -876,13 +889,7 @@ class DefectReport:
         return (not self.lagrangian_expected) or self.max_defect < self.tolerance
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_defect": self.max_defect,
-            "lagrangian_expected": self.lagrangian_expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**_fields(self), "passed": self.passed}
 
 
 def lagrangian_defect(
@@ -903,29 +910,25 @@ def lagrangian_defect(
     params.check()
     if points is None:
         rng = np.random.default_rng(config.seed)
-        points = []
-        while len(points) < max(10, config.samples // 10):
-            seed = _torus_seed(params, rng)
-            seed = seed * (
-                1.0 + 0.05 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            )
-            points.append(project_to_level(params, seed, config=config))
-    max_defect = 0.0
-    used = 0
-    for pt in points:
-        pt = np.asarray(pt, dtype=complex)
-        if float(np.min(np.abs(pt))) == 0.0:
-            raise ValueError("fiber tangent planes are not defined on the axes")
-        stacked = np.vstack([ft_real_jacobian(params, pt), g_real_jacobian(pt)])
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
-        if svals[3] < 1e-9 * svals[0]:
-            continue  # too close to a singular fiber for a clean kernel
-        v1, v2 = vh[4], vh[5]
-        max_defect = max(max_defect, abs(_omega0(v1, v2)))
-        used += 1
+        count = max(10, config.samples // 10)
+        phases = np.empty((count, 2))
+        noise = np.empty((count, 3), dtype=complex)
+        for i in range(count):
+            phases[i] = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            noise[i] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        seeds = _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
+        points = project_to_level(params, seeds, config=config)
+    pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+    if np.any(np.abs(pts) == 0.0):
+        raise ValueError("fiber tangent planes are not defined on the axes")
+    stacked = np.concatenate([ft_real_jacobian(params, pts), g_real_jacobian(pts)], axis=-2)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
+    # Points too close to a singular fiber for a clean kernel are skipped.
+    used = ~(svals[:, 3] < 1e-9 * svals[:, 0])
+    defect = np.abs(_omega0(vh[used, 4], vh[used, 5]))
     return DefectReport(
-        samples=used,
-        max_defect=float(max_defect),
+        samples=int(np.count_nonzero(used)),
+        max_defect=float(np.max(defect, initial=0.0)),
         lagrangian_expected=bool(params.t == 1.0),
         tolerance=tolerance,
     )
@@ -952,57 +955,48 @@ class DomainYAudit:
         )
 
     def to_json(self) -> dict:
-        return {
-            "critical_values_inside": self.critical_values_inside,
-            "max_critical_value": self.max_critical_value,
-            "samples": self.samples,
-            "boundary_xyz_bound_ok": self.boundary_xyz_bound_ok,
-            "chain_bound_ok": self.chain_bound_ok,
-            "vertex_checks_ok": self.vertex_checks_ok,
-            "precondition_error": self.precondition_error,
-            "passed": self.passed,
-        }
+        return {**_fields(self), "passed": self.passed}
 
 
-def _triangle_boundary_distance(w: complex, radius: float) -> float:
+def _triangle_boundary_distance(w, radius: float):
     """Distance from w to the boundary of the triangle with vertices
     radius * cube roots of unity."""
-    verts = [radius + 0j, radius * _OMEGA, radius * _OMEGA**2]
-    best = math.inf
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
+    verts = radius * _G_WEIGHTS
+    best = np.inf
+    for a, b in zip(verts, np.roll(verts, -1)):
         ab = b - a
-        s = ((w - a) * np.conj(ab)).real / abs(ab) ** 2
-        s = min(1.0, max(0.0, s))
-        best = min(best, abs(w - (a + s * ab)))
+        s = np.clip(((w - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
+        best = np.minimum(best, np.abs(w - (a + s * ab)))
     return best
 
 
 def _half_sphere_boundary_points(
     params: FibrationParams, rng: np.random.Generator, count: int
-) -> list[C3Point]:
+) -> np.ndarray:
     """Closed-form points of the intersection of X_1 with the radius-1/2
     sphere: two coordinates carry the radius, the third is pinned by
-    a*x*y*z = target (all bump factors vanish there)."""
+    a*x*y*z = target (all bump factors vanish there).  Per point: the axis
+    of the tiny coordinate, the ratio mu of the two large moduli and their
+    two phases."""
     tau = params.target
-    out = []
-    for _ in range(count):
-        tiny_axis = rng.integers(3)
-        mu = rng.uniform(0.75, 1.3)
-        ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        big = [mu, 1.0 / mu]
-        # solve c with c^2 (mu^2 + mu^-2) + |z|^2 = 1/4, |z| = 1/(a^2 c^2 ...)
-        c = math.sqrt(0.25 / (mu**2 + mu**-2))
-        for _ in range(3):
-            prod = (c * mu) * (c / mu)
-            tiny = abs(tau) / (params.a * prod)
-            c = math.sqrt(max(0.25 - tiny**2, 0.0) / (mu**2 + mu**-2))
-        others = [k for k in (0, 1, 2) if k != tiny_axis]
-        coords = [0j, 0j, 0j]
-        coords[others[0]] = c * big[0] * np.exp(1j * ph[0])
-        coords[others[1]] = c * big[1] * np.exp(1j * ph[1])
-        coords[tiny_axis] = tau / (params.a * coords[others[0]] * coords[others[1]])
-        out.append(point(*coords))
+    tiny_axis, draws = _draw_per_seed(
+        rng, count, 3, (0.75, 0.0, 0.0), (1.3, 2 * math.pi, 2 * math.pi)
+    )
+    mu, ph1, ph2 = draws.T
+    # solve c with c^2 (mu^2 + mu^-2) + |z|^2 = 1/4, |z| = |tau| / (a c^2)
+    spread = mu**2 + mu**-2
+    c = np.sqrt(0.25 / spread)
+    for _ in range(3):
+        tiny = abs(tau) / (params.a * ((c * mu) * (c / mu)))
+        c = np.sqrt(np.maximum(0.25 - tiny**2, 0.0) / spread)
+    rows = np.arange(count)
+    others = _OTHERS[tiny_axis]
+    big1 = c * mu * np.exp(1j * ph1)
+    big2 = c * (1.0 / mu) * np.exp(1j * ph2)
+    out = np.zeros((count, 3), dtype=complex)
+    out[rows, others[:, 0]] = big1
+    out[rows, others[:, 1]] = big2
+    out[rows, tiny_axis] = tau / (params.a * big1 * big2)
     return out
 
 
@@ -1025,18 +1019,14 @@ def domain_y_audit(
     inside = max_cv < 1.0 / 9.0 and params.a ** (-2.0 / params.big_m) < 1.0 / 9.0
 
     rng = np.random.default_rng(config.seed)
-    count = max(16, config.samples // 10)
-    pts = _half_sphere_boundary_points(params, rng, count)
+    pts = _half_sphere_boundary_points(params, rng, max(16, config.samples // 10))
     tau = params.target
-    xyz_ok = True
-    for pt in pts:
-        if abs(ft_eval(params, pt) - tau) > 1e-9 * abs(tau):
-            xyz_ok = False
-        if abs(np.linalg.norm(pt) - 0.5) > 1e-9:
-            xyz_ok = False
-        prod = abs(pt[0] * pt[1] * pt[2])
-        if not (float(np.min(np.abs(pt))) ** 3 <= prod < 1.0 / params.a):
-            xyz_ok = False
+    prod = np.abs(pts[:, 0] * pts[:, 1] * pts[:, 2])
+    xyz_ok = not (
+        np.any(np.abs(ft_eval(params, pts) - tau) > 1e-9 * abs(tau))
+        or np.any(np.abs(np.linalg.norm(pts, axis=-1) - 0.5) > 1e-9)
+        or not np.all((np.min(np.abs(pts), axis=-1) ** 3 <= prod) & (prod < 1.0 / params.a))
+    )
     m = params.m
     chain_ok = 1.0 / params.a < 1.0 / (m * m * (m + 3)) < (1.0 / 90.0) ** 3
 
@@ -1045,16 +1035,13 @@ def domain_y_audit(
     # boundary, while the sampled points (all coordinates nonzero) sit a
     # distance ~ min|coordinate|^2 inside - far below the stated width
     # 1/4050, which is what is checkable in doubles.
-    vertex_ok = True
     axis_pt = point(0.5, 0, 0)
-    if _triangle_boundary_distance(g_eval(axis_pt), 0.25) > 1e-15:
-        vertex_ok = False
     edge_pt = point(math.sqrt(1 / 8), math.sqrt(1 / 8) * 1j, 0)
-    if _triangle_boundary_distance(g_eval(edge_pt), 0.25) > 1e-12:
-        vertex_ok = False
-    width = 1.0 / 4050.0
-    if any(_triangle_boundary_distance(g_eval(pt), 0.25) >= width for pt in pts):
-        vertex_ok = False
+    vertex_ok = (
+        _triangle_boundary_distance(g_eval(axis_pt), 0.25) <= 1e-15
+        and _triangle_boundary_distance(g_eval(edge_pt), 0.25) <= 1e-12
+        and not np.any(_triangle_boundary_distance(g_eval(pts), 0.25) >= 1.0 / 4050.0)
+    )
 
     return DomainYAudit(
         critical_values_inside=bool(inside),

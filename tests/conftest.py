@@ -7,17 +7,21 @@ library's earlier kernels: plain Bareiss elimination, recursive congruence
 over exact rationals, and Lagrange interpolation of n+1 determinants.  The
 cusp-unit and module-action oracles are likewise the earlier product of
 continued-fraction values over all rotations and the rational solve for
-coordinates in the basis (1, omega).
+coordinates in the basis (1, omega).  The seed oracles are the sampler's
+earlier one-seed-at-a-time draws of torus and shell seeds.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
+from tpqr.numcheck import C3Point, FibrationParams, point
 from tpqr.sl2z import SL2Matrix
 
 
@@ -185,6 +189,31 @@ def interpolated_char_poly(m) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _torus_seed(params: FibrationParams, rng: np.random.Generator) -> C3Point:
+    c = params.a ** (-2.0 / 3.0)
+    ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    ph3 = params.theta - ph1 - ph2
+    return point(c * np.exp(1j * ph1), c * np.exp(1j * ph2), c * np.exp(1j * ph3))
+
+
+def _shell_seed(
+    params: FibrationParams, crit: C3Point, rng: np.random.Generator
+) -> C3Point:
+    """Point near a critical point, transverse radius covering the bump
+    transition region."""
+    axis = int(np.argmax(np.abs(crit)))
+    scale = abs(crit[axis])
+    eta = rng.uniform(0.02, 0.48)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    split = rng.uniform(0.0, math.pi / 2.0)
+    others = [k for k in (0, 1, 2) if k != axis]
+    coords = [0j, 0j, 0j]
+    coords[axis] = crit[axis] * (1.0 + rng.uniform(-0.05, 0.05))
+    coords[others[0]] = eta * scale * math.cos(split) * np.exp(1j * phases[0])
+    coords[others[1]] = eta * scale * math.sin(split) * np.exp(1j * phases[1])
+    return point(*coords)
+
+
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
 
 
@@ -232,6 +261,4 @@ def square_matrices(draw, max_n=10):
 
 @pytest.fixture(scope="session")
 def minimal_params_237():
-    from tpqr.numcheck import FibrationParams
-
     return FibrationParams.minimal(2, 3, 7)

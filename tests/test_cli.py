@@ -119,6 +119,28 @@ def test_verify_fibration_small(capsys):
     assert data["hessian_x_axis"]["matches"] is True
 
 
+@pytest.mark.parametrize(
+    "pqr, note", [("2,3,7", None), ("2,3,10", "index above 9: review precision")]
+)
+def test_inequality_audit_reports_its_precision_note(capsys, pqr, note):
+    code, data = run_json(capsys, "verify-fibration", "--pqr", pqr, "--samples", "20")
+    assert code == 0
+    assert data["symplectic_inequality"]["precision_note"] == note
+
+
+def test_exact_commands_do_not_import_numpy():
+    script = (
+        "import sys, tpqr.cli; rc = tpqr.cli.main(['table', '--json']); "
+        "assert rc == 0 and 'numpy' not in sys.modules, rc"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_fibration_rejects_bad_a(capsys):
     code, _ = run(capsys, "verify-fibration", "--pqr", "2,3,7", "--a", "10")
     assert code == 2

@@ -1,0 +1,207 @@
+"""The batched numcheck kernels against their per-point use, and the sampler
+against the earlier one-seed-at-a-time loop (the seed oracles in conftest)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import _shell_seed, _torus_seed
+from tpqr import numcheck
+from tpqr.numcheck import (
+    FibrationParams,
+    NumericalConfig,
+    critical_points,
+    ft_antigrad,
+    ft_grad,
+    project_to_level,
+    sample_on_level,
+    symplectic_inequality_audit,
+)
+
+TIMES = (0.0, 0.5, 1.0)
+
+
+def oracle_samples(params, config):
+    """The sampler as a loop: one seed drawn and projected at a time."""
+    rng = np.random.default_rng(config.seed)
+    crits = critical_points(params)
+    out = [
+        project_to_level(params, _torus_seed(params, rng), config=config)
+        for _ in range(config.samples // 2)
+    ]
+    while len(out) < config.samples:
+        crit = crits[rng.integers(len(crits))]
+        out.append(project_to_level(params, _shell_seed(params, crit, rng), config=config))
+    return np.array(out)
+
+
+def assert_rows_close(batch, rows, rel):
+    """Each row of batch equals the matching row of rows within rel of
+    that row's largest finite entry (infinite entries must be equal)."""
+    batch, rows = np.asarray(batch), np.asarray(rows)
+    assert batch.shape == rows.shape
+    flat_b = batch.reshape(len(batch), -1)
+    flat_r = rows.reshape(len(rows), -1)
+    finite = np.isfinite(flat_r)
+    assert np.array_equal(flat_b[~finite], flat_r[~finite])
+    flat_b, flat_r = np.where(finite, flat_b, 0.0), np.where(finite, flat_r, 0.0)
+    scale = np.max(np.abs(flat_r), axis=1, keepdims=True)
+    gap = np.abs(flat_b - flat_r)
+    assert np.all(gap <= rel * np.maximum(scale, 1e-300)), np.max(gap / scale)
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 3, 4), (4, 4, 4)])
+@pytest.mark.parametrize("t", TIMES)
+def test_sampler_keeps_the_draw_order(triple, t):
+    params = FibrationParams.minimal(*triple, theta=0.9, t=t)
+    cfg = NumericalConfig(samples=120, seed=7)
+    pts = sample_on_level(params, cfg)
+    assert isinstance(pts, np.ndarray) and pts.shape == (120, 3)
+    assert_rows_close(pts, oracle_samples(params, cfg), 1e-12)
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_audit_counts_and_smallest_margin_match_the_per_point_loop(t):
+    params = FibrationParams.minimal(3, 3, 4, theta=0.2, t=t)
+    cfg = NumericalConfig(samples=150, seed=5)
+    audit = symplectic_inequality_audit(params, cfg)
+    pts = sample_on_level(params, cfg)
+    anti = np.array([np.linalg.norm(ft_antigrad(params, pt)) for pt in pts])
+    margin = np.array([np.linalg.norm(ft_grad(params, pt)) for pt in pts]) - anti
+    assert audit.samples == len(pts) == 150
+    assert audit.antigrad_active == np.count_nonzero(anti > 0.0)
+    assert audit.violations == np.count_nonzero(margin <= 0.0) == 0
+    # the reported point has a smallest margin, up to rounding
+    at = next(i for i, pt in enumerate(pts) if tuple(pt) == audit.min_margin_point)
+    assert abs(margin[at] - audit.min_margin) <= 1e-12 * audit.min_margin
+    assert np.all(margin >= audit.min_margin * (1 - 1e-12))
+
+
+# --- batch equals per-point -------------------------------------------------------
+
+phase = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def rows(draw):
+    """A point that is generic, has one zero coordinate, lies on an axis, or
+    has a bump ratio inside the transition (1/6, 1/2)."""
+    kind = draw(st.sampled_from(["generic", "zero", "axis", "transition"]))
+    mods = [draw(st.floats(1e-3, 1.0)) for _ in range(3)]
+    axis = draw(st.integers(0, 2))
+    if kind == "zero":
+        mods[axis] = 0.0
+    elif kind == "axis":
+        mods = [mods[k] if k == axis else 0.0 for k in range(3)]
+    elif kind == "transition":
+        rho = mods[axis] * draw(st.floats(1 / 6, 1 / 2, exclude_min=True, exclude_max=True))
+        split = draw(st.floats(0.0, math.pi / 2))
+        others = [k for k in range(3) if k != axis]
+        mods[others[0]] = rho * math.cos(split)
+        mods[others[1]] = rho * math.sin(split)
+    return [m * complex(math.cos(ph), math.sin(ph)) for m, ph in zip(mods, [draw(phase) for _ in range(3)])]
+
+
+stacks = st.lists(rows(), min_size=1, max_size=20).map(np.array)
+
+
+def kernels(params):
+    """Every pointwise kernel, as a function of a point or a stack."""
+    def omega0(pt):
+        return numcheck._omega0(numcheck.g_real_jacobian(pt)[..., 0, :],
+                                numcheck.ft_real_jacobian(params, pt)[..., 1, :])
+
+    return {
+        "bump": lambda pt: numcheck.bump(numcheck._ratios(pt)),
+        "bump_deriv": lambda pt: numcheck.bump_deriv(numcheck._ratios(pt)),
+        "_ratios": numcheck._ratios,
+        "phi_values": numcheck.phi_values,
+        "phi_gradients": numcheck.phi_gradients,
+        "f_eval": lambda pt: numcheck.f_eval(params, pt),
+        "f_grad": lambda pt: numcheck.f_grad(params, pt),
+        "h_eval": lambda pt: numcheck.h_eval(params, pt),
+        "ft_eval": lambda pt: numcheck.ft_eval(params, pt),
+        "ft_grad": lambda pt: numcheck.ft_grad(params, pt),
+        "ft_antigrad": lambda pt: numcheck.ft_antigrad(params, pt),
+        "g_eval": numcheck.g_eval,
+        "_real_jacobian": lambda pt: numcheck._real_jacobian(
+            numcheck.ft_grad(params, pt), numcheck.g_eval(pt)[..., None] * pt),
+        "ft_real_jacobian": lambda pt: numcheck.ft_real_jacobian(params, pt),
+        "g_real_jacobian": numcheck.g_real_jacobian,
+        "_omega0": omega0,
+    }
+
+
+PARAMS = {t: FibrationParams.minimal(2, 3, 7, theta=0.4, t=t) for t in TIMES}
+
+
+@pytest.mark.parametrize("t", TIMES)
+@settings(max_examples=40, deadline=None)
+@given(stack=stacks)
+def test_kernels_on_a_stack_equal_the_per_point_calls(t, stack):
+    for name, kernel in kernels(PARAMS[t]).items():
+        # complex integer powers of arrays and of scalars round differently
+        assert_rows_close(kernel(stack), [kernel(row) for row in stack], 1e-14), name
+
+
+@pytest.mark.parametrize("t", TIMES)
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.lists(st.tuples(phase, phase, st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                   min_size=1, max_size=20),
+    origin_at=st.integers(0, 20),
+)
+def test_projection_of_a_stack_equals_the_per_point_projections(t, seeds, origin_at):
+    params = PARAMS[t]
+    c = params.a ** (-2.0 / 3.0)
+    stack = np.array([
+        [c * (1 + e1) * np.exp(1j * p1), c * (1 + e2) * np.exp(1j * p2),
+         c * np.exp(1j * (params.theta - p1 - p2))]
+        for p1, p2, e1, e2 in seeds
+    ])
+    assert_rows_close(project_to_level(params, stack),
+                      [project_to_level(params, row) for row in stack], 1e-12)
+    with_origin = np.insert(stack, min(origin_at, len(stack)), 0.0, axis=0)
+    with pytest.raises(ValueError):
+        project_to_level(params, with_origin)
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_a_stack_with_the_origin_is_rejected(t):
+    params = PARAMS[t]
+    stack = np.array([[0.3, 0.1j, 0.05], [0, 0, 0], [0.2j, 0.0, 0.4]], dtype=complex)
+    for name in ("_ratios", "phi_values", "phi_gradients", "h_eval", "ft_eval",
+                 "ft_grad", "ft_antigrad", "ft_real_jacobian"):
+        with pytest.raises(ValueError):
+            kernels(params)[name](stack)
+
+
+# --- FibrationParams.minimal ---------------------------------------------------------
+
+
+def old_minimal_a(p, q, r, domain_y):
+    """The minimal a + 1 as written out before it reused the bound properties."""
+    big_m = max(p, q, r)
+    m = 30 * big_m
+    bound = max(12 * big_m, m * m * (m + 3))
+    if domain_y:
+        bound = max(bound, 3**big_m)
+    return float(bound + 1)
+
+
+@pytest.mark.parametrize("domain_y", [False, True])
+def test_minimal_a_is_unchanged_for_every_cusp_triple(domain_y):
+    triples = [
+        (p, q, r)
+        for p in range(2, 13) for q in range(p, 13) for r in range(q, 13)
+        if q * r + p * r + p * q < p * q * r
+    ]
+    assert len(triples) > 100
+    for triple in triples:
+        params = FibrationParams.minimal(*triple, theta=0.3, t=0.5, domain_y=domain_y)
+        assert params.a == old_minimal_a(*triple, domain_y), triple
+        assert (params.theta, params.t) == (0.3, 0.5)
+        assert params.admissible and (params.domain_y_admissible or not domain_y)
