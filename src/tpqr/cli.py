@@ -95,7 +95,7 @@ def _cmd_monodromy(args) -> int:
     }
     if cls is sl2z.MatrixClass.HYPERBOLIC:
         report["rl_word"] = list(sl2z.rl_word(m).exponents)
-    if 1 / p + 1 / q + 1 / r <= 1:
+    if sl2z.triple_excess(p, q, r) >= 0:
         _check_limit("H_2 rank", p + q + r - 1, _MONODROMY_RANK_LIMIT)
         sys_ = milnorfiber.surface_system(p, q, r)
         mu = milnorfiber.monodromy_action(p, q, r)
@@ -121,8 +121,6 @@ def _cmd_dual(args) -> int:
     rep = cuspdual.verify_duality(p, q, r)
     ok = rep.verify()
     report = rep.to_json()
-    report["alpha_v"] = str(rep.alpha_self)
-    report["dual"] = list(rep.dual.sorted)
     report["passed"] = ok
     _emit(
         report,
@@ -238,6 +236,8 @@ def _cmd_inose(args) -> int:
 
 
 def _cmd_verify_fibration(args) -> int:
+    import numpy as np
+
     from . import numcheck
 
     p, q, r = _parse_triple(args.pqr)
@@ -267,23 +267,32 @@ def _cmd_verify_fibration(args) -> int:
         print(f"inadmissible parameters: {exc}", file=sys.stderr)
         return 2
 
-    crit_reports = numcheck.verify_critical_points(params, cfg)
-    report["critical_points"] = {
-        "count": len(crit_reports),
-        "expected": p + q + r,
-        "all_ok": all(rep.ok for rep in crit_reports),
-        "worst_residual": max(rep.residual_rel for rep in crit_reports),
-        "worst_rank_ratio": max(rep.rank_ratio for rep in crit_reports),
-    }
-    hess = numcheck.hessian_fd_check(params, numcheck.critical_points(params)[0], cfg)
-    report["hessian_x_axis"] = hess.to_json()
-    audit = numcheck.symplectic_inequality_audit(params, cfg)
-    report["symplectic_inequality"] = audit.to_json()
-    if params.t == 1.0:
-        defect = numcheck.lagrangian_defect(params, config=cfg)
-        report["lagrangian_defect"] = defect.to_json()
-        if params.domain_y_admissible:
-            report["domain_y"] = numcheck.domain_y_audit(params, cfg).to_json()
+    # Where doubles do not cover the dynamic range (large indices or a),
+    # Newton projection onto the fiber fails to converge: a precondition of
+    # the verifier, not a failed check.  The overflow warnings on the way
+    # there would only repeat it.
+    try:
+        with np.errstate(all="ignore"):
+            crit_reports = numcheck.verify_critical_points(params, cfg)
+            report["critical_points"] = {
+                "count": len(crit_reports),
+                "expected": p + q + r,
+                "all_ok": all(rep.ok for rep in crit_reports),
+                "worst_residual": max(rep.residual_rel for rep in crit_reports),
+                "worst_rank_ratio": max(rep.rank_ratio for rep in crit_reports),
+            }
+            hess = numcheck.hessian_fd_check(params, numcheck.critical_points(params)[0], cfg)
+            report["hessian_x_axis"] = hess.to_json()
+            audit = numcheck.symplectic_inequality_audit(params, cfg)
+            report["symplectic_inequality"] = audit.to_json()
+            if params.t == 1.0:
+                defect = numcheck.lagrangian_defect(params, config=cfg)
+                report["lagrangian_defect"] = defect.to_json()
+                if params.domain_y_admissible:
+                    report["domain_y"] = numcheck.domain_y_audit(params, cfg).to_json()
+    except numcheck.ProjectionError as exc:
+        print(f"error: projection onto the fiber failed: {exc}", file=sys.stderr)
+        return 2
 
     passed = (
         report["critical_points"]["all_ok"]
@@ -328,8 +337,8 @@ def _cmd_table(args) -> int:
             "conjugacy_verified": rep.verify(),
             "critical_count": k3glue.critical_count(pair),
         }
-        ok = ok and rep.verify() and row["critical_count"] == 24
-        ok = ok and tuple(sorted(rep.dual.sorted)) == pair.right
+        ok = ok and row["conjugacy_verified"] and row["critical_count"] == 24
+        ok = ok and rep.dual.sorted == pair.right
         rows.append(row)
     report = {"rows": rows, "passed": ok}
     lines = [

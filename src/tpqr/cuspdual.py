@@ -19,9 +19,11 @@ from typing import Optional
 from .sl2z import (
     ConjugacyCertificate,
     SL2Matrix,
+    cycle_matrix,
     is_conjugate,
     is_conjugate_to_inverse,
     monodromy_matrix,
+    triple_excess,
 )
 
 __all__ = [
@@ -272,8 +274,8 @@ class CycleData:
 
     def canonical(self) -> "CycleData":
         """Lexicographically least rotation starting at an entry >= 3."""
-        best = min(rot for rot in self.rotations() if rot[0] >= 3)
-        return CycleData(best)
+        e = self.entries
+        return CycleData(min(e[i:] + e[:i] for i, c in enumerate(e) if c >= 3))
 
     def cyclic_equal(self, other: "CycleData") -> bool:
         return self.canonical().entries == other.canonical().entries
@@ -301,17 +303,12 @@ class Triple:
         return tuple(sorted(self.given))
 
     @property
-    def weight_sum(self) -> Fraction:
-        p, q, r = self.given
-        return Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
-
-    @property
     def is_cusp(self) -> bool:
-        return self.weight_sum < 1
+        return triple_excess(*self.given) > 0
 
     @property
     def is_parabolic(self) -> bool:
-        return self.weight_sum == 1
+        return triple_excess(*self.given) == 0
 
     def __iter__(self):
         return iter(self.given)
@@ -365,26 +362,17 @@ def dual_cycle(cycle: CycleData) -> CycleData:
     2^(gamma_1 - 3), delta_n, 2^(gamma_2 - 3), delta_{n-1}, ..., delta_1.
     The operation is involutive up to rotation.
     """
-    c = cycle.canonical().entries
-    gammas: list[int] = []
-    runs: list[int] = []
-    i = 0
-    while i < len(c):
-        gammas.append(c[i])
-        i += 1
-        z = 0
-        while i < len(c) and c[i] == 2:
-            z += 1
-            i += 1
-        runs.append(z)
-    n = len(gammas)
-    # runs[i] after gamma_{i+1} equals delta_{n-i} - 3
-    deltas = [z + 3 for z in runs]  # deltas[i] = delta_{n-i}
-    reversed_dual: list[int] = []
-    for i in range(n):
-        reversed_dual += [2] * (gammas[i] - 3)
-        reversed_dual.append(deltas[i])
-    return CycleData(tuple(reversed(reversed_dual)))
+    runs: list[list[int]] = []  # [gamma_i, z_i]
+    for c in cycle.canonical().entries:
+        if c >= 3:
+            runs.append([c, 0])
+        else:
+            runs[-1][1] += 1
+    dual: list[int] = []
+    for gamma, z in reversed(runs):
+        dual.append(z + 3)
+        dual += [2] * (gamma - 3)
+    return CycleData(tuple(dual))
 
 
 def dual_triple(p: int, q: int, r: int) -> Triple:
@@ -404,13 +392,6 @@ def dual_triple(p: int, q: int, r: int) -> Triple:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_matrix(entries: tuple[int, ...]) -> SL2Matrix:
-    out = SL2Matrix.identity()
-    for c in entries:
-        out = out * SL2Matrix(c, -1, 1, 0)
-    return out
-
-
 def cf_value(cycle: CycleData) -> QuadIrrational:
     """Value of the repeating modified continued fraction [[c1 ... ck]].
 
@@ -418,7 +399,7 @@ def cf_value(cycle: CycleData) -> QuadIrrational:
     ... - 1/x), solved exactly through the matrix of the composition; the
     conjugate root lies in (0,1), which is asserted.
     """
-    m = _cycle_matrix(cycle.entries)
+    m = cycle_matrix(cycle.entries)
     t = m.trace
     if t < 3:  # pragma: no cover - excluded by the cycle invariant
         raise AssertionError("cycle matrix must be hyperbolic")
@@ -438,7 +419,7 @@ def alpha_v(cycle: CycleData) -> QuadIrrational:
     """The totally positive unit generating the automorphism group of the
     cusp, i.e. the product of cf_value over all cyclic rotations: the larger
     eigenvalue (t + sqrt(t^2 - 4))/2 of the cycle matrix of trace t."""
-    t = _cycle_matrix(cycle.entries).trace
+    t = cycle_matrix(cycle.entries).trace
     return QuadIrrational.make(t, 1, 2, t * t - 4)
 
 
@@ -455,7 +436,7 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     own torus-bundle monodromy (the column arrangement lands in the
     inverse class, i.e. the dual partner's).
     """
-    m = _cycle_matrix(cycle.entries)
+    m = cycle_matrix(cycle.entries)
     return SL2Matrix(m.d, m.c, m.b, m.a)
 
 

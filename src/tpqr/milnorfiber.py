@@ -10,7 +10,6 @@ on it, and the pairing vector of the fibration's section.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .quadlattice import GramLattice, t_tilde_lattice
@@ -24,13 +23,6 @@ __all__ = [
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _check_triple(p: int, q: int, r: int) -> None:
-    if min(p, q, r) < 2:
-        raise ValueError("p, q, r must all be >= 2")
-    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1:
-        raise ValueError(f"({p},{q},{r}) is neither a cusp nor a parabolic triple")
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,6 @@ class SurfaceSystem:
 
 
 def surface_system(p: int, q: int, r: int, tag: str = "S'") -> SurfaceSystem:
-    _check_triple(p, q, r)
     lat = t_tilde_lattice(p, q, r, tag)
     t2 = lat.rank - 1 if tag == "S'" else None
     return SurfaceSystem((p, q, r), tag, lat, t2)

@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .sl2z import triple_excess
+
 __all__ = [
     "C3Point",
     "FibrationParams",
@@ -95,10 +97,12 @@ class FibrationParams:
     def __post_init__(self):
         if min(self.p, self.q, self.r) < 2:
             raise ValueError("p, q, r must be >= 2")
-        if 1 / self.p + 1 / self.q + 1 / self.r > 1 + 1e-12:
+        if triple_excess(self.p, self.q, self.r) < 0:
             raise ValueError("need 1/p + 1/q + 1/r <= 1")
         if not (self.a > 0 and math.isfinite(self.a)):
             raise ValueError("a must be positive and finite")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if not 0 <= self.t <= 1:
             raise ValueError("homotopy time t must lie in [0,1]")
 
@@ -164,12 +168,11 @@ class FibrationParams:
 class NumericalConfig:
     residual_tol: float = 1e-9  # relative, level-set membership
     rank_tol: float = 1e-6  # singular-value ratio at critical points
-    fd_step: float = 1e-6  # gradient checks, relative to point norm
     samples: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        for v in (self.residual_tol, self.rank_tol, self.fd_step):
+        for v in (self.residual_tol, self.rank_tol):
             if not v > 0:
                 raise ValueError("tolerances must be positive")
         if self.samples <= 0:
@@ -179,8 +182,7 @@ class NumericalConfig:
 def parse_config_file(path: str) -> NumericalConfig:
     """key=value per line; unknown keys rejected, '#' comments allowed."""
     kwargs: dict = {}
-    casts = {"residual_tol": float, "rank_tol": float, "fd_step": float,
-             "samples": int, "seed": int}
+    casts = {"residual_tol": float, "rank_tol": float, "samples": int, "seed": int}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()

@@ -10,7 +10,8 @@ lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .sl2z import triple_excess
 
 __all__ = [
     "GramLattice",
@@ -174,7 +175,7 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     """
     if min(p, q, r) < 2:
         raise LatticeError("t_tilde_lattice needs p,q,r >= 2")
-    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1:
+    if triple_excess(p, q, r) < 0:
         raise LatticeError(f"({p},{q},{r}) is neither a cusp nor a parabolic triple")
     star = _star_rows(p, q, r)
     n = len(star) + 1

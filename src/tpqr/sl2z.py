@@ -33,6 +33,8 @@ __all__ = [
     "BETA",
     "GAMMA",
     "monodromy_matrix",
+    "cycle_matrix",
+    "triple_excess",
     "classify",
     "rl_word",
     "is_conjugate",
@@ -206,19 +208,30 @@ class ConjugacyCertificate:
 
 
 def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
-    """Torus-bundle monodromy of the T_{p,q,r} link.
-
-    Product of the three factors (n-1 -1; 1 0) for n = r, q, p, with the
-    r-factor leftmost.
-    """
+    """Torus-bundle monodromy of the T_{p,q,r} link: the cycle matrix of
+    (r-1, q-1, p-1), i.e. the product of the three factors (n-1 -1; 1 0)
+    for n = r, q, p, with the r-factor leftmost."""
     for n in (p, q, r):
         if n < 2:
             raise ValueError(f"indices must be >= 2, got ({p},{q},{r})")
-    return _factor(r) * _factor(q) * _factor(p)
+    return cycle_matrix((r - 1, q - 1, p - 1))
 
 
-def _factor(n: int) -> SL2Matrix:
-    return SL2Matrix(n - 1, -1, 1, 0)
+def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
+    """Product of the factors (c -1; 1 0) over the entries, leftmost first:
+    the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle."""
+    out = _I
+    for c in entries:
+        out = out * SL2Matrix(c, -1, 1, 0)
+    return out
+
+
+def triple_excess(p: int, q: int, r: int) -> int:
+    """pqr - pq - qr - rp, which equals trace A_{p,q,r} - 2.
+
+    It has the sign of 1 - 1/p - 1/q - 1/r: positive exactly for a cusp
+    triple and zero exactly for a parabolic one."""
+    return p * q * r - p * q - q * r - r * p
 
 
 def classify(m: SL2Matrix) -> MatrixClass:
@@ -260,22 +273,6 @@ def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2M
 # gives an explicit conjugator.
 # ---------------------------------------------------------------------------
 
-_IOTA = (0, 1, 1, 0)  # t -> 1/t, determinant -1; kept out of SL2Matrix
-
-
-def _raw_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _raw_rpow(n):
-    return (1, n, 0, 1)
-
-
 def _floor_surd(p: int, q: int, isqrt_d: int) -> int:
     """floor((p + sqrt(d))/q) for non-square d > 0, q != 0."""
     if q > 0:
@@ -283,22 +280,19 @@ def _floor_surd(p: int, q: int, isqrt_d: int) -> int:
     return -((p + isqrt_d) // (-q)) - 1
 
 
-def _word_matrix(exps: tuple[int, ...]) -> SL2Matrix:
-    """Matrix of R^{e1} L^{e2} R^{e3} ... for an even-length exponent tuple."""
+def _word_matrix(exps: Iterable[int]) -> SL2Matrix:
+    """Matrix of R^{e1} L^{e2} R^{e3} ..., with R^e = (1 e; 0 1) and
+    L^e = (1 0; e 1)."""
     out = _I
     for i, e in enumerate(exps):
-        out = out * ((R if i % 2 == 0 else L) ** e)
+        out = out * (SL2Matrix(1, e, 0, 1) if i % 2 == 0 else SL2Matrix(1, 0, e, 1))
     return out
 
 
-def _rotate2(exps: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Rotate by j R/L-block pairs (2j positions)."""
-    k = (2 * j) % len(exps)
-    return exps[k:] + exps[:k]
-
-
-def _canonical_exponents(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return min(_rotate2(exps, j) for j in range(len(exps) // 2))
+def _block_rotations(exps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(k, exps rotated left by k) for every even k: the rotations that keep
+    R and L blocks in their places."""
+    return ((k, exps[k:] + exps[:k]) for k in range(0, len(exps), 2))
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,7 @@ class RLWord:
         return m if self.sign == 1 else -m
 
     def canonical(self) -> tuple[int, ...]:
-        return _canonical_exponents(self.exponents)
+        return min(rot for _, rot in _block_rotations(self.exponents))
 
     def cyclic_equal(self, other: "RLWord") -> bool:
         return self.sign == other.sign and self.canonical() == other.canonical()
@@ -364,7 +358,7 @@ def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:
         period = period + period
 
     # one-period word and the power matching the trace
-    w0 = _word_matrix(tuple(period))
+    w0 = _word_matrix(period)
     w, k = w0, 1
     while w.trace < t:
         w = w * w0
@@ -373,16 +367,11 @@ def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:
         raise AssertionError("trace mismatch in RL factorization")
     exps = tuple(period) * k
 
-    # conjugator from the pre-period: x0 = G(x_reduced), G = prod R^{u_i} iota
-    g = (1, 0, 0, 1)
-    for u in quotients[:i0]:
-        g = _raw_mul(_raw_mul(g, _raw_rpow(u)), _IOTA)
-    det_g = g[0] * g[3] - g[1] * g[2]
-    if det_g == -1:
-        g = _raw_mul(g, _IOTA)
-    gm = SL2Matrix(*g)
-    conj = gm.inverse()
-    if det_g == -1:
+    # conjugator from the pre-period: x0 = G(x_reduced) with G the product
+    # of R^{u_i} iota, iota: t -> 1/t; that is the alternating word
+    # R^{u_1} L^{u_2} ..., times a trailing iota when i0 is odd.
+    conj = _word_matrix(quotients[:i0]).inverse()
+    if i0 % 2:
         # conj*m*conj^-1 is the R<->L swapped word starting with L^{e1};
         # rotate that first block to the back.
         e1 = exps[0]
@@ -421,11 +410,9 @@ def _conjugate_hyperbolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
     exps_n, pn = _rl_reduce(n1)
     if len(exps_m) != len(exps_n):
         return None
-    for j in range(len(exps_m) // 2):
-        if _rotate2(exps_m, j) == exps_n:
-            prefix = _I
-            for i in range(2 * j):
-                prefix = prefix * ((R if i % 2 == 0 else L) ** exps_m[i])
+    for k, rot in _block_rotations(exps_m):
+        if rot == exps_n:
+            prefix = _word_matrix(exps_m[:k])
             # word(exps_n) = prefix^-1 * word(exps_m) * prefix
             return pn.inverse() * prefix.inverse() * pm
     return None

@@ -8,7 +8,11 @@ over exact rationals, and Lagrange interpolation of n+1 determinants.  The
 cusp-unit and module-action oracles are likewise the earlier product of
 continued-fraction values over all rotations and the rational solve for
 coordinates in the basis (1, omega).  The seed oracles are the sampler's
-earlier one-seed-at-a-time draws of torus and shell seeds.
+earlier one-seed-at-a-time draws of torus and shell seeds.  The RL
+reduction oracle is the earlier conjugator construction from products of
+R^u and the determinant -1 swap iota on raw tuples; the monodromy and
+cycle-dual oracles are the earlier three-factor product and the dual
+built from the least of all rotations.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.numcheck import C3Point, FibrationParams, point
-from tpqr.sl2z import SL2Matrix
+from tpqr.sl2z import SL2Matrix, _floor_surd
 
 
 def mat2(rows):
@@ -91,6 +95,105 @@ def in_module_basis(x: QuadIrrational, omega: QuadIrrational) -> tuple[int, int]
             f"{x} does not lie in Z + Z*({omega}): module not preserved"
         )
     return int(s), int(t)
+
+
+_IOTA = (0, 1, 1, 0)  # t -> 1/t, determinant -1; kept out of SL2Matrix
+
+
+def _raw_mul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _raw_rpow(n):
+    return (1, n, 0, 1)
+
+
+def power_word_matrix(exps) -> SL2Matrix:
+    """R^{e1} L^{e2} R^{e3} ... by repeated squaring of R and L."""
+    r, l = SL2Matrix(1, 1, 0, 1), SL2Matrix(1, 0, 1, 1)
+    out = SL2Matrix.identity()
+    for i, e in enumerate(exps):
+        out = out * ((r if i % 2 == 0 else l) ** e)
+    return out
+
+
+def preperiod_rl_reduce(m: SL2Matrix):
+    """(exps, P, odd) with P * m * P^{-1} = R^{e1} L^{e2} ...; odd tells
+    whether the pre-period of the continued fraction has odd length."""
+    t = m.trace
+    d = t * t - 4
+    sd = math.isqrt(d)
+    p_st, q_st = m.a - m.d, 2 * m.c
+    states: dict = {}
+    quotients: list[int] = []
+    while (p_st, q_st) not in states:
+        states[(p_st, q_st)] = len(quotients)
+        u = _floor_surd(p_st, q_st, sd)
+        quotients.append(u)
+        p_next = u * q_st - p_st
+        q_next = (d - p_next * p_next) // q_st
+        p_st, q_st = p_next, q_next
+    i0 = states[(p_st, q_st)]
+    period = quotients[i0:]
+    if len(period) % 2 == 1:
+        period = period + period
+    w0 = power_word_matrix(period)
+    w, k = w0, 1
+    while w.trace < t:
+        w = w * w0
+        k += 1
+    exps = tuple(period) * k
+
+    # conjugator from the pre-period: x0 = G(x_reduced), G = prod R^{u_i} iota
+    g = (1, 0, 0, 1)
+    for u in quotients[:i0]:
+        g = _raw_mul(_raw_mul(g, _raw_rpow(u)), _IOTA)
+    det_g = g[0] * g[3] - g[1] * g[2]
+    if det_g == -1:
+        g = _raw_mul(g, _IOTA)
+    gm = SL2Matrix(*g)
+    conj = gm.inverse()
+    if det_g == -1:
+        # conj*m*conj^-1 is the R<->L swapped word starting with L^{e1};
+        # rotate that first block to the back.
+        e1 = exps[0]
+        exps = exps[1:] + (e1,)
+        conj = (SL2Matrix(1, 0, 1, 1) ** (-e1)) * conj
+    return exps, conj, det_g == -1
+
+
+def three_factor_monodromy(p: int, q: int, r: int) -> SL2Matrix:
+    def factor(n):
+        return SL2Matrix(n - 1, -1, 1, 0)
+
+    return factor(r) * factor(q) * factor(p)
+
+
+def rotation_dual_cycle(cycle: CycleData) -> CycleData:
+    """Run-length dual read off the least of all rotations that start at an
+    entry >= 3."""
+    c = min(rot for rot in cycle.rotations() if rot[0] >= 3)
+    gammas: list[int] = []
+    runs: list[int] = []
+    i = 0
+    while i < len(c):
+        gammas.append(c[i])
+        i += 1
+        z = 0
+        while i < len(c) and c[i] == 2:
+            z += 1
+            i += 1
+        runs.append(z)
+    reversed_dual: list[int] = []
+    for gamma, z in zip(gammas, runs):
+        reversed_dual += [2] * (gamma - 3)
+        reversed_dual.append(z + 3)
+    return CycleData(tuple(reversed(reversed_dual)))
 
 
 def bareiss_det(m: list[list[int]]) -> int:

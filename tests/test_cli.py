@@ -163,6 +163,48 @@ def test_tolerance_file_and_env(capsys, tmp_path, monkeypatch):
     assert code == 0 and data["config"]["seed"] == 7
 
 
+def test_tolerance_file_rejects_an_unknown_key(capsys, tmp_path):
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("fd_step=1e-6\n")
+    code, out = run(
+        capsys, "verify-fibration", "--pqr", "2,3,7", "--tolerance-file", str(cfgfile)
+    )
+    assert code == 2 and out == ""
+
+
+def test_verify_fibration_rejects_a_non_finite_theta(capsys):
+    assert cli.main(["verify-fibration", "--pqr", "2,3,7", "--theta", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: theta must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pqr", "2,3,700", "--samples", "20", "--json"],
+        ["--pqr", "2,3,400", "--samples", "1000"],
+        ["--pqr", "2,3,7", "--a", "1e308", "--samples", "20"],
+    ],
+    ids=["2,3,700", "2,3,400", "a=1e308"],
+)
+def test_projection_failure_is_a_precondition_error(argv):
+    # a fresh process, so that numpy's floating-point warnings would reach
+    # stderr instead of pytest's warning capture
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpqr.cli", "verify-fibration", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: projection onto the fiber failed")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_usage_errors(capsys):
     assert cli.main(["dual", "2", "3"]) == 2
     assert cli.main(["nonsense"]) == 2

@@ -1,11 +1,17 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_solve_action, brute_conjugator, rotation_alpha_v
+from conftest import (
+    basis_solve_action,
+    brute_conjugator,
+    rotation_alpha_v,
+    rotation_dual_cycle,
+)
 from tpqr.cuspdual import (
     CuspDualityError,
     CycleData,
@@ -204,6 +210,26 @@ def test_dual_cycle_examples():
 @settings(max_examples=200, deadline=None)
 def test_dual_cycle_involution(cycle):
     assert dual_cycle(dual_cycle(cycle)).cyclic_equal(cycle)
+
+
+@given(valid_cycles(max_len=12))
+@settings(max_examples=200, deadline=None)
+def test_dual_cycle_equals_the_all_rotations_oracle(cycle):
+    assert dual_cycle(cycle) == rotation_dual_cycle(cycle)
+    rotated = CycleData(cycle.entries[1:] + cycle.entries[:1])
+    assert dual_cycle(rotated) == dual_cycle(cycle)
+
+
+def test_dual_cycle_of_a_long_cycle_stays_small():
+    cycle = CycleData((3,) + (2,) * 1999)
+    tracemalloc.start()
+    try:
+        dual = dual_cycle(cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dual.entries == (2002,)
+    assert peak < 2**20
 
 
 def test_dual_triple_reproduces_table():

@@ -205,3 +205,18 @@ def test_minimal_a_is_unchanged_for_every_cusp_triple(domain_y):
         assert params.a == old_minimal_a(*triple, domain_y), triple
         assert (params.theta, params.t) == (0.3, 0.5)
         assert params.admissible and (params.domain_y_admissible or not domain_y)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(p=2, q=2, r=10**13, a=1.0),
+        dict(p=2, q=3, r=7, a=1e8, theta=math.nan),
+        dict(p=2, q=3, r=7, a=1e8, theta=math.inf),
+        dict(p=2, q=3, r=7, a=1e8, theta=-math.inf),
+    ],
+    ids=["near-parabolic-spherical", "theta-nan", "theta-inf", "theta-minus-inf"],
+)
+def test_params_reject_a_spherical_triple_and_a_non_finite_theta(kwargs):
+    with pytest.raises(ValueError):
+        FibrationParams(**kwargs)

@@ -1,10 +1,18 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conjugator, mat2, mul2
+from conftest import (
+    brute_conjugator,
+    mat2,
+    mul2,
+    preperiod_rl_reduce,
+    three_factor_monodromy,
+)
 from tpqr.sl2z import (
     ALPHA,
     BETA,
@@ -21,6 +29,7 @@ from tpqr.sl2z import (
     is_conjugate_to_inverse,
     monodromy_matrix,
     rl_word,
+    triple_excess,
 )
 
 I = SL2Matrix.identity()
@@ -380,3 +389,49 @@ def test_large_trace_monodromy_round_trip():
     assert w.matrix().trace == m.trace
     cert = is_conjugate(m, w.matrix())
     assert cert is not None and cert.verify()
+
+
+# --- one word product, one cycle product, one triple test ------------------------
+
+
+@st.composite
+def conjugated_words(draw):
+    """A positive RL word conjugated by a product of R^a L^b factors."""
+    from tpqr.sl2z import _word_matrix
+
+    exps = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    exps += draw(st.lists(st.integers(1, 6), min_size=len(exps), max_size=len(exps)))
+    conj = I
+    for a, b in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=5)):
+        conj = conj * mat2(((1, a), (0, 1))) * mat2(((1, 0), (b, 1)))
+    return _word_matrix(exps).conjugate_by(conj)
+
+
+ODD_PREPERIOD = SL2Matrix(1, 1, 2, 3)
+
+
+@given(conjugated_words())
+@example(ODD_PREPERIOD)
+@settings(max_examples=300, deadline=None)
+def test_rl_reduce_equals_the_preperiod_oracle(m):
+    from tpqr.sl2z import _rl_reduce
+
+    exps, conj, _ = preperiod_rl_reduce(m)
+    assert _rl_reduce(m) == (exps, conj)
+
+
+def test_the_oracle_example_has_an_odd_preperiod():
+    assert preperiod_rl_reduce(ODD_PREPERIOD)[2]
+
+
+def test_monodromy_is_the_three_factor_product():
+    for p, q, r in itertools.product(range(2, 13), repeat=3):
+        assert monodromy_matrix(p, q, r) == three_factor_monodromy(p, q, r)
+
+
+def test_triple_excess_has_the_sign_of_the_weight_deficit_and_is_trace_minus_2():
+    for p, q, r in itertools.product(range(2, 12), range(2, 12), range(2, 40)):
+        excess = triple_excess(p, q, r)
+        deficit = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
+        assert (excess > 0) - (excess < 0) == (deficit > 0) - (deficit < 0)
+        assert excess == monodromy_matrix(p, q, r).trace - 2
