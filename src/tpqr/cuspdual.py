@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -52,16 +51,19 @@ class CuspDualityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_EXACT_BELOW = 10**18
+
+
 @lru_cache(maxsize=None)
 def _squarefree(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d), exact for n < 10^18.
+    """n = s^2 * d with d squarefree; returns (s, d), for 0 < n < 10^18.
 
     Trial division removes every prime up to 10^6 or the cube root of the
     cofactor; a cofactor below 10^18 then has at most two prime factors,
-    so isqrt settles whether it is a square.  Past 10^18 a square prime
-    factor above 10^6 can stay in d."""
-    if n <= 0:
-        raise ValueError("positive argument required")
+    so isqrt settles whether it is a square.  From 10^18 on a square prime
+    factor above 10^6 could stay in d, so such n are refused."""
+    if not 0 < n < _EXACT_BELOW:
+        raise ValueError(f"square-free part needs 0 < n < 10^18, got {n}")
     s, d, m = 1, 1, n
     f = 2
     while f <= 1_000_000 and f * f * f <= m:
@@ -79,8 +81,17 @@ def _squarefree(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadIrrational:
-    """(a + b*sqrt(d)) / c in canonical form: d squarefree (d = 1 encodes a
-    rational value with b = 0), c > 0, gcd(a, b, c) = 1."""
+    """(a + b*sqrt(d)) / c with c > 0 and gcd(a, b, c) = 1; d = 1 encodes a
+    rational value with b = 0.
+
+    ``make`` is the only normaliser, and its form is a function of the
+    number alone.  An irrational x is keyed by its primitive minimal
+    polynomial u x^2 + v x + w (u > 0), whose discriminant disc is
+    intrinsic to x.  Below 10^18, d is the square-free part of disc, so d
+    names the field.  From 10^18 on, (a, b, c, d) = (-v, +-1, 2u, disc)
+    with no factoring: d is that discriminant and does not name the field,
+    since two values of one field can carry radicands that differ by a
+    square factor."""
 
     a: int
     b: int
@@ -105,102 +116,25 @@ class QuadIrrational:
             raise ZeroDivisionError("zero denominator")
         if d <= 0:
             raise ValueError("sqrt argument must be positive")
-        s, d0 = _squarefree(d)
-        b *= s
-        if d0 == 1:
-            a, b = a + b, 0
-        if b == 0:
-            d0 = 1
+        root = math.isqrt(d)
+        if b == 0 or root * root == d:
+            a, b, d = a + b * root, 0, 1
+        else:
+            # (c x - a)^2 = b^2 d gives the minimal polynomial; make it primitive
+            u, v, w = c * c, -2 * a * c, a * a - b * b * d
+            g = math.gcd(u, v, w)
+            u, v, w = u // g, v // g, w // g
+            disc = v * v - 4 * u * w
+            s, d = (1, disc) if disc >= _EXACT_BELOW else _squarefree(disc)
+            # x is the larger root (-v + sqrt(disc)) / 2u exactly when b/c > 0
+            a, b, c = -v, s if (b > 0) == (c > 0) else -s, 2 * u
         if c < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
-        if g == 0:
-            g = 1
-        return cls(a // g, b // g, c // g, d0)
-
-    @classmethod
-    def rational(cls, x: Fraction | int) -> "QuadIrrational":
-        x = Fraction(x)
-        return cls.make(x.numerator, 0, x.denominator, 1)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+        g = math.gcd(a, b, c)
+        return cls(a // g, b // g, c // g, d)
 
     def conjugate(self) -> "QuadIrrational":
         return QuadIrrational.make(self.a, -self.b, self.c, self.d)
-
-    def _common_d(self, other: "QuadIrrational") -> int:
-        if self.d != 1 and other.d != 1 and self.d != other.d:
-            raise ValueError(f"incompatible fields sqrt({self.d}) vs sqrt({other.d})")
-        return self.d if self.d != 1 else other.d
-
-    def __add__(self, other) -> "QuadIrrational":
-        other = _coerce(other)
-        d = self._common_d(other)
-        return QuadIrrational.make(
-            self.a * other.c + other.a * self.c,
-            self.b * other.c + other.b * self.c,
-            self.c * other.c,
-            d,
-        )
-
-    def __neg__(self) -> "QuadIrrational":
-        return QuadIrrational.make(-self.a, -self.b, self.c, self.d)
-
-    def __sub__(self, other) -> "QuadIrrational":
-        return self + (-_coerce(other))
-
-    def __mul__(self, other) -> "QuadIrrational":
-        other = _coerce(other)
-        d = self._common_d(other)
-        return QuadIrrational.make(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            self.c * other.c,
-            d,
-        )
-
-    def inverse(self) -> "QuadIrrational":
-        # 1/((a+b sqrt d)/c) = c(a - b sqrt d)/(a^2 - b^2 d)
-        norm_num = self.a * self.a - self.b * self.b * self.d
-        if norm_num == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadIrrational.make(
-            self.c * self.a, -self.c * self.b, norm_num, self.d
-        ) if norm_num > 0 else QuadIrrational.make(
-            -self.c * self.a, self.c * self.b, -norm_num, self.d
-        )
-
-    def __truediv__(self, other) -> "QuadIrrational":
-        return self * _coerce(other).inverse()
-
-    def norm(self) -> Fraction:
-        return Fraction(self.a * self.a - self.b * self.b * self.d, self.c * self.c)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.a, self.c)
-
-    def compare(self, other) -> int:
-        """Exact sign of self - other."""
-        diff = self - _coerce(other)
-        if diff.b == 0:
-            return (diff.a > 0) - (diff.a < 0)
-        # sign of a + b*sqrt(d)
-        if diff.a >= 0 and diff.b > 0:
-            return 1
-        if diff.a <= 0 and diff.b < 0:
-            return -1
-        lhs, rhs = diff.a * diff.a, diff.b * diff.b * diff.d
-        if diff.a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
-
-    def __gt__(self, other) -> bool:
-        return self.compare(other) > 0
-
-    def __lt__(self, other) -> bool:
-        return self.compare(other) < 0
 
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
@@ -226,14 +160,6 @@ class QuadIrrational:
         else:
             body = f"{self.a}+{root}" if not root.startswith("-") else f"{self.a}{root}"
         return body if self.c == 1 else f"({body})/{self.c}"
-
-
-def _coerce(x) -> QuadIrrational:
-    if isinstance(x, QuadIrrational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QuadIrrational.rational(x)
-    raise TypeError(f"cannot coerce {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,31 +322,17 @@ def cf_value(cycle: CycleData) -> QuadIrrational:
     """Value of the repeating modified continued fraction [[c1 ... ck]].
 
     The value is the fixed point > 1 of the Moebius map x -> c1 - 1/(c2 -
-    ... - 1/x), solved exactly through the matrix of the composition; the
-    conjugate root lies in (0,1), which is asserted.
+    ... - 1/x), the larger root of C x^2 + (D - A) x - B for the cycle
+    matrix (A B; C D); the conjugate root lies in (0,1).
     """
-    m = cycle_matrix(cycle.entries)
-    t = m.trace
-    if t < 3:  # pragma: no cover - excluded by the cycle invariant
-        raise AssertionError("cycle matrix must be hyperbolic")
-    # fixed point: C x^2 + (D - A) x - B = 0 for (A B; C D)
-    disc = t * t - 4
-    root = QuadIrrational.make(m.a - m.d, 1, 2 * m.c, disc)
-    other = root.conjugate()
-    one = QuadIrrational.rational(1)
-    if not root > one:
-        root, other = other, root
-    assert root > one
-    assert other > QuadIrrational.rational(0) and QuadIrrational.rational(1) > other
-    return root
+    return _omega(cycle_matrix(cycle.entries))
 
 
 def alpha_v(cycle: CycleData) -> QuadIrrational:
     """The totally positive unit generating the automorphism group of the
     cusp, i.e. the product of cf_value over all cyclic rotations: the larger
     eigenvalue (t + sqrt(t^2 - 4))/2 of the cycle matrix of trace t."""
-    t = cycle_matrix(cycle.entries).trace
-    return QuadIrrational.make(t, 1, 2, t * t - 4)
+    return _unit(cycle_matrix(cycle.entries))
 
 
 def module_action_matrix(cycle: CycleData) -> SL2Matrix:
@@ -436,7 +348,23 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     own torus-bundle monodromy (the column arrangement lands in the
     inverse class, i.e. the dual partner's).
     """
-    m = cycle_matrix(cycle.entries)
+    return _action(cycle_matrix(cycle.entries))
+
+
+def _omega(m: SL2Matrix) -> QuadIrrational:
+    # C > 0 for every cycle: each factor (c -1; 1 0), c >= 2, takes the
+    # lower-left entry from C_{k-1} to C_k = c C_{k-1} - C_{k-2}, so it rises
+    # by at least 1 from C_0 = 0.  The + root is then the larger one.
+    t = m.trace
+    return QuadIrrational.make(m.a - m.d, 1, 2 * m.c, t * t - 4)
+
+
+def _unit(m: SL2Matrix) -> QuadIrrational:
+    t = m.trace
+    return QuadIrrational.make(t, 1, 2, t * t - 4)
+
+
+def _action(m: SL2Matrix) -> SL2Matrix:
     return SL2Matrix(m.d, m.c, m.b, m.a)
 
 
@@ -499,16 +427,16 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     dual_side = triple_to_cycle(p, q, r)
     self_cycle = dual_cycle(dual_side)
 
-    omega_self = cf_value(self_cycle)
-    omega_dual = cf_value(dual_side)
-    a_self = alpha_v(self_cycle)
-    a_dual = alpha_v(dual_side)
+    m_self = cycle_matrix(self_cycle.entries)
+    m_dual = cycle_matrix(dual_side.entries)
+    a_self = _unit(m_self)
+    a_dual = _unit(m_dual)
 
     a = monodromy_matrix(*t.sorted)
     a_prime = monodromy_matrix(*dual.sorted)
 
-    act = module_action_matrix(self_cycle)
-    act_dual = module_action_matrix(dual_side)
+    act = _action(m_self)
+    act_dual = _action(m_dual)
     cert1 = is_conjugate(act, a)
     cert2 = is_conjugate(act_dual, a_prime)
     cert3 = is_conjugate_to_inverse(a, a_prime)
@@ -521,8 +449,8 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
         dual=dual,
         self_cycle=self_cycle,
         dual_side_cycle=dual_side,
-        omega_self=omega_self,
-        omega_dual=omega_dual,
+        omega_self=_omega(m_self),
+        omega_dual=_omega(m_dual),
         alpha_self=a_self,
         alpha_dual=a_dual,
         alphas_equal=a_self == a_dual,

@@ -18,6 +18,7 @@ the domain-shrinking bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -61,6 +62,9 @@ C3Point = np.ndarray  # shape (3,), or a stack (..., 3); complex128
 
 _OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
+# Largest a for which |xyz| = 1/a^2 on the regular torus is a normal double.
+_A_MAX = sys.float_info.min ** -0.5
+
 
 class AdmissibilityError(ValueError):
     pass
@@ -82,9 +86,11 @@ class FibrationParams:
     """Fibration data (p,q,r), deformation parameter a, fiber direction
     theta and homotopy time t.
 
-    Construction validates only structure; the size bounds on a are
-    checked by ``check()`` so that deliberately inadmissible parameters
-    can still be built and then flagged by the audits.
+    Construction validates structure and the double-precision range of a
+    (|xyz| = 1/a^2 must stay a normal double, so a <= 6.7e153); the
+    admissibility bounds on a are checked by ``check()`` so that
+    deliberately inadmissible parameters can still be built and then
+    flagged by the audits.
     """
 
     p: int
@@ -101,6 +107,11 @@ class FibrationParams:
             raise ValueError("need 1/p + 1/q + 1/r <= 1")
         if not (self.a > 0 and math.isfinite(self.a)):
             raise ValueError("a must be positive and finite")
+        if self.a > _A_MAX:
+            raise ValueError(
+                f"a = {self.a} exceeds {_A_MAX:.3g}: |xyz| = 1/a^2 on the fiber "
+                "would not be a normal double"
+            )
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if not 0 <= self.t <= 1:
@@ -888,7 +899,10 @@ class DefectReport:
 
     @property
     def passed(self) -> bool:
-        return (not self.lagrangian_expected) or self.max_defect < self.tolerance
+        """A report that used no point is a failure, never a vacuous pass."""
+        return self.samples > 0 and (
+            (not self.lagrangian_expected) or self.max_defect < self.tolerance
+        )
 
     def to_json(self) -> dict:
         return {**_fields(self), "passed": self.passed}

@@ -7,8 +7,10 @@ library's earlier kernels: plain Bareiss elimination, recursive congruence
 over exact rationals, and Lagrange interpolation of n+1 determinants.  The
 cusp-unit and module-action oracles are likewise the earlier product of
 continued-fraction values over all rotations and the rational solve for
-coordinates in the basis (1, omega).  The seed oracles are the sampler's
-earlier one-seed-at-a-time draws of torus and shell seeds.  The RL
+coordinates in the basis (1, omega), both in ``Quad``: the field
+arithmetic that ``QuadIrrational`` carried before its values became
+closed forms.  The seed oracles are the sampler's earlier
+one-seed-at-a-time draws of torus and shell seeds.  The RL
 reduction oracle is the earlier conjugator construction from products of
 R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
@@ -65,10 +67,112 @@ def brute_conjugator(m: SL2Matrix, n: SL2Matrix, bound: int = 20):
     return None
 
 
-def rotation_alpha_v(cycle: CycleData) -> QuadIrrational:
+class Quad(QuadIrrational):
+    """QuadIrrational with exact field arithmetic.
+
+    Above 10^18 the radicand d of a value is its discriminant, so two
+    values of one field can carry radicands that differ by a square
+    factor; each operation first writes both operands over the gcd of
+    their radicands (the smaller one when it divides the other)."""
+
+    @classmethod
+    def of(cls, x) -> "Quad":
+        if isinstance(x, QuadIrrational):
+            return cls(x.a, x.b, x.c, x.d)
+        if isinstance(x, (int, Fraction)):
+            return cls.rational(x)
+        raise TypeError(f"cannot coerce {x!r}")
+
+    @classmethod
+    def rational(cls, x: Fraction | int) -> "Quad":
+        x = Fraction(x)
+        return cls.make(x.numerator, 0, x.denominator, 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadIrrational):
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    __hash__ = QuadIrrational.__hash__
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def conjugate(self) -> "Quad":
+        return Quad.make(self.a, -self.b, self.c, self.d)
+
+    def over(self, d: int) -> tuple[int, int, int]:
+        """(a, b, c) with self = (a + b*sqrt(d)) / c."""
+        if self.b == 0:
+            return self.a, 0, self.c
+        k = math.isqrt(self.d // d)
+        if self.d != d * k * k:
+            raise ValueError(f"incompatible fields sqrt({self.d}) vs sqrt({d})")
+        return self.a, self.b * k, self.c
+
+    def common(self, other):
+        """Both operands written over one radicand: ((a, b, c), (a, b, c), d)."""
+        other = Quad.of(other)
+        d = math.gcd(*(x.d for x in (self, other) if x.b)) or 1
+        return self.over(d), other.over(d), d
+
+    def __add__(self, other) -> "Quad":
+        (a1, b1, c1), (a2, b2, c2), d = self.common(other)
+        return Quad.make(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
+
+    def __neg__(self) -> "Quad":
+        return Quad.make(-self.a, -self.b, self.c, self.d)
+
+    def __sub__(self, other) -> "Quad":
+        return self + (-Quad.of(other))
+
+    def __mul__(self, other) -> "Quad":
+        (a1, b1, c1), (a2, b2, c2), d = self.common(other)
+        return Quad.make(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
+
+    def inverse(self) -> "Quad":
+        # 1/((a+b sqrt d)/c) = c(a - b sqrt d)/(a^2 - b^2 d)
+        norm_num = self.a * self.a - self.b * self.b * self.d
+        if norm_num == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Quad.make(self.c * self.a, -self.c * self.b, norm_num, self.d)
+
+    def __truediv__(self, other) -> "Quad":
+        return self * Quad.of(other).inverse()
+
+    def norm(self) -> Fraction:
+        return Fraction(self.a * self.a - self.b * self.b * self.d, self.c * self.c)
+
+    def trace(self) -> Fraction:
+        return Fraction(2 * self.a, self.c)
+
+    def compare(self, other) -> int:
+        """Exact sign of self - other."""
+        diff = self - other
+        if diff.b == 0:
+            return (diff.a > 0) - (diff.a < 0)
+        # sign of a + b*sqrt(d)
+        if diff.a >= 0 and diff.b > 0:
+            return 1
+        if diff.a <= 0 and diff.b < 0:
+            return -1
+        lhs, rhs = diff.a * diff.a, diff.b * diff.b * diff.d
+        if diff.a > 0:  # b < 0
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def __gt__(self, other) -> bool:
+        return self.compare(other) > 0
+
+    def __lt__(self, other) -> bool:
+        return self.compare(other) < 0
+
+
+def rotation_alpha_v(cycle: CycleData) -> Quad:
     """Product of cf_value over all cyclic rotations of the cycle: the
     totally positive unit generating the automorphism group of the cusp."""
-    out = QuadIrrational.rational(1)
+    out = Quad.rational(1)
     for rot in cycle.rotations():
         out = out * cf_value(CycleData(rot))
     return out
@@ -77,19 +181,20 @@ def rotation_alpha_v(cycle: CycleData) -> QuadIrrational:
 def basis_solve_action(cycle: CycleData) -> SL2Matrix:
     """Matrix of multiplication by the unit on Z + Z*omega in the basis
     (1, omega), rows = images, solved over the rationals."""
-    omega = cf_value(cycle)
+    omega = Quad.of(cf_value(cycle))
     alpha = rotation_alpha_v(cycle)
     s, t = in_module_basis(alpha, omega)
     u, v = in_module_basis(alpha * omega, omega)
     return SL2Matrix(s, t, u, v)
 
 
-def in_module_basis(x: QuadIrrational, omega: QuadIrrational) -> tuple[int, int]:
+def in_module_basis(x: Quad, omega: Quad) -> tuple[int, int]:
     """Integer coordinates (s, t) with x = s + t*omega, or error."""
     if omega.is_rational:  # pragma: no cover
         raise CuspDualityError("module basis degenerate")
-    t = Fraction(x.b, x.c) / Fraction(omega.b, omega.c)
-    s = Fraction(x.a, x.c) - t * Fraction(omega.a, omega.c)
+    (xa, xb, xc), (wa, wb, wc), _ = x.common(omega)
+    t = Fraction(xb, xc) / Fraction(wb, wc)
+    s = Fraction(xa, xc) - t * Fraction(wa, wc)
     if t.denominator != 1 or s.denominator != 1:
         raise CuspDualityError(
             f"{x} does not lie in Z + Z*({omega}): module not preserved"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Quad,
     basis_solve_action,
     brute_conjugator,
     rotation_alpha_v,
@@ -27,7 +28,7 @@ from tpqr.cuspdual import (
     triple_to_cycle,
     verify_duality,
 )
-from tpqr.sl2z import is_conjugate, is_conjugate_to_inverse, monodromy_matrix
+from tpqr.sl2z import cycle_matrix, is_conjugate, is_conjugate_to_inverse, monodromy_matrix
 
 TABLE = [
     (2, 3, 7),
@@ -69,7 +70,7 @@ def valid_cycles(max_len=8, max_entry=9):
     )
 
 
-# --- QuadIrrational field arithmetic -------------------------------------------
+# --- QuadIrrational canonical form; field arithmetic of the oracle --------------
 
 
 def test_quad_canonical_form():
@@ -104,8 +105,8 @@ def test_quad_json_round_trip():
 @settings(max_examples=80, deadline=None)
 def test_quad_field_axioms(a1, b1, c1, a2, b2, c2):
     d = 3
-    x = QuadIrrational.make(a1, b1, c1, d)
-    y = QuadIrrational.make(a2, b2, c2, d)
+    x = Quad.make(a1, b1, c1, d)
+    y = Quad.make(a2, b2, c2, d)
     assert (x + y) - y == x
     assert x * y == y * x
     if not (y.a == 0 and y.b == 0):
@@ -148,8 +149,38 @@ def test_squarefree_against_factorisation(small, large):
     assert _squarefree(n) == (s, d)
 
 
+LARGE_PRIMES = [999983, 1000003, 1000033, 1000037]
+
+
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-30, 30),
+    st.integers(-30, 30).filter(bool),
+    st.one_of(st.integers(1, 10**12), st.sampled_from(LARGE_PRIMES)),
+    st.one_of(st.integers(1, 100), st.sampled_from(LARGE_PRIMES)),
+)
+@example(1, 1, 1, 1000033, 1000003)  # d k^2 > 10^18, square prime above 10^6
+@example(1, 1, 1, 2, 999983)  # d k^2 < 10^18
+@settings(max_examples=150, deadline=None)
+def test_make_depends_on_the_number_only(a, b, c, d, k):
+    assert QuadIrrational.make(a, b * k, c, d) == QuadIrrational.make(a, b, c, d * k * k)
+
+
+def test_squarefree_refuses_from_the_bound():
+    assert _squarefree(10**18 - 1) == (9, (10**18 - 1) // 81)  # 3^4 * 7 * 11 * ...
+    with pytest.raises(ValueError):
+        _squarefree(10**18)
+
+
+def test_alpha_v_past_the_bound_is_keyed_by_its_discriminant():
+    t = 2 + 1000003**2 * 1000033  # t^2 - 4 = (t - 2)(t + 2) has the square 1000003^2
+    alpha = alpha_v(CycleData.of(t))
+    assert (alpha.a, alpha.b, alpha.c, alpha.d) == (t, 1, 2, t * t - 4)
+    assert QuadIrrational.from_json(alpha.to_json()) == alpha
+
+
 def test_quad_comparisons_exact():
-    root3 = QuadIrrational.make(0, 1, 1, 3)
+    root3 = Quad.make(0, 1, 1, 3)
     assert root3 > Fraction(17, 10)
     assert not root3 > Fraction(174, 100)
     assert root3 < Fraction(7, 4)
@@ -157,9 +188,9 @@ def test_quad_comparisons_exact():
 
 def test_incompatible_fields_rejected():
     with pytest.raises(ValueError):
-        QuadIrrational.make(0, 1, 1, 2) + QuadIrrational.make(0, 1, 1, 3)
+        Quad.make(0, 1, 1, 2) + Quad.make(0, 1, 1, 3)
     # rationals embed into any field
-    assert QuadIrrational.make(0, 1, 1, 2) + QuadIrrational.rational(2) == (
+    assert Quad.make(0, 1, 1, 2) + Quad.rational(2) == (
         QuadIrrational.make(2, 1, 1, 2)
     )
 
@@ -257,28 +288,36 @@ def test_cf_values_of_the_worked_example():
 
 def _nested_cf_oracle(entries, value):
     """Independent fixed-point check: value == c1 - 1/(c2 - ... - 1/value)."""
-    x = value
+    x = Quad.of(value)
     for c in reversed(entries):
-        x = QuadIrrational.rational(c) - x.inverse()
+        x = Quad.rational(c) - x.inverse()
     return x == value
 
 
 @given(valid_cycles(max_len=6, max_entry=7))
+@example(CycleData.of(6, 7, 6, 6, 5, 5, 7, 6, 6, 7, 7, 6))  # radicand above 10^18
 @settings(max_examples=120, deadline=None)
 def test_cf_fixed_point_and_root_selection(cycle):
-    w = cf_value(cycle)
+    w = Quad.of(cf_value(cycle))
     assert _nested_cf_oracle(cycle.entries, w)
     assert w > Fraction(1)
     conj = w.conjugate()
-    assert QuadIrrational.rational(0) < conj < QuadIrrational.rational(1)
+    assert Quad.rational(0) < conj < Quad.rational(1)
+
+
+@given(valid_cycles(max_len=60, max_entry=40))
+@settings(max_examples=100, deadline=None)
+def test_cycle_matrix_lower_left_entry_is_positive(cycle):
+    # the sign rule by which cf_value takes the + root
+    assert cycle_matrix(cycle.entries).c > 0
 
 
 @given(valid_cycles(max_len=5, max_entry=6))
 @settings(max_examples=80, deadline=None)
 def test_alpha_v_is_a_norm_one_unit(cycle):
-    a = alpha_v(cycle)
+    a = Quad.of(alpha_v(cycle))
     assert a.norm() == 1
-    assert a * a.conjugate() == QuadIrrational.rational(1)
+    assert a * a.conjugate() == Quad.rational(1)
     assert a > Fraction(1)
 
 
@@ -291,7 +330,7 @@ def test_alpha_v_norm_one_on_hundred_full_range_cycles():
         entries = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 8)))
         if all(c == 2 for c in entries):
             continue
-        a = alpha_v(CycleData(entries))
+        a = Quad.of(alpha_v(CycleData(entries)))
         assert a.norm() == 1, entries
         done += 1
 
@@ -303,6 +342,8 @@ def test_alpha_v_of_the_worked_example():
 
 
 @given(valid_cycles(max_len=12, max_entry=7))
+# radicands above 10^18: omega's is alpha_v's divided by 8^2
+@example(CycleData.of(6, 7, 6, 6, 5, 5, 7, 6, 6, 7, 7, 6))
 @settings(max_examples=100, deadline=None)
 def test_closed_forms_match_rotation_and_basis_solve_oracles(cycle):
     assert alpha_v(cycle) == rotation_alpha_v(cycle)
@@ -317,10 +358,10 @@ def test_module_action_entries_from_expansion():
     # alpha = 2+sqrt(3), omega = (3+sqrt(3))/2:
     #   alpha * 1     = -1 + 2 omega
     #   alpha * omega = -3 + 5 omega
-    alpha = alpha_v(CycleData.of(3, 2))
-    omega = cf_value(CycleData.of(3, 2))
-    assert alpha == QuadIrrational.rational(-1) + omega * 2
-    assert alpha * omega == QuadIrrational.rational(-3) + omega * 5
+    alpha = Quad.of(alpha_v(CycleData.of(3, 2)))
+    omega = Quad.of(cf_value(CycleData.of(3, 2)))
+    assert alpha == Quad.rational(-1) + omega * 2
+    assert alpha * omega == Quad.rational(-3) + omega * 5
     assert (m.a, m.b, m.c, m.d) == (-1, 2, -3, 5)
     assert m.trace == 4
 
@@ -328,21 +369,21 @@ def test_module_action_entries_from_expansion():
 def test_module_action_preserves_module_on_random_elements():
     cycle = CycleData.of(4, 2, 3)
     m = module_action_matrix(cycle)
-    alpha = alpha_v(cycle)
-    omega = cf_value(cycle)
+    alpha = Quad.of(alpha_v(cycle))
+    omega = Quad.of(cf_value(cycle))
     for s, t in [(1, 0), (0, 1), (3, -2), (-5, 7)]:
-        value = QuadIrrational.rational(s) + omega * t
+        value = Quad.rational(s) + omega * t
         image = alpha * value
         # row-vector convention: (s, t) . M gives the new coordinates
         s2 = s * m.a + t * m.c
         t2 = s * m.b + t * m.d
-        assert image == QuadIrrational.rational(s2) + omega * t2
+        assert image == Quad.rational(s2) + omega * t2
 
 
 def test_module_action_trace_identity_and_det():
     for cycle in [CycleData.of(3, 2), CycleData.of(5, 2, 2), CycleData.of(3, 3, 3)]:
         m = module_action_matrix(cycle)
-        a = alpha_v(cycle)
+        a = Quad.of(alpha_v(cycle))
         assert Fraction(m.trace) == a.trace()
         assert m.a * m.d - m.b * m.c == 1
 

@@ -220,3 +220,11 @@ def test_minimal_a_is_unchanged_for_every_cusp_triple(domain_y):
 def test_params_reject_a_spherical_triple_and_a_non_finite_theta(kwargs):
     with pytest.raises(ValueError):
         FibrationParams(**kwargs)
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_a_defect_report_that_used_no_point_fails(t):
+    report = numcheck.DefectReport(
+        samples=0, max_defect=0.0, lagrangian_expected=t == 1.0, tolerance=1e-6
+    )
+    assert not report.passed and report.to_json()["passed"] is False
