@@ -154,12 +154,11 @@ def _cmd_lattice(args) -> int:
     else:
         raise ValueError(f"unknown lattice {name!r}")
     snf = quadlattice.smith_normal_form(lat)
-    disc, sig = quadlattice._eliminate(lat.gram)
     report = {
         "lattice": lat.to_json(),
         "rank": lat.rank,
-        "disc": disc,
-        "signature": list(sig),
+        "disc": quadlattice.discriminant(lat),
+        "signature": list(quadlattice.signature(lat)),
         "parity": quadlattice.parity(lat),
         "snf": snf.to_json(),
         "radical_rank": snf.divisors.count(0),

@@ -11,11 +11,12 @@ from typing import Optional
 from .cuspdual import Triple
 from .quadlattice import (
     GramLattice,
-    _eliminate,
     direct_sum,
+    discriminant,
     hyperbolic_plane,
     k3_lattice,
     parity,
+    signature,
     t_lattice,
     unimodular_indefinite_isomorphic,
 )
@@ -132,7 +133,7 @@ def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
         raise ValueError(f"{pair} is not a duality-table pair")
     h = GramLattice.from_rows(["section", "fiber"], hyperbolic_plane().gram)
     lat = direct_sum(t_lattice(*pair.left), t_lattice(*pair.right), h)
-    det, sig = _eliminate(lat.gram)
+    det, sig = discriminant(lat), signature(lat)
     uni = abs(det) == 1
     iso = unimodular_indefinite_isomorphic(lat, k3_lattice()) if uni else None
     return lat, GluedVerdict(det, sig, parity(lat), uni, iso)

@@ -131,7 +131,12 @@ class FibrationParams:
 
     @property
     def domain_bound(self) -> float:
-        return float(max(3**self.big_m, self.m**2 * (self.m + 3)))
+        """max(3^M, m^2(m+3)); inf once 3^M exceeds the double range
+        (M >= 647), where no finite a is admissible."""
+        try:
+            return float(max(3**self.big_m, self.m**2 * (self.m + 3)))
+        except OverflowError:
+            return math.inf
 
     @property
     def admissible(self) -> bool:

@@ -2,14 +2,15 @@
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
 extensions, discriminants and signatures from one fraction-free integer
-elimination, Smith normal form with transforms, radicals, and the
-rank/signature/parity isomorphism test for indefinite unimodular
-lattices.
+elimination, Smith normal form with transforms and their inverses,
+radicals, and the rank/signature/parity isomorphism test for indefinite
+unimodular lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .sl2z import triple_excess
 
@@ -49,7 +50,11 @@ class DefiniteLatticeError(LatticeError):
 
 @dataclass(frozen=True)
 class GramLattice:
-    """Symmetric integer Gram matrix with labeled basis."""
+    """Symmetric integer Gram matrix with labeled basis.
+
+    The elimination behind ``discriminant``/``signature`` and the Smith
+    normal form are computed at most once per object and kept on it.
+    """
 
     labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
@@ -62,6 +67,16 @@ class GramLattice:
             for j in range(i, n):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
+
+    @cached_property
+    def _elimination(self) -> tuple[int, tuple[int, int, int]]:
+        """Determinant and inertia, from one elimination per lattice."""
+        return _eliminate(self.gram)
+
+    @cached_property
+    def _snf(self) -> SNFResult:
+        """The verified Smith normal form, computed once per lattice."""
+        return _smith(self)
 
     @property
     def rank(self) -> int:
@@ -276,12 +291,12 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
 
 def discriminant(lat: GramLattice) -> int:
     """Exact determinant of the Gram matrix."""
-    return _eliminate(lat.gram)[0]
+    return lat._elimination[0]
 
 
 def signature(lat: GramLattice) -> tuple[int, int, int]:
     """(n+, n0, n-) of the Gram matrix."""
-    return _eliminate(lat.gram)[1]
+    return lat._elimination[1]
 
 
 def parity(lat: GramLattice) -> str:
@@ -289,34 +304,57 @@ def parity(lat: GramLattice) -> str:
     return "even" if all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)) else "odd"
 
 
+def _row_times(row, right) -> dict[int, int]:
+    """The row vector given by its (index, entry) pairs times the matrix
+    whose row k has the nonzero entries right[k], as (column, entry)
+    pairs; the result is {column: entry} without zeros.  Only the nonzero
+    products are formed, so the cost is the number of such products."""
+    out: dict[int, int] = {}
+    for k, x in row:
+        if x:
+            for j, y in right[k]:
+                out[j] = out.get(j, 0) + x * y
+    return {j: x for j, x in out.items() if x}
+
+
 @dataclass(frozen=True)
 class SNFResult:
-    """U * G * V = diag(divisors) with d1 | d2 | ...; U, V unimodular."""
+    """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0.
+
+    U * u_inv = V * v_inv = I: an integer inverse proves |det| = 1, so the
+    certificate of unimodularity is the pair of inverses, for singular G
+    as well.  The inverses stay out of ``to_json``.
+    """
 
     divisors: tuple[int, ...]
     u: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
+    u_inv: tuple[tuple[int, ...], ...]
+    v_inv: tuple[tuple[int, ...], ...]
 
     def verify(self, lat: GramLattice) -> bool:
-        n = lat.rank
-        ug = [
-            [sum(self.u[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ugv = [
-            [sum(ug[i][k] * self.v[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                if ugv[i][j] != (self.divisors[i] if i == j else 0):
-                    return False
-        nz = [d for d in self.divisors if d]
-        if any(b % a for a, b in zip(nz, nz[1:])):
+        """Exact check of the certificate, one row at a time through
+        sparse row products; no elimination and no n x n product."""
+        n, d = lat.rank, self.divisors
+        mats = (self.u, self.v, self.u_inv, self.v_inv)
+        if len(d) != n or any(len(t) != n or any(len(r) != n for r in t) for t in mats):
             return False
-        if any(d < 0 for d in self.divisors):
+        nz = [x for x in d if x]
+        if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        return all(abs(_eliminate(t)[0]) == 1 for t in (self.u, self.v))
+        g, v, u_inv, v_inv = (
+            [tuple((j, x) for j, x in enumerate(row) if x) for row in t]
+            for t in (lat.gram, self.v, self.u_inv, self.v_inv)
+        )
+        for i, (u_row, v_row) in enumerate(zip(self.u, self.v)):
+            if (
+                _row_times(_row_times(enumerate(u_row), g).items(), v)
+                != ({i: d[i]} if d[i] else {})
+                or _row_times(enumerate(u_row), u_inv) != {i: 1}
+                or _row_times(enumerate(v_row), v_inv) != {i: 1}
+            ):
+                return False
+        return True
 
     def to_json(self) -> dict:
         return {
@@ -327,41 +365,63 @@ class SNFResult:
 
 
 def smith_normal_form(lat: GramLattice) -> SNFResult:
+    """Verified Smith normal form of the Gram matrix, computed once per
+    lattice object."""
+    return lat._snf
+
+
+def _smith(lat: GramLattice) -> SNFResult:
+    """U G V = D by pivoting on the first smallest nonzero entry (row-major)
+    of the trailing block.  Each elementary operation on U or V is mirrored
+    by its inverse on U^-1 or V^-1: row_i -= f row_j on U is col_j += f col_i
+    on U^-1, and col_i -= f col_j on V is row_j += f row_i on V^-1."""
     n = lat.rank
     m = [list(row) for row in lat.gram]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u, u_inv, v, v_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
 
     def row_op(i, j, f):  # row_i -= f * row_j
-        for k in range(n):
-            m[i][k] -= f * m[j][k]
-        for k in range(n):
-            u[i][k] -= f * u[j][k]
+        if not f:
+            return
+        for t in (m, u):
+            t[i] = [x - f * y for x, y in zip(t[i], t[j])]
+        for row in u_inv:
+            if row[i]:
+                row[j] += f * row[i]
 
     def col_op(i, j, f):  # col_i -= f * col_j
-        for k in range(n):
-            m[k][i] -= f * m[k][j]
-        for k in range(n):
-            v[k][i] -= f * v[k][j]
+        if not f:
+            return
+        for t in (m, v):
+            for row in t:
+                if row[j]:
+                    row[i] -= f * row[j]
+        v_inv[j] = [x + f * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        for t in (m, u):
+            t[i], t[j] = t[j], t[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
-        for k in range(n):
-            m[k][i], m[k][j] = m[k][j], m[k][i]
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        for t in (m, v):
+            for row in t:
+                row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     for s in range(n):
         while True:
-            best = None
+            best, least = None, 0
             for i in range(s, n):
+                row = m[i]
                 for j in range(s, n):
-                    if m[i][j] != 0 and (
-                        best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])
-                    ):
-                        best = (i, j)
+                    x = abs(row[j])
+                    if x and (best is None or x < least):
+                        best, least = (i, j), x
+                        if x == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break
             if best[0] != s:
@@ -382,7 +442,7 @@ def smith_normal_form(lat: GramLattice) -> SNFResult:
             if not clean:
                 continue
             piv = m[s][s]
-            bad = next(
+            bad = None if abs(piv) == 1 else next(
                 (
                     i
                     for i in range(s + 1, n)
@@ -394,16 +454,15 @@ def smith_normal_form(lat: GramLattice) -> SNFResult:
                 row_op(s, bad, -1)
                 continue
             break
-        if s < n and m[s][s] < 0:
-            for k in range(n):
-                m[s][k] = -m[s][k]
-                u[s][k] = -u[s][k]
+        if m[s][s] < 0:
+            m[s] = [-x for x in m[s]]
+            u[s] = [-x for x in u[s]]
+            for row in u_inv:
+                row[s] = -row[s]
 
-    res = SNFResult(
-        tuple(m[i][i] for i in range(n)),
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-    )
+    for t in (u, v, u_inv, v_inv):  # one matrix at a time, to bound the peak
+        t[:] = map(tuple, t)
+    res = SNFResult(tuple(m[i][i] for i in range(n)), *map(tuple, (u, v, u_inv, v_inv)))
     if not res.verify(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res
@@ -411,7 +470,7 @@ def smith_normal_form(lat: GramLattice) -> SNFResult:
 
 def radical(lat: GramLattice) -> list[tuple[int, ...]]:
     """Integer basis of the kernel sublattice, read off the SNF transforms."""
-    snf = smith_normal_form(lat)
+    snf = lat._snf
     n = lat.rank
     return [
         tuple(snf.v[i][j] for i in range(n))
@@ -425,8 +484,8 @@ def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:
     signature and parity decide."""
     sigs = []
     for lat in (l1, l2):
-        det, sig = _eliminate(lat.gram)
-        if abs(det) != 1:
+        sig = signature(lat)
+        if abs(discriminant(lat)) != 1:
             raise NotUnimodularError(f"|det| != 1 for lattice of rank {lat.rank}")
         if sig[0] == 0 or sig[2] == 0:
             raise DefiniteLatticeError("definite lattice outside the test's scope")

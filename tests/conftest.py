@@ -14,7 +14,9 @@ one-seed-at-a-time draws of torus and shell seeds.  The RL
 reduction oracle is the earlier conjugator construction from products of
 R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
-built from the least of all rotations.
+built from the least of all rotations.  The SNF certificate oracle is the
+earlier dense check: U G V multiplied out in full, then one elimination
+each to show |det U| = |det V| = 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.numcheck import C3Point, FibrationParams, point
+from tpqr.quadlattice import GramLattice, SNFResult, _eliminate
 from tpqr.sl2z import SL2Matrix, _floor_surd
 
 
@@ -321,6 +324,28 @@ def bareiss_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
+    n = lat.rank
+    ug = [
+        [sum(snf.u[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    ugv = [
+        [sum(ug[i][k] * snf.v[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(n):
+            if ugv[i][j] != (snf.divisors[i] if i == j else 0):
+                return False
+    nz = [d for d in snf.divisors if d]
+    if any(b % a for a, b in zip(nz, nz[1:])):
+        return False
+    if any(d < 0 for d in snf.divisors):
+        return False
+    return all(abs(_eliminate(t)[0]) == 1 for t in (snf.u, snf.v))
 
 
 def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:

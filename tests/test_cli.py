@@ -78,6 +78,17 @@ def test_lattice_json(capsys):
     assert lat.rank == 10
 
 
+RANK_175_LATTICE_SHA256 = "9263b88cac7e9d5a7ea3b3b3090fa952f5b739e66915643635574390a6e2d5c4"
+
+
+def test_rank_175_lattice_json_is_byte_identical(capsys):
+    """U and V are part of the output and not unique: the same pivots and
+    the same operations in the same order give the same bytes."""
+    code, out = run(capsys, "lattice", "t", "--triple", "3,4,170", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK_175_LATTICE_SHA256
+
+
 def test_k3_json(capsys):
     code, data = run_json(capsys, "k3", "--pair", "2,3,8")
     assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import _shell_seed, _torus_seed
 from tpqr import numcheck
 from tpqr.numcheck import (
+    AdmissibilityError,
     FibrationParams,
     NumericalConfig,
     critical_points,
@@ -228,3 +229,14 @@ def test_a_defect_report_that_used_no_point_fails(t):
         samples=0, max_defect=0.0, lagrangian_expected=t == 1.0, tolerance=1e-6
     )
     assert not report.passed and report.to_json()["passed"] is False
+
+
+def test_domain_bound_beyond_the_double_range_is_infinite():
+    """3^M overflows a double from M = 647 on; no a is then admissible for
+    domain_y, and the check says so instead of raising OverflowError."""
+    assert math.isfinite(FibrationParams(2, 3, 646, a=1e13).domain_bound)
+    params = FibrationParams(2, 3, 700, a=1e13)
+    assert params.domain_bound == math.inf
+    assert params.admissible and not params.domain_y_admissible
+    with pytest.raises(AdmissibilityError):
+        params.check_domain_y()

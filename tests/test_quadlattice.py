@@ -1,16 +1,27 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bareiss_det, congruence_sig, square_matrices, symmetric_matrices
+from conftest import (
+    bareiss_det,
+    congruence_sig,
+    dense_snf_verify,
+    square_matrices,
+    symmetric_matrices,
+)
+from tpqr import k3glue, quadlattice
 from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
     LatticeError,
     NotUnimodularError,
+    SNFResult,
     _eliminate,
     a_block,
     direct_sum,
@@ -253,19 +264,9 @@ def test_snf_239():
 
 
 def _snf_oracle_check(lat):
-    """Independent re-multiplication of U G V."""
+    """Independent re-multiplication of U G V, and |det U| = |det V| = 1."""
     snf = smith_normal_form(lat)
-    n = lat.rank
-    u, v, g = snf.u, snf.v, lat.gram
-    ug = [[sum(u[i][k] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ugv = [
-        [sum(ug[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            assert ugv[i][j] == (snf.divisors[i] if i == j else 0)
-    nz = [d for d in snf.divisors if d]
-    assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+    assert dense_snf_verify(snf, lat)
     return snf
 
 
@@ -295,6 +296,170 @@ def test_snf_transforms_and_divisors_on_corpus():
         for d in snf.divisors:
             prod *= d
         assert abs(prod) == abs(discriminant(lat))
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _integer_inverse(m):
+    """Inverse of a square integer matrix if it has integer entries, else
+    None (Gauss-Jordan over Fraction)."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    inv = [row[n:] for row in a]
+    if any(x.denominator != 1 for row in inv for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def _bumped(t, i, j, delta):
+    rows = [list(r) for r in t]
+    rows[i][j] += delta
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def gram_lattices(draw):
+    """symmetric_matrices, sometimes with one row and column set to zero."""
+    g = draw(symmetric_matrices())
+    n = len(g)
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            g[k][i] = g[i][k] = 0
+    return GramLattice.from_rows([f"v{i}" for i in range(n)], g)
+
+
+@given(gram_lattices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_verify_agrees_with_the_dense_oracle(lat, data):
+    """On the SNF and on a certificate with one entry of U, V or D moved
+    by +-1 (carrying the true integer inverse when there is one), the
+    sparse check and the dense oracle give the same verdict."""
+    snf = smith_normal_form(lat)
+    assert snf.verify(lat) and dense_snf_verify(snf, lat)
+    n = lat.rank
+    if n == 0:
+        return
+    which = data.draw(st.sampled_from(["u", "v", "divisors"]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.sampled_from([1, -1]))
+    if which == "divisors":
+        d = list(snf.divisors)
+        d[i] += delta
+        bad = replace(snf, divisors=tuple(d))
+    else:
+        t = _bumped(getattr(snf, which), i, j, delta)
+        inv = _integer_inverse(t) or getattr(snf, which + "_inv")
+        bad = replace(snf, **{which: t, which + "_inv": inv})
+    assert bad.verify(lat) == dense_snf_verify(bad, lat)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        t_lattice(2, 3, 7),
+        t_lattice(3, 4, 5),
+        t_tilde_lattice(2, 3, 7, "S'"),
+        t_tilde_lattice(3, 3, 3, "S"),
+    ],
+    ids=["T237", "T345", "T~237-S'", "T~333-S"],
+)
+def test_every_single_entry_mutant_of_a_transform_fails(lat):
+    snf = smith_normal_form(lat)
+    n = lat.rank
+    for name in ("u", "v", "u_inv", "v_inv"):
+        t = getattr(snf, name)
+        for i, j, delta in itertools.product(range(n), range(n), (1, -1)):
+            bad = replace(snf, **{name: _bumped(t, i, j, delta)})
+            assert not bad.verify(lat), (name, i, j, delta)
+
+
+@pytest.mark.parametrize(
+    "diag", [(2, 3), (1, -2), (-1, 1)], ids=["no-chain", "negative", "negative-unit"]
+)
+def test_a_diagonal_that_is_no_nonnegative_divisor_chain_fails(diag):
+    """U = V = I certifies U G V = diag(G) exactly, so only the chain or
+    the sign rule can reject these."""
+    lat = GramLattice.from_rows(["a", "b"], [[diag[0], 0], [0, diag[1]]])
+    eye = ((1, 0), (0, 1))
+    bad = SNFResult(diag, eye, eye, eye, eye)
+    assert not bad.verify(lat)
+    assert not dense_snf_verify(bad, lat)
+    assert smith_normal_form(lat).verify(lat)
+
+
+def test_a_negated_divisor_fails_although_the_products_hold():
+    lat = t_lattice(2, 3, 9)
+    snf = smith_normal_form(lat)
+    k = lat.rank - 1
+    bad = replace(
+        snf,
+        divisors=snf.divisors[:k] + (-snf.divisors[k],),
+        u=snf.u[:k] + (tuple(-x for x in snf.u[k]),),
+        u_inv=tuple(r[:k] + (-r[k],) for r in snf.u_inv),
+    )
+    n = lat.rank
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = [[bad.divisors[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert _matmul(_matmul(bad.u, lat.gram), bad.v) == diag
+    assert _matmul(bad.u, bad.u_inv) == eye
+    assert not bad.verify(lat)
+
+
+def test_verify_runs_no_elimination(monkeypatch):
+    lat = t_tilde_lattice(2, 3, 7, "S'")
+    snf = smith_normal_form(lat)
+
+    def refuse(rows):
+        raise AssertionError("verify eliminated a matrix")
+
+    monkeypatch.setattr(quadlattice, "_eliminate", refuse)
+    assert snf.verify(lat)
+
+
+def _counting(monkeypatch, *names):
+    calls = Counter()
+    for name in names:
+        fn = getattr(quadlattice, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(quadlattice, name, counted)
+    return calls
+
+
+def test_one_elimination_and_one_snf_per_lattice(monkeypatch):
+    calls = _counting(monkeypatch, "_eliminate", "_smith")
+    lat = t_tilde_lattice(2, 3, 9, "S'")
+    for _ in range(2):
+        discriminant(lat), signature(lat), smith_normal_form(lat), radical(lat)
+    assert calls == {"_eliminate": 1, "_smith": 1}
+    signature(t_tilde_lattice(2, 3, 9, "S'"))  # an equal object has its own
+    assert calls == {"_eliminate": 2, "_smith": 1}
+
+
+def test_glued_lattice_eliminates_each_lattice_once(monkeypatch):
+    calls = _counting(monkeypatch, "_eliminate", "_smith")
+    _, verdict = k3glue.glued_lattice(k3glue.pair_for_triple(2, 3, 7))
+    assert verdict.isomorphic_to_k3
+    assert calls == {"_eliminate": 2}  # the glued lattice and the K3 lattice
 
 
 # --- unimodular classification --------------------------------------------------
