@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .quadlattice import GramLattice, t_tilde_lattice
+from .quadlattice import GramLattice, _row_times, t_tilde_lattice
 
 __all__ = [
     "SurfaceSystem",
@@ -129,15 +129,21 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     Berkowitz's division-free algorithm: the polynomial of each leading
     (k+1)x(k+1) block is a lower-triangular Toeplitz matrix, built from the
     new row R, column C and corner a as (1, -a, -R C, -R A C, ...,
-    -R A^(k-1) C), times the polynomial of the k x k block A.
+    -R A^(k-1) C), times the polynomial of the k x k block A.  The Krylov
+    vectors A^j C are kept sparse and multiplied through the nonzero
+    entries of each column of A; once one is zero, so are the later terms.
     """
     poly = [1]  # highest degree first
-    for k in range(len(m)):
-        block = [row[:k] for row in m[:k]]
-        r, c = m[k][:k], [row[k] for row in m[:k]]
-        toeplitz = [1, -m[k][k]]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, r, c)))
-            c = [sum(map(mul, row, c)) for row in block]
+    cols: list[list[tuple[int, int]]] = [[] for _ in m]  # nonzeros (i, m_ij), i < k
+    for k, row in enumerate(m):
+        c = dict(cols[k])
+        toeplitz = [1, -row[k]]
+        while c and len(toeplitz) < k + 2:
+            toeplitz.append(-sum(row[j] * x for j, x in c.items()))
+            c = _row_times(c.items(), cols)
+        toeplitz += [0] * (k + 2 - len(toeplitz))
         poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+        for j, x in enumerate(row):
+            if x:
+                cols[j].append((k, x))
     return tuple(reversed(poly))

@@ -935,7 +935,7 @@ def lagrangian_defect(
         phases = np.empty((count, 2))
         noise = np.empty((count, 3), dtype=complex)
         for i in range(count):
-            phases[i] = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            phases[i] = 2.0 * math.pi * rng.random(2)
             noise[i] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         seeds = _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
         points = project_to_level(params, seeds, config=config)

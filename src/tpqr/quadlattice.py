@@ -247,14 +247,26 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     symmetric swap with a nonzero diagonal entry, by the unimodular
     congruence v_a += v_b when m_ab + m_ba != 0, or by a row swap; the last
     only happens once the remaining block is skew, so never for symmetric
-    input, and the inertia is then meaningless.
+    input, and the inertia is then meaningless.  A row whose multiplier is
+    0 would only be scaled by pivot/previous pivot, so it is left as it is;
+    it keeps the pivot of its last update in ``base`` and is brought up to
+    date, by an exact division, only when it is read across rows.
     """
     m = [list(row) for row in rows]
     n = len(m)
+    base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
     sign, prev, pos, neg = 1, 1, 0, 0
+
+    def current(i: int, k: int) -> None:
+        if base[i] != prev:
+            m[i][k:] = [x * prev // base[i] for x in m[i][k:]]
+            base[i] = prev
+
     for k in range(n):
         d = next((i for i in range(k, n) if m[i][i]), None)
         if d is None:
+            for i in range(k, n):
+                current(i, k)
             d, b = next(
                 ((a, b) for a in range(k, n) for b in range(a + 1, n) if m[a][b] + m[b][a]),
                 (None, None),
@@ -268,23 +280,27 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
                 return 0, (pos, n - k, neg)
-            m[k], m[i] = m[i], m[k]
+            m[k], m[i], base[k], base[i] = m[i], m[k], base[i], base[k]
             sign = -sign
         elif d != k:
-            m[k], m[d] = m[d], m[k]
+            m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
             for row in m:
                 row[k], row[d] = row[d], row[k]
+        current(k, k)
         piv, pivot_row = m[k][k], m[k]
         if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for row in m[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [
-                (x * piv - f * y) // prev
-                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                current(i, k)
+                row, f = m[i], m[i][k]
+                row[k + 1 :] = [
+                    (x * piv - f * y) // prev
+                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+                ]
+                base[i] = piv
         prev = piv
     return sign * prev, (pos, 0, neg)
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -219,10 +220,16 @@ def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
 
 def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
     """Product of the factors (c -1; 1 0) over the entries, leftmost first:
-    the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle."""
+    the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle.
+    A run of z twos is one factor, (2 -1; 1 0)^z = (z+1 -z; z 1-z)."""
     out = _I
-    for c in entries:
-        out = out * SL2Matrix(c, -1, 1, 0)
+    for c, run in groupby(entries):
+        if c == 2:
+            z = sum(1 for _ in run)
+            out = out * SL2Matrix(z + 1, -z, z, 1 - z)
+        else:
+            for _ in run:
+                out = out * SL2Matrix(c, -1, 1, 0)
     return out
 
 

@@ -16,13 +16,18 @@ R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
 built from the least of all rotations.  The SNF certificate oracle is the
 earlier dense check: U G V multiplied out in full, then one elimination
-each to show |det U| = |det V| = 1.
+each to show |det U| = |det V| = 1.  The dense Berkowitz and dense
+elimination oracles are the exact kernels before they used sparsity: full
+Krylov vectors, and every trailing row rescaled at every step.  The
+cycle-product oracle multiplies one factor per entry, runs of twos
+included.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -275,6 +280,13 @@ def preperiod_rl_reduce(m: SL2Matrix):
     return exps, conj, det_g == -1
 
 
+def entrywise_cycle_matrix(entries) -> SL2Matrix:
+    out = SL2Matrix.identity()
+    for c in entries:
+        out = out * SL2Matrix(c, -1, 1, 0)
+    return out
+
+
 def three_factor_monodromy(p: int, q: int, r: int) -> SL2Matrix:
     def factor(n):
         return SL2Matrix(n - 1, -1, 1, 0)
@@ -324,6 +336,47 @@ def bareiss_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def dense_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev, pos, neg = 1, 1, 0, 0
+    for k in range(n):
+        d = next((i for i in range(k, n) if m[i][i]), None)
+        if d is None:
+            d, b = next(
+                ((a, b) for a in range(k, n) for b in range(a + 1, n) if m[a][b] + m[b][a]),
+                (None, None),
+            )
+            if d is not None:
+                for j in range(k, n):
+                    m[d][j] += m[b][j]
+                for i in range(k, n):
+                    m[i][d] += m[i][b]
+        if d is None:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0, (pos, n - k, neg)
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        elif d != k:
+            m[k], m[d] = m[d], m[k]
+            for row in m:
+                row[k], row[d] = row[d], row[k]
+        piv, pivot_row = m[k][k], m[k]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [
+                (x * piv - f * y) // prev
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = piv
+    return sign * prev, (pos, 0, neg)
 
 
 def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
@@ -381,6 +434,19 @@ def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:
     pos, zero, neg = congruence_sig(sub)
     # the (v_i, v_j) block is (0 c; c 0): one plus, one minus
     return (pos + 1, zero, neg + 1)
+
+
+def dense_berkowitz(m) -> tuple[int, ...]:
+    poly = [1]  # highest degree first
+    for k in range(len(m)):
+        block = [row[:k] for row in m[:k]]
+        r, c = m[k][:k], [row[k] for row in m[:k]]
+        toeplitz = [1, -m[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, r, c)))
+            c = [sum(map(mul, row, c)) for row in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+    return tuple(reversed(poly))
 
 
 def interpolated_char_poly(m) -> tuple[int, ...]:
@@ -489,6 +555,30 @@ def square_matrices(draw, max_n=10):
         if shape == "skew":
             for j in range(i):
                 m[i][j] = -m[j][i]
+    return m
+
+
+@st.composite
+def integer_matrices(draw, max_n=12):
+    """Sparse or dense integer matrices, plain, symmetric or skew, optionally
+    with a zero diagonal and optionally singular (one row and column a
+    multiple of another)."""
+    n = draw(st.integers(0, max_n))
+    entry = draw(st.sampled_from([SMALL, st.integers(-20, 20)]))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "symmetric", "skew"]))
+    for i in range(n if shape != "plain" else 0):
+        for j in range(i):
+            m[i][j] = m[j][i] if shape == "symmetric" else -m[j][i]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        m[a] = [c * x for x in m[b]]
+        for row in m:
+            row[a] = c * row[b]
     return m
 
 

@@ -89,6 +89,18 @@ def test_rank_175_lattice_json_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RANK_175_LATTICE_SHA256
 
 
+MONODROMY_RANK_120_SHA256 = "8a57d06453b35e31490decbff3fd4234af61d6a99ec02691380fc96d941d7221"
+
+
+def test_rank_120_monodromy_json_is_byte_identical(capsys):
+    """(3,4,114) has H_2 rank 120, the cap of `monodromy`; its output holds
+    the action matrix and its characteristic polynomial."""
+    assert 3 + 4 + 114 - 1 == cli._MONODROMY_RANK_LIMIT
+    code, out = run(capsys, "monodromy", "3", "4", "114", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MONODROMY_RANK_120_SHA256
+
+
 def test_k3_json(capsys):
     code, data = run_json(capsys, "k3", "--pair", "2,3,8")
     assert code == 0

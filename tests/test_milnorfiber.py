@@ -3,14 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import interpolated_char_poly, square_matrices
+from conftest import (
+    dense_berkowitz,
+    dense_eliminate,
+    integer_matrices,
+    interpolated_char_poly,
+    square_matrices,
+)
 from tpqr.milnorfiber import (
     char_poly,
     monodromy_action,
     section_vector,
     surface_system,
 )
-from tpqr.quadlattice import t_tilde_lattice
+from tpqr.quadlattice import _eliminate, t_tilde_lattice
 
 
 def mat_mul(a, b):
@@ -191,7 +197,7 @@ def poly_mul(a, b):
 
 def test_char_poly_is_the_closed_form_monodromy_polynomial():
     # (x^p - 1)(x^q - 1)(x^r - 1)/(x - 1), coefficients lowest degree first
-    for p, q, r in all_triples(10, strict=True):
+    for p, q, r in [*all_triples(10, strict=True), (3, 4, 114), (2, 3, 116)]:
         want = [1] * p  # (x^p - 1)/(x - 1)
         for k in (q, r):
             want = poly_mul(want, [-1] + [0] * (k - 1) + [1])
@@ -202,3 +208,18 @@ def test_char_poly_is_the_closed_form_monodromy_polynomial():
 @settings(max_examples=50, deadline=None)
 def test_char_poly_matches_interpolation_oracle(m):
     assert char_poly(m) == interpolated_char_poly(m)
+
+
+@given(integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_char_poly_matches_dense_berkowitz(m):
+    assert char_poly(m) == dense_berkowitz(m)
+
+
+def test_sparse_kernels_match_dense_oracles_on_monodromy():
+    for triple in all_triples(10):
+        mu = monodromy_action(*triple)
+        g = t_tilde_lattice(*triple, "S'").gram
+        assert char_poly(mu) == dense_berkowitz(mu), triple
+        assert _eliminate(mu) == dense_eliminate(mu), triple
+        assert _eliminate(g) == dense_eliminate(g), triple

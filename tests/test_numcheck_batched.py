@@ -240,3 +240,15 @@ def test_domain_bound_beyond_the_double_range_is_infinite():
     assert params.admissible and not params.domain_y_admissible
     with pytest.raises(AdmissibilityError):
         params.check_domain_y()
+
+
+def test_defect_report_for_a_fixed_seed_is_unchanged():
+    """The torus phases are drawn as 2 pi * random(2), which gives the same
+    doubles as uniform(0, 2 pi); the report is that of the uniform draws."""
+    report = numcheck.lagrangian_defect(FibrationParams.minimal(2, 3, 7))
+    assert report == numcheck.DefectReport(
+        samples=100,
+        max_defect=float.fromhex("0x1.70a0000000000p-47"),
+        lagrangian_expected=True,
+        tolerance=1e-6,
+    )

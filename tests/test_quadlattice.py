@@ -5,13 +5,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     bareiss_det,
     congruence_sig,
+    dense_eliminate,
     dense_snf_verify,
+    integer_matrices,
     square_matrices,
     symmetric_matrices,
 )
@@ -255,6 +257,28 @@ def test_det_and_inertia_match_oracles(g):
 @settings(max_examples=80, deadline=None)
 def test_det_of_general_matrices_matches_oracle(m):
     assert _eliminate(m)[0] == bareiss_det([list(r) for r in m])
+
+
+# Zero diagonal, not symmetric: the congruence pair m_ab + m_ba is read from
+# two rows that the lazy rescaling can leave at different scales.
+PAIR_ACROSS_STALE_ROWS = [
+    [0, -2, -1, 1, 0, 0, 0],
+    [-2, 0, -1, 1, -1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 3, -2, 1],
+    [0, 0, 0, 3, 0, 0, -1],
+    [-2, 0, -2, 0, 0, 0, 0],
+    [1, 0, 0, 0, 1, -2, 0],
+]
+
+
+@given(integer_matrices())
+@example([[0, 1], [0, 0]])  # congruence pair on a non-symmetric block
+@example([[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])  # skew: the row-swap path
+@example(PAIR_ACROSS_STALE_ROWS)
+@settings(max_examples=150, deadline=None)
+def test_eliminate_matches_dense_oracle(m):
+    assert _eliminate(m) == dense_eliminate(m)
 
 
 def test_snf_239():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_conjugator,
+    entrywise_cycle_matrix,
     mat2,
     mul2,
     preperiod_rl_reduce,
@@ -23,6 +24,7 @@ from tpqr.sl2z import (
     SL2Matrix,
     TwistWord,
     classify,
+    cycle_matrix,
     dehn_twist,
     evaluate_word,
     is_conjugate,
@@ -427,6 +429,19 @@ def test_the_oracle_example_has_an_odd_preperiod():
 def test_monodromy_is_the_three_factor_product():
     for p, q, r in itertools.product(range(2, 13), repeat=3):
         assert monodromy_matrix(p, q, r) == three_factor_monodromy(p, q, r)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 9).map(lambda c: [c]), st.integers(1, 80).map(lambda z: [2] * z)),
+        max_size=10,
+    )
+)
+@example([[2] * 200])
+@settings(max_examples=200, deadline=None)
+def test_cycle_matrix_matches_the_entrywise_product(runs):
+    entries = [c for run in runs for c in run]
+    assert cycle_matrix(iter(entries)) == entrywise_cycle_matrix(entries)
 
 
 def test_triple_excess_has_the_sign_of_the_weight_deficit_and_is_trace_minus_2():
