@@ -23,7 +23,7 @@ _JSON_INT_LIMIT = 2**53
 # computes, the rank of a `lattice t|ttilde` Gram matrix (`lattice e`
 # accepts only k in 6..10) and the sample count of `verify-fibration`.
 # At each limit the slowest case measured takes 0.21 s (`monodromy`), 0.38 s
-# (`lattice`) and 0.47 s (`verify-fibration`) in a fresh process, median of
+# (`lattice`) and 0.45 s (`verify-fibration`) in a fresh process, median of
 # 3, on a 2-vCPU x86-64 machine with Python 3.11.
 _MONODROMY_RANK_LIMIT = 120
 _LATTICE_RANK_LIMIT = 180

@@ -10,7 +10,7 @@ on it, and the pairing vector of the fibration's section.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add
 
 from .quadlattice import GramLattice, _row_times, t_tilde_lattice
 
@@ -141,8 +141,12 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
         while c and len(toeplitz) < k + 2:
             toeplitz.append(-sum(row[j] * x for j, x in c.items()))
             c = _row_times(c.items(), cols)
-        toeplitz += [0] * (k + 2 - len(toeplitz))
-        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+        # Each nonzero Toeplitz term adds a shifted multiple, truncated to degree k+1.
+        new = poly + [0]
+        for j, x in enumerate(toeplitz[1:], 1):
+            if x:
+                new[j:] = map(add, new[j:], map(x.__mul__, poly))
+        poly = new
         for j, x in enumerate(row):
             if x:
                 cols[j].append((k, x))

@@ -262,25 +262,34 @@ def _profile_integral(u):
 
 
 def _transition(s):
-    """The argument as an array, checked, and its position in [0, 1]
-    across the transition interval [1/6, 1/2]."""
+    """The bump and its derivative at s >= 0 (not checked).  The transition
+    polynomials are evaluated only on the entries in neither [0, 1/6] nor
+    [1/2, inf], at the position 3 (s - 1/6) in [0, 1]."""
+    low = s <= 1.0 / 6.0
+    band = ~(low | (s >= 0.5))
+    phi = np.where(low, 1.0, 0.0)
+    dphi = np.zeros(np.shape(s))
+    if np.any(band):
+        u = np.clip(3.0 * (s[band] - 1.0 / 6.0), 0.0, 1.0)
+        phi[band] = 1.0 - _profile_integral(u)
+        dphi[band] = -3.0 * _profile(u)
+    return phi, dphi
+
+
+def _checked(s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("bump argument must be >= 0")
-    return s, np.clip(3.0 * (np.minimum(s, 0.5) - 1.0 / 6.0), 0.0, 1.0)
+    return s
 
 
 def bump(s):
     """1 on [0, 1/6], 0 on [1/2, inf], monotone C^2 in between."""
-    s, u = _transition(s)
-    return np.where(
-        s <= 1.0 / 6.0, 1.0, np.where(s >= 0.5, 0.0, 1.0 - _profile_integral(u))
-    )[()]
+    return _transition(_checked(s))[0][()]
 
 
 def bump_deriv(s):
-    s, u = _transition(s)
-    return np.where((s <= 1.0 / 6.0) | (s >= 0.5), 0.0, -3.0 * _profile(u))[()]
+    return _transition(_checked(s))[1][()]
 
 
 def _exponents(params: FibrationParams) -> np.ndarray:
@@ -307,12 +316,10 @@ def phi_values(pt: C3Point) -> np.ndarray:
     return bump(_ratios(pt))
 
 
-def _phi_gradient_parts(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coef, diag): the holomorphic Wirtinger gradient of the j-th bump
-    factor is coef_j * conj(u_k) in entry k != j and diag_j in entry j."""
-    mod, rho = _radii(pt)
-    with np.errstate(divide="ignore", over="ignore"):
-        dphi = bump_deriv(rho / mod)
+def _phi_parts(pt, mod, rho, dphi) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, diag) from the radii and the bump derivatives at pt: the
+    holomorphic Wirtinger gradient of the j-th bump factor is
+    coef_j * conj(u_k) in entry k != j and diag_j in entry j."""
     # Both vanish with dphi; unit radii there keep the quotients finite.
     active = dphi != 0.0
     au = np.where(active, mod, 1.0)
@@ -325,7 +332,9 @@ def phi_gradients(pt: C3Point) -> np.ndarray:
     """Rows j = holomorphic Wirtinger gradient of the j-th bump factor;
     the antiholomorphic gradients are the complex conjugates."""
     pt = np.asarray(pt, dtype=complex)
-    coef, diag = _phi_gradient_parts(pt)
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        coef, diag = _phi_parts(pt, mod, rho, _transition(rho / mod)[1])
     out = coef[..., :, None] * np.conj(pt)[..., None, :]
     out[..., range(3), range(3)] = diag
     return out
@@ -359,44 +368,49 @@ def h_eval(params: FibrationParams, pt: C3Point) -> complex:
     return np.sum(phi_values(pt) * _monomials(params, pt), axis=-1) + _axyz(params, pt)
 
 
-def ft_eval(params: FibrationParams, pt: C3Point) -> complex:
-    t = params.t
-    if t == 0.0:
-        _ratios(pt)  # keep the domain of the whole family uniform
-        return f_eval(params, pt)
-    return (1.0 - t) * f_eval(params, pt) + t * h_eval(params, pt)
-
-
-def _bump_part(params: FibrationParams, pt: np.ndarray, anti: bool) -> np.ndarray:
-    """sum_j m_j dphi_j for the monomials m_j, with dphi_j the holomorphic
-    (or, with anti, the antiholomorphic) gradient of the j-th bump factor."""
-    coef, diag = _phi_gradient_parts(pt)
+def _ft_pass(params: FibrationParams, pt: C3Point):
+    """The deformed map ft at pt, and grads(rows, anti=False), which gives
+    its holomorphic Wirtinger gradient at pt[rows] (with anti, the pair
+    holomorphic, antiholomorphic).  The radii, the bump factors and their
+    derivatives, the monomials and a*x*y*z are computed once, and every
+    value and gradient is the same expression as for the separate maps
+    ft = (1-t) f + t h and grad = (1-t+t phi) n u^(n-1) + cross + t bump."""
+    pt = np.asarray(pt, dtype=complex)
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        phi, dphi = _transition(rho / mod)  # a ratio of moduli is never negative
+    n = _exponents(params)
     mono = _monomials(params, pt)
-    w = mono * coef
-    others = w[..., _CHART_ORDER[:, 1]] + w[..., _CHART_ORDER[:, 2]]  # j != k
-    if anti:
-        return pt * others + mono * np.conj(diag)
-    return np.conj(pt) * others + mono * diag
+    axyz = _axyz(params, pt)
+    t = params.t
+    value = np.sum(mono, axis=-1) + axyz
+    if t != 0.0:
+        value = (1.0 - t) * value + t * (np.sum(phi * mono, axis=-1) + axyz)
+
+    def grads(rows=..., anti=False):
+        u, m = pt[rows], mono[rows]
+        holo = (1.0 - t + t * phi[rows]) * n * u ** (n - 1) + _cross_terms(params, u)
+        if t == 0.0:
+            return (holo, np.zeros(u.shape, dtype=complex)) if anti else holo
+        coef, diag = _phi_parts(u, mod[rows], rho[rows], dphi[rows])
+        w = m * coef
+        others = w[..., _CHART_ORDER[:, 1]] + w[..., _CHART_ORDER[:, 2]]  # j != k
+        holo = holo + t * (np.conj(u) * others + m * diag)
+        return (holo, t * (u * others + m * np.conj(diag))) if anti else holo
+
+    return value, grads
+
+
+def ft_eval(params: FibrationParams, pt: C3Point) -> complex:
+    return _ft_pass(params, pt)[0]
 
 
 def ft_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    pt = np.asarray(pt, dtype=complex)
-    t = params.t
-    n = _exponents(params)
-    weights = 1.0 - t + t * phi_values(pt)
-    grad = weights * n * pt ** (n - 1) + _cross_terms(params, pt)
-    if t != 0.0:
-        grad = grad + t * _bump_part(params, pt, anti=False)
-    return grad
+    return _ft_pass(params, pt)[1]()
 
 
 def ft_antigrad(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    pt = np.asarray(pt, dtype=complex)
-    t = params.t
-    if t == 0.0:
-        _ratios(pt)
-        return np.zeros(pt.shape, dtype=complex)
-    return t * _bump_part(params, pt, anti=True)
+    return _ft_pass(params, pt)[1](anti=True)[1]
 
 
 def g_eval(pt: C3Point) -> complex:
@@ -417,7 +431,7 @@ def _real_jacobian(holo: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 
 def ft_real_jacobian(params: FibrationParams, pt: C3Point) -> np.ndarray:
-    return _real_jacobian(ft_grad(params, pt), ft_antigrad(params, pt))
+    return _real_jacobian(*_ft_pass(params, pt)[1](anti=True))
 
 
 def g_real_jacobian(pt: C3Point) -> np.ndarray:
@@ -432,17 +446,19 @@ def _omega0(u: np.ndarray, v: np.ndarray) -> float:
 
 def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
     """Newton iteration on the rows of pts, (n, 3), in place, towards
-    ft = tau.  Each row stops at its first iterate within tol;
-    step(rows, residuals) gives the next iterate of the rows still moving."""
+    ft = tau.  Each row stops at its first iterate within tol; step(rows,
+    residuals, gradients) gives the next iterate of the rows still moving,
+    the only rows whose holomorphic gradients are computed."""
     todo = np.arange(len(pts))
     for _ in range(max_iter):
         rows = pts[todo]
-        res = ft_eval(params, rows) - tau
+        value, grads = _ft_pass(params, rows)
+        res = value - tau
         moving = ~(np.abs(res) <= tol)
         todo = todo[moving]
         if todo.size == 0:
             return pts
-        pts[todo] = step(rows[moving], res[moving])
+        pts[todo] = step(rows[moving], res[moving], grads(moving))
     raise ProjectionError(failure)
 
 
@@ -460,8 +476,7 @@ def project_to_level(
     scale = max(abs(tau), 1e-300)
     cur = np.array(pt, dtype=complex)
 
-    def step(rows, res):
-        grad = ft_grad(params, rows)
+    def step(rows, res, grad):
         norm2 = np.sum(grad.real**2 + grad.imag**2, axis=-1)
         if np.any(norm2 == 0.0):
             raise ProjectionError("vanishing gradient during projection")
@@ -543,8 +558,9 @@ def _critical_reports(
     ambient Jacobian of g.
     """
     tau = params.target
-    residual = np.abs(ft_eval(params, pts) - tau) / abs(tau)
-    _, _, vh = np.linalg.svd(ft_real_jacobian(params, pts), full_matrices=True)
+    value, grads = _ft_pass(params, pts)
+    residual = np.abs(value - tau) / abs(tau)
+    _, _, vh = np.linalg.svd(_real_jacobian(*grads(anti=True)), full_matrices=True)
     tangent = np.swapaxes(vh[:, 2:], -1, -2)  # 6x4 orthonormal kernel bases
     jg = g_real_jacobian(pts)
     svals = np.linalg.svd(jg @ tangent, compute_uv=False)
@@ -649,8 +665,8 @@ def _solve_axial(
     pts[:, order[0]] = seed
     pts[:, order[1:]] = transverse
 
-    def step(rows, res):
-        rows[:, axis] -= res / ft_grad(params, rows)[:, axis]
+    def step(rows, res, grad):
+        rows[:, axis] -= res / grad[:, axis]
         return rows
 
     return _newton(
@@ -786,13 +802,39 @@ def _torus_seeds(params: FibrationParams, phases: np.ndarray) -> np.ndarray:
 
 def _draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high):
     """For each of count seeds in turn: an index below choices, then one
-    uniform in [low[k], high[k]) for each k.  The random stream is that of
-    rng.integers followed by scalar rng.uniform calls."""
-    picks = np.empty(count, dtype=int)
-    unit = np.empty((count, len(low)))
-    for i in range(count):
-        picks[i] = rng.integers(choices)
-        unit[i] = rng.random(len(low))
+    uniform in [low[k], high[k]) for each k; the stream and the final state
+    of rng are those of rng.integers(choices), rng.random(len(low)) per
+    seed, replayed from raw PCG64 words.  A 32-bit draw is the high half
+    cached by the previous one, or else the low half of a new word; the
+    index is (u32 * choices) >> 32 (Lemire), a double (word >> 11) 2^-53."""
+    bits = rng.bit_generator
+    saved = bits.state
+    cached, width = saved["has_uint32"], len(low)
+    fresh = (np.arange(count) + cached) % 2 == 0  # seeds whose index takes a new word
+    sizes = width + fresh
+    words = bits.random_raw(int(np.sum(sizes)))
+    is_index = np.zeros(len(words), dtype=bool)
+    is_index[(np.cumsum(sizes) - sizes)[fresh]] = True
+    # The cached half-word, then the low and high halves of each index word.
+    halves = np.empty(1 + 2 * np.count_nonzero(fresh), dtype=np.uint64)
+    halves[0] = saved["uinteger"]
+    halves[1::2] = words[is_index] & np.uint64(0xFFFFFFFF)
+    halves[2::2] = words[is_index] >> np.uint64(32)
+    first = 1 - cached
+    scaled = halves[first:first + count] * np.uint64(choices)
+    unit = (words[~is_index].reshape(count, width) >> np.uint64(11)) * 2.0**-53
+    if choices < 2 or np.any(scaled & np.uint64(0xFFFFFFFF) < (2**32 - choices) % choices):
+        # Lemire's method draws again (or, for one choice, draws nothing):
+        # replay with the generator's own calls.
+        bits.state = saved
+        picks = np.empty(count, dtype=int)
+        for i in range(count):
+            picks[i] = rng.integers(choices)
+            unit[i] = rng.random(width)
+    else:
+        picks = (scaled >> np.uint64(32)).astype(int)
+        bits.state = {**bits.state, "has_uint32": len(halves) - first - count,
+                      "uinteger": int(halves[-1])}
     low = np.asarray(low)
     return picks, low + (np.asarray(high) - low) * unit
 
@@ -878,8 +920,9 @@ def symplectic_inequality_audit(
     except AdmissibilityError as exc:
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
     pts = sample_on_level(params, config)
-    anti = np.linalg.norm(ft_antigrad(params, pts), axis=-1)
-    margin = np.linalg.norm(ft_grad(params, pts), axis=-1) - anti
+    holo, anti = _ft_pass(params, pts)[1](anti=True)
+    anti = np.linalg.norm(anti, axis=-1)
+    margin = np.linalg.norm(holo, axis=-1) - anti
     worst = int(np.argmin(margin))  # the first of equal minima
     coord_ok = bool(np.all(np.max(np.abs(pts), axis=-1) > params.m / params.a))
     note = None if params.precision_reviewed else "index above 9: review precision"
@@ -936,7 +979,8 @@ def lagrangian_defect(
         noise = np.empty((count, 3), dtype=complex)
         for i in range(count):
             phases[i] = 2.0 * math.pi * rng.random(2)
-            noise[i] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            z = rng.standard_normal(6)
+            noise[i] = z[:3] + 1j * z[3:]
         seeds = _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
         points = project_to_level(params, seeds, config=config)
     pts = np.asarray(points, dtype=complex).reshape(-1, 3)

@@ -20,7 +20,13 @@ each to show |det U| = |det V| = 1.  The dense Berkowitz and dense
 elimination oracles are the exact kernels before they used sparsity: full
 Krylov vectors, and every trailing row rescaled at every step.  The
 cycle-product oracle multiplies one factor per entry, runs of twos
-included.
+included.  ``where_bump`` and ``where_bump_deriv`` evaluate the
+transition polynomials on every entry and select with ``np.where``.  The
+``separate_ft_*`` oracles are the deformed map and its Wirtinger
+gradients as separate evaluations, each recomputing the radii, the bump
+factors and the monomials; ``separate_project_to_level`` is the Newton
+projection built on them, and ``looped_draw_per_seed`` the sampler's
+per-seed generator calls before they were replayed from raw words.
 """
 
 from __future__ import annotations
@@ -34,7 +40,24 @@ import pytest
 from hypothesis import strategies as st
 
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
-from tpqr.numcheck import C3Point, FibrationParams, point
+from tpqr.numcheck import (
+    _CHART_ORDER,
+    C3Point,
+    FibrationParams,
+    NumericalConfig,
+    _cross_terms,
+    _exponents,
+    _monomials,
+    _profile,
+    _profile_integral,
+    _radii,
+    _ratios,
+    bump_deriv,
+    f_eval,
+    h_eval,
+    phi_values,
+    point,
+)
 from tpqr.quadlattice import GramLattice, SNFResult, _eliminate
 from tpqr.sl2z import SL2Matrix, _floor_surd
 
@@ -511,6 +534,117 @@ def _shell_seed(
     coords[others[0]] = eta * scale * math.cos(split) * np.exp(1j * phases[0])
     coords[others[1]] = eta * scale * math.sin(split) * np.exp(1j * phases[1])
     return point(*coords)
+
+
+def _where_transition(s):
+    """The argument as an array, checked, and its position in [0, 1]
+    across the transition interval [1/6, 1/2]."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("bump argument must be >= 0")
+    return s, np.clip(3.0 * (np.minimum(s, 0.5) - 1.0 / 6.0), 0.0, 1.0)
+
+
+def where_bump(s):
+    """1 on [0, 1/6], 0 on [1/2, inf], monotone C^2 in between."""
+    s, u = _where_transition(s)
+    return np.where(
+        s <= 1.0 / 6.0, 1.0, np.where(s >= 0.5, 0.0, 1.0 - _profile_integral(u))
+    )[()]
+
+
+def where_bump_deriv(s):
+    s, u = _where_transition(s)
+    return np.where((s <= 1.0 / 6.0) | (s >= 0.5), 0.0, -3.0 * _profile(u))[()]
+
+
+def separate_ft_eval(params: FibrationParams, pt: C3Point) -> complex:
+    t = params.t
+    if t == 0.0:
+        _ratios(pt)  # keep the domain of the whole family uniform
+        return f_eval(params, pt)
+    return (1.0 - t) * f_eval(params, pt) + t * h_eval(params, pt)
+
+
+def _phi_gradient_parts(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, diag): the holomorphic Wirtinger gradient of the j-th bump
+    factor is coef_j * conj(u_k) in entry k != j and diag_j in entry j."""
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        dphi = bump_deriv(rho / mod)
+    # Both vanish with dphi; unit radii there keep the quotients finite.
+    active = dphi != 0.0
+    au = np.where(active, mod, 1.0)
+    rho = np.where(active, rho, 1.0)
+    # d(rho/|u|)/du = -rho conj(u) / (2|u|^3); d/dv = conj(v)/(2|u| rho)
+    return dphi / (2.0 * au * rho), -dphi * rho / (2.0 * au * au) * (np.conj(pt) / au)
+
+
+def _bump_part(params: FibrationParams, pt: np.ndarray, anti: bool) -> np.ndarray:
+    """sum_j m_j dphi_j for the monomials m_j, with dphi_j the holomorphic
+    (or, with anti, the antiholomorphic) gradient of the j-th bump factor."""
+    coef, diag = _phi_gradient_parts(pt)
+    mono = _monomials(params, pt)
+    w = mono * coef
+    others = w[..., _CHART_ORDER[:, 1]] + w[..., _CHART_ORDER[:, 2]]  # j != k
+    if anti:
+        return pt * others + mono * np.conj(diag)
+    return np.conj(pt) * others + mono * diag
+
+
+def separate_ft_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    pt = np.asarray(pt, dtype=complex)
+    t = params.t
+    n = _exponents(params)
+    weights = 1.0 - t + t * phi_values(pt)
+    grad = weights * n * pt ** (n - 1) + _cross_terms(params, pt)
+    if t != 0.0:
+        grad = grad + t * _bump_part(params, pt, anti=False)
+    return grad
+
+
+def separate_ft_antigrad(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    pt = np.asarray(pt, dtype=complex)
+    t = params.t
+    if t == 0.0:
+        _ratios(pt)
+        return np.zeros(pt.shape, dtype=complex)
+    return t * _bump_part(params, pt, anti=True)
+
+
+def separate_project_to_level(params: FibrationParams, pts: np.ndarray,
+                              config: NumericalConfig, max_iter: int = 50) -> np.ndarray:
+    """Newton projection of the rows of pts (n, 3) onto the level, with
+    the value and the gradient each evaluated on its own."""
+    tau = params.target
+    tol = config.residual_tol * max(abs(tau), 1e-300)
+    pts = np.array(pts, dtype=complex)
+    todo = np.arange(len(pts))
+    for _ in range(max_iter):
+        rows = pts[todo]
+        res = separate_ft_eval(params, rows) - tau
+        moving = ~(np.abs(res) <= tol)
+        todo = todo[moving]
+        if todo.size == 0:
+            return pts
+        rows, res = rows[moving], res[moving]
+        grad = separate_ft_grad(params, rows)
+        norm2 = np.sum(grad.real**2 + grad.imag**2, axis=-1)
+        pts[todo] = rows - res[:, None] * np.conj(grad) / norm2[:, None]
+    raise AssertionError(f"no convergence after {max_iter} iterations")
+
+
+def looped_draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high):
+    """For each of count seeds in turn: an index below choices, then one
+    uniform in [low[k], high[k]) for each k.  The random stream is that of
+    rng.integers followed by scalar rng.uniform calls."""
+    picks = np.empty(count, dtype=int)
+    unit = np.empty((count, len(low)))
+    for i in range(count):
+        picks[i] = rng.integers(choices)
+        unit[i] = rng.random(len(low))
+    low = np.asarray(low)
+    return picks, low + (np.asarray(high) - low) * unit
 
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
