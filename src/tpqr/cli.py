@@ -21,13 +21,18 @@ _JSON_INT_LIMIT = 2**53
 
 # Input size limits: the rank p+q+r-1 of the H_2 action `monodromy`
 # computes, the rank of a `lattice t|ttilde` Gram matrix (`lattice e`
-# accepts only k in 6..10) and the sample count of `verify-fibration`.
-# At each limit the slowest case measured takes 0.21 s (`monodromy`), 0.38 s
-# (`lattice`) and 0.45 s (`verify-fibration`) in a fresh process, median of
-# 3, on a 2-vCPU x86-64 machine with Python 3.11.
+# accepts only k in 6..10), and for `verify-fibration` the sample count and
+# the critical-point count p+q+r.  Newton projection onto the fiber already
+# fails for (2,3,r) between r = 350 and 400, and every triple probed above
+# the critical-point limit exits 2 on that failure.  At each limit the
+# slowest case measured takes 0.21 s (`monodromy`), 0.38 s (`lattice`),
+# 0.45 s (`verify-fibration` samples) and 0.34 s (`verify-fibration
+# --pqr 2,3,995`) in a fresh process, median of 3, on a 2-vCPU x86-64
+# machine with Python 3.11.
 _MONODROMY_RANK_LIMIT = 120
 _LATTICE_RANK_LIMIT = 180
 _SAMPLES_LIMIT = 10_000
+_CRITICAL_POINT_LIMIT = 1000
 
 
 def _sanitize(obj):
@@ -241,6 +246,7 @@ def _cmd_verify_fibration(args) -> int:
     from . import numcheck
 
     p, q, r = _parse_triple(args.pqr)
+    _check_limit("critical point count", p + q + r, _CRITICAL_POINT_LIMIT)
     cfg = _load_config(args)
     if args.a is not None:
         params = numcheck.FibrationParams(p, q, r, a=args.a, theta=args.theta, t=args.t)

@@ -66,6 +66,14 @@ _OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 _A_MAX = sys.float_info.min ** -0.5
 
 
+def _double_or_inf(n: int) -> float:
+    """n as a double, or inf where it exceeds the double range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
 class AdmissibilityError(ValueError):
     pass
 
@@ -127,16 +135,14 @@ class FibrationParams:
 
     @property
     def tube_bound(self) -> float:
-        return float(max(12 * self.big_m, self.m**2 * (self.m + 3)))
+        return _double_or_inf(max(12 * self.big_m, self.m**2 * (self.m + 3)))
 
     @property
     def domain_bound(self) -> float:
         """max(3^M, m^2(m+3)); inf once 3^M exceeds the double range
-        (M >= 647), where no finite a is admissible."""
-        try:
-            return float(max(3**self.big_m, self.m**2 * (self.m + 3)))
-        except OverflowError:
-            return math.inf
+        (M >= 647), where no finite a is admissible.  3^647 stands in for
+        every larger power, so a huge M costs no huge integer."""
+        return _double_or_inf(max(3 ** min(self.big_m, 647), self.m**2 * (self.m + 3)))
 
     @property
     def admissible(self) -> bool:
@@ -177,7 +183,8 @@ class FibrationParams:
         bound = probe.tube_bound
         if domain_y:
             bound = max(bound, probe.domain_bound)
-        return replace(probe, a=bound + 1.0)
+        # past 2^53, bound + 1.0 rounds back to bound
+        return replace(probe, a=max(bound + 1.0, math.nextafter(bound, math.inf)))
 
 
 @dataclass(frozen=True)
@@ -345,8 +352,8 @@ def _monomials(params: FibrationParams, pt: C3Point) -> np.ndarray:
 
 
 def _axyz(params: FibrationParams, pt: C3Point):
-    x, y, z = np.moveaxis(np.asarray(pt), -1, 0)  # scalars, or columns of a stack
-    return params.a * x * y * z
+    pt = np.asarray(pt)
+    return params.a * pt[..., 0] * pt[..., 1] * pt[..., 2]
 
 
 def f_eval(params: FibrationParams, pt: C3Point) -> complex:

@@ -11,7 +11,9 @@ hyperbolic matrix of positive trace is conjugate to a positive word in
 
 unique up to cyclic rotation of the word.  The factorization is found by
 running the continued-fraction expansion of the attracting fixed point
-entirely in integer arithmetic.
+entirely in integer arithmetic.  Every other class (|trace| <= 2) is
+decided by one Gauss reduction of the binary form (c, d-a, -b) of the
+matrix, whose reduced matrix is unique in its class.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
@@ -122,6 +123,7 @@ class SL2Matrix:
 R = SL2Matrix(1, 1, 0, 1)
 L = SL2Matrix(1, 0, 1, 1)
 _I = SL2Matrix.identity()
+_S = SL2Matrix(0, -1, 1, 0)
 
 
 class MatrixClass(Enum):
@@ -425,118 +427,36 @@ def _conjugate_hyperbolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
     return None
 
 
-def _parabolic_normal_form(m: SL2Matrix) -> tuple[int, SL2Matrix]:
-    """For trace-2 m != I: returns (k, P) with P^{-1} m P = (1 k; 0 1)."""
-    if m.c != 0:
-        v1, v2 = m.d - 1, -m.c
-        if v1 == 0 and v2 == 0:  # pragma: no cover
-            raise AssertionError("not parabolic")
-        g = math.gcd(abs(v1), abs(v2))
-        v1, v2 = v1 // g, v2 // g
-    else:
-        v1, v2 = 1, 0
-    # complete (v1,v2) to a determinant-1 basis
-    g, w2, w1 = _xgcd(v1, v2)
-    assert g == 1
-    w1 = -w1
-    p = SL2Matrix(v1, w1, v2, w2)
-    t = p.inverse() * m * p
-    assert (t.a, t.c, t.d) == (1, 0, 1)
-    return t.b, p
+def _reduce(m: SL2Matrix) -> tuple[SL2Matrix, SL2Matrix]:
+    """Gauss reduction of the binary form (c, d-a, -b) of m, |trace m| <= 2:
+    returns (reduced, P) with P * m * P^{-1} = reduced.
 
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _conjugate_parabolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
-    sign = 1 if m.trace == 2 else -1
-    m1 = m if sign == 1 else -m
-    n1 = n if sign == 1 else -n
-    km, pm = _parabolic_normal_form(m1)
-    kn, pn = _parabolic_normal_form(n1)
-    if km != kn:
-        return None
-    return pn * pm.inverse()
-
-
-def _elliptic_reduce(m: SL2Matrix) -> tuple[SL2Matrix, SL2Matrix]:
-    """Conjugate an elliptic m so its fixed point lies in the fundamental
-    domain; returns (reduced, U) with U m U^{-1} = reduced."""
-    t = m.trace
-    assert m.c != 0
-    re = Fraction(m.a - m.d, 2 * m.c)
-    im2 = Fraction(4 - t * t, 4 * m.c * m.c)
-    u = _I
-    cur = m
-    s_mat = SL2Matrix(0, -1, 1, 0)
-    while True:
-        shift = (re + Fraction(1, 2)).__floor__()
-        if shift:
-            rs = R ** (-shift)
-            cur = cur.conjugate_by(rs)
-            u = rs * u
-            re -= shift
-        if re * re + im2 < 1:
-            cur = cur.conjugate_by(s_mat)
-            u = s_mat * u
-            norm = re * re + im2
-            re, im2 = -re / norm, im2 / (norm * norm)
-        else:
-            return cur, u
-
-
-def _conjugate_elliptic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
-    rm, um = _elliptic_reduce(m)
-    rn, un = _elliptic_reduce(n)
-    # reduced fixed points lie in the fundamental domain, so any remaining
-    # conjugator has tiny entries
-    for p in _small_matrices(3):
-        if rm.conjugate_by(p) == rn:
-            return un.inverse() * p * um
-    return None
-
-
-def _small_matrices(bound: int) -> Iterator[SL2Matrix]:
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                num = 1 + b * c
-                if a != 0:
-                    if num % a == 0 and abs(num // a) <= bound:
-                        yield SL2Matrix(a, b, c, num // a)
-                elif num == 0:
-                    for dd in rng:
-                        yield SL2Matrix(0, b, c, dd)
+    Conjugating by R^k shifts d-a by -2kc, and by S = (0 -1; 1 0) maps the
+    form (A, B, C) to (C, -B, A).  Each class of discriminant t^2 - 4 in
+    {0, -3, -4} holds exactly one reduced matrix: +-(1 k; 0 1), or one with
+    d-a in (-|c|, |c|] and |c| <= |b|.
+    """
+    cur, p = m, _I
+    while cur.c:
+        span = abs(cur.c)
+        k = -((cur.a - cur.d + span) // (2 * span))  # ceil((d-a-|c|) / 2|c|)
+        shift = SL2Matrix(1, k if cur.c > 0 else -k, 0, 1)
+        cur, p = cur.conjugate_by(shift), shift * p
+        if abs(cur.b) >= span:
+            break
+        cur, p = cur.conjugate_by(_S), _S * p
+    return cur, p
 
 
 def is_conjugate(m: SL2Matrix, n: SL2Matrix) -> Optional[ConjugacyCertificate]:
     """Decide SL(2,Z)-conjugacy; a certificate or None."""
     if m.trace != n.trace:
         return None
-    cm = classify(m)
-    if cm is not classify(n):
-        return None
-    if cm in (MatrixClass.IDENTITY, MatrixClass.MINUS_IDENTITY):
-        conj = _I if m == n else None
-    elif cm is MatrixClass.HYPERBOLIC:
+    if abs(m.trace) > 2:
         conj = _conjugate_hyperbolic(m, n)
-    elif cm is MatrixClass.PARABOLIC:
-        conj = _conjugate_parabolic(m, n)
     else:
-        conj = _conjugate_elliptic(m, n)
+        (rm, pm), (rn, pn) = _reduce(m), _reduce(n)
+        conj = pn.inverse() * pm if rm == rn else None
     if conj is None:
         return None
     return ConjugacyCertificate(source=m, target=n, conjugator=conj)

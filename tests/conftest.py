@@ -2,6 +2,10 @@
 
 The brute-force conjugator search is deliberately independent of the
 production RL/normal-form machinery and is used only as an oracle here.
+``normal_form_conjugator`` is the library's earlier decision for
+|trace| <= 2: an extended-gcd normal form for parabolic matrices, and for
+elliptic ones a rational walk of the fixed point followed by a search over
+small conjugators.
 The determinant, signature and characteristic-polynomial oracles are the
 library's earlier kernels: plain Bareiss elimination, recursive congruence
 over exact rationals, and Lagrange interpolation of n+1 determinants.  The
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
@@ -59,7 +64,7 @@ from tpqr.numcheck import (
     point,
 )
 from tpqr.quadlattice import GramLattice, SNFResult, _eliminate
-from tpqr.sl2z import SL2Matrix, _floor_surd
+from tpqr.sl2z import R, MatrixClass, SL2Matrix, _I, _floor_surd, classify
 
 
 def mat2(rows):
@@ -96,6 +101,120 @@ def brute_conjugator(m: SL2Matrix, n: SL2Matrix, bound: int = 20):
                         if p * m == n * p:
                             return p
     return None
+
+
+def _parabolic_normal_form(m: SL2Matrix) -> tuple[int, SL2Matrix]:
+    """For trace-2 m != I: returns (k, P) with P^{-1} m P = (1 k; 0 1)."""
+    if m.c != 0:
+        v1, v2 = m.d - 1, -m.c
+        if v1 == 0 and v2 == 0:  # pragma: no cover
+            raise AssertionError("not parabolic")
+        g = math.gcd(abs(v1), abs(v2))
+        v1, v2 = v1 // g, v2 // g
+    else:
+        v1, v2 = 1, 0
+    # complete (v1,v2) to a determinant-1 basis
+    g, w2, w1 = _xgcd(v1, v2)
+    assert g == 1
+    w1 = -w1
+    p = SL2Matrix(v1, w1, v2, w2)
+    t = p.inverse() * m * p
+    assert (t.a, t.c, t.d) == (1, 0, 1)
+    return t.b, p
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with a*x + b*y = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_s, s = s, old_s - qt * s
+        old_t, t = t, old_t - qt * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _conjugate_parabolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
+    sign = 1 if m.trace == 2 else -1
+    m1 = m if sign == 1 else -m
+    n1 = n if sign == 1 else -n
+    km, pm = _parabolic_normal_form(m1)
+    kn, pn = _parabolic_normal_form(n1)
+    if km != kn:
+        return None
+    return pn * pm.inverse()
+
+
+def _elliptic_reduce(m: SL2Matrix) -> tuple[SL2Matrix, SL2Matrix]:
+    """Conjugate an elliptic m so its fixed point lies in the fundamental
+    domain; returns (reduced, U) with U m U^{-1} = reduced."""
+    t = m.trace
+    assert m.c != 0
+    re = Fraction(m.a - m.d, 2 * m.c)
+    im2 = Fraction(4 - t * t, 4 * m.c * m.c)
+    u = _I
+    cur = m
+    s_mat = SL2Matrix(0, -1, 1, 0)
+    while True:
+        shift = (re + Fraction(1, 2)).__floor__()
+        if shift:
+            rs = R ** (-shift)
+            cur = cur.conjugate_by(rs)
+            u = rs * u
+            re -= shift
+        if re * re + im2 < 1:
+            cur = cur.conjugate_by(s_mat)
+            u = s_mat * u
+            norm = re * re + im2
+            re, im2 = -re / norm, im2 / (norm * norm)
+        else:
+            return cur, u
+
+
+def _conjugate_elliptic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
+    rm, um = _elliptic_reduce(m)
+    rn, un = _elliptic_reduce(n)
+    # reduced fixed points lie in the fundamental domain, so any remaining
+    # conjugator has tiny entries
+    for p in _small_matrices(3):
+        if rm.conjugate_by(p) == rn:
+            return un.inverse() * p * um
+    return None
+
+
+def _small_matrices(bound: int) -> Iterator[SL2Matrix]:
+    rng = range(-bound, bound + 1)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                num = 1 + b * c
+                if a != 0:
+                    if num % a == 0 and abs(num // a) <= bound:
+                        yield SL2Matrix(a, b, c, num // a)
+                elif num == 0:
+                    for dd in rng:
+                        yield SL2Matrix(0, b, c, dd)
+
+
+def normal_form_conjugator(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
+    """P with P m P^-1 = n for |trace| <= 2, or None: +-I by equality,
+    parabolic matrices by their extended-gcd normal form (1 k; 0 1) and
+    elliptic ones by a walk of the fixed point into the fundamental domain
+    and a search over small conjugators."""
+    if m.trace != n.trace:
+        return None
+    cm = classify(m)
+    if cm is not classify(n):
+        return None
+    if cm in (MatrixClass.IDENTITY, MatrixClass.MINUS_IDENTITY):
+        return _I if m == n else None
+    if cm is MatrixClass.PARABOLIC:
+        return _conjugate_parabolic(m, n)
+    return _conjugate_elliptic(m, n)
 
 
 class Quad(QuadIrrational):

@@ -154,7 +154,8 @@ def test_inequality_audit_reports_its_precision_note(capsys, pqr, note):
 def test_exact_commands_do_not_import_numpy():
     script = (
         "import sys, tpqr.cli; rc = tpqr.cli.main(['table', '--json']); "
-        "assert rc == 0 and 'numpy' not in sys.modules, rc"
+        "assert rc == 0 and 'numpy' not in sys.modules, rc; "
+        "assert 'fractions' not in sys.modules"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -267,8 +268,11 @@ def test_big_int_sanitizer():
         ["lattice", "t", "--triple", f"2,3,{cli._LATTICE_RANK_LIMIT - 2}"],
         ["lattice", "ttilde", "--triple", f"2,3,{cli._LATTICE_RANK_LIMIT - 3}"],
         ["verify-fibration", "--pqr", "2,3,7", "--samples", str(cli._SAMPLES_LIMIT + 1)],
+        ["verify-fibration", "--pqr", f"2,3,{cli._CRITICAL_POINT_LIMIT - 4}", "--samples", "20"],
+        ["verify-fibration", "--pqr", f"2,3,{10**399}", "--samples", "20"],
     ],
-    ids=["monodromy", "lattice-t", "lattice-ttilde", "samples"],
+    ids=["monodromy", "lattice-t", "lattice-ttilde", "samples", "critical-points",
+         "critical-points-400-digits"],
 )
 def test_size_limit_one_past_is_usage_error(capsys, argv):
     assert cli.main(argv + ["--json"]) == 2

@@ -240,6 +240,19 @@ def test_domain_bound_beyond_the_double_range_is_infinite():
     assert params.admissible and not params.domain_y_admissible
     with pytest.raises(AdmissibilityError):
         params.check_domain_y()
+    huge = FibrationParams(2, 3, 10**400, a=1.0)
+    assert huge.tube_bound == huge.domain_bound == math.inf
+
+
+@pytest.mark.parametrize(
+    "r, domain_y",
+    [(6935, False), (6936, False), (20000, False), (33, True), (34, True), (40, True)],
+)
+def test_minimal_a_is_admissible_past_two_to_the_53(r, domain_y):
+    """From 2^53 on, bound + 1.0 rounds back to the bound; minimal still
+    returns an a above it."""
+    params = FibrationParams.minimal(2, 3, r, domain_y=domain_y)
+    assert params.admissible and (params.domain_y_admissible or not domain_y)
 
 
 def test_defect_report_for_a_fixed_seed_is_unchanged():

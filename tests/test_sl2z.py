@@ -11,6 +11,7 @@ from conftest import (
     entrywise_cycle_matrix,
     mat2,
     mul2,
+    normal_form_conjugator,
     preperiod_rl_reduce,
     three_factor_monodromy,
 )
@@ -33,6 +34,7 @@ from tpqr.sl2z import (
     rl_word,
     triple_excess,
 )
+from tpqr.sl2z import _reduce
 
 I = SL2Matrix.identity()
 
@@ -234,6 +236,67 @@ def test_elliptic_classes():
     # the two order-4 classes are distinct in SL(2,Z)
     assert is_conjugate(s, s.inverse()) is None
     assert brute_conjugator(s, s.inverse(), bound=12) is None
+
+
+S = mat2(((0, -1), (1, 0)))
+
+# One matrix of every class with |trace| <= 2: +-I and +-(1 k; 0 1) for
+# |k| <= 8, then S, -S and the two classes each of trace 1 and -1.
+SMALL_TRACE_CLASSES = [mat2(((s, s * k), (0, s))) for s in (1, -1) for k in range(-8, 9)] + [
+    mat2(rows)
+    for rows in (
+        ((0, -1), (1, 0)),
+        ((0, 1), (-1, 0)),
+        ((0, -1), (1, 1)),
+        ((0, 1), (-1, 1)),
+        ((-1, -1), (1, 0)),
+        ((-1, 1), (-1, 0)),
+    )
+]
+
+
+def _is_reduced(m):
+    return m.c == 0 or abs(m.d - m.a) <= abs(m.c) <= abs(m.b)
+
+
+def test_every_small_trace_class_is_its_own_reduced_form():
+    assert len(set(SMALL_TRACE_CLASSES)) == len(SMALL_TRACE_CLASSES)
+    for m in SMALL_TRACE_CLASSES:
+        assert _reduce(m) == (m, I)
+
+
+@st.composite
+def _words_in_r_and_s(draw):
+    """A product of letters S and R^k."""
+    p = I
+    for k in draw(st.lists(st.one_of(st.none(), st.integers(-9, 9)), max_size=12)):
+        p = p * (S if k is None else mat2(((1, k), (0, 1))))
+    return p
+
+
+@st.composite
+def _small_trace_pairs(draw):
+    """Two class representatives of one trace, each with a conjugate."""
+    rep_m = draw(st.sampled_from(SMALL_TRACE_CLASSES))
+    rep_n = draw(st.sampled_from([x for x in SMALL_TRACE_CLASSES if x.trace == rep_m.trace]))
+    return (
+        (rep_m, rep_m.conjugate_by(draw(_words_in_r_and_s()))),
+        (rep_n, rep_n.conjugate_by(draw(_words_in_r_and_s()))),
+    )
+
+
+@given(_small_trace_pairs())
+@settings(max_examples=400, deadline=None)
+def test_small_trace_conjugacy_is_the_reduced_form_equality(pairs):
+    (rep_m, m), (rep_n, n) = pairs
+    cert = is_conjugate(m, n)
+    assert (cert is None) == (normal_form_conjugator(m, n) is None) == (rep_m != rep_n)
+    if cert is not None:
+        assert (cert.source, cert.target) == (m, n) and cert.verify()
+    for rep, x in pairs:
+        reduced, p = _reduce(x)
+        assert reduced == rep and x.conjugate_by(p) == reduced
+        assert _is_reduced(reduced)
 
 
 def test_certificates_reverify_by_construction():
