@@ -12,9 +12,6 @@ import json
 import os
 import sys
 
-# numcheck, and with it numpy, is imported only by the commands that need it.
-from . import cuspdual, k3glue, milnorfiber, quadlattice, sl2z
-
 CONFIG_ENV = "TPQR_CONFIG"
 
 _JSON_INT_LIMIT = 2**53
@@ -28,7 +25,10 @@ _JSON_INT_LIMIT = 2**53
 # slowest case measured takes 0.21 s (`monodromy`), 0.38 s (`lattice`),
 # 0.45 s (`verify-fibration` samples) and 0.34 s (`verify-fibration
 # --pqr 2,3,995`) in a fresh process, median of 3, on a 2-vCPU x86-64
-# machine with Python 3.11.
+# machine with Python 3.11.  `verify-fibration` checks the critical-point
+# count and an explicit `--samples` before it imports numpy, so those
+# rejections exit without loading it; a sample count read from a tolerance
+# file is checked once numcheck has parsed the file.
 _MONODROMY_RANK_LIMIT = 120
 _LATTICE_RANK_LIMIT = 180
 _SAMPLES_LIMIT = 10_000
@@ -89,7 +89,14 @@ def _load_config(args):
     return cfg
 
 
+# Each command imports only the layers it calls, so a one-shot request
+# compiles no layer it does not run; numcheck, and with it numpy, only
+# for verify-fibration.
+
+
 def _cmd_monodromy(args) -> int:
+    from . import milnorfiber, sl2z
+
     p, q, r = _parse_triple(args.triple)
     m = sl2z.monodromy_matrix(p, q, r)
     cls = sl2z.classify(m)
@@ -123,6 +130,8 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from . import cuspdual
+
     p, q, r = _parse_triple(args.triple)
     rep = cuspdual.verify_duality(p, q, r)
     ok = rep.verify()
@@ -142,6 +151,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from . import quadlattice
+
     name = args.name
     if name in ("t", "ttilde"):
         p, q, r = _parse_triple(args.triple)
@@ -182,6 +193,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_k3(args) -> int:
+    from . import k3glue, sl2z
+
     p, q, r = _parse_triple(args.pair)
     pair = k3glue.pair_for_triple(p, q, r)
     if pair is None:
@@ -216,6 +229,8 @@ def _cmd_k3(args) -> int:
 
 
 def _cmd_inose(args) -> int:
+    from . import k3glue
+
     counts = tuple(int(v) for v in args.case.split(","))
     case = k3glue.InoseCase(counts)
     m = k3glue.inose_monodromy(case)
@@ -241,12 +256,15 @@ def _cmd_inose(args) -> int:
 
 
 def _cmd_verify_fibration(args) -> int:
+    p, q, r = _parse_triple(args.pqr)
+    _check_limit("critical point count", p + q + r, _CRITICAL_POINT_LIMIT)
+    if args.samples is not None:
+        _check_limit("sample count", args.samples, _SAMPLES_LIMIT)
+
     import numpy as np
 
     from . import numcheck
 
-    p, q, r = _parse_triple(args.pqr)
-    _check_limit("critical point count", p + q + r, _CRITICAL_POINT_LIMIT)
     cfg = _load_config(args)
     if args.a is not None:
         params = numcheck.FibrationParams(p, q, r, a=args.a, theta=args.theta, t=args.t)
@@ -327,6 +345,8 @@ def _cmd_verify_fibration(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import cuspdual, k3glue
+
     rows = []
     ok = True
     for pair in k3glue.strange_duality_table():

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sl2z import triple_excess
+from . import triple_excess
 
 __all__ = [
     "C3Point",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .sl2z import triple_excess
+from . import triple_excess
 
 __all__ = [
     "GramLattice",

@@ -24,6 +24,8 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
+from . import triple_excess
+
 __all__ = [
     "SL2Matrix",
     "HomologyClass",
@@ -233,14 +235,6 @@ def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
             for _ in run:
                 out = out * SL2Matrix(c, -1, 1, 0)
     return out
-
-
-def triple_excess(p: int, q: int, r: int) -> int:
-    """pqr - pq - qr - rp, which equals trace A_{p,q,r} - 2.
-
-    It has the sign of 1 - 1/p - 1/q - 1/r: positive exactly for a cusp
-    triple and zero exactly for a parabolic one."""
-    return p * q * r - p * q - q * r - r * p
 
 
 def classify(m: SL2Matrix) -> MatrixClass:

@@ -151,18 +151,88 @@ def test_inequality_audit_reports_its_precision_note(capsys, pqr, note):
     assert data["symplectic_inequality"]["precision_note"] == note
 
 
+def run_child(script, *argv):
+    """Run ``python -c script argv...`` in a fresh interpreter on ``src``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 def test_exact_commands_do_not_import_numpy():
     script = (
         "import sys, tpqr.cli; rc = tpqr.cli.main(['table', '--json']); "
         "assert rc == 0 and 'numpy' not in sys.modules, rc; "
         "assert 'fractions' not in sys.modules"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_child(script)
     assert proc.returncode == 0, proc.stderr
+
+
+# The tpqr modules loaded after `import tpqr.cli` and after main, written to
+# stderr (main's report goes to stdout) as one JSON line.
+LOADED_MODULES = (
+    "import json, sys\n"
+    "def tpqr_modules():\n"
+    "    return sorted(m for m in sys.modules if m.split('.')[0] == 'tpqr')\n"
+    "import tpqr.cli\n"
+    "before = tpqr_modules()\n"
+    "rc = tpqr.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([rc, before, tpqr_modules(), 'numpy' in sys.modules]), file=sys.stderr)"
+)
+
+_K3GLUE_SET = {"k3glue", "cuspdual", "quadlattice", "sl2z"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["monodromy", "2", "3", "7"], {"milnorfiber", "quadlattice", "sl2z"}),
+        (["dual", "2", "3", "8"], {"cuspdual", "sl2z"}),
+        (["lattice", "t", "--triple", "2,3,7"], {"quadlattice"}),
+        (["lattice", "h"], {"quadlattice"}),
+        (["k3", "--pair", "2,4,5"], _K3GLUE_SET),
+        (["inose", "--case", "0,1,0,2"], _K3GLUE_SET),
+        (["table"], _K3GLUE_SET),
+    ],
+    ids=["monodromy", "dual", "lattice-t", "lattice-h", "k3", "inose", "table"],
+)
+def test_each_command_loads_only_its_layers(argv, layers):
+    proc = run_child(LOADED_MODULES, *argv, "--json")
+    assert proc.returncode == 0, proc.stderr
+    rc, before, after, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    assert before == ["tpqr", "tpqr.cli"]
+    assert set(after) == {"tpqr", "tpqr.cli"} | {f"tpqr.{m}" for m in layers}
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("layer", ["quadlattice", "numcheck"])
+def test_layers_using_triple_excess_do_not_load_sl2z(layer):
+    proc = run_child(f"import sys, tpqr.{layer}; assert 'tpqr.sl2z' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--pqr", "2,3,996"], ["--pqr", "2,3,7", "--samples", str(cli._SAMPLES_LIMIT + 1)]],
+    ids=["critical-points", "samples"],
+)
+def test_rejected_verify_fibration_input_exits_before_numpy(argv):
+    script = (
+        "import sys, tpqr.cli; rc = tpqr.cli.main(sys.argv[1:]); "
+        "assert 'numpy' not in sys.modules and 'tpqr.numcheck' not in sys.modules; "
+        "sys.exit(rc)"
+    )
+    proc = run_child(script, "verify-fibration", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "exceeds the limit" in proc.stderr
 
 
 def test_verify_fibration_rejects_bad_a(capsys):
@@ -285,7 +355,7 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli.cuspdual, "verify_duality", exhausted)
+    monkeypatch.setattr("tpqr.cuspdual.verify_duality", exhausted)
     assert cli.main(["dual", "2", "3", "8"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: out of memory\n"
@@ -309,15 +379,7 @@ CAPPED_CLI = (
     ids=["dual", "lattice-t", "monodromy"],
 )
 def test_oversized_input_exits_2_under_memory_cap(argv):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI, *argv, "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_child(CAPPED_CLI, *argv, "--json")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
