@@ -56,6 +56,7 @@ __all__ = [
     "lagrangian_defect",
     "domain_y_audit",
     "parse_config_file",
+    "verify_fibration",
 ]
 
 C3Point = np.ndarray  # shape (3,), or a stack (..., 3); complex128
@@ -195,9 +196,11 @@ class NumericalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A tolerance of 1 or more passes every rank test (a rank ratio is
+        # at most 1), and residual_tol = inf every level-set test.
         for v in (self.residual_tol, self.rank_tol):
-            if not v > 0:
-                raise ValueError("tolerances must be positive")
+            if not 0.0 < v < 1.0:
+                raise ValueError("tolerances must lie in (0, 1)")
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
 
@@ -472,14 +475,13 @@ def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
 def project_to_level(
     params: FibrationParams,
     pt: C3Point,
-    target: complex | None = None,
     config: NumericalConfig = NumericalConfig(),
     max_iter: int = 50,
 ) -> C3Point:
     """Newton step along the holomorphic gradient until the map value
-    reaches the target within the relative residual tolerance; a stack is
-    projected row by row."""
-    tau = params.target if target is None else target
+    reaches params.target within the relative residual tolerance; a stack
+    is projected row by row."""
+    tau = params.target
     scale = max(abs(tau), 1e-300)
     cur = np.array(pt, dtype=complex)
 
@@ -726,7 +728,6 @@ def hessian_fd_check(
     pt: C3Point,
     config: NumericalConfig = NumericalConfig(),
     rel_tol: float = 1e-3,
-    step_rel: float = 1e-4,
 ) -> HessianReport:
     """Finite-difference 2-jet of g restricted to X_t in the adapted chart
     at an axis critical point, compared against the model Hessians.
@@ -741,7 +742,7 @@ def hessian_fd_check(
     fourth-order contamination grows like lam^2 * step^2, so its step
     shrinks with lam; the derotated imaginary part is exact in the
     transverse coordinates and only fights rounding noise, so it keeps the
-    larger step.
+    larger step, 1e-4 of the center's modulus.
     """
     pt = np.asarray(pt, dtype=complex)
     axis = int(np.argmax(np.abs(pt)))
@@ -755,8 +756,8 @@ def hessian_fd_check(
     model = hessian_model(n, params.a)
     center_expected = _OMEGA**axis * params.a ** (-2.0 / n)
 
-    delta_a = min(step_rel, 0.02 / math.sqrt(model.lam)) * au0
-    delta_b = step_rel * au0
+    delta_a = min(1e-4, 0.02 / math.sqrt(model.lam)) * au0
+    delta_b = 1e-4 * au0
     # Chart coordinates (v, w / c_w) of both stencils, one axial solve.
     transverse = np.concatenate([delta_a * _STENCIL, delta_b * _STENCIL]).view(complex)
     transverse[:, 1] *= c_w
@@ -1124,3 +1125,49 @@ def domain_y_audit(
         vertex_checks_ok=bool(vertex_ok),
         precondition_error=None,
     )
+
+
+def verify_fibration(
+    params: FibrationParams, config: NumericalConfig = NumericalConfig()
+) -> dict:
+    """The report that ``tpqr verify-fibration --json`` prints: params,
+    config, the critical points, the Hessian normal form at the first
+    x-axis point and the inequality audit; at t = 1 also the Lagrangian
+    defect and, where a admits it, the domain audit.  "passed" requires
+    all p+q+r critical points and every stage that ran to pass.
+
+    Raises AdmissibilityError for an inadmissible a, and ProjectionError
+    where doubles cannot hold the fiber (large indices or a); numpy's
+    floating-point warnings are off, as on the way there they would only
+    repeat the ProjectionError."""
+    params.check()
+    n = params.p + params.q + params.r
+    report: dict = {
+        "params": {"pqr": [params.p, params.q, params.r], "a": params.a,
+                   "theta": params.theta, "t": params.t},
+        "config": _fields(config),
+    }
+    with np.errstate(all="ignore"):
+        crits = critical_points(params)
+        reps = _critical_reports(params, crits, config)
+        crit = report["critical_points"] = {
+            "count": len(reps),
+            "expected": n,
+            "all_ok": all(rep.ok for rep in reps),
+            "worst_residual": max(rep.residual_rel for rep in reps),
+            "worst_rank_ratio": max(rep.rank_ratio for rep in reps),
+        }
+        hess = report["hessian_x_axis"] = hessian_fd_check(params, crits[0], config).to_json()
+        report["symplectic_inequality"] = symplectic_inequality_audit(params, config).to_json()
+        if params.t == 1.0:
+            report["lagrangian_defect"] = lagrangian_defect(params, config=config).to_json()
+            if params.domain_y_admissible:
+                report["domain_y"] = domain_y_audit(params, config).to_json()
+    audits = ("symplectic_inequality", "lagrangian_defect", "domain_y")
+    report["passed"] = (
+        crit["all_ok"]
+        and crit["count"] == n
+        and hess["matches"]
+        and all(report[k]["passed"] for k in audits if k in report)
+    )
+    return report

@@ -31,6 +31,8 @@ gradients as separate evaluations, each recomputing the radii, the bump
 factors and the monomials; ``separate_project_to_level`` is the Newton
 projection built on them, and ``looped_draw_per_seed`` the sampler's
 per-seed generator calls before they were replayed from raw words.
+``staged_verify_fibration`` is the fibration pipeline and its verdict as
+the CLI ran them stage by stage before ``numcheck.verify_fibration``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from tpqr import numcheck
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.numcheck import (
     _CHART_ORDER,
@@ -764,6 +767,57 @@ def looped_draw_per_seed(rng: np.random.Generator, count: int, choices: int, low
         unit[i] = rng.random(len(low))
     low = np.asarray(low)
     return picks, low + (np.asarray(high) - low) * unit
+
+
+def staged_verify_fibration(params: FibrationParams, cfg: NumericalConfig) -> dict:
+    """The verify-fibration report built one stage call at a time."""
+    p, q, r = params.p, params.q, params.r
+    report: dict = {
+        "params": {
+            "pqr": [p, q, r],
+            "a": params.a,
+            "theta": params.theta,
+            "t": params.t,
+        },
+        "config": {
+            "residual_tol": cfg.residual_tol,
+            "rank_tol": cfg.rank_tol,
+            "samples": cfg.samples,
+            "seed": cfg.seed,
+        },
+    }
+    params.check()
+    with np.errstate(all="ignore"):
+        crit_reports = numcheck.verify_critical_points(params, cfg)
+        report["critical_points"] = {
+            "count": len(crit_reports),
+            "expected": p + q + r,
+            "all_ok": all(rep.ok for rep in crit_reports),
+            "worst_residual": max(rep.residual_rel for rep in crit_reports),
+            "worst_rank_ratio": max(rep.rank_ratio for rep in crit_reports),
+        }
+        hess = numcheck.hessian_fd_check(params, numcheck.critical_points(params)[0], cfg)
+        report["hessian_x_axis"] = hess.to_json()
+        audit = numcheck.symplectic_inequality_audit(params, cfg)
+        report["symplectic_inequality"] = audit.to_json()
+        if params.t == 1.0:
+            defect = numcheck.lagrangian_defect(params, config=cfg)
+            report["lagrangian_defect"] = defect.to_json()
+            if params.domain_y_admissible:
+                report["domain_y"] = numcheck.domain_y_audit(params, cfg).to_json()
+    passed = (
+        report["critical_points"]["all_ok"]
+        and report["critical_points"]["count"] == p + q + r
+        and hess.matches
+        and audit.passed
+        and all(
+            report[k]["passed"]
+            for k in ("lagrangian_defect", "domain_y")
+            if k in report
+        )
+    )
+    report["passed"] = passed
+    return report
 
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])

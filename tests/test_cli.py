@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,6 +265,43 @@ def test_tolerance_file_rejects_an_unknown_key(capsys, tmp_path):
         capsys, "verify-fibration", "--pqr", "2,3,7", "--tolerance-file", str(cfgfile)
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("line", ["residual_tol=inf", "rank_tol=1"])
+def test_tolerance_file_rejects_a_vacuous_tolerance(capsys, tmp_path, line):
+    # residual_tol = inf leaves Newton's seeds unprojected, and a rank ratio
+    # is at most 1, so rank_tol >= 1 passes every rank test
+    cfgfile = tmp_path / "vacuous.cfg"
+    cfgfile.write_text(line + "\n")
+    code = cli.main(["verify-fibration", "--pqr", "2,3,7", "--tolerance-file", str(cfgfile)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_numerical_config_rejects_an_infinite_rank_tol():
+    from tpqr.numcheck import NumericalConfig
+
+    with pytest.raises(ValueError):
+        NumericalConfig(rank_tol=math.inf)
+
+
+def test_text_report_names_the_failing_defect(capsys):
+    code, out = run(capsys, "verify-fibration", "--pqr", "2,3,7", "--a", "1e50", "--samples", "20")
+    assert code == 1
+    assert "lagrangian defect: passed=False samples=0 max_defect=0\n" in out
+    assert out.endswith("overall: FAIL\n")
+
+
+def test_text_report_below_t_1_has_no_defect_line(capsys):
+    code, out = run(capsys, "verify-fibration", "--pqr", "3,3,4", "--t", "0.5")
+    assert code == 0
+    assert out == (
+        "critical points: 10 verified, all_ok=True\n"
+        "hessian (x-axis): matches=True lambda=1.1808e+06\n"
+        "inequality audit: passed=True min_margin=0.0143\n"
+        "overall: PASS\n"
+    )
 
 
 @pytest.mark.parametrize("a", ["1e160", "1e308"])
