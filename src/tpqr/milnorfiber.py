@@ -10,9 +10,10 @@ on it, and the pairing vector of the fibration's section.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
-from .quadlattice import GramLattice, _row_times, t_tilde_lattice
+from .quadlattice import GramLattice, _check_tilde_triple, _row_times, t_tilde_lattice
 
 __all__ = [
     "SurfaceSystem",
@@ -27,17 +28,21 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SurfaceSystem:
-    """Basis of H_2 of the Milnor fiber with its intersection form.
+    """The S' basis (spheres s{m}_{j}, s+, t2) of H_2 of the Milnor fiber.
 
-    For tag "S'" the basis is (spheres s{m}_{j}, s+, t2) and ``t2_index``
-    points at the fiber class; the removed sphere s{m}_0 of each chain
-    expands as t2 - sum_j s{m}_j.
+    ``t2_index`` points at the fiber class; the removed sphere s{m}_0 of
+    each chain expands as t2 - sum_j s{m}_j.  The intersection form is
+    built on first use.
     """
 
     triple: tuple[int, int, int]
-    tag: str
-    lattice: GramLattice
-    t2_index: int | None
+
+    def __post_init__(self):
+        _check_tilde_triple(*self.triple)
+
+    @cached_property
+    def lattice(self) -> GramLattice:
+        return t_tilde_lattice(*self.triple)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -45,7 +50,11 @@ class SurfaceSystem:
 
     @property
     def rank(self) -> int:
-        return self.lattice.rank
+        return sum(self.triple) - 1
+
+    @property
+    def t2_index(self) -> int:
+        return self.rank - 1
 
     def arm_indices(self, m: int) -> list[int]:
         """Basis indices of the spheres s{m}_1 .. s{m}_{len}."""
@@ -56,27 +65,15 @@ class SurfaceSystem:
 
     def expand_sigma_m0(self, m: int) -> tuple[int, ...]:
         """Coordinates of the removed chain sphere s{m}_0 in this basis."""
-        if self.tag != "S'":
-            raise ValueError("expansion is defined on the S' basis")
         v = [0] * self.rank
         v[self.t2_index] = 1
         for i in self.arm_indices(m):
             v[i] = -1
         return tuple(v)
 
-    def to_json(self) -> dict:
-        return {
-            "triple": list(self.triple),
-            "tag": self.tag,
-            "labels": list(self.labels),
-            "gram": [list(r) for r in self.lattice.gram],
-        }
 
-
-def surface_system(p: int, q: int, r: int, tag: str = "S'") -> SurfaceSystem:
-    lat = t_tilde_lattice(p, q, r, tag)
-    t2 = lat.rank - 1 if tag == "S'" else None
-    return SurfaceSystem((p, q, r), tag, lat, t2)
+def surface_system(p: int, q: int, r: int) -> SurfaceSystem:
+    return SurfaceSystem((p, q, r))
 
 
 def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
@@ -86,7 +83,7 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     image s{m}_0 expanding through the fiber relation t2 = chain sum;
     s+ -> s+ + s1_1 + s2_1 + s3_1 - t2 and t2 is fixed.
     """
-    sys = surface_system(p, q, r, "S'")
+    sys = surface_system(p, q, r)
     n = sys.rank
     t2 = sys.t2_index
     plus = n - 2
@@ -117,7 +114,7 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
 def section_vector(p: int, q: int, r: int) -> tuple[int, ...]:
     """Pairing functional of the section class against the S' basis:
     zero on every sphere and on s+, one on the fiber class."""
-    sys = surface_system(p, q, r, "S'")
+    sys = surface_system(p, q, r)
     v = [0] * sys.rank
     v[sys.t2_index] = 1
     return tuple(v)

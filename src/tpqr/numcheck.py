@@ -534,7 +534,6 @@ def _fields(report, *skip: str) -> dict:
 
 @dataclass(frozen=True)
 class CriticalPointReport:
-    point: tuple[complex, complex, complex]
     residual_rel: float
     rank_ratio: float
     corank2_ratio: float
@@ -545,26 +544,19 @@ class CriticalPointReport:
     def ok(self) -> bool:
         return self.residual_ok and self.rank_ok
 
-    def to_json(self) -> dict:
-        return {
-            "point": [[c.real, c.imag] for c in self.point],
-            "residual_rel": self.residual_rel,
-            "rank_ratio": self.rank_ratio,
-            "corank2_ratio": self.corank2_ratio,
-            "ok": self.ok,
-        }
-
 
 def _critical_reports(
     params: FibrationParams, pts: np.ndarray, config: NumericalConfig
 ) -> list[CriticalPointReport]:
-    """Checks level-set membership and rank deficiency of the restricted
+    """Checks level-set membership and the vanishing of the restricted
     differential of g at each row of pts.
 
     The tangent space of X_t is the numerical kernel of the 2x6 real
-    Jacobian of the defining map; the reduced 2x4 Jacobian of g on it must
-    be singular, measured against the largest singular value of the
-    ambient Jacobian of g.
+    Jacobian of the defining map.  At a Lefschetz point the reduced 2x4
+    Jacobian of g on it vanishes (corank 2), so ``rank_ok`` needs its
+    largest singular value to be small against the largest singular value
+    of the ambient Jacobian of g; ``rank_ratio`` is the smallest one,
+    which only shows that the differential is singular.
     """
     tau = params.target
     value, grads = _ft_pass(params, pts)
@@ -578,12 +570,11 @@ def _critical_reports(
     corank2_ratio = svals[:, 0] / ambient
     return [
         CriticalPointReport(
-            point=tuple(complex(c) for c in pts[i]),
             residual_rel=float(residual[i]),
             rank_ratio=float(rank_ratio[i]),
             corank2_ratio=float(corank2_ratio[i]),
             residual_ok=bool(residual[i] < config.residual_tol),
-            rank_ok=bool(rank_ratio[i] < config.rank_tol),
+            rank_ok=bool(corank2_ratio[i] < config.rank_tol),
         )
         for i in range(len(pts))
     ]
@@ -994,10 +985,15 @@ def lagrangian_defect(
     pts = np.asarray(points, dtype=complex).reshape(-1, 3)
     if np.any(np.abs(pts) == 0.0):
         raise ValueError("fiber tangent planes are not defined on the axes")
-    stacked = np.concatenate([ft_real_jacobian(params, pts), g_real_jacobian(pts)], axis=-2)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
-    # Points too close to a singular fiber for a clean kernel are skipped.
-    used = ~(svals[:, 3] < 1e-9 * svals[:, 0])
+    jg = g_real_jacobian(pts)
+    _, svals, vh = np.linalg.svd(
+        np.concatenate([ft_real_jacobian(params, pts), jg], axis=-2), full_matrices=True
+    )
+    # Points too close to a singular fiber for a clean kernel are skipped:
+    # there the fourth singular value vanishes against the size of g's own
+    # differential (their ratio is 1/sqrt(2) on the regular torus).  The ft
+    # rows grow with a, so their scale says nothing about that nearness.
+    used = ~(svals[:, 3] < 1e-9 * np.linalg.norm(jg, axis=(-2, -1)))
     defect = np.abs(_omega0(vh[used, 4], vh[used, 5]))
     return DefectReport(
         samples=int(np.count_nonzero(used)),

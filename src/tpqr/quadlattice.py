@@ -82,9 +82,6 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.labels)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.gram[i][j]
-
     def permuted(self, order: list[int]) -> "GramLattice":
         return GramLattice(
             tuple(self.labels[i] for i in order),
@@ -180,6 +177,14 @@ def e_lattice(k: int) -> GramLattice:
     return GramLattice(tuple(f"e{i+1}" for i in range(base.rank)), base.gram)
 
 
+def _check_tilde_triple(p: int, q: int, r: int) -> None:
+    """The Milnor fiber lattices exist for cusp and parabolic triples."""
+    if min(p, q, r) < 2:
+        raise LatticeError("t_tilde_lattice needs p,q,r >= 2")
+    if triple_excess(p, q, r) < 0:
+        raise LatticeError(f"({p},{q},{r}) is neither a cusp nor a parabolic triple")
+
+
 def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
     """Rank p+q+r-1 intersection form of the Milnor fiber of T_{p,q,r}.
 
@@ -188,10 +193,7 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     is all -2.  generator "S'": basis (spheres, s+, t2), where t2 = s+ - s-
     pairs to zero with everything.
     """
-    if min(p, q, r) < 2:
-        raise LatticeError("t_tilde_lattice needs p,q,r >= 2")
-    if triple_excess(p, q, r) < 0:
-        raise LatticeError(f"({p},{q},{r}) is neither a cusp nor a parabolic triple")
+    _check_tilde_triple(p, q, r)
     star = _star_rows(p, q, r)
     n = len(star) + 1
     rows = [[0] * n for _ in range(n)]

@@ -107,11 +107,8 @@ class SL2Matrix:
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
-    def rows(self) -> list[list[int]]:
-        return [[self.a, self.b], [self.c, self.d]]
-
     def to_json(self) -> list[list[int]]:
-        return self.rows()
+        return [[self.a, self.b], [self.c, self.d]]
 
     @classmethod
     def from_json(cls, data) -> "SL2Matrix":
@@ -150,10 +147,6 @@ class HomologyClass:
     def __post_init__(self):
         if math.gcd(abs(self.m), abs(self.n)) != 1:
             raise ValueError(f"({self.m},{self.n}) is not a primitive class")
-
-    def pair(self, other: "HomologyClass | tuple[int, int]") -> int:
-        om, on = (other.m, other.n) if isinstance(other, HomologyClass) else other
-        return self.m * on - self.n * om
 
 
 ALPHA = HomologyClass(1, 0)

@@ -286,8 +286,24 @@ def test_numerical_config_rejects_an_infinite_rank_tol():
         NumericalConfig(rank_tol=math.inf)
 
 
-def test_text_report_names_the_failing_defect(capsys):
+def test_text_report_names_the_failing_defect(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "verify-fibration", "--pqr", "2,3,7", "--a", "1e50", "--samples", "20")
+    assert code == 0
+    assert "lagrangian defect: passed=True samples=10 max_defect=" in out
+    cfgfile = tmp_path / "tight.cfg"
+    cfgfile.write_text("rank_tol=1e-40\n")
+    argv = ["verify-fibration", "--pqr", "2,3,7", "--samples", "20", "--tolerance-file", str(cfgfile)]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("critical points: 12 verified, all_ok=False\n")
+    assert out.endswith("overall: FAIL\n")
+    from tpqr import numcheck
+
+    def no_point(params, points=None, config=None, tolerance=1e-6):
+        return numcheck.DefectReport(0, 0.0, True, tolerance)
+
+    monkeypatch.setattr(numcheck, "lagrangian_defect", no_point)
+    code, out = run(capsys, *argv[:-2])
     assert code == 1
     assert "lagrangian defect: passed=False samples=0 max_defect=0\n" in out
     assert out.endswith("overall: FAIL\n")
@@ -312,16 +328,6 @@ def test_a_beyond_the_double_range_is_a_precondition_error(capsys, a):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: a = ") and len(err.splitlines()) == 1
-
-
-def test_a_defect_that_used_no_point_is_a_failure(capsys):
-    code, data = run_json(
-        capsys, "verify-fibration", "--pqr", "2,3,7", "--a", "1e50", "--samples", "20"
-    )
-    assert code == 1
-    assert data["lagrangian_defect"]["samples"] == 0
-    assert data["lagrangian_defect"]["passed"] is False
-    assert data["passed"] is False
 
 
 def test_verify_fibration_rejects_a_non_finite_theta(capsys):

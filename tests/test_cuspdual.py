@@ -462,12 +462,3 @@ def test_triple_normalization():
 def test_cycle_to_triple_absent_for_unmatchable_rotation():
     # (2,4,3) admits no rotation of the three-curve construction
     assert cycle_to_triple(CycleData.of(2, 4, 3)) is None
-
-
-def test_surface_tags_and_expansion_guard():
-    from tpqr.milnorfiber import surface_system
-
-    sys_s = surface_system(2, 3, 7, "S")
-    assert sys_s.t2_index is None
-    with pytest.raises(ValueError):
-        sys_s.expand_sigma_m0(1)

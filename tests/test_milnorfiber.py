@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     interpolated_char_poly,
     square_matrices,
 )
+from tpqr import cli, milnorfiber
 from tpqr.milnorfiber import (
     char_poly,
     monodromy_action,
@@ -40,10 +42,36 @@ def all_triples(limit, strict=None):
 
 def test_surface_system_matches_lattice():
     for triple in [(2, 3, 7), (3, 3, 4), (3, 3, 3)]:
-        sys_ = surface_system(*triple, "S'")
+        sys_ = surface_system(*triple)
         assert sys_.lattice == t_tilde_lattice(*triple, "S'")
         assert sys_.rank == sum(triple) - 1
         assert sys_.labels[sys_.t2_index] == "t2"
+
+
+def _count_lattices(monkeypatch) -> list:
+    calls = []
+    build = milnorfiber.t_tilde_lattice
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(milnorfiber, "t_tilde_lattice", counted)
+    return calls
+
+
+def test_lattice_is_built_once_and_only_when_read(monkeypatch, capsys):
+    calls = _count_lattices(monkeypatch)
+    monodromy_action(3, 4, 114), section_vector(3, 4, 114)
+    sys_ = surface_system(3, 4, 114)
+    assert sys_.rank == 120 and sys_.t2_index == 119 and sys_.arm_indices(3)[-1] == 117
+    assert calls == []
+    assert sys_.labels[sys_.t2_index] == "t2" and sys_.lattice.rank == 120
+    assert calls == [(3, 4, 114)]
+    calls.clear()
+    assert cli.main(["monodromy", "3", "4", "114", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["h2_action"]["gram"]) == 120
+    assert calls == [(3, 4, 114)]
 
 
 def test_surface_system_rejects_hyperbolic_deficit():
@@ -54,7 +82,7 @@ def test_surface_system_rejects_hyperbolic_deficit():
 
 
 def test_center_pairs_plus_one_with_first_arm_spheres():
-    sys_ = surface_system(2, 3, 7, "S'")
+    sys_ = surface_system(2, 3, 7)
     g = sys_.lattice.gram
     plus = sys_.rank - 2
     for m in (1, 2, 3):
@@ -66,7 +94,7 @@ def test_center_pairs_plus_one_with_first_arm_spheres():
 
 def test_removed_sphere_expansion_pairings():
     # s+ . expanded s{m}_0 = -1 while s+ . s{m}_1 = +1
-    sys_ = surface_system(2, 3, 7, "S'")
+    sys_ = surface_system(2, 3, 7)
     g = sys_.lattice.gram
     plus = sys_.rank - 2
     for m in (1, 2, 3):
@@ -76,7 +104,7 @@ def test_removed_sphere_expansion_pairings():
 
 
 def test_fiber_class_self_pairing_zero():
-    sys_ = surface_system(3, 4, 5, "S'")
+    sys_ = surface_system(3, 4, 5)
     t2 = sys_.t2_index
     assert sys_.lattice.gram[t2][t2] == 0
 
@@ -116,7 +144,7 @@ def test_p2_wrap_formula():
 
 def test_wrap_expansion_on_longer_arm():
     # (3,4,5): the q-arm has indices 1..3; its last sphere wraps through t2
-    sys_ = surface_system(3, 4, 5, "S'")
+    sys_ = surface_system(3, 4, 5)
     mu = monodromy_action(3, 4, 5)
     n = len(mu)
     arm = sys_.arm_indices(2)
@@ -135,7 +163,7 @@ def test_wrap_expansion_on_longer_arm():
 
 
 def test_center_image():
-    sys_ = surface_system(2, 3, 7, "S'")
+    sys_ = surface_system(2, 3, 7)
     mu = monodromy_action(2, 3, 7)
     n = len(mu)
     plus = n - 2
@@ -161,7 +189,7 @@ def test_monodromy_has_infinite_order_for_cusp_triples():
 
 def test_section_vector_pairings():
     sec = section_vector(2, 3, 7)
-    sys_ = surface_system(2, 3, 7, "S'")
+    sys_ = surface_system(2, 3, 7)
     assert sec[sys_.t2_index] == 1
     assert all(sec[i] == 0 for i in range(sys_.rank) if i != sys_.t2_index)
     # against the expanded removed spheres the pairing is +1

@@ -1,9 +1,13 @@
 """numcheck.verify_fibration against the stage-by-stage pipeline it
-replaced (``staged_verify_fibration`` in conftest), report for report."""
+replaced (``staged_verify_fibration`` in conftest), report for report,
+and the rules behind two of its verdicts: the corank of the differential
+at a critical point and the points the Lagrangian defect skips."""
 
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 from conftest import staged_verify_fibration
 
@@ -31,8 +35,13 @@ def test_report_equals_the_staged_pipeline(pqr):
         assert ("lagrangian_defect" in report) == (t == 1.0)
 
 
-def test_report_with_a_failing_defect_equals_the_staged_pipeline():
-    report = assert_same_report(FibrationParams(2, 3, 7, a=1e50, theta=0.7))
+def test_report_with_a_failing_defect_equals_the_staged_pipeline(monkeypatch):
+    def no_point(params, points=None, config=None, tolerance=1e-6):
+        return numcheck.DefectReport(0, 0.0, True, tolerance)
+
+    monkeypatch.setattr(numcheck, "lagrangian_defect", no_point)
+    report = assert_same_report(FibrationParams.minimal(2, 3, 7, theta=0.7))
+    assert report["lagrangian_defect"]["samples"] == 0
     assert report["lagrangian_defect"]["passed"] is False
     assert report["passed"] is False
 
@@ -55,3 +64,54 @@ def test_projection_failure_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(numcheck.ProjectionError):
             verify_fibration(params, NumericalConfig(samples=20))
+
+
+def near_critical_points(params, radius):
+    """Points of X_t at transverse distance ``radius`` (relative) from each
+    critical point: the two zero coordinates are moved off the axis, and
+    the point is projected back onto the level."""
+    crits = numcheck.critical_points(params)
+    scale = np.abs(crits).sum(axis=1, keepdims=True)
+    off = (crits == 0) * np.exp(1j * np.array([0.4, 1.1, 2.3]))
+    return numcheck.project_to_level(params, crits + radius * scale * off)
+
+
+@pytest.mark.parametrize("pqr", TABLE_TRIPLES + PARABOLIC_TRIPLES, ids=str)
+def test_defect_uses_every_regular_point_however_large_a(pqr):
+    # the ft rows grow with a; nearness to a singular fiber does not
+    cfg = NumericalConfig(samples=200)
+    for a in (1e28, 1e50, 6e153):
+        report = numcheck.lagrangian_defect(FibrationParams(*pqr, a=a), config=cfg)
+        assert report.samples == max(10, cfg.samples // 10), a
+        assert report.passed, a
+
+
+@pytest.mark.parametrize("pqr", TABLE_TRIPLES + PARABOLIC_TRIPLES, ids=str)
+def test_defect_skips_points_next_to_a_critical_point(pqr):
+    params = FibrationParams.minimal(*pqr, theta=0.7)
+    pts = near_critical_points(params, 1e-10)
+    assert np.all(np.abs(pts) > 0.0)
+    assert numcheck.lagrangian_defect(params, pts).samples == 0
+
+
+def test_a_defect_that_used_no_point_is_a_failure():
+    params = FibrationParams.minimal(2, 3, 7, theta=0.7)
+    report = numcheck.lagrangian_defect(params, near_critical_points(params, 1e-10))
+    assert report.samples == 0 and report.max_defect == 0.0
+    assert not report.passed and report.to_json()["passed"] is False
+
+
+def test_a_critical_point_needs_a_vanishing_differential():
+    # on-level decoys 1e-3 off the x-axis points: the restricted
+    # differential is singular (rank ratio 2-7e-4) but far from zero
+    params = FibrationParams.minimal(2, 3, 7)
+    cfg = NumericalConfig(rank_tol=1e-2)
+    rng = np.random.default_rng(2)
+    for pt in numcheck.critical_points(params)[:3]:
+        noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        decoy = pt + 1e-3 * float(np.linalg.norm(pt)) * noise / math.sqrt(6)
+        rep = numcheck.verify_critical_point(params, numcheck.project_to_level(params, decoy), cfg)
+        assert rep.residual_ok and rep.rank_ratio < cfg.rank_tol
+        assert not rep.rank_ok and not rep.ok
+    for rep in numcheck.verify_critical_points(params, cfg):
+        assert rep.ok and rep.corank2_ratio < 1e-15
