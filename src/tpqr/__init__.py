@@ -3,10 +3,18 @@ the T_{p,q,r} singularity family.
 
 The layers are the submodules cuspdual, k3glue, milnorfiber, numcheck,
 quadlattice and sl2z; import the ones you use (only numcheck needs numpy).
-The one function defined here is ``triple_excess``, the sign test of a
-triple shared by sl2z, quadlattice and numcheck; sl2z re-exports it, so
-quadlattice and numcheck use it without loading sl2z.
+Two things are defined here, because several layers share them and none
+should load another for them:
+
+- ``triple_excess``, the sign test of a triple used by sl2z, quadlattice
+  and numcheck; sl2z re-exports it.
+- ``value_class``, the decorator behind every report and value type of
+  the layers.  It builds the methods of a frozen value class from
+  closures, so a one-shot request neither imports ``dataclasses`` (and
+  with it ``inspect``) nor compiles generated code for each class.
 """
+
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -17,3 +25,72 @@ def triple_excess(p: int, q: int, r: int) -> int:
     It has the sign of 1 - 1/p - 1/q - 1/r: positive exactly for a cusp
     triple and zero exactly for a parabolic one."""
     return p * q * r - p * q - q * r - r * p
+
+
+def value_class(cls):
+    """Make ``cls`` a frozen value class over its annotated fields.
+
+    As with a frozen dataclass: construction by position or keyword, with
+    a field's class attribute as its default, then ``__post_init__`` if
+    the class has one; ``==`` only between instances of one class; a hash
+    and a ``Name(a=1, b=2)`` repr over the fields; AttributeError on any
+    assignment or deletion.  The fields live in the instance ``__dict__``,
+    so ``vars`` lists them in declaration order and
+    ``functools.cached_property`` works.
+
+    A method the class defines itself is kept.  A hot class writes its own
+    ``__init__`` with a plain signature, which binds faster than the
+    generic one; it must set every field with ``object.__setattr__``, as
+    the generic one does (assigning to ``self.__dict__`` would give each
+    instance a dict of its own, which costs memory and attribute reads)."""
+    names = tuple(cls.__annotations__)
+    field_set = frozenset(names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+    post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
+
+    def bind(qualname, args, kwargs):
+        """Every field's value, in declaration order."""
+        given = dict(zip(names, args), **kwargs)
+        # too many arguments, a keyword naming a positional one, or an unknown keyword
+        if len(given) != len(args) + len(kwargs) or not given.keys() <= field_set:
+            raise TypeError(
+                f"{qualname}() takes the fields {', '.join(names)}; "
+                f"got {len(args)} positional and the keywords {sorted(kwargs)}"
+            )
+        try:
+            return [given[n] if n in given else defaults[n] for n in names]
+        except KeyError as missing:
+            raise TypeError(f"{qualname}() missing {missing}") from None
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(type(self).__qualname__, args, kwargs)
+        for n, v in zip(names, args):
+            set_field(self, n, v)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def frozen(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
+               "__repr__": __repr__, "__setattr__": frozen, "__delattr__": frozen}
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls

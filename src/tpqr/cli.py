@@ -7,7 +7,6 @@ failing certificate is in the report), 2 usage or precondition error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -84,7 +83,7 @@ def _load_config(args):
         for key in ("samples", "seed")
         if getattr(args, key, None) is not None
     }
-    cfg = dataclasses.replace(cfg, **updates)
+    cfg = numcheck.NumericalConfig(**{**vars(cfg), **updates})
     _check_limit("sample count", cfg.samples, _SAMPLES_LIMIT)
     return cfg
 

@@ -11,10 +11,10 @@ monodromy of the triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from . import value_class
 from .sl2z import (
     ConjugacyCertificate,
     SL2Matrix,
@@ -79,7 +79,7 @@ def _squarefree(n: int) -> tuple[int, int]:
     return (s * root, d) if root * root == m else (s, d * m)
 
 
-@dataclass(frozen=True)
+@value_class
 class QuadIrrational:
     """(a + b*sqrt(d)) / c with c > 0 and gcd(a, b, c) = 1; d = 1 encodes a
     rational value with b = 0.
@@ -98,17 +98,23 @@ class QuadIrrational:
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.c <= 0:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # the hot constructor, as in SL2Matrix
+        if c <= 0:
             raise ValueError("canonical form requires c > 0")
-        if self.d <= 0:
+        if d <= 0:
             raise ValueError("canonical form requires d > 0")
-        if self.b == 0 and self.d != 1:
+        if b == 0 and d != 1:
             raise ValueError("rational value must carry d = 1")
-        if self.d == 1 and self.b != 0:
+        if d == 1 and b != 0:
             raise ValueError("d = 1 must be folded into the rational part")
-        if math.gcd(math.gcd(abs(self.a), abs(self.b)), self.c) != 1:
+        if math.gcd(a, b, c) != 1:
             raise ValueError("not gcd-reduced")
+        set_field = object.__setattr__
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
@@ -167,7 +173,7 @@ class QuadIrrational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class CycleData:
     """Cyclic self-intersection data (c_1, ..., c_k) of a resolution cycle,
     c_j = -C_j^2 for k >= 2; for k = 1 the entry is the normal Euler number
@@ -210,7 +216,7 @@ class CycleData:
         return list(self.entries)
 
 
-@dataclass(frozen=True)
+@value_class
 class Triple:
     """Index triple with its sorted normalization kept alongside."""
 
@@ -373,7 +379,7 @@ def _action(m: SL2Matrix) -> SL2Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class DualityReport:
     triple: Triple
     dual: Triple

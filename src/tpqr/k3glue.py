@@ -5,9 +5,9 @@ fibers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from . import value_class
 from .cuspdual import Triple
 from .quadlattice import (
     GramLattice,
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_class
 class DualPair:
     left_label: str
     left: tuple[int, int, int]
@@ -107,7 +107,7 @@ def critical_count(pair: DualPair) -> int:
     return pair.index_sum
 
 
-@dataclass(frozen=True)
+@value_class
 class GluedVerdict:
     det: int
     signature: tuple[int, int, int]
@@ -151,7 +151,7 @@ def torus_knot_types(p: int, q: int, r: int) -> tuple[tuple[int, int], ...]:
     return ((p, p - 1), (q, q - 1), (r, r - 1))
 
 
-@dataclass(frozen=True)
+@value_class
 class InoseCase:
     """Quadrant counts (c1,c2,c3,c4): how many of the eight simple critical
     values in each quadrant the domain contains; each quadrant holds two."""
@@ -187,7 +187,7 @@ def inose_monodromy(
     return evaluate_word(word)
 
 
-@dataclass(frozen=True)
+@value_class
 class InoseClassification:
     triple: Triple
     side: str  # "direct": monodromy ~ A; "inverse": monodromy ~ A^{-1}

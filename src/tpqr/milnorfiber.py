@@ -9,10 +9,10 @@ on it, and the pairing vector of the fibration's section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
+from . import value_class
 from .quadlattice import GramLattice, _check_tilde_triple, _row_times, t_tilde_lattice
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceSystem:
     """The S' basis (spheres s{m}_{j}, s+, t2) of H_2 of the Milnor fiber.
 

@@ -9,10 +9,9 @@ unimodular lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from . import triple_excess
+from . import triple_excess, value_class
 
 __all__ = [
     "GramLattice",
@@ -48,7 +47,7 @@ class DefiniteLatticeError(LatticeError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class GramLattice:
     """Symmetric integer Gram matrix with labeled basis.
 
@@ -335,7 +334,7 @@ def _row_times(row, right) -> dict[int, int]:
     return {j: x for j, x in out.items() if x}
 
 
-@dataclass(frozen=True)
+@value_class
 class SNFResult:
     """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0.
 

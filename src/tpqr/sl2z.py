@@ -19,12 +19,11 @@ matrix, whose reduced matrix is unique in its class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
-from . import triple_excess
+from . import triple_excess, value_class
 
 __all__ = [
     "SL2Matrix",
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_class
 class SL2Matrix:
     """2x2 integer matrix (a b; c d) with determinant exactly 1."""
 
@@ -57,14 +56,19 @@ class SL2Matrix:
     c: int
     d: int
 
-    def __post_init__(self):
-        for v in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # the hot constructor: a plain signature binds faster than the
+        # generic one of value_class
+        for v in (a, b, c, d):
             if not isinstance(v, int):
                 raise TypeError(f"integer entries required, got {v!r}")
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(
-                f"determinant must be 1: [[{self.a},{self.b}],[{self.c},{self.d}]]"
-            )
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
+        set_field = object.__setattr__
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
 
     @classmethod
     def identity(cls) -> "SL2Matrix":
@@ -133,7 +137,7 @@ class MatrixClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
+@value_class
 class HomologyClass:
     """Primitive class (m,n) in H_1 of the torus.
 
@@ -154,7 +158,7 @@ BETA = HomologyClass(0, 1)
 GAMMA = HomologyClass(1, -1)
 
 
-@dataclass(frozen=True)
+@value_class
 class TwistWord:
     """Ordered Dehn-twist word; the leftmost letter acts last."""
 
@@ -180,7 +184,7 @@ class TwistWord:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class ConjugacyCertificate:
     """Witness P for P * source * P^{-1} = target; checked on construction."""
 
@@ -291,7 +295,7 @@ def _block_rotations(exps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ..
     return ((k, exps[k:] + exps[:k]) for k in range(0, len(exps), 2))
 
 
-@dataclass(frozen=True)
+@value_class
 class RLWord:
     """Cyclic positive word R^{e1} L^{e2} ... R^{e_{2s-1}} L^{e_{2s}}.
 

@@ -33,12 +33,17 @@ projection built on them, and ``looped_draw_per_seed`` the sampler's
 per-seed generator calls before they were replayed from raw words.
 ``staged_verify_fibration`` is the fibration pipeline and its verdict as
 the CLI ran them stage by stage before ``numcheck.verify_fibration``.
+The ``Dataclass*`` classes are four value classes as they were declared
+before ``tpqr.value_class`` replaced ``@dataclass(frozen=True)``: their
+fields, defaults, validation and cached property.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterator, Optional
 
@@ -66,7 +71,7 @@ from tpqr.numcheck import (
     phi_values,
     point,
 )
-from tpqr.quadlattice import GramLattice, SNFResult, _eliminate
+from tpqr.quadlattice import GramLattice, LatticeError, SNFResult, _eliminate
 from tpqr.sl2z import R, MatrixClass, SL2Matrix, _I, _floor_surd, classify
 
 
@@ -818,6 +823,74 @@ def staged_verify_fibration(params: FibrationParams, cfg: NumericalConfig) -> di
     )
     report["passed"] = passed
     return report
+
+
+@dataclass(frozen=True)
+class DataclassSL2Matrix:
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        for v in (self.a, self.b, self.c, self.d):
+            if not isinstance(v, int):
+                raise TypeError(f"integer entries required, got {v!r}")
+        if self.a * self.d - self.b * self.c != 1:
+            raise ValueError(
+                f"determinant must be 1: [[{self.a},{self.b}],[{self.c},{self.d}]]"
+            )
+
+
+@dataclass(frozen=True)
+class DataclassRLWord:
+    exponents: tuple[int, ...]
+    sign: int = 1
+
+    def __post_init__(self):
+        if len(self.exponents) == 0 or len(self.exponents) % 2 != 0:
+            raise ValueError("exponent tuple must be nonempty of even length")
+        if any(e < 1 for e in self.exponents):
+            raise ValueError("all exponents must be >= 1")
+
+
+@dataclass(frozen=True)
+class DataclassQuadIrrational:
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        if self.c <= 0:
+            raise ValueError("canonical form requires c > 0")
+        if self.d <= 0:
+            raise ValueError("canonical form requires d > 0")
+        if self.b == 0 and self.d != 1:
+            raise ValueError("rational value must carry d = 1")
+        if self.d == 1 and self.b != 0:
+            raise ValueError("d = 1 must be folded into the rational part")
+        if math.gcd(math.gcd(abs(self.a), abs(self.b)), self.c) != 1:
+            raise ValueError("not gcd-reduced")
+
+
+@dataclass(frozen=True)
+class DataclassGramLattice:
+    labels: tuple[str, ...]
+    gram: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.labels)
+        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+            raise LatticeError("gram matrix shape does not match labels")
+        for i in range(n):
+            for j in range(i, n):
+                if self.gram[i][j] != self.gram[j][i]:
+                    raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
+
+    @cached_property
+    def _elimination(self) -> tuple[int, tuple[int, int, int]]:
+        return _eliminate(self.gram)
 
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])

@@ -175,16 +175,20 @@ def test_exact_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-# The tpqr modules loaded after `import tpqr.cli` and after main, written to
+# The tpqr modules loaded after `import tpqr.cli` and after main, and the
+# standard-library modules that only code generation needs, written to
 # stderr (main's report goes to stdout) as one JSON line.
 LOADED_MODULES = (
     "import json, sys\n"
     "def tpqr_modules():\n"
     "    return sorted(m for m in sys.modules if m.split('.')[0] == 'tpqr')\n"
+    "def codegen_modules():\n"
+    "    return sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
     "import tpqr.cli\n"
-    "before = tpqr_modules()\n"
+    "before = [tpqr_modules(), codegen_modules()]\n"
     "rc = tpqr.cli.main(sys.argv[1:])\n"
-    "print(json.dumps([rc, before, tpqr_modules(), 'numpy' in sys.modules]), file=sys.stderr)"
+    "after = [tpqr_modules(), codegen_modules()]\n"
+    "print(json.dumps([rc, before, after, 'numpy' in sys.modules]), file=sys.stderr)"
 )
 
 _K3GLUE_SET = {"k3glue", "cuspdual", "quadlattice", "sl2z"}
@@ -208,8 +212,9 @@ def test_each_command_loads_only_its_layers(argv, layers):
     assert proc.returncode == 0, proc.stderr
     rc, before, after, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
     assert rc == 0, proc.stderr
-    assert before == ["tpqr", "tpqr.cli"]
-    assert set(after) == {"tpqr", "tpqr.cli"} | {f"tpqr.{m}" for m in layers}
+    assert before == [["tpqr", "tpqr.cli"], []]
+    assert set(after[0]) == {"tpqr", "tpqr.cli"} | {f"tpqr.{m}" for m in layers}
+    assert after[1] == []
     assert not numpy_loaded
 
 
@@ -300,7 +305,7 @@ def test_text_report_names_the_failing_defect(capsys, tmp_path, monkeypatch):
     from tpqr import numcheck
 
     def no_point(params, points=None, config=None, tolerance=1e-6):
-        return numcheck.DefectReport(0, 0.0, True, tolerance)
+        return numcheck.DefectReport(0, 0.0, True, tolerance, tried=10)
 
     monkeypatch.setattr(numcheck, "lagrangian_defect", no_point)
     code, out = run(capsys, *argv[:-2])

@@ -226,7 +226,7 @@ def test_params_reject_a_spherical_triple_and_a_non_finite_theta(kwargs):
 @pytest.mark.parametrize("t", TIMES)
 def test_a_defect_report_that_used_no_point_fails(t):
     report = numcheck.DefectReport(
-        samples=0, max_defect=0.0, lagrangian_expected=t == 1.0, tolerance=1e-6
+        samples=0, max_defect=0.0, lagrangian_expected=t == 1.0, tolerance=1e-6, tried=10
     )
     assert not report.passed and report.to_json()["passed"] is False
 
@@ -264,4 +264,5 @@ def test_defect_report_for_a_fixed_seed_is_unchanged():
         max_defect=float.fromhex("0x1.70a0000000000p-47"),
         lagrangian_expected=True,
         tolerance=1e-6,
+        tried=100,
     )

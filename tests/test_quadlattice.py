@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -385,11 +384,11 @@ def test_sparse_verify_agrees_with_the_dense_oracle(lat, data):
     if which == "divisors":
         d = list(snf.divisors)
         d[i] += delta
-        bad = replace(snf, divisors=tuple(d))
+        bad = SNFResult(**dict(vars(snf), divisors=tuple(d)))
     else:
         t = _bumped(getattr(snf, which), i, j, delta)
         inv = _integer_inverse(t) or getattr(snf, which + "_inv")
-        bad = replace(snf, **{which: t, which + "_inv": inv})
+        bad = SNFResult(**dict(vars(snf), **{which: t, which + "_inv": inv}))
     assert bad.verify(lat) == dense_snf_verify(bad, lat)
 
 
@@ -409,7 +408,7 @@ def test_every_single_entry_mutant_of_a_transform_fails(lat):
     for name in ("u", "v", "u_inv", "v_inv"):
         t = getattr(snf, name)
         for i, j, delta in itertools.product(range(n), range(n), (1, -1)):
-            bad = replace(snf, **{name: _bumped(t, i, j, delta)})
+            bad = SNFResult(**dict(vars(snf), **{name: _bumped(t, i, j, delta)}))
             assert not bad.verify(lat), (name, i, j, delta)
 
 
@@ -431,11 +430,12 @@ def test_a_negated_divisor_fails_although_the_products_hold():
     lat = t_lattice(2, 3, 9)
     snf = smith_normal_form(lat)
     k = lat.rank - 1
-    bad = replace(
-        snf,
+    bad = SNFResult(
         divisors=snf.divisors[:k] + (-snf.divisors[k],),
         u=snf.u[:k] + (tuple(-x for x in snf.u[k]),),
+        v=snf.v,
         u_inv=tuple(r[:k] + (-r[k],) for r in snf.u_inv),
+        v_inv=snf.v_inv,
     )
     n = lat.rank
     eye = [[int(i == j) for j in range(n)] for i in range(n)]

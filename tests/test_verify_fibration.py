@@ -1,7 +1,8 @@
 """numcheck.verify_fibration against the stage-by-stage pipeline it
-replaced (``staged_verify_fibration`` in conftest), report for report,
-and the rules behind two of its verdicts: the corank of the differential
-at a critical point and the points the Lagrangian defect skips."""
+replaced (``staged_verify_fibration`` in conftest), report for report
+but for the one key it added, and the rules behind two of its verdicts:
+the corank of the differential at a critical point, and the points the
+Lagrangian defect skips and the share of them it may skip."""
 
 import json
 import math
@@ -21,9 +22,16 @@ CFG = NumericalConfig(samples=30)
 
 
 def assert_same_report(params, cfg=CFG):
+    """The staged pipeline's report, plus worst_corank2_ratio, the ratio
+    that the critical-point verdict reads."""
     report = verify_fibration(params, cfg)
     want = staged_verify_fibration(params, cfg)
-    assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
+    crit = dict(report["critical_points"])
+    corank2 = crit.pop("worst_corank2_ratio")
+    assert corank2 == max(rep.corank2_ratio for rep in numcheck.verify_critical_points(params, cfg))
+    assert json.dumps({**report, "critical_points": crit}, sort_keys=True) == json.dumps(
+        want, sort_keys=True
+    )
     return report
 
 
@@ -37,7 +45,7 @@ def test_report_equals_the_staged_pipeline(pqr):
 
 def test_report_with_a_failing_defect_equals_the_staged_pipeline(monkeypatch):
     def no_point(params, points=None, config=None, tolerance=1e-6):
-        return numcheck.DefectReport(0, 0.0, True, tolerance)
+        return numcheck.DefectReport(0, 0.0, True, tolerance, tried=10)
 
     monkeypatch.setattr(numcheck, "lagrangian_defect", no_point)
     report = assert_same_report(FibrationParams.minimal(2, 3, 7, theta=0.7))
@@ -99,6 +107,40 @@ def test_a_defect_that_used_no_point_is_a_failure():
     report = numcheck.lagrangian_defect(params, near_critical_points(params, 1e-10))
     assert report.samples == 0 and report.max_defect == 0.0
     assert not report.passed and report.to_json()["passed"] is False
+
+
+def test_the_report_shows_the_ratio_its_critical_point_verdict_reads():
+    # the smallest ratio is far below a tolerance of 1e-16, the largest,
+    # which the verdict reads, is not
+    params = FibrationParams.minimal(2, 3, 7)
+    report = verify_fibration(params, NumericalConfig(rank_tol=1e-16, samples=30))
+    crit = report["critical_points"]
+    assert crit["worst_rank_ratio"] < 1e-30
+    assert crit["worst_corank2_ratio"] >= 1e-16
+    assert crit["all_ok"] is False and report["passed"] is False
+
+
+def _defect_over_ten_points(near: int):
+    """The defect over ``near`` points at transverse radius 1e-10 from the
+    (2,3,7) critical points and 10 - near points near the regular torus."""
+    params = FibrationParams.minimal(2, 3, 7, theta=0.7)
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(10 - near, 2))
+    regular = numcheck.project_to_level(params, numcheck._torus_seeds(params, phases))
+    pts = np.concatenate([near_critical_points(params, 1e-10)[:near], regular])
+    return numcheck.lagrangian_defect(params, pts)
+
+
+def test_a_defect_that_used_fewer_than_half_its_points_fails():
+    report = _defect_over_ten_points(6)
+    assert (report.samples, report.tried) == (4, 10) and report.max_defect < 1e-12
+    assert not report.passed and report.to_json()["passed"] is False
+
+
+def test_a_defect_that_used_half_its_points_passes():
+    report = _defect_over_ten_points(5)
+    assert (report.samples, report.tried) == (5, 10)
+    assert report.passed and "tried" not in report.to_json()
 
 
 def test_a_critical_point_needs_a_vanishing_differential():
