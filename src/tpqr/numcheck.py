@@ -60,6 +60,7 @@ __all__ = [
 
 C3Point = np.ndarray  # shape (3,), or a stack (..., 3); complex128
 
+_TAU = 2.0 * math.pi
 _OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
 # Largest a for which |xyz| = 1/a^2 on the regular torus is a normal double.
@@ -95,7 +96,8 @@ class FibrationParams:
     theta and homotopy time t.
 
     Construction validates structure and the double-precision range of a
-    (|xyz| = 1/a^2 must stay a normal double, so a <= 6.7e153); the
+    (|xyz| = 1/a^2 must stay a normal double, so a <= 6.7e153) and
+    reduces theta to [0, 2 pi), where it is kept as given; the
     admissibility bounds on a are checked by ``check()`` so that
     deliberately inadmissible parameters can still be built and then
     flagged by the audits.
@@ -122,6 +124,9 @@ class FibrationParams:
             )
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        if not 0.0 <= self.theta < _TAU:  # the fiber depends on e^{i theta} alone
+            theta = math.atan2(math.sin(self.theta), math.cos(self.theta))  # exact reduction
+            object.__setattr__(self, "theta", theta % _TAU % _TAU)  # a rounded 2 pi is 0
         if not 0 <= self.t <= 1:
             raise ValueError("homotopy time t must lie in [0,1]")
 
@@ -241,6 +246,7 @@ _PLATEAU = 1.0 / (1.0 - _ALPHA)
 # Row j: axis j followed by the next two axes cyclically (the adapted chart
 # at an axis critical point, and the transverse pair of each bump ratio).
 _CHART_ORDER = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+_NEXT, _AFTER = _CHART_ORDER[:, 1:].T.copy()  # its last two columns, for take
 # Row j: the two axes other than j, ascending.
 _OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 _G_WEIGHTS = np.array([1.0, _OMEGA, _OMEGA**2])
@@ -254,52 +260,50 @@ def _smoothstep_integral(t):
     return t * t * t * t * (2.5 + t * (-3.0 + t))
 
 
-def _profile(u):
-    """Derivative profile of the transition, for u in [0, 1]."""
-    return _PLATEAU * np.where(
-        u < _ALPHA,
-        _smoothstep(u / _ALPHA),
-        np.where(u > 1.0 - _ALPHA, _smoothstep((1.0 - u) / _ALPHA), 1.0),
-    )
-
-
-def _profile_integral(u):
-    """Integral of the profile from 0 to u, for u in [0, 1]."""
-    ramp_in = _PLATEAU * _ALPHA * _smoothstep_integral(u / _ALPHA)
+def _band(u):
+    """The bump and its derivative at the positions u in [0, 1] across the
+    transition: 1 minus the integral of the derivative profile from 0 to u,
+    and -3 times the profile, a smoothstep of the position v along a ramp."""
+    ramp_in = u < _ALPHA
+    v = np.where(ramp_in, u / _ALPHA, (1.0 - u) / _ALPHA)
+    ramp = _PLATEAU * _ALPHA * _smoothstep_integral(v)
     plateau = _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
-    ramp_out = 1.0 - _PLATEAU * _ALPHA * _smoothstep_integral((1.0 - u) / _ALPHA)
-    return np.where(u < _ALPHA, ramp_in, np.where(u <= 1.0 - _ALPHA, plateau, ramp_out))
+    integral = np.where(ramp_in, ramp, np.where(u <= 1.0 - _ALPHA, plateau, 1.0 - ramp))
+    profile = _PLATEAU * np.where(ramp_in | (u > 1.0 - _ALPHA), _smoothstep(v), 1.0)
+    return 1.0 - integral, -3.0 * profile
 
 
 def _transition(s):
-    """The bump and its derivative at s >= 0 (not checked).  The transition
-    polynomials are evaluated only on the entries in neither [0, 1/6] nor
-    [1/2, inf], at the position 3 (s - 1/6) in [0, 1]."""
+    """The bump and its derivative at s >= 0 (not checked, ndim >= 1).  The
+    transition polynomials are evaluated only on the entries in neither
+    [0, 1/6] nor [1/2, inf], by index, at the position 3 (s - 1/6) in [0, 1]."""
     low = s <= 1.0 / 6.0
-    band = ~(low | (s >= 0.5))
-    phi = np.where(low, 1.0, 0.0)
-    dphi = np.zeros(np.shape(s))
-    if np.any(band):
-        u = np.clip(3.0 * (s[band] - 1.0 / 6.0), 0.0, 1.0)
-        phi[band] = 1.0 - _profile_integral(u)
-        dphi[band] = -3.0 * _profile(u)
+    band = (~(low | (s >= 0.5))).ravel().nonzero()[0]
+    phi = low.astype(float)
+    dphi = np.zeros(s.shape)
+    if band.size:
+        phi_band, dphi_band = _band((3.0 * (s.take(band) - 1.0 / 6.0)).clip(0.0, 1.0))
+        phi.put(band, phi_band)
+        dphi.put(band, dphi_band)
     return phi, dphi
 
 
 def _checked(s):
+    """s as floats with a leading axis of one, so that a scalar is a stack
+    too; a negative or NaN entry is rejected."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if not (s >= 0).all():
         raise ValueError("bump argument must be >= 0")
-    return s
+    return s[None]
 
 
 def bump(s):
     """1 on [0, 1/6], 0 on [1/2, inf], monotone C^2 in between."""
-    return _transition(_checked(s))[0][()]
+    return _transition(_checked(s))[0][0]
 
 
 def bump_deriv(s):
-    return _transition(_checked(s))[1][()]
+    return _transition(_checked(s))[1][0]
 
 
 def _exponents(params: FibrationParams) -> np.ndarray:
@@ -309,9 +313,9 @@ def _exponents(params: FibrationParams) -> np.ndarray:
 def _radii(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
     """|u_j| and the transverse radius |(u_{j+1}, u_{j+2})| for each axis j."""
     mod = np.abs(pt)
-    if np.any(np.all(mod == 0.0, axis=-1)):
+    if not mod.any(axis=-1).all():
         raise ValueError("bump factors are undefined at the origin")
-    return mod, np.hypot(mod[..., _CHART_ORDER[:, 1]], mod[..., _CHART_ORDER[:, 2]])
+    return mod, np.hypot(mod.take(_NEXT, axis=-1), mod.take(_AFTER, axis=-1))
 
 
 def _ratios(pt: C3Point) -> np.ndarray:
@@ -334,8 +338,9 @@ def _phi_parts(pt, mod, rho, dphi) -> tuple[np.ndarray, np.ndarray]:
     active = dphi != 0.0
     au = np.where(active, mod, 1.0)
     rho = np.where(active, rho, 1.0)
+    two_au = 2.0 * au
     # d(rho/|u|)/du = -rho conj(u) / (2|u|^3); d/dv = conj(v)/(2|u| rho)
-    return dphi / (2.0 * au * rho), -dphi * rho / (2.0 * au * au) * (np.conj(pt) / au)
+    return dphi / (two_au * rho), -dphi * rho / (two_au * au) * (np.conj(pt) / au)
 
 
 def phi_gradients(pt: C3Point) -> np.ndarray:
@@ -366,7 +371,7 @@ def f_eval(params: FibrationParams, pt: C3Point) -> complex:
 def _cross_terms(params: FibrationParams, pt: C3Point) -> np.ndarray:
     """a*y*z, a*z*x, a*x*y: the gradient of a*x*y*z."""
     pt = np.asarray(pt)
-    return params.a * pt[..., _CHART_ORDER[:, 1]] * pt[..., _CHART_ORDER[:, 2]]
+    return params.a * pt.take(_NEXT, axis=-1) * pt.take(_AFTER, axis=-1)
 
 
 def f_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
@@ -379,8 +384,9 @@ def h_eval(params: FibrationParams, pt: C3Point) -> complex:
 
 
 def _ft_pass(params: FibrationParams, pt: C3Point):
-    """The deformed map ft at pt, and grads(rows, anti=False), which gives
-    its holomorphic Wirtinger gradient at pt[rows] (with anti, the pair
+    """The deformed map ft at pt, and grads(rows=None, anti=False), which
+    gives its holomorphic Wirtinger gradient at the rows of pt that the
+    boolean mask rows selects, or at all of pt (with anti, the pair
     holomorphic, antiholomorphic).  The radii, the bump factors and their
     derivatives, the monomials and a*x*y*z are computed once, and every
     value and gradient is the same expression as for the separate maps
@@ -390,21 +396,27 @@ def _ft_pass(params: FibrationParams, pt: C3Point):
     with np.errstate(divide="ignore", over="ignore"):
         phi, dphi = _transition(rho / mod)  # a ratio of moduli is never negative
     n = _exponents(params)
-    mono = _monomials(params, pt)
+    mono = pt**n
     axyz = _axyz(params, pt)
     t = params.t
-    value = np.sum(mono, axis=-1) + axyz
+    value = mono.sum(axis=-1) + axyz
     if t != 0.0:
-        value = (1.0 - t) * value + t * (np.sum(phi * mono, axis=-1) + axyz)
+        value = (1.0 - t) * value + t * ((phi * mono).sum(axis=-1) + axyz)
 
-    def grads(rows=..., anti=False):
-        u, m = pt[rows], mono[rows]
-        holo = (1.0 - t + t * phi[rows]) * n * u ** (n - 1) + _cross_terms(params, u)
+    def grads(rows=None, anti=False):
+        index = None if rows is None else rows.nonzero()[0]
+
+        def at(x):  # on small stacks a take costs less than a mask selection
+            return x if index is None else x.take(index, axis=0)
+
+        u = at(pt)
+        holo = (1.0 - t + t * at(phi)) * n * u ** (n - 1) + _cross_terms(params, u)
         if t == 0.0:
             return (holo, np.zeros(u.shape, dtype=complex)) if anti else holo
-        coef, diag = _phi_parts(u, mod[rows], rho[rows], dphi[rows])
+        m = at(mono)
+        coef, diag = _phi_parts(u, at(mod), at(rho), at(dphi))
         w = m * coef
-        others = w[..., _CHART_ORDER[:, 1]] + w[..., _CHART_ORDER[:, 2]]  # j != k
+        others = w.take(_NEXT, axis=-1) + w.take(_AFTER, axis=-1)  # j != k
         holo = holo + t * (np.conj(u) * others + m * diag)
         return (holo, t * (u * others + m * np.conj(diag))) if anti else holo
 
@@ -424,7 +436,7 @@ def ft_antigrad(params: FibrationParams, pt: C3Point) -> np.ndarray:
 
 
 def g_eval(pt: C3Point) -> complex:
-    return np.sum(_G_WEIGHTS * np.abs(pt) ** 2, axis=-1)
+    return (_G_WEIGHTS * np.abs(pt) ** 2).sum(axis=-1)
 
 
 def _g_wirtinger(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
@@ -436,8 +448,10 @@ def _real_jacobian(holo: np.ndarray, anti: np.ndarray) -> np.ndarray:
     coordinates ordered (Re x, Im x, Re y, Im y, Re z, Im z)."""
     dx = holo + anti
     dy = 1j * (holo - anti)
-    row = np.stack([dx, dy], axis=-1).reshape(*dx.shape[:-1], 6)
-    return np.stack([row.real, row.imag], axis=-2)
+    out = np.empty(dx.shape[:-1] + (2, 6))
+    out[..., 0, 0::2], out[..., 0, 1::2], out[..., 1, 0::2], out[..., 1, 1::2] = (
+        dx.real, dy.real, dx.imag, dy.imag)
+    return out
 
 
 def ft_real_jacobian(params: FibrationParams, pt: C3Point) -> np.ndarray:
@@ -461,14 +475,15 @@ def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
     the only rows whose holomorphic gradients are computed."""
     todo = np.arange(len(pts))
     for _ in range(max_iter):
-        rows = pts[todo]
+        rows = pts.take(todo, axis=0)
         value, grads = _ft_pass(params, rows)
         res = value - tau
         moving = ~(np.abs(res) <= tol)
-        todo = todo[moving]
-        if todo.size == 0:
+        keep = moving.nonzero()[0]
+        if keep.size == 0:
             return pts
-        pts[todo] = step(rows[moving], res[moving], grads(moving))
+        todo = todo.take(keep)
+        pts[todo] = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
     raise ProjectionError(failure)
 
 
@@ -486,8 +501,8 @@ def project_to_level(
     cur = np.array(pt, dtype=complex)
 
     def step(rows, res, grad):
-        norm2 = np.sum(grad.real**2 + grad.imag**2, axis=-1)
-        if np.any(norm2 == 0.0):
+        norm2 = (grad.real**2 + grad.imag**2).sum(axis=-1)
+        if (norm2 == 0.0).any():
             raise ProjectionError("vanishing gradient during projection")
         return rows - res[:, None] * np.conj(grad) / norm2[:, None]
 
@@ -566,18 +581,11 @@ def _critical_reports(
     jg = g_real_jacobian(pts)
     svals = np.linalg.svd(jg @ tangent, compute_uv=False)
     ambient = np.linalg.svd(jg, compute_uv=False)[:, 0]
-    rank_ratio = svals[:, -1] / ambient
     corank2_ratio = svals[:, 0] / ambient
-    return [
-        CriticalPointReport(
-            residual_rel=float(residual[i]),
-            rank_ratio=float(rank_ratio[i]),
-            corank2_ratio=float(corank2_ratio[i]),
-            residual_ok=bool(residual[i] < config.residual_tol),
-            rank_ok=bool(corank2_ratio[i] < config.rank_tol),
-        )
-        for i in range(len(pts))
-    ]
+    columns = (residual, svals[:, -1] / ambient, corank2_ratio,
+               residual < config.residual_tol, corank2_ratio < config.rank_tol)
+    # the fields in order, as Python floats and bools
+    return [CriticalPointReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def verify_critical_point(
@@ -610,6 +618,17 @@ class HessianModel:
     ok: bool
 
 
+# The parts of the model that do not depend on lam: B, the conjugation P,
+# P^T B P and its deviation from the sqrt(3) antidiagonal blocks.
+_S3 = math.sqrt(3.0)
+_B = np.diag([_S3, _S3, -_S3, -_S3])
+_P = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+               [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]) / math.sqrt(2.0)
+_PTBP = _P.T @ _B @ _P
+_B_DEV = float(np.abs(_PTBP - np.kron(np.eye(2), [[0.0, _S3], [_S3, 0.0]])).max()) / _S3
+_B.flags.writeable = _P.flags.writeable = _PTBP.flags.writeable = False  # shared by every model
+
+
 def hessian_model(p: int, a: float) -> HessianModel:
     """The quadratic model at an axis critical point with local exponent p:
     real and imaginary Hessians A, B in the adapted chart, and the
@@ -629,27 +648,10 @@ def hessian_model(p: int, a: float) -> HessianModel:
             [0.0, lam, 0.0, -1.0],
         ]
     )
-    s3 = math.sqrt(3.0)
-    B = np.diag([s3, s3, -s3, -s3])
-    P = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0],
-            [-1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-        ]
-    ) / math.sqrt(2.0)
-    ptap = P.T @ A @ P
-    ptbp = P.T @ B @ P
+    ptap = _P.T @ A @ _P
     target_a = np.diag([lam - 1.0, -lam - 1.0, lam - 1.0, -lam - 1.0])
-    target_b = np.zeros((4, 4))
-    target_b[0, 1] = target_b[1, 0] = s3
-    target_b[2, 3] = target_b[3, 2] = s3
-    dev = max(
-        float(np.max(np.abs(ptap - target_a))) / (lam + 1.0),
-        float(np.max(np.abs(ptbp - target_b))) / s3,
-    )
-    return HessianModel(lam, A, B, P, ptap, ptbp, dev, bool(dev <= 1e-12))
+    dev = max(float(np.abs(ptap - target_a).max()) / (lam + 1.0), _B_DEV)
+    return HessianModel(lam, A, _B, _P, ptap, _PTBP, dev, bool(dev <= 1e-12))
 
 
 def _solve_axial(
@@ -674,12 +676,13 @@ def _solve_axial(
     )
 
 
+_UPPER = np.triu_indices(4, 1)  # the entries above the diagonal of a 4x4 matrix
 # Offsets of the central second differences in R^4, in steps: the origin,
 # +-e_i for each i, then e_i+e_j, e_i-e_j, -e_i+e_j, -e_i-e_j for each i < j.
 _STENCIL = np.array(
     [np.zeros(4)]
     + [s * e for e in np.eye(4) for s in (1.0, -1.0)]
-    + [si * np.eye(4)[i] + sj * np.eye(4)[j] for i, j in zip(*np.triu_indices(4, 1))
+    + [si * np.eye(4)[i] + sj * np.eye(4)[j] for i, j in zip(*_UPPER)
        for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
 )
 
@@ -689,8 +692,7 @@ def _fd_hessian(values: np.ndarray, delta: float) -> np.ndarray:
     g0 = values[0]
     h = np.diag((values[1:9:2] - 2.0 * g0 + values[2:9:2]) / delta**2)
     corners = values[9:].reshape(6, 4)
-    upper = np.triu_indices(4, 1)
-    h[upper] = h[upper[::-1]] = (
+    h[_UPPER] = h[_UPPER[::-1]] = (
         corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]
     ) / (4.0 * delta**2)
     return h
@@ -757,10 +759,8 @@ def hessian_fd_check(
     a_fd = (_fd_hessian(values[:33], delta_a) * _OMEGA ** (-axis)).real
     b_fd = (_fd_hessian(values[33:], delta_b) * _OMEGA ** (-axis)).imag
 
-    a_scale = float(np.max(np.abs(model.a_matrix)))
-    b_scale = math.sqrt(3.0)
-    a_err = float(np.max(np.abs(a_fd - model.a_matrix))) / a_scale
-    b_err = float(np.max(np.abs(b_fd - model.b_matrix))) / b_scale
+    a_err = float(np.abs(a_fd - model.a_matrix).max()) / float(np.abs(model.a_matrix).max())
+    b_err = float(np.abs(b_fd - model.b_matrix).max()) / _S3
     lam_measured = -float(a_fd[0, 2])
     lam_err = abs(lam_measured - model.lam) / model.lam
     center_err = abs(g0 - center_expected) / abs(center_expected)
@@ -811,7 +811,7 @@ def _draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high
     cached, width = saved["has_uint32"], len(low)
     fresh = (np.arange(count) + cached) % 2 == 0  # seeds whose index takes a new word
     sizes = width + fresh
-    words = bits.random_raw(int(np.sum(sizes)))
+    words = bits.random_raw(int(sizes.sum()))
     is_index = np.zeros(len(words), dtype=bool)
     is_index[(np.cumsum(sizes) - sizes)[fresh]] = True
     # The cached half-word, then the low and high halves of each index word.
@@ -822,7 +822,7 @@ def _draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high
     first = 1 - cached
     scaled = halves[first:first + count] * np.uint64(choices)
     unit = (words[~is_index].reshape(count, width) >> np.uint64(11)) * 2.0**-53
-    if choices < 2 or np.any(scaled & np.uint64(0xFFFFFFFF) < (2**32 - choices) % choices):
+    if choices < 2 or (scaled & np.uint64(0xFFFFFFFF) < (2**32 - choices) % choices).any():
         # Lemire's method draws again (or, for one choice, draws nothing):
         # replay with the generator's own calls.
         bits.state = saved
@@ -922,8 +922,8 @@ def symplectic_inequality_audit(
     holo, anti = _ft_pass(params, pts)[1](anti=True)
     anti = np.linalg.norm(anti, axis=-1)
     margin = np.linalg.norm(holo, axis=-1) - anti
-    worst = int(np.argmin(margin))  # the first of equal minima
-    coord_ok = bool(np.all(np.max(np.abs(pts), axis=-1) > params.m / params.a))
+    worst = int(margin.argmin())  # the first of equal minima
+    coord_ok = bool((np.abs(pts).max(axis=-1) > params.m / params.a).all())
     note = None if params.precision_reviewed else "index above 9: review precision"
     return InequalityAudit(
         len(pts),
@@ -958,6 +958,14 @@ class DefectReport:
         return {**_fields(self, "tried"), "passed": self.passed}
 
 
+def _defect_draws(rng: np.random.Generator, count: int):
+    """Phases (count, 2) and complex noise (count, 3) of count seeds, each
+    from rng.random(2) and then rng.standard_normal(6)."""
+    draws = [(rng.random(2), rng.standard_normal(6)) for _ in range(count)]
+    z = np.reshape([normal for _, normal in draws], (count, 6))
+    return 2.0 * math.pi * np.reshape([u for u, _ in draws], (count, 2)), z[:, :3] + 1j * z[:, 3:]
+
+
 def lagrangian_defect(
     params: FibrationParams,
     points: Optional[Sequence[C3Point]] = None,
@@ -976,17 +984,11 @@ def lagrangian_defect(
     params.check()
     if points is None:
         rng = np.random.default_rng(config.seed)
-        count = max(10, config.samples // 10)
-        phases = np.empty((count, 2))
-        noise = np.empty((count, 3), dtype=complex)
-        for i in range(count):
-            phases[i] = 2.0 * math.pi * rng.random(2)
-            z = rng.standard_normal(6)
-            noise[i] = z[:3] + 1j * z[3:]
+        phases, noise = _defect_draws(rng, max(10, config.samples // 10))
         seeds = _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
         points = project_to_level(params, seeds, config=config)
     pts = np.asarray(points, dtype=complex).reshape(-1, 3)
-    if np.any(np.abs(pts) == 0.0):
+    if (np.abs(pts) == 0.0).any():
         raise ValueError("fiber tangent planes are not defined on the axes")
     jg = g_real_jacobian(pts)
     _, svals, vh = np.linalg.svd(
@@ -1000,7 +1002,7 @@ def lagrangian_defect(
     defect = np.abs(_omega0(vh[used, 4], vh[used, 5]))
     return DefectReport(
         samples=int(np.count_nonzero(used)),
-        max_defect=float(np.max(defect, initial=0.0)),
+        max_defect=float(defect.max(initial=0.0)),
         lagrangian_expected=bool(params.t == 1.0),
         tolerance=tolerance,
         tried=len(pts),

@@ -28,9 +28,17 @@ included.  ``where_bump`` and ``where_bump_deriv`` evaluate the
 transition polynomials on every entry and select with ``np.where``.  The
 ``separate_ft_*`` oracles are the deformed map and its Wirtinger
 gradients as separate evaluations, each recomputing the radii, the bump
-factors and the monomials; ``separate_project_to_level`` is the Newton
-projection built on them, and ``looped_draw_per_seed`` the sampler's
-per-seed generator calls before they were replayed from raw words.
+factors and the monomials; the radii, the ratios, the cross terms and
+the derivative profile with its integral they use are the earlier
+bodies, which selected columns and entries by mask and fancy index.
+``separate_project_to_level`` is the Newton projection built on them,
+and ``looped_draw_per_seed`` the sampler's per-seed generator calls
+before they were replayed from raw words.  ``looped_defect_draws`` fills
+the Lagrangian-defect seeds row by row, ``per_point_critical_reports``
+builds each critical-point report from keywords and per-entry
+conversions, ``stacked_real_jacobian`` interleaves the real Jacobian with
+``np.stack``, ``built_hessian_model`` builds every matrix of the model on
+each call, and ``triu_fd_hessian`` its index arrays.
 ``staged_verify_fibration`` is the fibration pipeline and its verdict as
 the CLI ran them stage by stage before ``numcheck.verify_fibration``.
 The ``Dataclass*`` classes are four value classes as they were declared
@@ -54,21 +62,18 @@ from hypothesis import strategies as st
 from tpqr import numcheck
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.numcheck import (
+    _ALPHA,
     _CHART_ORDER,
+    _PLATEAU,
     C3Point,
     FibrationParams,
     NumericalConfig,
-    _cross_terms,
+    _axyz,
     _exponents,
     _monomials,
-    _profile,
-    _profile_integral,
-    _radii,
-    _ratios,
-    bump_deriv,
+    _smoothstep,
+    _smoothstep_integral,
     f_eval,
-    h_eval,
-    phi_values,
     point,
 )
 from tpqr.quadlattice import GramLattice, LatticeError, SNFResult, _eliminate
@@ -663,6 +668,23 @@ def _shell_seed(
     return point(*coords)
 
 
+def _profile(u):
+    """Derivative profile of the transition, for u in [0, 1]."""
+    return _PLATEAU * np.where(
+        u < _ALPHA,
+        _smoothstep(u / _ALPHA),
+        np.where(u > 1.0 - _ALPHA, _smoothstep((1.0 - u) / _ALPHA), 1.0),
+    )
+
+
+def _profile_integral(u):
+    """Integral of the profile from 0 to u, for u in [0, 1]."""
+    ramp_in = _PLATEAU * _ALPHA * _smoothstep_integral(u / _ALPHA)
+    plateau = _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
+    ramp_out = 1.0 - _PLATEAU * _ALPHA * _smoothstep_integral((1.0 - u) / _ALPHA)
+    return np.where(u < _ALPHA, ramp_in, np.where(u <= 1.0 - _ALPHA, plateau, ramp_out))
+
+
 def _where_transition(s):
     """The argument as an array, checked, and its position in [0, 1]
     across the transition interval [1/6, 1/2]."""
@@ -685,12 +707,38 @@ def where_bump_deriv(s):
     return np.where((s <= 1.0 / 6.0) | (s >= 0.5), 0.0, -3.0 * _profile(u))[()]
 
 
+def _radii(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
+    """|u_j| and the transverse radius |(u_{j+1}, u_{j+2})| for each axis j."""
+    mod = np.abs(pt)
+    if np.any(np.all(mod == 0.0, axis=-1)):
+        raise ValueError("bump factors are undefined at the origin")
+    return mod, np.hypot(mod[..., _CHART_ORDER[:, 1]], mod[..., _CHART_ORDER[:, 2]])
+
+
+def _ratios(pt: C3Point) -> np.ndarray:
+    """Transverse radius over |u_j| for each axis j; inf where u_j = 0."""
+    mod, rho = _radii(pt)
+    with np.errstate(divide="ignore", over="ignore"):
+        return rho / mod
+
+
+def _cross_terms(params: FibrationParams, pt: C3Point) -> np.ndarray:
+    """a*y*z, a*z*x, a*x*y: the gradient of a*x*y*z."""
+    pt = np.asarray(pt)
+    return params.a * pt[..., _CHART_ORDER[:, 1]] * pt[..., _CHART_ORDER[:, 2]]
+
+
+def _phi_values(pt: C3Point) -> np.ndarray:
+    return where_bump(_ratios(pt))
+
+
 def separate_ft_eval(params: FibrationParams, pt: C3Point) -> complex:
     t = params.t
     if t == 0.0:
         _ratios(pt)  # keep the domain of the whole family uniform
         return f_eval(params, pt)
-    return (1.0 - t) * f_eval(params, pt) + t * h_eval(params, pt)
+    h = np.sum(_phi_values(pt) * _monomials(params, pt), axis=-1) + _axyz(params, pt)
+    return (1.0 - t) * f_eval(params, pt) + t * h
 
 
 def _phi_gradient_parts(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +746,7 @@ def _phi_gradient_parts(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor is coef_j * conj(u_k) in entry k != j and diag_j in entry j."""
     mod, rho = _radii(pt)
     with np.errstate(divide="ignore", over="ignore"):
-        dphi = bump_deriv(rho / mod)
+        dphi = where_bump_deriv(rho / mod)
     # Both vanish with dphi; unit radii there keep the quotients finite.
     active = dphi != 0.0
     au = np.where(active, mod, 1.0)
@@ -723,7 +771,7 @@ def separate_ft_grad(params: FibrationParams, pt: C3Point) -> np.ndarray:
     pt = np.asarray(pt, dtype=complex)
     t = params.t
     n = _exponents(params)
-    weights = 1.0 - t + t * phi_values(pt)
+    weights = 1.0 - t + t * _phi_values(pt)
     grad = weights * n * pt ** (n - 1) + _cross_terms(params, pt)
     if t != 0.0:
         grad = grad + t * _bump_part(params, pt, anti=False)
@@ -772,6 +820,104 @@ def looped_draw_per_seed(rng: np.random.Generator, count: int, choices: int, low
         unit[i] = rng.random(len(low))
     low = np.asarray(low)
     return picks, low + (np.asarray(high) - low) * unit
+
+
+def looped_defect_draws(rng: np.random.Generator, count: int):
+    """The phases (count, 2) and complex noise (count, 3) of the default
+    Lagrangian-defect seeds, one seed at a time: rng.random(2), then
+    rng.standard_normal(6)."""
+    phases = np.empty((count, 2))
+    noise = np.empty((count, 3), dtype=complex)
+    for i in range(count):
+        phases[i] = 2.0 * math.pi * rng.random(2)
+        z = rng.standard_normal(6)
+        noise[i] = z[:3] + 1j * z[3:]
+    return phases, noise
+
+
+def per_point_critical_reports(params: FibrationParams, pts: np.ndarray,
+                               config: NumericalConfig) -> list:
+    """The critical-point reports of the rows of pts, each built from
+    keyword arguments with its entries converted one by one."""
+    tau = params.target
+    value, grads = numcheck._ft_pass(params, pts)
+    residual = np.abs(value - tau) / abs(tau)
+    _, _, vh = np.linalg.svd(numcheck._real_jacobian(*grads(anti=True)), full_matrices=True)
+    tangent = np.swapaxes(vh[:, 2:], -1, -2)
+    jg = numcheck.g_real_jacobian(pts)
+    svals = np.linalg.svd(jg @ tangent, compute_uv=False)
+    ambient = np.linalg.svd(jg, compute_uv=False)[:, 0]
+    rank_ratio = svals[:, -1] / ambient
+    corank2_ratio = svals[:, 0] / ambient
+    return [
+        numcheck.CriticalPointReport(
+            residual_rel=float(residual[i]),
+            rank_ratio=float(rank_ratio[i]),
+            corank2_ratio=float(corank2_ratio[i]),
+            residual_ok=bool(residual[i] < config.residual_tol),
+            rank_ok=bool(corank2_ratio[i] < config.rank_tol),
+        )
+        for i in range(len(pts))
+    ]
+
+
+def stacked_real_jacobian(holo: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """2x6 real Jacobian from a Wirtinger pair, interleaved by np.stack."""
+    dx = holo + anti
+    dy = 1j * (holo - anti)
+    row = np.stack([dx, dy], axis=-1).reshape(*dx.shape[:-1], 6)
+    return np.stack([row.real, row.imag], axis=-2)
+
+
+def built_hessian_model(p: int, a: float) -> numcheck.HessianModel:
+    """The Hessian model with every matrix built on each call."""
+    if p < 2:
+        raise ValueError("exponent must be >= 2")
+    lam = (2.0 / p) * a ** ((2 * p - 3) / p)
+    if not lam > 1.0:
+        raise numcheck.AdmissibilityError("model requires lam > 1; enlarge a")
+    A = np.array(
+        [
+            [-1.0, 0.0, -lam, 0.0],
+            [0.0, -1.0, 0.0, lam],
+            [-lam, 0.0, -1.0, 0.0],
+            [0.0, lam, 0.0, -1.0],
+        ]
+    )
+    s3 = math.sqrt(3.0)
+    B = np.diag([s3, s3, -s3, -s3])
+    P = np.array(
+        [
+            [1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0],
+            [-1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, -1.0],
+        ]
+    ) / math.sqrt(2.0)
+    ptap = P.T @ A @ P
+    ptbp = P.T @ B @ P
+    target_a = np.diag([lam - 1.0, -lam - 1.0, lam - 1.0, -lam - 1.0])
+    target_b = np.zeros((4, 4))
+    target_b[0, 1] = target_b[1, 0] = s3
+    target_b[2, 3] = target_b[3, 2] = s3
+    dev = max(
+        float(np.max(np.abs(ptap - target_a))) / (lam + 1.0),
+        float(np.max(np.abs(ptbp - target_b))) / s3,
+    )
+    return numcheck.HessianModel(lam, A, B, P, ptap, ptbp, dev, bool(dev <= 1e-12))
+
+
+def triu_fd_hessian(values: np.ndarray, delta: float) -> np.ndarray:
+    """4x4 Hessian from the values on delta * numcheck._STENCIL, with the
+    upper-triangle indices built on each call."""
+    g0 = values[0]
+    h = np.diag((values[1:9:2] - 2.0 * g0 + values[2:9:2]) / delta**2)
+    corners = values[9:].reshape(6, 4)
+    upper = np.triu_indices(4, 1)
+    h[upper] = h[upper[::-1]] = (
+        corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]
+    ) / (4.0 * delta**2)
+    return h
 
 
 def staged_verify_fibration(params: FibrationParams, cfg: NumericalConfig) -> dict:

@@ -446,3 +446,11 @@ def test_recorded_cli_outputs_are_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], key
         if rc == 2:
             assert len(err.splitlines()) == 1, key
+
+
+@pytest.mark.parametrize("theta", ["3e7", "1e8", "1e16", "-1e8"])
+def test_verify_fibration_passes_at_a_large_theta(capsys, theta):
+    argv = ["verify-fibration", "--pqr", "2,3,7", f"--theta={theta}", "--samples", "20"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "critical points: 12 verified, all_ok=True\n" in out and out.endswith("overall: PASS\n")

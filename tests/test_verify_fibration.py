@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import staged_verify_fibration
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tpqr import numcheck
 from tpqr.k3glue import strange_duality_table
@@ -157,3 +159,39 @@ def test_a_critical_point_needs_a_vanishing_differential():
         assert not rep.rank_ok and not rep.ok
     for rep in numcheck.verify_critical_points(params, cfg):
         assert rep.ok and rep.corank2_ratio < 1e-15
+
+
+@pytest.mark.parametrize("pqr,theta", [((2, 3, 7), 3e7), ((2, 3, 7), 1e8), ((2, 3, 7), 1e16),
+                                       ((2, 3, 7), -1e8), ((3, 4, 5), 1e8)], ids=str)
+def test_a_large_theta_gives_the_report_of_its_reduced_angle(pqr, theta):
+    """The fiber depends on e^{i theta} alone, so theta is reduced to
+    [0, 2 pi) where the params are built, with the same e^{i theta}; an
+    unreduced 1e8 put a residual of order |theta| 2^-52 into the
+    closed-form critical points."""
+    params = FibrationParams.minimal(*pqr, theta=theta)
+    reduced = params.theta
+    assert 0.0 <= reduced < 2.0 * math.pi
+    assert abs(complex(math.cos(reduced), math.sin(reduced))
+               - complex(math.cos(theta), math.sin(theta))) < 1e-15
+    cfg = NumericalConfig(samples=20)
+    report = verify_fibration(params, cfg)
+    assert report["passed"] and report["critical_points"]["all_ok"]
+    assert report["params"]["theta"] == reduced
+    assert report == verify_fibration(FibrationParams.minimal(*pqr, theta=reduced), cfg)
+
+
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+@example(theta=0.0)
+@example(theta=math.nextafter(2.0 * math.pi, 0.0))
+def test_theta_in_range_is_kept_as_given(theta):
+    assert FibrationParams(2, 3, 7, a=1e8, theta=theta).theta.hex() == theta.hex()
+
+
+@given(theta=st.floats(-1e300, 1e300))
+@example(theta=2.0 * math.pi)
+@example(theta=-1e-300)
+@example(theta=-0.0)
+def test_a_reduced_theta_reduces_to_itself(theta):
+    reduced = FibrationParams(2, 3, 7, a=1e8, theta=theta).theta
+    assert 0.0 <= reduced < 2.0 * math.pi
+    assert FibrationParams(2, 3, 7, a=1e8, theta=reduced).theta == reduced
