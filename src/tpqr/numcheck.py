@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,6 +175,19 @@ class FibrationParams:
             raise AdmissibilityError(
                 f"a = {self.a} does not exceed max(3^M, m^2(m+3)) = {self.domain_bound}"
             )
+
+    @cached_property
+    def _critical_points(self) -> np.ndarray:
+        """The stack behind ``critical_points``, computed once."""
+        exps = _exponents(self)
+        axis = np.repeat(np.arange(3), exps)
+        n = exps[axis]
+        j = np.concatenate([np.arange(k) for k in exps])
+        out = np.zeros((len(axis), 3), dtype=complex)
+        out[np.arange(len(axis)), axis] = self.a ** (-1.0 / n) * np.exp(
+            1j * (self.theta + 2 * math.pi * j) / n
+        )
+        return out
 
     @property
     def target(self) -> complex:
@@ -520,17 +534,10 @@ def project_to_level(
 def critical_points(params: FibrationParams) -> np.ndarray:
     """The p+q+r closed-form critical points of g restricted to X_t, on
     the three coordinate axes, as a (p+q+r, 3) stack: the p points on the
-    x-axis first, then the q on the y-axis, then the r on the z-axis."""
+    x-axis first, then the q on the y-axis, then the r on the z-axis.
+    They are computed once per parameter object; each call returns a copy."""
     params.check()
-    exps = _exponents(params)
-    axis = np.repeat(np.arange(3), exps)
-    n = exps[axis]
-    j = np.concatenate([np.arange(k) for k in exps])
-    out = np.zeros((len(axis), 3), dtype=complex)
-    out[np.arange(len(axis)), axis] = params.a ** (-1.0 / n) * np.exp(
-        1j * (params.theta + 2 * math.pi * j) / n
-    )
-    return out
+    return params._critical_points.copy()
 
 
 def critical_values(params: FibrationParams) -> list[complex]:

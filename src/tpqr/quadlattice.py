@@ -10,6 +10,7 @@ unimodular lattices.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
 from . import triple_excess, value_class
 
@@ -59,13 +60,12 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+        n, g = len(self.labels), self.gram
+        if len(g) != n or any(len(row) != n for row in g):
             raise LatticeError("gram matrix shape does not match labels")
-        for i in range(n):
-            for j in range(i, n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
+        if tuple(map(tuple, g)) != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i
+            i, j = next((i, j) for i in range(n) for j in range(i, n) if g[i][j] != g[j][i])
+            raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
 
     @cached_property
     def _elimination(self) -> tuple[int, tuple[int, int, int]]:
@@ -105,14 +105,11 @@ class GramLattice:
 
     @classmethod
     def from_json(cls, data) -> "GramLattice":
-        return cls(
-            tuple(str(s) for s in data["labels"]),
-            tuple(tuple(int(v) for v in row) for row in data["gram"]),
-        )
+        return cls.from_rows(map(str, data["labels"]), data["gram"])
 
     @classmethod
     def from_rows(cls, labels, rows) -> "GramLattice":
-        return cls(tuple(labels), tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(labels), tuple(tuple(map(int, row)) for row in rows))
 
 
 def a_block(n: int) -> GramLattice:
@@ -334,6 +331,17 @@ def _row_times(row, right) -> dict[int, int]:
     return {j: x for j, x in out.items() if x}
 
 
+def _add(t: dict, src: dict, f: int) -> None:
+    """t += f * src for sparse vectors {index: entry} and f != 0, keeping
+    no zero entry."""
+    for k, y in src.items():
+        x = t.get(k, 0) + f * y
+        if x:
+            t[k] = x
+        else:
+            del t[k]
+
+
 @value_class
 class SNFResult:
     """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0.
@@ -351,7 +359,9 @@ class SNFResult:
 
     def verify(self, lat: GramLattice) -> bool:
         """Exact check of the certificate, one row at a time through
-        sparse row products; no elimination and no n x n product."""
+        sparse row products: U [G | U^-1] = [D V^-1 | I] and V V^-1 = I.
+        The last makes V^-1 the two-sided inverse of V, so U G = D V^-1
+        is U G V = D; no elimination and no n x n product."""
         n, d = lat.rank, self.divisors
         mats = (self.u, self.v, self.u_inv, self.v_inv)
         if len(d) != n or any(len(t) != n or any(len(r) != n for r in t) for t in mats):
@@ -359,15 +369,16 @@ class SNFResult:
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        g, v, u_inv, v_inv = (
+        g, u_inv, v_inv = (
             [tuple((j, x) for j, x in enumerate(row) if x) for row in t]
-            for t in (lat.gram, self.v, self.u_inv, self.v_inv)
+            for t in (lat.gram, self.u_inv, self.v_inv)
         )
+        g_u_inv = [gk + tuple((n + j, x) for j, x in uk) for gk, uk in zip(g, u_inv)]
         for i, (u_row, v_row) in enumerate(zip(self.u, self.v)):
+            want = {j: d[i] * x for j, x in v_inv[i] if d[i]}
+            want[n + i] = 1
             if (
-                _row_times(_row_times(enumerate(u_row), g).items(), v)
-                != ({i: d[i]} if d[i] else {})
-                or _row_times(enumerate(u_row), u_inv) != {i: 1}
+                _row_times(enumerate(u_row), g_u_inv) != want
                 or _row_times(enumerate(v_row), v_inv) != {i: 1}
             ):
                 return False
@@ -391,95 +402,108 @@ def _smith(lat: GramLattice) -> SNFResult:
     """U G V = D by pivoting on the first smallest nonzero entry (row-major)
     of the trailing block.  Each elementary operation on U or V is mirrored
     by its inverse on U^-1 or V^-1: row_i -= f row_j on U is col_j += f col_i
-    on U^-1, and col_i -= f col_j on V is row_j += f row_i on V^-1."""
+    on U^-1, and col_i -= f col_j on V is row_j += f row_i on V^-1.
+
+    G is held as sparse rows {column: entry} with the set of nonzero rows
+    of each column, V and U^-1 as sparse columns and V^-1 as sparse rows,
+    so an operation costs the nonzeros it touches; U, about half full, is
+    kept as dense rows."""
     n = lat.rank
-    m = [list(row) for row in lat.gram]
-    u, u_inv, v, v_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
+    m = [dict(compress(enumerate(row), row)) for row in lat.gram]
+    cols = [set(row) for row in m]  # cols[j] = {i : m[i][j] != 0}; G is symmetric
+    u = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    u_inv, v, v_inv = ([{i: 1} for i in range(n)] for _ in range(3))
 
     def row_op(i, j, f):  # row_i -= f * row_j
-        if not f:
-            return
-        for t in (m, u):
-            t[i] = [x - f * y for x, y in zip(t[i], t[j])]
-        for row in u_inv:
-            if row[i]:
-                row[j] += f * row[i]
+        if f:
+            _add(m[i], m[j], -f)
+            for k in m[j]:
+                (cols[k].add if k in m[i] else cols[k].discard)(i)
+            u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+            _add(u_inv[j], u_inv[i], f)
 
     def col_op(i, j, f):  # col_i -= f * col_j
-        if not f:
-            return
-        for t in (m, v):
-            for row in t:
-                if row[j]:
-                    row[i] -= f * row[j]
-        v_inv[j] = [x + f * y for x, y in zip(v_inv[j], v_inv[i])]
+        if f:
+            col = cols[i]
+            for r in cols[j]:
+                row = m[r]
+                x = row.get(i, 0) - f * row[j]
+                if x:
+                    row[i] = x
+                    col.add(r)
+                else:
+                    del row[i]
+                    col.remove(r)
+            _add(v[i], v[j], -f)
+            _add(v_inv[j], v_inv[i], f)
 
     def row_swap(i, j):
-        for t in (m, u):
+        for k in m[i].keys() ^ m[j].keys():
+            cols[k] ^= {i, j}
+        for t in (m, u, u_inv):
             t[i], t[j] = t[j], t[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
-        for t in (m, v):
-            for row in t:
-                row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        for r in cols[i] | cols[j]:
+            row = m[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
+        for t in (cols, v, v_inv):
+            t[i], t[j] = t[j], t[i]
 
     for s in range(n):
-        while True:
-            best, least = None, 0
+        while True:  # rows s.. have no entry left of column s
+            best = None
             for i in range(s, n):
-                row = m[i]
-                for j in range(s, n):
-                    x = abs(row[j])
-                    if x and (best is None or x < least):
-                        best, least = (i, j), x
+                if m[i]:
+                    x, j = min((abs(x), j) for j, x in m[i].items())
+                    if best is None or x < best[0]:
+                        best = x, i, j
                         if x == 1:
                             break
-                if least == 1:
-                    break
             if best is None:
                 break
-            if best[0] != s:
-                row_swap(s, best[0])
             if best[1] != s:
-                col_swap(s, best[1])
-            clean = True
-            for i in range(s + 1, n):
-                if m[i][s]:
-                    row_op(i, s, m[i][s] // m[s][s])
-                    if m[i][s]:
-                        clean = False
-            for j in range(s + 1, n):
-                if m[s][j]:
-                    col_op(j, s, m[s][j] // m[s][s])
-                    if m[s][j]:
-                        clean = False
+                row_swap(s, best[1])
+            if best[2] != s:
+                col_swap(s, best[2])
+            piv, clean = m[s][s], True
+            for i in sorted(cols[s] - {s}):
+                row_op(i, s, m[i][s] // piv)
+                clean = clean and s not in m[i]
+            for j in sorted(m[s].keys() - {s}):
+                col_op(j, s, m[s][j] // piv)
+                clean = clean and j not in m[s]
             if not clean:
                 continue
-            piv = m[s][s]
             bad = None if abs(piv) == 1 else next(
-                (
-                    i
-                    for i in range(s + 1, n)
-                    if any(m[i][j] % piv for j in range(s + 1, n))
-                ),
-                None,
+                (i for i in range(s + 1, n) if any(x % piv for x in m[i].values())), None
             )
             if bad is not None:
                 row_op(s, bad, -1)
                 continue
             break
-        if m[s][s] < 0:
-            m[s] = [-x for x in m[s]]
+        if m[s].get(s, 0) < 0:
+            m[s][s] = -m[s][s]
             u[s] = [-x for x in u[s]]
-            for row in u_inv:
-                row[s] = -row[s]
+            u_inv[s] = {k: -x for k, x in u_inv[s].items()}
 
-    for t in (u, v, u_inv, v_inv):  # one matrix at a time, to bound the peak
-        t[:] = map(tuple, t)
-    res = SNFResult(tuple(m[i][i] for i in range(n)), *map(tuple, (u, v, u_inv, v_inv)))
+    def dense(vectors):  # rows of the matrix with these sparse rows
+        out = [[0] * n for _ in range(n)]
+        for row, vec in zip(out, vectors):
+            for j, x in vec.items():
+                row[j] = x
+        return out
+
+    res = SNFResult(
+        tuple(m[s].get(s, 0) for s in range(n)),
+        tuple(map(tuple, u)),
+        *(tuple(zip(*dense(t))) for t in (v, u_inv)),  # held by columns
+        tuple(map(tuple, dense(v_inv))),
+    )
     if not res.verify(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res

@@ -20,7 +20,10 @@ R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
 built from the least of all rotations.  The SNF certificate oracle is the
 earlier dense check: U G V multiplied out in full, then one elimination
-each to show |det U| = |det V| = 1.  The dense Berkowitz and dense
+each to show |det U| = |det V| = 1; it also multiplies out U U^-1 and
+V V^-1, so it reads all five fields of the certificate.  ``dense_smith``
+is the earlier Smith normal form on dense lists: the same pivot rule and
+operations, each one scanning a full row or column.  The dense Berkowitz and dense
 elimination oracles are the exact kernels before they used sparsity: full
 Krylov vectors, and every trailing row rescaled at every step.  The
 cycle-product oracle multiplies one factor per entry, runs of twos
@@ -553,7 +556,103 @@ def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
         return False
     if any(d < 0 for d in snf.divisors):
         return False
+    for t, t_inv in ((snf.u, snf.u_inv), (snf.v, snf.v_inv)):
+        for i in range(n):
+            for j in range(n):
+                if sum(t[i][k] * t_inv[k][j] for k in range(n)) != int(i == j):
+                    return False
     return all(abs(_eliminate(t)[0]) == 1 for t in (snf.u, snf.v))
+
+
+def dense_smith(lat: GramLattice) -> SNFResult:
+    n = lat.rank
+    m = [list(row) for row in lat.gram]
+    u, u_inv, v, v_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
+
+    def row_op(i, j, f):  # row_i -= f * row_j
+        if not f:
+            return
+        for t in (m, u):
+            t[i] = [x - f * y for x, y in zip(t[i], t[j])]
+        for row in u_inv:
+            if row[i]:
+                row[j] += f * row[i]
+
+    def col_op(i, j, f):  # col_i -= f * col_j
+        if not f:
+            return
+        for t in (m, v):
+            for row in t:
+                if row[j]:
+                    row[i] -= f * row[j]
+        v_inv[j] = [x + f * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def row_swap(i, j):
+        for t in (m, u):
+            t[i], t[j] = t[j], t[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_swap(i, j):
+        for t in (m, v):
+            for row in t:
+                row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    for s in range(n):
+        while True:
+            best, least = None, 0
+            for i in range(s, n):
+                row = m[i]
+                for j in range(s, n):
+                    x = abs(row[j])
+                    if x and (best is None or x < least):
+                        best, least = (i, j), x
+                        if x == 1:
+                            break
+                if least == 1:
+                    break
+            if best is None:
+                break
+            if best[0] != s:
+                row_swap(s, best[0])
+            if best[1] != s:
+                col_swap(s, best[1])
+            clean = True
+            for i in range(s + 1, n):
+                if m[i][s]:
+                    row_op(i, s, m[i][s] // m[s][s])
+                    if m[i][s]:
+                        clean = False
+            for j in range(s + 1, n):
+                if m[s][j]:
+                    col_op(j, s, m[s][j] // m[s][s])
+                    if m[s][j]:
+                        clean = False
+            if not clean:
+                continue
+            piv = m[s][s]
+            bad = None if abs(piv) == 1 else next(
+                (
+                    i
+                    for i in range(s + 1, n)
+                    if any(m[i][j] % piv for j in range(s + 1, n))
+                ),
+                None,
+            )
+            if bad is not None:
+                row_op(s, bad, -1)
+                continue
+            break
+        if m[s][s] < 0:
+            m[s] = [-x for x in m[s]]
+            u[s] = [-x for x in u[s]]
+            for row in u_inv:
+                row[s] = -row[s]
+
+    return SNFResult(
+        tuple(m[i][i] for i in range(n)), *(tuple(map(tuple, t)) for t in (u, v, u_inv, v_inv))
+    )
 
 
 def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:

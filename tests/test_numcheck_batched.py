@@ -266,3 +266,19 @@ def test_defect_report_for_a_fixed_seed_is_unchanged():
         tolerance=1e-6,
         tried=100,
     )
+
+
+def test_critical_points_are_computed_once_per_params_and_handed_out_as_copies(monkeypatch):
+    params = FibrationParams.minimal(3, 4, 5, theta=0.7, t=0.5)
+    want = critical_points(FibrationParams.minimal(3, 4, 5, theta=0.7, t=0.5))
+    computed = []
+    exponents = numcheck._exponents
+    monkeypatch.setattr(numcheck, "_exponents", lambda p: computed.append(p) or exponents(p))
+    first = critical_points(params)
+    first[:] = 0
+    for _ in range(2):
+        again = critical_points(params)
+        assert again.tobytes() == want.tobytes() and not np.shares_memory(again, first)
+    assert computed == [params]
+    with pytest.raises(AdmissibilityError):
+        critical_points(FibrationParams(3, 4, 5, a=1.0))

@@ -11,6 +11,7 @@ from conftest import (
     bareiss_det,
     congruence_sig,
     dense_eliminate,
+    dense_smith,
     dense_snf_verify,
     integer_matrices,
     square_matrices,
@@ -410,6 +411,46 @@ def test_every_single_entry_mutant_of_a_transform_fails(lat):
         for i, j, delta in itertools.product(range(n), range(n), (1, -1)):
             bad = SNFResult(**dict(vars(snf), **{name: _bumped(t, i, j, delta)}))
             assert not bad.verify(lat), (name, i, j, delta)
+
+
+def _fields(snf):
+    return snf.divisors, snf.u, snf.v, snf.u_inv, snf.v_inv
+
+
+@given(symmetric_matrices())
+@settings(max_examples=80, deadline=None)
+def test_snf_matches_the_dense_oracle_field_by_field(g):
+    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
+    assert _fields(smith_normal_form(lat)) == _fields(dense_smith(lat))
+
+
+@pytest.mark.parametrize("r", [20, 80, 170])
+@pytest.mark.parametrize("gen", ["T", "S", "S'"])
+def test_snf_matches_the_dense_oracle_on_the_ladder(gen, r):
+    """T(3,4,r) and its Milnor lattice in both bases, up to rank 176."""
+    lat = t_lattice(3, 4, r) if gen == "T" else t_tilde_lattice(3, 4, r, gen)
+    assert _fields(smith_normal_form(lat)) == _fields(dense_smith(lat))
+
+
+@pytest.mark.parametrize(
+    "lat", [t_lattice(3, 4, 5), t_tilde_lattice(3, 4, 5, "S'")], ids=["T345", "T~345-S'"]
+)
+def test_every_single_entry_mutant_of_the_certificate_fails(lat):
+    """One entry of any of the five fields moved by +-1: U G = D V^-1 with
+    V V^-1 = I rejects it, and so does the dense oracle, which multiplies
+    out U G V, U U^-1 and V V^-1."""
+    snf = smith_normal_form(lat)
+    n = lat.rank
+    assert snf.divisors[-1] == (0 if lat.labels[-1] == "t2" else 13)
+    for delta in (1, -1):
+        for k in range(n):
+            d = list(snf.divisors)
+            d[k] += delta
+            bad = SNFResult(**dict(vars(snf), divisors=tuple(d)))
+            assert not bad.verify(lat) and not dense_snf_verify(bad, lat), (k, delta)
+        for name, i, j in itertools.product(("u", "v", "u_inv", "v_inv"), range(n), range(n)):
+            bad = SNFResult(**dict(vars(snf), **{name: _bumped(getattr(snf, name), i, j, delta)}))
+            assert not bad.verify(lat) and not dense_snf_verify(bad, lat), (name, i, j, delta)
 
 
 @pytest.mark.parametrize(
