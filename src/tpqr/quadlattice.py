@@ -359,9 +359,10 @@ class SNFResult:
 
     def verify(self, lat: GramLattice) -> bool:
         """Exact check of the certificate, one row at a time through
-        sparse row products: U [G | U^-1] = [D V^-1 | I] and V V^-1 = I.
-        The last makes V^-1 the two-sided inverse of V, so U G = D V^-1
-        is U G V = D; no elimination and no n x n product."""
+        sparse row products: U U^-1 = I, V V^-1 = I and U^-1 (D V^-1) = G.
+        The first two make both inverses two-sided, so the third holds
+        exactly when U G V = D; no elimination, and the product for G reads
+        only the sparse inverses."""
         n, d = lat.rank, self.divisors
         mats = (self.u, self.v, self.u_inv, self.v_inv)
         if len(d) != n or any(len(t) != n or any(len(r) != n for r in t) for t in mats):
@@ -369,20 +370,21 @@ class SNFResult:
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        g, u_inv, v_inv = (
-            [tuple((j, x) for j, x in enumerate(row) if x) for row in t]
-            for t in (lat.gram, self.u_inv, self.v_inv)
+        u_inv, v_inv = (
+            [tuple(compress(enumerate(r), r)) for r in t] for t in (self.u_inv, self.v_inv)
         )
-        g_u_inv = [gk + tuple((n + j, x) for j, x in uk) for gk, uk in zip(g, u_inv)]
-        for i, (u_row, v_row) in enumerate(zip(self.u, self.v)):
-            want = {j: d[i] * x for j, x in v_inv[i] if d[i]}
-            want[n + i] = 1
-            if (
-                _row_times(enumerate(u_row), g_u_inv) != want
-                or _row_times(enumerate(v_row), v_inv) != {i: 1}
-            ):
-                return False
-        return True
+        d_v_inv = [tuple((j, dk * x) for j, x in r) for dk, r in zip(d, v_inv)]
+        eye = [{i: 1} for i in range(n)]
+        g = [dict(compress(enumerate(r), r)) for r in lat.gram]
+        return all(
+            _row_times(row, right) == want
+            for left, right, product in (
+                (map(enumerate, self.u), u_inv, eye),
+                (map(enumerate, self.v), v_inv, eye),
+                (u_inv, d_v_inv, g),
+            )
+            for row, want in zip(left, product)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -404,55 +406,20 @@ def _smith(lat: GramLattice) -> SNFResult:
     by its inverse on U^-1 or V^-1: row_i -= f row_j on U is col_j += f col_i
     on U^-1, and col_i -= f col_j on V is row_j += f row_i on V^-1.
 
-    G is held as sparse rows {column: entry} with the set of nonzero rows
-    of each column, V and U^-1 as sparse columns and V^-1 as sparse rows,
-    so an operation costs the nonzeros it touches; U, about half full, is
-    kept as dense rows."""
+    Every matrix is held sparse, as {index: entry} without zeros: G and U
+    by rows, V and U^-1 by columns, V^-1 by rows, so an operation costs the
+    nonzeros it touches.  Once step s is done, row s and column s hold only
+    their diagonal entry, so no column index is kept: step s scans rows s+1..
+    for column s, its column operations walk the rows that still hold an
+    entry there, and a column swap walks rows s.. ."""
     n = lat.rank
     m = [dict(compress(enumerate(row), row)) for row in lat.gram]
-    cols = [set(row) for row in m]  # cols[j] = {i : m[i][j] != 0}; G is symmetric
-    u = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-    u_inv, v, v_inv = ([{i: 1} for i in range(n)] for _ in range(3))
+    u, u_inv, v, v_inv = ([{i: 1} for i in range(n)] for _ in range(4))
 
-    def row_op(i, j, f):  # row_i -= f * row_j
-        if f:
-            _add(m[i], m[j], -f)
-            for k in m[j]:
-                (cols[k].add if k in m[i] else cols[k].discard)(i)
-            u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-            _add(u_inv[j], u_inv[i], f)
-
-    def col_op(i, j, f):  # col_i -= f * col_j
-        if f:
-            col = cols[i]
-            for r in cols[j]:
-                row = m[r]
-                x = row.get(i, 0) - f * row[j]
-                if x:
-                    row[i] = x
-                    col.add(r)
-                else:
-                    del row[i]
-                    col.remove(r)
-            _add(v[i], v[j], -f)
-            _add(v_inv[j], v_inv[i], f)
-
-    def row_swap(i, j):
-        for k in m[i].keys() ^ m[j].keys():
-            cols[k] ^= {i, j}
-        for t in (m, u, u_inv):
-            t[i], t[j] = t[j], t[i]
-
-    def col_swap(i, j):
-        for r in cols[i] | cols[j]:
-            row = m[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[i] = y
-        for t in (cols, v, v_inv):
-            t[i], t[j] = t[j], t[i]
+    def row_op(i, j, f):  # row_i -= f * row_j, f != 0
+        _add(m[i], m[j], -f)
+        _add(u[i], u[j], -f)
+        _add(u_inv[j], u_inv[i], f)
 
     for s in range(n):
         while True:  # rows s.. have no entry left of column s
@@ -466,18 +433,38 @@ def _smith(lat: GramLattice) -> SNFResult:
                             break
             if best is None:
                 break
-            if best[1] != s:
-                row_swap(s, best[1])
-            if best[2] != s:
-                col_swap(s, best[2])
-            piv, clean = m[s][s], True
-            for i in sorted(cols[s] - {s}):
-                row_op(i, s, m[i][s] // piv)
-                clean = clean and s not in m[i]
-            for j in sorted(m[s].keys() - {s}):
-                col_op(j, s, m[s][j] // piv)
-                clean = clean and j not in m[s]
-            if not clean:
+            _, i, j = best
+            if i != s:
+                for t in (m, u, u_inv):
+                    t[s], t[i] = t[i], t[s]
+            if j != s:
+                for row in m[s:]:
+                    x, y = row.pop(s, 0), row.pop(j, 0)
+                    if x:
+                        row[j] = x
+                    if y:
+                        row[s] = y
+                for t in (v, v_inv):
+                    t[s], t[j] = t[j], t[s]
+            # |piv| is the least in the block, so every quotient is nonzero
+            piv, rows = m[s][s], [s]
+            for i in range(s + 1, n):
+                if s in m[i]:
+                    row_op(i, s, m[i][s] // piv)
+                    if s in m[i]:
+                        rows.append(i)
+            for j in sorted(m[s].keys() - {s}):  # col_j -= f * col_s
+                f = m[s][j] // piv
+                for r in rows:
+                    row = m[r]
+                    x = row.get(j, 0) - f * row[s]
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                _add(v[j], v[s], -f)
+                _add(v_inv[s], v_inv[j], f)
+            if len(rows) > 1 or len(m[s]) > 1:
                 continue
             bad = None if abs(piv) == 1 else next(
                 (i for i in range(s + 1, n) if any(x % piv for x in m[i].values())), None
@@ -487,22 +474,21 @@ def _smith(lat: GramLattice) -> SNFResult:
                 continue
             break
         if m[s].get(s, 0) < 0:
-            m[s][s] = -m[s][s]
-            u[s] = [-x for x in u[s]]
-            u_inv[s] = {k: -x for k, x in u_inv[s].items()}
+            for t in (m, u, u_inv):
+                t[s] = {k: -x for k, x in t[s].items()}
 
     def dense(vectors):  # rows of the matrix with these sparse rows
         out = [[0] * n for _ in range(n)]
         for row, vec in zip(out, vectors):
             for j, x in vec.items():
                 row[j] = x
-        return out
+        return tuple(map(tuple, out))
 
     res = SNFResult(
         tuple(m[s].get(s, 0) for s in range(n)),
-        tuple(map(tuple, u)),
+        dense(u),
         *(tuple(zip(*dense(t))) for t in (v, u_inv)),  # held by columns
-        tuple(map(tuple, dense(v_inv))),
+        dense(v_inv),
     )
     if not res.verify(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")

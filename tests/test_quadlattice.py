@@ -436,9 +436,9 @@ def test_snf_matches_the_dense_oracle_on_the_ladder(gen, r):
     "lat", [t_lattice(3, 4, 5), t_tilde_lattice(3, 4, 5, "S'")], ids=["T345", "T~345-S'"]
 )
 def test_every_single_entry_mutant_of_the_certificate_fails(lat):
-    """One entry of any of the five fields moved by +-1: U G = D V^-1 with
-    V V^-1 = I rejects it, and so does the dense oracle, which multiplies
-    out U G V, U U^-1 and V V^-1."""
+    """One entry of any of the five fields moved by +-1: U U^-1 = I,
+    V V^-1 = I and U^-1 (D V^-1) = G reject it, and so does the dense
+    oracle, which multiplies out U G V, U U^-1 and V V^-1."""
     snf = smith_normal_form(lat)
     n = lat.rank
     assert snf.divisors[-1] == (0 if lat.labels[-1] == "t2" else 13)
@@ -451,6 +451,30 @@ def test_every_single_entry_mutant_of_the_certificate_fails(lat):
         for name, i, j in itertools.product(("u", "v", "u_inv", "v_inv"), range(n), range(n)):
             bad = SNFResult(**dict(vars(snf), **{name: _bumped(getattr(snf, name), i, j, delta)}))
             assert not bad.verify(lat) and not dense_snf_verify(bad, lat), (name, i, j, delta)
+
+
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_changed_entry_of_any_field_is_judged_as_the_dense_oracle_judges_it(g, data):
+    """One entry of one of the five fields moved by +-1 or +-2, with no
+    inverse carried along, on lattices that include singular ones with
+    several zero divisors: the sparse check agrees with the dense oracle,
+    and both reject the changed certificate."""
+    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
+    n = lat.rank
+    if n == 0:
+        return
+    snf = smith_normal_form(lat)
+    name = data.draw(st.sampled_from(["divisors", "u", "v", "u_inv", "v_inv"]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.sampled_from([1, -1, 2, -2]))
+    if name == "divisors":
+        changed = snf.divisors[:i] + (snf.divisors[i] + delta,) + snf.divisors[i + 1 :]
+    else:
+        changed = _bumped(getattr(snf, name), i, j, delta)
+    bad = SNFResult(**dict(vars(snf), **{name: changed}))
+    assert bad.verify(lat) == dense_snf_verify(bad, lat)
+    assert not bad.verify(lat), (name, i, j, delta)
 
 
 @pytest.mark.parametrize(
