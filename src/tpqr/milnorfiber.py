@@ -13,7 +13,9 @@ from functools import cached_property
 from operator import add
 
 from . import value_class
-from .quadlattice import GramLattice, _check_tilde_triple, _row_times, t_tilde_lattice
+from .quadlattice import (
+    GramLattice, _arm_starts, _check_tilde_triple, _row_times, t_tilde_lattice,
+)
 
 __all__ = [
     "SurfaceSystem",
@@ -50,18 +52,16 @@ class SurfaceSystem:
 
     @property
     def rank(self) -> int:
-        return sum(self.triple) - 1
+        return self.t2_index + 1
 
     @property
     def t2_index(self) -> int:
-        return self.rank - 1
+        return _arm_starts(*self.triple)[3] + 1  # right after s+
 
     def arm_indices(self, m: int) -> list[int]:
         """Basis indices of the spheres s{m}_1 .. s{m}_{len}."""
-        p, q, r = self.triple
-        arms = (p - 1, q - 1, r - 1)
-        start = sum(arms[: m - 1])
-        return list(range(start, start + arms[m - 1]))
+        starts = _arm_starts(*self.triple)
+        return list(range(starts[m - 1], starts[m]))
 
     def expand_sigma_m0(self, m: int) -> tuple[int, ...]:
         """Coordinates of the removed chain sphere s{m}_0 in this basis."""
@@ -83,41 +83,27 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     image s{m}_0 expanding through the fiber relation t2 = chain sum;
     s+ -> s+ + s1_1 + s2_1 + s3_1 - t2 and t2 is fixed.
     """
-    sys = surface_system(p, q, r)
-    n = sys.rank
-    t2 = sys.t2_index
-    plus = n - 2
-    cols: list[list[int]] = []
-    for m in (1, 2, 3):
-        idx = sys.arm_indices(m)
-        for pos, i in enumerate(idx):
-            col = [0] * n
-            if pos + 1 < len(idx):
-                col[idx[pos + 1]] = 1
-            else:
-                col[t2] = 1
-                for j in idx:
-                    col[j] -= 1
-            cols.append(col)
-    col_plus = [0] * n
-    col_plus[plus] = 1
-    for m in (1, 2, 3):
-        col_plus[sys.arm_indices(m)[0]] += 1
-    col_plus[t2] -= 1
-    cols.append(col_plus)
-    col_t2 = [0] * n
-    col_t2[t2] = 1
-    cols.append(col_t2)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    _check_tilde_triple(p, q, r)
+    starts = _arm_starts(p, q, r)
+    plus = starts[3]
+    t2 = plus + 1
+    rows = [[0] * (t2 + 1) for _ in range(t2 + 1)]
+    for a, b in zip(starts, starts[1:]):  # the chain s{m}_1 .. is a .. b-1
+        rows[a][plus] = 1  # s+ -> ... + s{m}_1
+        rows[t2][b - 1] = 1  # the wrap of s{m}_last: t2 - chain sum
+        for i in range(a, b):
+            rows[i][b - 1] = -1
+            if i > a:
+                rows[i][i - 1] = 1  # the shift s{m}_(i-1) -> s{m}_i
+    rows[plus][plus] = rows[t2][t2] = 1
+    rows[t2][plus] = -1
+    return tuple(map(tuple, rows))
 
 
 def section_vector(p: int, q: int, r: int) -> tuple[int, ...]:
     """Pairing functional of the section class against the S' basis:
     zero on every sphere and on s+, one on the fiber class."""
-    sys = surface_system(p, q, r)
-    v = [0] * sys.rank
-    v[sys.t2_index] = 1
-    return tuple(v)
+    return (0,) * surface_system(p, q, r).t2_index + (1,)
 
 
 def char_poly(m: IntMatrix) -> tuple[int, ...]:

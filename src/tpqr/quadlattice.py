@@ -112,46 +112,48 @@ class GramLattice:
         return cls(tuple(labels), tuple(tuple(map(int, row)) for row in rows))
 
 
+def _gram(labels, diagonal, edges) -> GramLattice:
+    """The lattice on ``labels`` whose Gram matrix has ``diagonal`` on
+    the diagonal, x at (i, j) and (j, i) for each edge (i, j, x) with
+    i < j, and 0 elsewhere.  The entries are ints already, so the rows
+    skip the conversion of ``from_rows``."""
+    n = len(labels)
+    rows = [[0] * n for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        rows[i][i] = x
+    for i, j, x in edges:
+        rows[i][j] = rows[j][i] = x
+    return GramLattice(tuple(labels), tuple(map(tuple, rows)))
+
+
 def a_block(n: int) -> GramLattice:
     """Positive-definite A_n chain: +2 diagonal, -1 on diagram edges."""
     if n < 1:
         raise LatticeError("a_block needs n >= 1")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-        if i + 1 < n:
-            rows[i][i + 1] = rows[i + 1][i] = -1
-    return GramLattice.from_rows([f"a{i+1}" for i in range(n)], rows)
+    return _gram([f"a{i+1}" for i in range(n)], [2] * n, [(i, i + 1, -1) for i in range(n - 1)])
 
 
 def hyperbolic_plane() -> GramLattice:
-    return GramLattice.from_rows(["e", "f"], [[0, 1], [1, 0]])
+    return _gram(["e", "f"], [0, 0], [(0, 1, 1)])
 
 
-def _star_rows(p: int, q: int, r: int) -> list[list[int]]:
-    """Star diagram on arms of p-1, q-1, r-1 vertices plus a center:
-    -2 diagonal, +1 edges; arm vertex 1 is the one adjacent to the center."""
-    arms = (p - 1, q - 1, r - 1)
-    n = sum(arms) + 1
-    center = n - 1
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -2
-    offset = 0
-    for arm in arms:
-        for j in range(arm - 1):
-            i = offset + j
-            rows[i + 1][i] = rows[i][i + 1] = 1
-        rows[offset][center] = rows[center][offset] = 1
-        offset += arm
-    return rows
+def _arm_starts(p: int, q: int, r: int) -> tuple[int, int, int, int]:
+    """Basis layout of T(p,q,r) and its Milnor lattices: the arms of p-1,
+    q-1 and r-1 spheres begin at the first three indices and the center
+    s+ sits at the fourth; the Milnor lattices put t2 or s- after it."""
+    return (0, p - 1, p + q - 2, p + q + r - 3)
 
 
-def _star_labels(p: int, q: int, r: int) -> list[str]:
-    labels = []
-    for m, arm in ((1, p - 1), (2, q - 1), (3, r - 1)):
-        labels += [f"s{m}_{j}" for j in range(1, arm + 1)]
-    return labels + ["s+"]
+def _star(p: int, q: int, r: int) -> tuple[list[str], list[tuple[int, int, int]]]:
+    """Labels and +1 edges of the star diagram: arm m is the chain s{m}_1,
+    s{m}_2, ..., whose first vertex s{m}_1 is joined to the center s+."""
+    starts = _arm_starts(p, q, r)
+    center = starts[3]
+    labels, edges = [], []
+    for m, (a, b) in enumerate(zip(starts, starts[1:]), 1):
+        labels += [f"s{m}_{j}" for j in range(1, b - a + 1)]
+        edges += [(i, i + 1, 1) for i in range(a, b - 1)] + [(a, center, 1)]
+    return labels + ["s+"], edges
 
 
 def t_lattice(p: int, q: int, r: int) -> GramLattice:
@@ -162,7 +164,8 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
     """
     if min(p, q, r) < 2:
         raise LatticeError("t_lattice needs p,q,r >= 2")
-    return GramLattice.from_rows(_star_labels(p, q, r), _star_rows(p, q, r))
+    labels, edges = _star(p, q, r)
+    return _gram(labels, [-2] * len(labels), edges)
 
 
 def e_lattice(k: int) -> GramLattice:
@@ -190,22 +193,14 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     pairs to zero with everything.
     """
     _check_tilde_triple(p, q, r)
-    star = _star_rows(p, q, r)
-    n = len(star) + 1
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows[i][j] = star[i][j]
-    labels = _star_labels(p, q, r)
+    labels, edges = _star(p, q, r)
+    last = len(labels)
     if generator == "S'":
-        return GramLattice.from_rows(labels + ["t2"], rows)
+        return _gram(labels + ["t2"], [-2] * last + [0], edges)
     if generator == "S":
-        last = n - 1
-        for i in range(n - 2):
-            rows[i][last] = rows[last][i] = star[i][n - 2]
-        rows[last][last] = -2
-        rows[n - 2][last] = rows[last][n - 2] = -2
-        return GramLattice.from_rows(labels + ["s-"], rows)
+        *arms, center = _arm_starts(p, q, r)
+        corner = [(a, last, 1) for a in arms] + [(center, last, -2)]
+        return _gram(labels + ["s-"], [-2] * (last + 1), edges + corner)
     raise LatticeError(f"unknown generator tag {generator!r}")
 
 

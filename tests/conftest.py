@@ -23,7 +23,12 @@ earlier dense check: U G V multiplied out in full, then one elimination
 each to show |det U| = |det V| = 1; it also multiplies out U U^-1 and
 V V^-1, so it reads all five fields of the certificate.  ``dense_smith``
 is the earlier Smith normal form on dense lists: the same pivot rule and
-operations, each one scanning a full row or column.  The dense Berkowitz and dense
+operations, each one scanning a full row or column.  The ``dense_*``
+diagram builders are the earlier constructors of A_n, H, T(p,q,r) and
+its Milnor lattices, each filling a dense matrix by hand from arm
+offsets of its own, and ``column_monodromy_action`` is the earlier
+monodromy, built image column by image column and then transposed, with
+the S' basis indices derived again from p, q and r.  The dense Berkowitz and dense
 elimination oracles are the exact kernels before they used sparsity: full
 Krylov vectors, and every trailing row rescaled at every step.  The
 cycle-product oracle multiplies one factor per entry, runs of twos
@@ -79,7 +84,13 @@ from tpqr.numcheck import (
     f_eval,
     point,
 )
-from tpqr.quadlattice import GramLattice, LatticeError, SNFResult, _eliminate
+from tpqr.quadlattice import (
+    GramLattice,
+    LatticeError,
+    SNFResult,
+    _check_tilde_triple,
+    _eliminate,
+)
 from tpqr.sl2z import R, MatrixClass, SL2Matrix, _I, _floor_surd, classify
 
 
@@ -653,6 +664,107 @@ def dense_smith(lat: GramLattice) -> SNFResult:
     return SNFResult(
         tuple(m[i][i] for i in range(n)), *(tuple(map(tuple, t)) for t in (u, v, u_inv, v_inv))
     )
+
+
+def dense_star_rows(p: int, q: int, r: int) -> list[list[int]]:
+    arms = (p - 1, q - 1, r - 1)
+    n = sum(arms) + 1
+    center = n - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = -2
+    offset = 0
+    for arm in arms:
+        for j in range(arm - 1):
+            i = offset + j
+            rows[i + 1][i] = rows[i][i + 1] = 1
+        rows[offset][center] = rows[center][offset] = 1
+        offset += arm
+    return rows
+
+
+def dense_star_labels(p: int, q: int, r: int) -> list[str]:
+    labels = []
+    for m, arm in ((1, p - 1), (2, q - 1), (3, r - 1)):
+        labels += [f"s{m}_{j}" for j in range(1, arm + 1)]
+    return labels + ["s+"]
+
+
+def dense_a_block(n: int) -> GramLattice:
+    if n < 1:
+        raise LatticeError("a_block needs n >= 1")
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+        if i + 1 < n:
+            rows[i][i + 1] = rows[i + 1][i] = -1
+    return GramLattice.from_rows([f"a{i+1}" for i in range(n)], rows)
+
+
+def dense_hyperbolic_plane() -> GramLattice:
+    return GramLattice.from_rows(["e", "f"], [[0, 1], [1, 0]])
+
+
+def dense_t_lattice(p: int, q: int, r: int) -> GramLattice:
+    if min(p, q, r) < 2:
+        raise LatticeError("t_lattice needs p,q,r >= 2")
+    return GramLattice.from_rows(dense_star_labels(p, q, r), dense_star_rows(p, q, r))
+
+
+def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
+    _check_tilde_triple(p, q, r)
+    star = dense_star_rows(p, q, r)
+    n = len(star) + 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        for j in range(n - 1):
+            rows[i][j] = star[i][j]
+    labels = dense_star_labels(p, q, r)
+    if generator == "S'":
+        return GramLattice.from_rows(labels + ["t2"], rows)
+    if generator == "S":
+        last = n - 1
+        for i in range(n - 2):
+            rows[i][last] = rows[last][i] = star[i][n - 2]
+        rows[last][last] = -2
+        rows[n - 2][last] = rows[last][n - 2] = -2
+        return GramLattice.from_rows(labels + ["s-"], rows)
+    raise LatticeError(f"unknown generator tag {generator!r}")
+
+
+def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
+    _check_tilde_triple(p, q, r)
+    arms = (p - 1, q - 1, r - 1)
+    n = sum(arms) + 2
+    t2 = n - 1
+    plus = n - 2
+
+    def arm_indices(m):
+        start = sum(arms[: m - 1])
+        return list(range(start, start + arms[m - 1]))
+
+    cols: list[list[int]] = []
+    for m in (1, 2, 3):
+        idx = arm_indices(m)
+        for pos, i in enumerate(idx):
+            col = [0] * n
+            if pos + 1 < len(idx):
+                col[idx[pos + 1]] = 1
+            else:
+                col[t2] = 1
+                for j in idx:
+                    col[j] -= 1
+            cols.append(col)
+    col_plus = [0] * n
+    col_plus[plus] = 1
+    for m in (1, 2, 3):
+        col_plus[arm_indices(m)[0]] += 1
+    col_plus[t2] -= 1
+    cols.append(col_plus)
+    col_t2 = [0] * n
+    col_t2[t2] = 1
+    cols.append(col_t2)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:

@@ -102,6 +102,37 @@ def test_rank_120_monodromy_json_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MONODROMY_RANK_120_SHA256
 
 
+PARABOLIC_SHA256 = {
+    "lattice t --triple 3,3,3": "8c0a2680f3691dc109fd95df327341a9ed1cd15fbf9f0bd8199ef1fc26c159ba",
+    "lattice t --triple 2,4,4": "8822e87b1bdaf757be045c296be4991203be22468999f4b8495736e6284e7b5d",
+    "lattice t --triple 2,3,6": "c21d61b0ef99b4554a49235d9f901253b0670ac995f03c621bc9671784145bee",
+    "lattice ttilde --triple 3,3,3 --generator S":
+        "6c0c0b10189d5ced3623387a24004aad4c29e1325ed882fd81cbee278b67a439",
+    "lattice ttilde --triple 3,3,3 --generator S'":
+        "9b2579716934200f3ee2fd9f27f55bc0134ed7e4e83ec3962866ac0d78b75a9c",
+    "lattice ttilde --triple 2,4,4 --generator S":
+        "691220b90062b96b4fdba5cff18503cfe47b5315c7b5600c8e9e64c4e18a78f1",
+    "lattice ttilde --triple 2,4,4 --generator S'":
+        "2c7490dcecd88fa81dc444a6f5e20f32ae9ea07f0a9c6486ee04b21e4a81476a",
+    "lattice ttilde --triple 2,3,6 --generator S":
+        "9fe63bab89561405e869b62f2bf7bb76a6153ba7402125413bd44f649779434c",
+    "lattice ttilde --triple 2,3,6 --generator S'":
+        "9b58623c6b55b74432b9648626280113ec5412066c03dfd5a1b4d8bb8aab51a6",
+    "monodromy 3 3 3": "45f90ad31442f91555d73873163c546105c7fc9ebb9145e5ee5d3475dfe7fd08",
+    "monodromy 2 4 4": "82a47f871091da1b19116ff7e0ccf1ab51ee833dfc685c99c520251494811341",
+    "monodromy 2 3 6": "4f5ba42fc7caec0d20ed299c44e477c0e8caf170eaeb12df81efc724b91c0825",
+}
+
+
+def test_simple_elliptic_outputs_are_byte_identical(capsys):
+    """The recorded requests draw only cusp triples; these pin the three
+    parabolic ones, whose Milnor lattices have a radical of rank 2."""
+    for request, want in PARABOLIC_SHA256.items():
+        code, out = run(capsys, *request.split(" "), "--json")
+        assert code == 0, request
+        assert hashlib.sha256(out.encode()).hexdigest() == want, request
+
+
 def test_k3_json(capsys):
     code, data = run_json(capsys, "k3", "--pair", "2,3,8")
     assert code == 0

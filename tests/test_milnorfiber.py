@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    column_monodromy_action,
     dense_berkowitz,
     dense_eliminate,
     integer_matrices,
     interpolated_char_poly,
     square_matrices,
 )
-from tpqr import cli, milnorfiber
+from tpqr import cli, milnorfiber, triple_excess
 from tpqr.milnorfiber import (
     char_poly,
     monodromy_action,
@@ -174,6 +176,12 @@ def test_center_image():
         expect[sys_.arm_indices(m)[0]] += 1
     expect[sys_.t2_index] -= 1
     assert col == expect
+
+
+def test_monodromy_matches_the_column_built_oracle():
+    triples = itertools.product(range(2, 13), repeat=3)
+    for triple in [*(t for t in triples if triple_excess(*t) >= 0), (3, 4, 114), (2, 3, 116)]:
+        assert monodromy_action(*triple) == column_monodromy_action(*triple), triple
 
 
 def test_monodromy_has_infinite_order_for_cusp_triples():

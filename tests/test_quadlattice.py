@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from conftest import (
     bareiss_det,
     congruence_sig,
+    dense_a_block,
     dense_eliminate,
+    dense_hyperbolic_plane,
     dense_smith,
     dense_snf_verify,
+    dense_t_lattice,
+    dense_t_tilde_lattice,
     integer_matrices,
     square_matrices,
     symmetric_matrices,
 )
-from tpqr import k3glue, quadlattice
+from tpqr import k3glue, quadlattice, triple_excess
 from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
@@ -71,6 +75,26 @@ def test_a_block_and_h():
     assert discriminant(h) == -1
     assert signature(h) == (1, 0, 1)
     assert parity(h) == "even"
+
+
+@given(
+    st.integers(2, 12).flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 12))),
+    st.integers(2, 60),
+    st.integers(1, 30),
+)
+@example((2, 3), 6, 1)  # the three parabolic triples: radical rank 2
+@example((3, 3), 3, 30)
+@example((2, 4), 4, 2)
+@example((12, 12), 60, 29)  # the largest drawn
+@settings(max_examples=150, deadline=None)
+def test_diagram_lattices_match_the_dense_builders(pq, r, n):
+    p, q = pq
+    assert a_block(n) == dense_a_block(n)
+    assert hyperbolic_plane() == dense_hyperbolic_plane()
+    assert t_lattice(p, q, r) == dense_t_lattice(p, q, r)
+    if triple_excess(p, q, r) >= 0:  # cusp or parabolic
+        for gen in ("S", "S'"):
+            assert t_tilde_lattice(p, q, r, gen) == dense_t_tilde_lattice(p, q, r, gen)
 
 
 def test_e8_is_negative_definite_unimodular_even():
