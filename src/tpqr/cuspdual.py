@@ -184,6 +184,8 @@ class CycleData:
     def __post_init__(self):
         if not self.entries:
             raise CuspDualityError("empty cycle")
+        if any(type(c) is not int for c in self.entries):
+            raise TypeError(f"integer cycle entries required, got {self.entries!r}")
         if any(c < 2 for c in self.entries):
             raise CuspDualityError("all cycle entries must be >= 2")
         if all(c == 2 for c in self.entries):

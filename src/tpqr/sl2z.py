@@ -60,7 +60,7 @@ class SL2Matrix:
         # the hot constructor: a plain signature binds faster than the
         # generic one of value_class
         for v in (a, b, c, d):
-            if not isinstance(v, int):
+            if type(v) is not int:  # bool is not an entry
                 raise TypeError(f"integer entries required, got {v!r}")
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
@@ -79,12 +79,8 @@ class SL2Matrix:
         return self.a + self.d
 
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return SL2Matrix(*_prod((self.a, self.b, self.c, self.d),
+                                (other.a, other.b, other.c, other.d)))
 
     def __neg__(self) -> "SL2Matrix":
         return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
@@ -93,16 +89,17 @@ class SL2Matrix:
         return SL2Matrix(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "SL2Matrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = SL2Matrix.identity()
-        base = self
+        if type(n) is not int:
+            raise TypeError(f"integer exponent required, got {n!r}")
+        a, b, c, d = self.a, self.b, self.c, self.d
+        base = (a, b, c, d) if n >= 0 else (d, -b, -c, a)
+        n, out = abs(n), (1, 0, 0, 1)
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _prod(out, base)
+            base = _prod(base, base)
             n >>= 1
-        return out
+        return SL2Matrix(*out)
 
     def conjugate_by(self, p: "SL2Matrix") -> "SL2Matrix":
         """p * self * p^{-1}."""
@@ -123,10 +120,15 @@ class SL2Matrix:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
+def _prod(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    """Product of (a, b, c, d) tuples.  The kernels below multiply tuples and
+    build one SL2Matrix per result, whose constructor checks it."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 R = SL2Matrix(1, 1, 0, 1)
 L = SL2Matrix(1, 0, 1, 1)
-_I = SL2Matrix.identity()
-_S = SL2Matrix(0, -1, 1, 0)
 
 
 class MatrixClass(Enum):
@@ -149,6 +151,8 @@ class HomologyClass:
     n: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.n) is not int:
+            raise TypeError(f"integer class required, got ({self.m!r}, {self.n!r})")
         if math.gcd(abs(self.m), abs(self.n)) != 1:
             raise ValueError(f"({self.m},{self.n}) is not a primitive class")
 
@@ -176,12 +180,7 @@ class TwistWord:
 
     @classmethod
     def from_json(cls, data) -> "TwistWord":
-        return cls(
-            tuple(
-                (HomologyClass(int(s["class"][0]), int(s["class"][1])), int(s["exp"]))
-                for s in data
-            )
-        )
+        return cls.of(*((HomologyClass(*map(int, s["class"])), s["exp"]) for s in data))
 
 
 @value_class
@@ -201,21 +200,16 @@ class ConjugacyCertificate:
         return self.source.conjugate_by(self.conjugator) == self.target
 
     def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "conjugator": self.conjugator.to_json(),
-            "relation": self.relation,
-        }
+        return {"source": self.source.to_json(), "target": self.target.to_json(),
+                "conjugator": self.conjugator.to_json(), "relation": self.relation}
 
 
 def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
     """Torus-bundle monodromy of the T_{p,q,r} link: the cycle matrix of
     (r-1, q-1, p-1), i.e. the product of the three factors (n-1 -1; 1 0)
     for n = r, q, p, with the r-factor leftmost."""
-    for n in (p, q, r):
-        if n < 2:
-            raise ValueError(f"indices must be >= 2, got ({p},{q},{r})")
+    if min(p, q, r) < 2:
+        raise ValueError(f"indices must be >= 2, got ({p},{q},{r})")
     return cycle_matrix((r - 1, q - 1, p - 1))
 
 
@@ -223,22 +217,22 @@ def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
     """Product of the factors (c -1; 1 0) over the entries, leftmost first:
     the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle.
     A run of z twos is one factor, (2 -1; 1 0)^z = (z+1 -z; z 1-z)."""
-    out = _I
-    for c, run in groupby(entries):
-        if c == 2:
-            z = sum(1 for _ in run)
-            out = out * SL2Matrix(z + 1, -z, z, 1 - z)
+    a, b, c, d = 1, 0, 0, 1
+    for e, run in groupby(entries):
+        for z, v in enumerate(run, 1):  # z ends as the length of the run
+            if type(v) is not int:
+                raise TypeError(f"integer cycle entries required, got {v!r}")
+        if e == 2:
+            a, b, c, d = _prod((a, b, c, d), (z + 1, -z, z, 1 - z))
         else:
-            for _ in run:
-                out = out * SL2Matrix(c, -1, 1, 0)
-    return out
+            for _ in range(z):
+                a, b, c, d = a * e + b, -a, c * e + d, -c
+    return SL2Matrix(a, b, c, d)
 
 
 def classify(m: SL2Matrix) -> MatrixClass:
-    if m == _I:
-        return MatrixClass.IDENTITY
-    if m == -_I:
-        return MatrixClass.MINUS_IDENTITY
+    if m.b == m.c == 0:  # then a = d = +-1
+        return MatrixClass.IDENTITY if m.a == 1 else MatrixClass.MINUS_IDENTITY
     t = abs(m.trace)
     if t < 2:
         return MatrixClass.ELLIPTIC
@@ -249,17 +243,20 @@ def classify(m: SL2Matrix) -> MatrixClass:
 
 def dehn_twist(c: HomologyClass) -> SL2Matrix:
     """Right-handed twist along c acting on H_1: v -> v + <v,c> c."""
-    e1 = (1 + c.n * c.m, c.n * c.n)  # image of (1,0); <(1,0),c> = n
-    e2 = (-c.m * c.m, 1 - c.m * c.n)  # image of (0,1); <(0,1),c> = -m
-    return SL2Matrix(e1[0], e2[0], e1[1], e2[1])
+    return evaluate_word(((c, 1),))
 
 
 def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2Matrix:
-    """Exact product of the twist word, leftmost letter applied last."""
-    out = _I
+    """Exact product of the twist word, leftmost letter applied last.  The
+    twist along c = (m, n) is I + N, N = (mn -m^2; n^2 -mn), and N^2 = 0,
+    so its e-th power is I + eN."""
+    out = (1, 0, 0, 1)
     for c, e in word:
-        out = out * (dehn_twist(c) ** e)
-    return out
+        if type(e) is not int:
+            raise TypeError(f"integer exponent required, got {e!r}")
+        k = e * c.m
+        out = _prod(out, (1 + k * c.n, -k * c.m, e * c.n * c.n, 1 - k * c.n))
+    return SL2Matrix(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +277,20 @@ def _floor_surd(p: int, q: int, isqrt_d: int) -> int:
     return -((p + isqrt_d) // (-q)) - 1
 
 
-def _word_matrix(exps: Iterable[int]) -> SL2Matrix:
-    """Matrix of R^{e1} L^{e2} R^{e3} ..., with R^e = (1 e; 0 1) and
+def _word(exps: Iterable[int]) -> tuple[int, int, int, int]:
+    """R^{e1} L^{e2} R^{e3} ... as a tuple, with R^e = (1 e; 0 1) and
     L^e = (1 0; e 1)."""
-    out = _I
+    a, b, c, d = 1, 0, 0, 1
     for i, e in enumerate(exps):
-        out = out * (SL2Matrix(1, e, 0, 1) if i % 2 == 0 else SL2Matrix(1, 0, e, 1))
-    return out
+        if i % 2:
+            a, c = a + b * e, c + d * e
+        else:
+            b, d = b + a * e, d + c * e
+    return a, b, c, d
+
+
+def _word_matrix(exps: Iterable[int]) -> SL2Matrix:
+    return SL2Matrix(*_word(exps))
 
 
 def _block_rotations(exps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -309,6 +313,8 @@ class RLWord:
     def __post_init__(self):
         if len(self.exponents) == 0 or len(self.exponents) % 2 != 0:
             raise ValueError("exponent tuple must be nonempty of even length")
+        if any(type(e) is not int for e in self.exponents):
+            raise TypeError(f"integer exponents required, got {self.exponents!r}")
         if any(e < 1 for e in self.exponents):
             raise ValueError("all exponents must be >= 1")
 
@@ -323,9 +329,7 @@ class RLWord:
         return self.sign == other.sign and self.canonical() == other.canonical()
 
     def __str__(self) -> str:
-        body = " ".join(
-            f"{'R' if i % 2 == 0 else 'L'}^{e}" for i, e in enumerate(self.exponents)
-        )
+        body = " ".join(f"{'RL'[i % 2]}^{e}" for i, e in enumerate(self.exponents))
         return body if self.sign == 1 else f"-({body})"
 
 
@@ -349,34 +353,35 @@ def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:
         states[(p_st, q_st)] = len(quotients)
         u = _floor_surd(p_st, q_st, sd)
         quotients.append(u)
-        p_next = u * q_st - p_st
-        q_next = (d - p_next * p_next) // q_st
-        p_st, q_st = p_next, q_next
+        p_st = u * q_st - p_st
+        q_st = (d - p_st * p_st) // q_st
     i0 = states[(p_st, q_st)]
     period = quotients[i0:]
     if len(period) % 2 == 1:
         period = period + period
 
     # one-period word and the power matching the trace
-    w0 = _word_matrix(period)
-    w, k = w0, 1
-    while w.trace < t:
-        w = w * w0
+    w0 = w = _word(period)
+    k = 1
+    while w[0] + w[3] < t:
+        w = _prod(w, w0)
         k += 1
-    if w.trace != t:  # pragma: no cover - guarded by the theory
+    if w[0] + w[3] != t:  # pragma: no cover - guarded by the theory
         raise AssertionError("trace mismatch in RL factorization")
     exps = tuple(period) * k
 
     # conjugator from the pre-period: x0 = G(x_reduced) with G the product
     # of R^{u_i} iota, iota: t -> 1/t; that is the alternating word
     # R^{u_1} L^{u_2} ..., times a trailing iota when i0 is odd.
-    conj = _word_matrix(quotients[:i0]).inverse()
+    a, b, c, d = _word(quotients[:i0])
+    a, b, c, d = d, -b, -c, a  # the inverse
     if i0 % 2:
         # conj*m*conj^-1 is the R<->L swapped word starting with L^{e1};
-        # rotate that first block to the back.
+        # rotate that first block to the back: conj = L^{-e1} * conj.
         e1 = exps[0]
         exps = exps[1:] + (e1,)
-        conj = (L ** (-e1)) * conj
+        c, d = c - e1 * a, d - e1 * b
+    conj = SL2Matrix(a, b, c, d)
     if m.conjugate_by(conj) != _word_matrix(exps):  # pragma: no cover
         raise AssertionError("RL reduction failed to verify")
     return exps, conj
@@ -390,11 +395,8 @@ def rl_word(m: SL2Matrix) -> RLWord:
     """
     if classify(m) is not MatrixClass.HYPERBOLIC:
         raise ValueError("rl_word requires a hyperbolic matrix")
-    if m.trace > 0:
-        exps, _ = _rl_reduce(m)
-        return RLWord(exps, 1)
-    exps, _ = _rl_reduce(-m)
-    return RLWord(exps, -1)
+    sign = 1 if m.trace > 0 else -1
+    return RLWord(_rl_reduce(m if sign == 1 else -m)[0], sign)
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +405,16 @@ def rl_word(m: SL2Matrix) -> RLWord:
 
 
 def _conjugate_hyperbolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
-    sign = 1 if m.trace > 0 else -1
-    m1 = m if sign == 1 else -m
-    n1 = n if sign == 1 else -n
-    exps_m, pm = _rl_reduce(m1)
-    exps_n, pn = _rl_reduce(n1)
-    if len(exps_m) != len(exps_n):
-        return None
+    if m.trace < 0:  # P conjugates -m to -n exactly when it conjugates m to n
+        m, n = -m, -n
+    exps_m, pm = _rl_reduce(m)
+    exps_n, pn = _rl_reduce(n)
     for k, rot in _block_rotations(exps_m):
         if rot == exps_n:
-            prefix = _word_matrix(exps_m[:k])
+            a, b, c, d = _word(exps_m[:k])
             # word(exps_n) = prefix^-1 * word(exps_m) * prefix
-            return pn.inverse() * prefix.inverse() * pm
+            head = _prod((pn.d, -pn.b, -pn.c, pn.a), (d, -b, -c, a))
+            return SL2Matrix(*_prod(head, (pm.a, pm.b, pm.c, pm.d)))
     return None
 
 
@@ -427,16 +427,16 @@ def _reduce(m: SL2Matrix) -> tuple[SL2Matrix, SL2Matrix]:
     {0, -3, -4} holds exactly one reduced matrix: +-(1 k; 0 1), or one with
     d-a in (-|c|, |c|] and |c| <= |b|.
     """
-    cur, p = m, _I
-    while cur.c:
-        span = abs(cur.c)
-        k = -((cur.a - cur.d + span) // (2 * span))  # ceil((d-a-|c|) / 2|c|)
-        shift = SL2Matrix(1, k if cur.c > 0 else -k, 0, 1)
-        cur, p = cur.conjugate_by(shift), shift * p
-        if abs(cur.b) >= span:
+    (a, b, c, d), p = (m.a, m.b, m.c, m.d), (1, 0, 0, 1)
+    while c:
+        span = abs(c)
+        k = -((a - d + span) // (2 * span))  # ceil((d-a-|c|) / 2|c|)
+        s = k if c > 0 else -k  # conjugate by R^s
+        a, b, d, p = a + s * c, b + s * (d - a - s * c), d - s * c, _prod((1, s, 0, 1), p)
+        if abs(b) >= span:
             break
-        cur, p = cur.conjugate_by(_S), _S * p
-    return cur, p
+        a, b, c, d, p = d, -c, -b, a, _prod((0, -1, 1, 0), p)  # by S
+    return SL2Matrix(a, b, c, d), SL2Matrix(*p)
 
 
 def is_conjugate(m: SL2Matrix, n: SL2Matrix) -> Optional[ConjugacyCertificate]:

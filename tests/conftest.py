@@ -32,7 +32,12 @@ the S' basis indices derived again from p, q and r.  The dense Berkowitz and den
 elimination oracles are the exact kernels before they used sparsity: full
 Krylov vectors, and every trailing row rescaled at every step.  The
 cycle-product oracle multiplies one factor per entry, runs of twos
-included.  ``where_bump`` and ``where_bump_deriv`` evaluate the
+included.  The ``object_*`` oracles are the SL(2,Z) products as they ran
+before they moved to integer tuples: the cycle matrix (a run of twos as
+one factor), the RL word, powers by repeated squaring, the twist word as
+powers of twist matrices and the Gauss reduction, each building one
+SL2Matrix per factor through ``object_mul``, the entrywise product that
+``SL2Matrix.__mul__`` had before it called the tuple kernel.  ``where_bump`` and ``where_bump_deriv`` evaluate the
 transition polynomials on every entry and select with ``np.where``.  The
 ``separate_ft_*`` oracles are the deformed map and its Wirtinger
 gradients as separate evaluations, each recomputing the radii, the bump
@@ -60,6 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from operator import mul
 from typing import Iterator, Optional
 
@@ -91,7 +97,9 @@ from tpqr.quadlattice import (
     _check_tilde_triple,
     _eliminate,
 )
-from tpqr.sl2z import R, MatrixClass, SL2Matrix, _I, _floor_surd, classify
+from tpqr.sl2z import R, MatrixClass, SL2Matrix, _floor_surd, classify
+
+_I = SL2Matrix.identity()
 
 
 def mat2(rows):
@@ -454,6 +462,83 @@ def entrywise_cycle_matrix(entries) -> SL2Matrix:
     for c in entries:
         out = out * SL2Matrix(c, -1, 1, 0)
     return out
+
+
+def object_mul(x: SL2Matrix, y: SL2Matrix) -> SL2Matrix:
+    """x * y entry by entry, into a new SL2Matrix."""
+    return SL2Matrix(
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
+
+
+def object_cycle_matrix(entries) -> SL2Matrix:
+    """The cycle product one SL2Matrix per factor, a run of twos included."""
+    out = _I
+    for c, run in groupby(entries):
+        if c == 2:
+            z = sum(1 for _ in run)
+            out = object_mul(out, SL2Matrix(z + 1, -z, z, 1 - z))
+        else:
+            for _ in run:
+                out = object_mul(out, SL2Matrix(c, -1, 1, 0))
+    return out
+
+
+def object_word_matrix(exps) -> SL2Matrix:
+    """R^{e1} L^{e2} ... one SL2Matrix per factor."""
+    out = _I
+    for i, e in enumerate(exps):
+        out = object_mul(out, SL2Matrix(1, e, 0, 1) if i % 2 == 0 else SL2Matrix(1, 0, e, 1))
+    return out
+
+
+def object_power(m: SL2Matrix, n: int) -> SL2Matrix:
+    """m^n by repeated squaring of SL2Matrix objects."""
+    if n < 0:
+        return object_power(m.inverse(), -n)
+    out = _I
+    while n:
+        if n & 1:
+            out = object_mul(out, m)
+        m = object_mul(m, m)
+        n >>= 1
+    return out
+
+
+def object_dehn_twist(c) -> SL2Matrix:
+    e1 = (1 + c.n * c.m, c.n * c.n)  # image of (1,0); <(1,0),c> = n
+    e2 = (-c.m * c.m, 1 - c.m * c.n)  # image of (0,1); <(0,1),c> = -m
+    return SL2Matrix(e1[0], e2[0], e1[1], e2[1])
+
+
+def object_evaluate_word(word) -> SL2Matrix:
+    """The twist word as a product of powers of twist matrices."""
+    out = _I
+    for c, e in word:
+        out = object_mul(out, object_power(object_dehn_twist(c), e))
+    return out
+
+
+def object_reduce(m: SL2Matrix) -> tuple[SL2Matrix, SL2Matrix]:
+    """Gauss reduction of |trace| <= 2 conjugating SL2Matrix objects."""
+
+    def conjugate(x, p):
+        return object_mul(object_mul(p, x), p.inverse())
+
+    s = SL2Matrix(0, -1, 1, 0)
+    cur, p = m, _I
+    while cur.c:
+        span = abs(cur.c)
+        k = -((cur.a - cur.d + span) // (2 * span))
+        shift = SL2Matrix(1, k if cur.c > 0 else -k, 0, 1)
+        cur, p = conjugate(cur, shift), object_mul(shift, p)
+        if abs(cur.b) >= span:
+            break
+        cur, p = conjugate(cur, s), object_mul(s, p)
+    return cur, p
 
 
 def three_factor_monodromy(p: int, q: int, r: int) -> SL2Matrix:

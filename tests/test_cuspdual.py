@@ -462,3 +462,9 @@ def test_triple_normalization():
 def test_cycle_to_triple_absent_for_unmatchable_rotation():
     # (2,4,3) admits no rotation of the three-curve construction
     assert cycle_to_triple(CycleData.of(2, 4, 3)) is None
+
+
+@pytest.mark.parametrize("entries", [(3.0, 2), (3, 2.0), (True, 3), (Fraction(3), 4)])
+def test_cycle_entries_must_be_ints(entries):
+    with pytest.raises(TypeError, match="integer cycle entries"):
+        CycleData(entries)

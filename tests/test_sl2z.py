@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,12 @@ from conftest import (
     mat2,
     mul2,
     normal_form_conjugator,
+    object_cycle_matrix,
+    object_evaluate_word,
+    object_mul,
+    object_power,
+    object_reduce,
+    object_word_matrix,
     preperiod_rl_reduce,
     three_factor_monodromy,
 )
@@ -22,6 +29,7 @@ from tpqr.sl2z import (
     ConjugacyCertificate,
     HomologyClass,
     MatrixClass,
+    RLWord,
     SL2Matrix,
     TwistWord,
     classify,
@@ -513,3 +521,127 @@ def test_triple_excess_has_the_sign_of_the_weight_deficit_and_is_trace_minus_2()
         deficit = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
         assert (excess > 0) - (excess < 0) == (deficit > 0) - (deficit < 0)
         assert excess == monodromy_matrix(p, q, r).trace - 2
+
+
+# --- the tuple kernels against the object loops they replaced ---------------
+
+
+@st.composite
+def sl2_words(draw, length, bound):
+    """+-I or S times a product of R^a L^b factors with |a|, |b| <= bound."""
+    out = draw(st.sampled_from([I, -I, mat2(((0, -1), (1, 0)))]))
+    for a, b in draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * 2), max_size=length)):
+        out = out * mat2(((1, a), (0, 1))) * mat2(((1, 0), (b, 1)))
+    return out
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**30), 10**30).map(lambda c: [c]),
+            st.integers(1, 400).map(lambda z: [2] * z),
+        ),
+        max_size=12,
+    )
+)
+@example([[2] * 1000, [10**30], [2] * 3])
+@settings(max_examples=200, deadline=None)
+def test_cycle_matrix_equals_the_object_products(runs):
+    entries = [c for run in runs for c in run]
+    got = cycle_matrix(entries)
+    assert got == object_cycle_matrix(entries) == entrywise_cycle_matrix(entries)
+
+
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_word_matrix_equals_the_object_product(exps):
+    from tpqr.sl2z import _word_matrix
+
+    assert _word_matrix(exps) == object_word_matrix(exps)
+    positive = tuple(abs(e) + 1 for e in exps[: len(exps) // 2 * 2])
+    if positive:
+        assert RLWord(positive, -1).matrix() == -object_word_matrix(positive)
+
+
+@given(sl2_words(3, 4), st.integers(-300, 300))
+@example(mat2(((1, 1), (0, 1))), -(10**6 + 7))
+@settings(max_examples=200, deadline=None)
+def test_power_equals_repeated_object_squaring(m, n):
+    assert m**n == object_power(m, n)
+    assert object_mul(m**n, m**-n) == I
+
+
+@st.composite
+def twist_words(draw):
+    pair = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+        lambda v: math.gcd(*v) == 1
+    )
+    letters = st.tuples(pair.map(lambda v: HomologyClass(*v)), st.integers(-60, 60))
+    return draw(st.lists(letters, max_size=14))
+
+
+@given(twist_words())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_word_equals_the_object_twist_powers(word):
+    assert evaluate_word(word) == object_evaluate_word(word)
+    assert evaluate_word(TwistWord.of(*word)) == object_evaluate_word(word)
+
+
+@given(
+    data=st.data(),
+    base=st.one_of(
+        st.integers(-30, 30).map(lambda k: (1, k, 0, 1)),
+        st.sampled_from([(0, -1, 1, 0), (0, -1, 1, 1), (1, -1, 1, 0)]),
+    ),
+    sign=st.sampled_from([1, -1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_reduce_equals_the_object_reduction(data, base, sign):
+    m = SL2Matrix(*(sign * x for x in base)).conjugate_by(data.draw(sl2_words(4, 6)))
+    assert _reduce(m) == object_reduce(m)
+
+
+def test_each_product_kernel_builds_one_matrix(monkeypatch):
+    from tpqr.sl2z import _word_matrix
+
+    built = []
+    init = SL2Matrix.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    m = SL2Matrix(2, 1, 1, 1)
+    kernels = {
+        "cycle_matrix": lambda: cycle_matrix([3, 2, 2, 2, 5, 4, 2, 7]),
+        "_word_matrix": lambda: _word_matrix((3, 1, 4, 1, 5, 9, 2, 6)),
+        "__pow__": lambda: m**37,
+        "__pow__ negative": lambda: m ** -37,
+        "evaluate_word": lambda: evaluate_word([(ALPHA, 3), (GAMMA, -2), (BETA, 5)]),
+    }
+    monkeypatch.setattr(SL2Matrix, "__init__", counting_init)
+    for name, kernel in kernels.items():
+        built.clear()
+        kernel()
+        assert len(built) == 1, name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SL2Matrix(True, False, False, True),
+        lambda: SL2Matrix(1, 0, 0, 1.0),
+        lambda: HomologyClass(True, False),
+        lambda: HomologyClass(1, 0.0),
+        lambda: RLWord((1, 2.5)),
+        lambda: RLWord((True, 2)),
+        lambda: cycle_matrix((2.0, 3)),
+        lambda: cycle_matrix((3, 2, 2.0)),
+        lambda: SL2Matrix(2, 1, 1, 1) ** 2.0,
+        lambda: SL2Matrix(2, 1, 1, 1) ** True,
+        lambda: evaluate_word([(ALPHA, True)]),
+    ],
+)
+def test_non_integer_entries_and_exponents_raise_type_error(build):
+    with pytest.raises(TypeError, match="integer"):
+        build()

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from tpqr.cuspdual import QuadIrrational, Triple
 from tpqr.quadlattice import GramLattice
-from tpqr.sl2z import _I, _S, L, R, RLWord, SL2Matrix
+from tpqr.sl2z import L, R, RLWord, SL2Matrix
+
+_I, _S = SL2Matrix.identity(), SL2Matrix(0, -1, 1, 0)
 
 # entries that fail the validation by type
 ODD = st.sampled_from([1.0, "1", None])
