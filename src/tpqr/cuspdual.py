@@ -150,7 +150,10 @@ class QuadIrrational:
 
     @classmethod
     def from_json(cls, data) -> "QuadIrrational":
-        return cls.make(int(data["a"]), int(data["b"]), int(data["c"]), int(data["d"]))
+        abcd = tuple(data[k] for k in "abcd")
+        if any(type(v) is not int for v in abcd):  # bool is not a coefficient
+            raise TypeError(f"integer coefficients required, got {abcd!r}")
+        return cls.make(*abcd)
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -193,7 +196,7 @@ class CycleData:
 
     @classmethod
     def of(cls, *entries: int) -> "CycleData":
-        return cls(tuple(int(c) for c in entries))
+        return cls(entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -10,7 +10,7 @@ unimodular lattices.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from . import triple_excess, value_class
 
@@ -89,16 +89,10 @@ class GramLattice:
 
     def basis_changed(self, b: list[list[int]]) -> "GramLattice":
         """Gram matrix B^T G B for the new basis given by the columns of B."""
-        n = self.rank
-        gb = [
-            [sum(self.gram[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        new = [
-            [sum(b[k][i] * gb[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return GramLattice(self.labels, tuple(tuple(row) for row in new))
+        r = range(self.rank)
+        gb = [[sum(self.gram[i][k] * b[k][j] for k in r) for j in r] for i in r]
+        new = [tuple(sum(b[k][i] * gb[k][j] for k in r) for j in r) for i in r]
+        return GramLattice(self.labels, tuple(new))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
@@ -109,14 +103,17 @@ class GramLattice:
 
     @classmethod
     def from_rows(cls, labels, rows) -> "GramLattice":
-        return cls(tuple(labels), tuple(tuple(map(int, row)) for row in rows))
+        rows = tuple(map(tuple, rows))
+        if set(map(type, chain.from_iterable(rows))) - {int}:  # bool is not an entry
+            raise TypeError(f"integer Gram entries required, got {rows!r}")
+        return cls(tuple(labels), rows)
 
 
 def _gram(labels, diagonal, edges) -> GramLattice:
     """The lattice on ``labels`` whose Gram matrix has ``diagonal`` on
     the diagonal, x at (i, j) and (j, i) for each edge (i, j, x) with
     i < j, and 0 elsewhere.  The entries are ints already, so the rows
-    skip the conversion of ``from_rows``."""
+    skip the check of ``from_rows``."""
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
     for i, x in enumerate(diagonal):
@@ -210,14 +207,10 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
     if len(lattices) == 1:
         return lattices[0]
     n = sum(lat.rank for lat in lattices)
-    rows = [[0] * n for _ in range(n)]
-    labels = []
-    offset = 0
-    for bi, lat in enumerate(lattices):
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                rows[offset + i][offset + j] = lat.gram[i][j]
-        labels += [f"{lab}.{bi+1}" for lab in lat.labels]
+    rows, labels, offset = [], [], 0
+    for bi, lat in enumerate(lattices, 1):
+        rows += [(0,) * offset + tuple(r) + (0,) * (n - offset - lat.rank) for r in lat.gram]
+        labels += [f"{lab}.{bi}" for lab in lat.labels]
         offset += lat.rank
     return GramLattice.from_rows(labels, rows)
 
@@ -231,7 +224,7 @@ def k3_lattice() -> GramLattice:
 def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     """Determinant and, for symmetric input, inertia (n+, n0, n-) of a
     square integer matrix given as a sequence of rows (left unchanged), by
-    one fraction-free elimination.
+    one fraction-free elimination on sparse rows {column: entry}.
 
     Bareiss updates divided by the previous pivot keep every entry an
     integer minor; the trailing block is the previous pivot times the Schur
@@ -240,60 +233,67 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     symmetric swap with a nonzero diagonal entry, by the unimodular
     congruence v_a += v_b when m_ab + m_ba != 0, or by a row swap; the last
     only happens once the remaining block is skew, so never for symmetric
-    input, and the inertia is then meaningless.  A row whose multiplier is
-    0 would only be scaled by pivot/previous pivot, so it is left as it is;
-    it keeps the pivot of its last update in ``base`` and is brought up to
-    date, by an exact division, only when it is read across rows.
-    """
-    m = [list(row) for row in rows]
+    input, and the inertia is then meaningless.  A row update reads the
+    nonzeros of the row and of the pivot row, and drops column k.  A row
+    whose multiplier is 0 would only be scaled by pivot/previous pivot, so
+    it is left as it is; it keeps the pivot of its last update in ``base``
+    and is brought up to date, by an exact division, only when it is read
+    across rows."""
+    m = [dict(compress(enumerate(row), row)) for row in rows]
     n = len(m)
     base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
     sign, prev, pos, neg = 1, 1, 0, 0
 
-    def current(i: int, k: int) -> None:
+    def current(i: int) -> dict:
         if base[i] != prev:
-            m[i][k:] = [x * prev // base[i] for x in m[i][k:]]
+            m[i] = {j: x * prev // base[i] for j, x in m[i].items()}
             base[i] = prev
+        return m[i]
 
     for k in range(n):
-        d = next((i for i in range(k, n) if m[i][i]), None)
+        d = k if k in m[k] else next((i for i in range(k + 1, n) if i in m[i]), None)
         if d is None:
             for i in range(k, n):
-                current(i, k)
+                current(i)
             d, b = next(
-                ((a, b) for a in range(k, n) for b in range(a + 1, n) if m[a][b] + m[b][a]),
+                ((a, b) for a in range(k, n) for b in range(a + 1, n)
+                 if m[a].get(b, 0) + m[b].get(a, 0)),
                 (None, None),
             )
             if d is not None:
-                for j in range(k, n):
-                    m[d][j] += m[b][j]
-                for i in range(k, n):
-                    m[i][d] += m[i][b]
+                _add(m[d], m[b], 1)
+                for row in m[k:]:
+                    if b in row:
+                        _add(row, {d: row[b]}, 1)
         if d is None:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            i = next((i for i in range(k + 1, n) if k in m[i]), None)
             if i is None:
                 return 0, (pos, n - k, neg)
             m[k], m[i], base[k], base[i] = m[i], m[k], base[i], base[k]
             sign = -sign
         elif d != k:
             m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
-            for row in m:
-                row[k], row[d] = row[d], row[k]
-        current(k, k)
-        piv, pivot_row = m[k][k], m[k]
+            for row in m[k:]:
+                x, y = row.pop(k, 0), row.pop(d, 0)
+                row.update((c, z) for c, z in ((d, x), (k, y)) if z)
+        tail = current(k)  # row k is not read again
+        piv = tail.pop(k)
         if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if m[i][k]:
-                current(i, k)
-                row, f = m[i], m[i][k]
-                row[k + 1 :] = [
-                    (x * piv - f * y) // prev
-                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-                ]
-                base[i] = piv
+            if k in m[i]:
+                row = current(i)
+                f = row.pop(k)
+                new = {j: x * piv // prev for j, x in row.items()}  # exact off the tail
+                for j, y in tail.items():
+                    x = (row.get(j, 0) * piv - f * y) // prev
+                    if x:
+                        new[j] = x
+                    else:  # so j is in row, as f * y != 0
+                        del new[j]
+                m[i], base[i] = new, piv
         prev = piv
     return sign * prev, (pos, 0, neg)
 
@@ -356,8 +356,9 @@ class SNFResult:
         """Exact check of the certificate, one row at a time through
         sparse row products: U U^-1 = I, V V^-1 = I and U^-1 (D V^-1) = G.
         The first two make both inverses two-sided, so the third holds
-        exactly when U G V = D; no elimination, and the product for G reads
-        only the sparse inverses."""
+        exactly when U G V = D; no elimination.  Every factor is read
+        through its nonzeros only, each product row is summed into a list
+        and compared with the row of I or of G: no sparse copy of G."""
         n, d = lat.rank, self.divisors
         mats = (self.u, self.v, self.u_inv, self.v_inv)
         if len(d) != n or any(len(t) != n or any(len(r) != n for r in t) for t in mats):
@@ -365,28 +366,31 @@ class SNFResult:
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        u_inv, v_inv = (
-            [tuple(compress(enumerate(r), r)) for r in t] for t in (self.u_inv, self.v_inv)
-        )
-        d_v_inv = [tuple((j, dk * x) for j, x in r) for dk, r in zip(d, v_inv)]
-        eye = [{i: 1} for i in range(n)]
-        g = [dict(compress(enumerate(r), r)) for r in lat.gram]
+        cols = range(n)
+        u_inv, v_inv = ([[(j, r[j]) for j in compress(cols, r)] for r in t] for t in mats[2:])
+        d_v_inv = [[(j, dk * x) for j, x in r] for dk, r in zip(d, v_inv)]
+        eye = [[0] * n for _ in cols]
+        for i, row in enumerate(eye):
+            row[i] = 1
+
+        def times(row, right):  # the row times right, summed over its nonzeros
+            out = [0] * n
+            for k, x in zip(compress(cols, row), filter(None, row)):
+                for j, y in right[k]:
+                    out[j] += x * y
+            return out
+
         return all(
-            _row_times(row, right) == want
+            times(row, right) == want
             for left, right, product in (
-                (map(enumerate, self.u), u_inv, eye),
-                (map(enumerate, self.v), v_inv, eye),
-                (u_inv, d_v_inv, g),
+                (self.u, u_inv, eye), (self.v, v_inv, eye), (self.u_inv, d_v_inv, map(list, lat.gram))
             )
             for row, want in zip(left, product)
         )
 
     def to_json(self) -> dict:
-        return {
-            "divisors": list(self.divisors),
-            "u": [list(r) for r in self.u],
-            "v": [list(r) for r in self.v],
-        }
+        return {"divisors": list(self.divisors),
+                "u": [list(r) for r in self.u], "v": [list(r) for r in self.v]}
 
 
 def smith_normal_form(lat: GramLattice) -> SNFResult:
@@ -472,19 +476,20 @@ def _smith(lat: GramLattice) -> SNFResult:
             for t in (m, u, u_inv):
                 t[s] = {k: -x for k, x in t[s].items()}
 
-    def dense(vectors):  # rows of the matrix with these sparse rows
+    def dense(vectors, by_columns=False):  # the matrix with these sparse rows (columns)
         out = [[0] * n for _ in range(n)]
-        for row, vec in zip(out, vectors):
-            for j, x in vec.items():
-                row[j] = x
+        for i, vec in enumerate(vectors):
+            if by_columns:
+                for j, x in vec.items():
+                    out[j][i] = x
+            else:
+                row = out[i]
+                for j, x in vec.items():
+                    row[j] = x
         return tuple(map(tuple, out))
 
-    res = SNFResult(
-        tuple(m[s].get(s, 0) for s in range(n)),
-        dense(u),
-        *(tuple(zip(*dense(t))) for t in (v, u_inv)),  # held by columns
-        dense(v_inv),
-    )
+    res = SNFResult(tuple(m[s].get(s, 0) for s in range(n)),
+                    dense(u), dense(v, True), dense(u_inv, True), dense(v_inv))
     if not res.verify(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res
@@ -493,12 +498,7 @@ def _smith(lat: GramLattice) -> SNFResult:
 def radical(lat: GramLattice) -> list[tuple[int, ...]]:
     """Integer basis of the kernel sublattice, read off the SNF transforms."""
     snf = lat._snf
-    n = lat.rank
-    return [
-        tuple(snf.v[i][j] for i in range(n))
-        for j in range(n)
-        if snf.divisors[j] == 0
-    ]
+    return [tuple(row[j] for row in snf.v) for j, dj in enumerate(snf.divisors) if dj == 0]
 
 
 def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:

@@ -114,7 +114,7 @@ class SL2Matrix:
     @classmethod
     def from_json(cls, data) -> "SL2Matrix":
         (a, b), (c, d) = data
-        return cls(int(a), int(b), int(c), int(d))
+        return cls(a, b, c, d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -170,7 +170,9 @@ class TwistWord:
 
     @classmethod
     def of(cls, *steps: tuple[HomologyClass, int]) -> "TwistWord":
-        return cls(tuple((c, int(e)) for c, e in steps))
+        if any(type(e) is not int for _, e in steps):  # bool is not an exponent
+            raise TypeError(f"integer exponents required, got {steps!r}")
+        return cls(tuple((c, e) for c, e in steps))
 
     def __iter__(self) -> Iterator[tuple[HomologyClass, int]]:
         return iter(self.steps)
@@ -180,7 +182,7 @@ class TwistWord:
 
     @classmethod
     def from_json(cls, data) -> "TwistWord":
-        return cls.of(*((HomologyClass(*map(int, s["class"])), s["exp"]) for s in data))
+        return cls.of(*((HomologyClass(*s["class"]), s["exp"]) for s in data))
 
 
 @value_class

@@ -633,6 +633,63 @@ def dense_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     return sign * prev, (pos, 0, neg)
 
 
+def dense_lazy_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
+    """The elimination of quadlattice before it moved to sparse rows: the
+    same pivot order and the same lazy rescaling of rows whose multiplier
+    is zero (``base``), on dense rows."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
+    sign, prev, pos, neg = 1, 1, 0, 0
+
+    def current(i: int, k: int) -> None:
+        if base[i] != prev:
+            m[i][k:] = [x * prev // base[i] for x in m[i][k:]]
+            base[i] = prev
+
+    for k in range(n):
+        d = next((i for i in range(k, n) if m[i][i]), None)
+        if d is None:
+            for i in range(k, n):
+                current(i, k)
+            d, b = next(
+                ((a, b) for a in range(k, n) for b in range(a + 1, n) if m[a][b] + m[b][a]),
+                (None, None),
+            )
+            if d is not None:
+                for j in range(k, n):
+                    m[d][j] += m[b][j]
+                for i in range(k, n):
+                    m[i][d] += m[i][b]
+        if d is None:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0, (pos, n - k, neg)
+            m[k], m[i], base[k], base[i] = m[i], m[k], base[i], base[k]
+            sign = -sign
+        elif d != k:
+            m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
+            for row in m:
+                row[k], row[d] = row[d], row[k]
+        current(k, k)
+        piv, pivot_row = m[k][k], m[k]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if m[i][k]:
+                current(i, k)
+                row, f = m[i], m[i][k]
+                row[k + 1 :] = [
+                    (x * piv - f * y) // prev
+                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+                ]
+                base[i] = piv
+        prev = piv
+    return sign * prev, (pos, 0, neg)
+
+
 def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
     n = lat.rank
     ug = [

@@ -468,3 +468,18 @@ def test_cycle_to_triple_absent_for_unmatchable_rotation():
 def test_cycle_entries_must_be_ints(entries):
     with pytest.raises(TypeError, match="integer cycle entries"):
         CycleData(entries)
+
+
+@pytest.mark.parametrize("entries", [(3.7, 2), (3.0, 2), (3, True)])
+def test_cycle_reader_rejects_floats_and_bools(entries):
+    with pytest.raises(TypeError, match="integer cycle entries"):
+        CycleData.of(*entries)
+
+
+@pytest.mark.parametrize("key", "abcd")
+@pytest.mark.parametrize("bad", [5.0, 5.5, True])
+def test_quad_irrational_reader_rejects_floats_and_bools(key, bad):
+    data = {"a": 1, "b": 1, "c": 2, "d": 5}
+    assert QuadIrrational.from_json(data) == QuadIrrational.make(1, 1, 2, 5)
+    with pytest.raises(TypeError, match="integer coefficients"):
+        QuadIrrational.from_json({**data, key: bad})

@@ -13,6 +13,7 @@ from conftest import (
     dense_a_block,
     dense_eliminate,
     dense_hyperbolic_plane,
+    dense_lazy_eliminate,
     dense_smith,
     dense_snf_verify,
     dense_t_lattice,
@@ -303,6 +304,58 @@ PAIR_ACROSS_STALE_ROWS = [
 @settings(max_examples=150, deadline=None)
 def test_eliminate_matches_dense_oracle(m):
     assert _eliminate(m) == dense_eliminate(m)
+
+
+def _zero_diagonal(m):
+    return [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@st.composite
+def skew_tail_matrices(draw, max_n=10):
+    """Block upper-triangular [[A, B], [0, S]] with S skew, zero on its
+    diagonal, and A nonzero on its diagonal: while A is eliminated on
+    nonzero pivots no row of S has a multiplier, so S stays skew and the
+    elimination ends on the row swap."""
+    n = draw(st.integers(2, max_n))
+    h = draw(st.integers(0, n - 2))
+    m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if i < h:
+            m[i][i] = m[i][i] or 1
+            continue
+        m[i][:h] = [0] * h
+        m[i][i] = 0
+        for j in range(h, i):
+            m[i][j] = -m[j][i]
+    return m
+
+
+@given(
+    st.one_of(
+        symmetric_matrices(),
+        symmetric_matrices().map(_zero_diagonal),  # the congruence v_a += v_b
+        square_matrices().map(_zero_diagonal),
+        skew_tail_matrices(),
+    )
+)
+@example([[2, 1, 1], [0, 0, 3], [0, -3, 0]])  # a skew tail under a pivot
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # congruence, then a zero row
+@example(PAIR_ACROSS_STALE_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_sparse_elimination_matches_both_dense_oracles(m):
+    assert _eliminate(m) == dense_lazy_eliminate(m) == dense_eliminate(m)
+
+
+@given(st.integers(25, 175), st.sampled_from(["T", "S", "S'"]))
+@example(25, "T")
+@example(175, "T")
+@example(175, "S")
+@example(175, "S'")
+@settings(max_examples=12, deadline=None)
+def test_sparse_elimination_on_the_ladder_matches_both_dense_oracles(rank, kind):
+    lat = t_lattice(3, 4, rank - 5) if kind == "T" else t_tilde_lattice(3, 4, rank - 6, kind)
+    g = lat.gram
+    assert _eliminate(g) == dense_lazy_eliminate(g) == dense_eliminate(g)
 
 
 def test_snf_239():
@@ -607,3 +660,11 @@ def test_classification_guards():
 def test_json_round_trip():
     lat = t_tilde_lattice(2, 4, 5, "S")
     assert GramLattice.from_json(lat.to_json()) == lat
+
+
+@pytest.mark.parametrize("gram", [[[-2.5]], [[True]], [[-2.0]]])
+def test_gram_readers_reject_floats_and_bools(gram):
+    with pytest.raises(TypeError, match="integer Gram entries"):
+        GramLattice.from_json({"labels": ["a"], "gram": gram})
+    with pytest.raises(TypeError, match="integer Gram entries"):
+        GramLattice.from_rows(["a"], gram)

@@ -645,3 +645,24 @@ def test_each_product_kernel_builds_one_matrix(monkeypatch):
 def test_non_integer_entries_and_exponents_raise_type_error(build):
     with pytest.raises(TypeError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize("data", [[[1.5, 0], [0, 1]], [[1.0, 0], [0, 1]], [[True, 0], [0, 1]]])
+def test_matrix_reader_rejects_floats_and_bools(data):
+    with pytest.raises(TypeError, match="integer entries"):
+        SL2Matrix.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: TwistWord.from_json([{"class": [1, 0], "exp": 2.9}]),
+        lambda: TwistWord.from_json([{"class": [1, 0], "exp": True}]),
+        lambda: TwistWord.from_json([{"class": [1.0, 0], "exp": 2}]),
+        lambda: TwistWord.of((ALPHA, 2.0)),
+        lambda: TwistWord.of((ALPHA, 1), (BETA, False)),
+    ],
+)
+def test_twist_word_readers_reject_floats_and_bools(read):
+    with pytest.raises(TypeError, match="integer"):
+        read()
