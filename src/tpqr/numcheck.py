@@ -261,29 +261,27 @@ _PLATEAU = 1.0 / (1.0 - _ALPHA)
 # at an axis critical point, and the transverse pair of each bump ratio).
 _CHART_ORDER = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 _NEXT, _AFTER = _CHART_ORDER[:, 1:].T.copy()  # its last two columns, for take
+# x[..., _CYCLE] holds x at _NEXT in [..., :3] and at _AFTER in [..., 1:]:
+# on the real moduli of large stacks one such index costs less than two takes.
+_CYCLE = np.array([1, 2, 0, 1])
 # Row j: the two axes other than j, ascending.
 _OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 _G_WEIGHTS = np.array([1.0, _OMEGA, _OMEGA**2])
 
 
-def _smoothstep(t):
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_integral(t):
-    return t * t * t * t * (2.5 + t * (-3.0 + t))
-
-
 def _band(u):
     """The bump and its derivative at the positions u in [0, 1] across the
     transition: 1 minus the integral of the derivative profile from 0 to u,
-    and -3 times the profile, a smoothstep of the position v along a ramp."""
+    and -3 times the profile, a smoothstep of the position v along a ramp.
+    The smoothstep 10 v^3 - 15 v^4 + 6 v^5 and its integral share v^3."""
     ramp_in = u < _ALPHA
     v = np.where(ramp_in, u / _ALPHA, (1.0 - u) / _ALPHA)
-    ramp = _PLATEAU * _ALPHA * _smoothstep_integral(v)
+    v3 = v * v * v
+    ramp = _PLATEAU * _ALPHA * (v3 * v * (2.5 + v * (-3.0 + v)))
     plateau = _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
     integral = np.where(ramp_in, ramp, np.where(u <= 1.0 - _ALPHA, plateau, 1.0 - ramp))
-    profile = _PLATEAU * np.where(ramp_in | (u > 1.0 - _ALPHA), _smoothstep(v), 1.0)
+    step = v3 * (10.0 + v * (-15.0 + 6.0 * v))
+    profile = _PLATEAU * np.where(ramp_in | (u > 1.0 - _ALPHA), step, 1.0)
     return 1.0 - integral, -3.0 * profile
 
 
@@ -324,12 +322,30 @@ def _exponents(params: FibrationParams) -> np.ndarray:
     return np.array([params.p, params.q, params.r])
 
 
+def _row_sum(x):
+    """x.sum(axis=-1) over the three coordinates, bit for bit, from column
+    adds: numpy adds the entries in order to its identity 0.0, and that
+    differs from adding the entries alone only in turning -0.0 into 0.0."""
+    return 0.0 + x[..., 0] + x[..., 1] + x[..., 2]
+
+
+def _row_norm(x):
+    """np.linalg.norm(x, axis=-1) over the three coordinates, bit for bit:
+    numpy takes the root of the sum of (conj(x) x).real along the axis."""
+    return np.sqrt(_row_sum((x.conj() * x).real))
+
+
+_ORIGIN = "bump factors are undefined at the origin"
+
+
 def _radii(pt: C3Point) -> tuple[np.ndarray, np.ndarray]:
     """|u_j| and the transverse radius |(u_{j+1}, u_{j+2})| for each axis j."""
     mod = np.abs(pt)
-    if not mod.any(axis=-1).all():
-        raise ValueError("bump factors are undefined at the origin")
-    return mod, np.hypot(mod.take(_NEXT, axis=-1), mod.take(_AFTER, axis=-1))
+    cycled = mod[..., _CYCLE]
+    rho = np.hypot(cycled[..., :3], cycled[..., 1:])
+    if not np.logical_or(mod[..., 0], rho[..., 0]).all():  # |x| = |(y, z)| = 0
+        raise ValueError(_ORIGIN)
+    return mod, rho
 
 
 def _ratios(pt: C3Point) -> np.ndarray:
@@ -404,18 +420,25 @@ def _ft_pass(params: FibrationParams, pt: C3Point):
     holomorphic, antiholomorphic).  The radii, the bump factors and their
     derivatives, the monomials and a*x*y*z are computed once, and every
     value and gradient is the same expression as for the separate maps
-    ft = (1-t) f + t h and grad = (1-t+t phi) n u^(n-1) + cross + t bump."""
+    ft = (1-t) f + t h and grad = (1-t+t phi) n u^(n-1) + cross + t bump.
+    At t = 0, ft = f and the weight 1-t+t phi is exactly 1, so the radii,
+    the ratios and the bump factors are not computed there.  Nothing is
+    reduced along the coordinate axis: sums are column adds."""
     pt = np.asarray(pt, dtype=complex)
-    mod, rho = _radii(pt)
-    with np.errstate(divide="ignore", over="ignore"):
-        phi, dphi = _transition(rho / mod)  # a ratio of moduli is never negative
+    t = params.t
+    if t == 0.0:
+        if not np.logical_or(np.logical_or(pt[..., 0], pt[..., 1]), pt[..., 2]).all():
+            raise ValueError(_ORIGIN)
+    else:
+        mod, rho = _radii(pt)
+        with np.errstate(divide="ignore", over="ignore"):
+            phi, dphi = _transition(rho / mod)  # a ratio of moduli is never negative
     n = _exponents(params)
     mono = pt**n
     axyz = _axyz(params, pt)
-    t = params.t
-    value = mono.sum(axis=-1) + axyz
+    value = _row_sum(mono) + axyz
     if t != 0.0:
-        value = (1.0 - t) * value + t * ((phi * mono).sum(axis=-1) + axyz)
+        value = (1.0 - t) * value + t * (_row_sum(phi * mono) + axyz)
 
     def grads(rows=None, anti=False):
         index = None if rows is None else rows.nonzero()[0]
@@ -424,7 +447,8 @@ def _ft_pass(params: FibrationParams, pt: C3Point):
             return x if index is None else x.take(index, axis=0)
 
         u = at(pt)
-        holo = (1.0 - t + t * at(phi)) * n * u ** (n - 1) + _cross_terms(params, u)
+        weight = n if t == 0.0 else (1.0 - t + t * at(phi)) * n
+        holo = weight * u ** (n - 1) + _cross_terms(params, u)
         if t == 0.0:
             return (holo, np.zeros(u.shape, dtype=complex)) if anti else holo
         m = at(mono)
@@ -482,11 +506,12 @@ def _omega0(u: np.ndarray, v: np.ndarray) -> float:
     return np.sum(u[..., 0::2] * v[..., 1::2] - u[..., 1::2] * v[..., 0::2], axis=-1)
 
 
-def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
+def _newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
     """Newton iteration on the rows of pts, (n, 3), in place, towards
     ft = tau.  Each row stops at its first iterate within tol; step(rows,
     residuals, gradients) gives the next iterate of the rows still moving,
-    the only rows whose holomorphic gradients are computed."""
+    the only rows whose holomorphic gradients are computed.  Returns the
+    indices of the rows still moving after max_iter steps."""
     todo = np.arange(len(pts))
     for _ in range(max_iter):
         rows = pts.take(todo, axis=0)
@@ -495,10 +520,10 @@ def _newton(params, pts, tau, tol, max_iter, step, failure) -> np.ndarray:
         moving = ~(np.abs(res) <= tol)
         keep = moving.nonzero()[0]
         if keep.size == 0:
-            return pts
+            return keep
         todo = todo.take(keep)
         pts[todo] = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
-    raise ProjectionError(failure)
+    return todo
 
 
 def project_to_level(
@@ -515,15 +540,15 @@ def project_to_level(
     cur = np.array(pt, dtype=complex)
 
     def step(rows, res, grad):
-        norm2 = (grad.real**2 + grad.imag**2).sum(axis=-1)
+        norm2 = _row_sum(grad.real**2 + grad.imag**2)
         if (norm2 == 0.0).any():
             raise ProjectionError("vanishing gradient during projection")
         return rows - res[:, None] * np.conj(grad) / norm2[:, None]
 
-    return _newton(
-        params, cur.reshape(-1, 3), tau, config.residual_tol * scale, max_iter, step,
-        f"no convergence after {max_iter} iterations",
-    ).reshape(cur.shape)
+    tol = config.residual_tol * scale
+    if _newton(params, cur.reshape(-1, 3), tau, tol, max_iter, step).size:
+        raise ProjectionError(f"no convergence after {max_iter} iterations")
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +686,41 @@ def hessian_model(p: int, a: float) -> HessianModel:
     return HessianModel(lam, A, _B, _P, ptap, _PTBP, dev, bool(dev <= 1e-12))
 
 
+def _rounding_floor(params: FibrationParams, pts: np.ndarray) -> np.ndarray:
+    """A bound, per row of pts, on the residual |ft - tau| that a Newton
+    iteration in one coordinate can be sure to reach in doubles:
+    8 (N + 3) eps M, with N the largest exponent, eps = 2^-53 and
+    M = sum_k |u_k^{n_k}| + |a x y z| the size of the summed terms.
+
+    ft is a sum of the monomials and a x y z, each with a weight in [0, 1].
+    A complex product or sum in doubles has a relative error below 3 eps
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.6), so to
+    first order in eps: the binary powering of u^n (at most 2 log2 n <= 2N
+    products) errs by 6 N eps |u^n|, a x y z (three products) by
+    9 eps |a x y z|, the four sums of f by 4 eps M, and at 0 < t the
+    products phi u^n, the sums of h and the weighting (1 - t) f + t h
+    by 11 eps M more.  So the computed value is off by at most
+    (6 N + 24) eps M.  The iterate is itself a double: its axial coordinate
+    u is fixed only to eps |u|, which moves ft by up to eps |u dft/du|
+    <= N eps M.  A row whose residual is below 8 (N + 3) eps M is thus on
+    the level to within what doubles resolve there, and Newton steps may
+    move it around inside that floor without end."""
+    size = _row_sum(np.abs(pts ** _exponents(params))) + np.abs(_axyz(params, pts))
+    return 8 * (params.big_m + 3) * 2.0**-53 * size
+
+
 def _solve_axial(
     params: FibrationParams, axis: int, transverse: np.ndarray, seed: complex
 ) -> np.ndarray:
     """1D Newton for the axial coordinate on the level set, from the seed,
     for each row of transverse chart coordinates (n, 2); valid in the
     chart region where the bump factor of the axis is identically 1.
-    Returns the (n, 3) points."""
+    Returns the (n, 3) points.
+
+    A row stops at its first iterate within 1e-15 |tau|.  That is below
+    what doubles resolve at some rows, so a row still moving after the 60
+    steps is accepted when its residual is within ``_rounding_floor``; any
+    other row raises ProjectionError."""
     order = _CHART_ORDER[axis]
     tau = params.target
     pts = np.empty((len(transverse), 3), dtype=complex)
@@ -678,9 +731,12 @@ def _solve_axial(
         rows[:, axis] -= res / grad[:, axis]
         return rows
 
-    return _newton(
-        params, pts, tau, 1e-15 * abs(tau), 60, step, "axial Newton did not converge"
-    )
+    stalled = _newton(params, pts, tau, 1e-15 * abs(tau), 60, step)
+    if stalled.size:
+        rows = pts.take(stalled, axis=0)
+        if not (np.abs(_ft_pass(params, rows)[0] - tau) <= _rounding_floor(params, rows)).all():
+            raise ProjectionError("axial Newton did not converge")
+    return pts
 
 
 _UPPER = np.triu_indices(4, 1)  # the entries above the diagonal of a 4x4 matrix
@@ -927,10 +983,12 @@ def symplectic_inequality_audit(
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
     pts = sample_on_level(params, config)
     holo, anti = _ft_pass(params, pts)[1](anti=True)
-    anti = np.linalg.norm(anti, axis=-1)
-    margin = np.linalg.norm(holo, axis=-1) - anti
+    anti = _row_norm(anti)
+    margin = _row_norm(holo) - anti
     worst = int(margin.argmin())  # the first of equal minima
-    coord_ok = bool((np.abs(pts).max(axis=-1) > params.m / params.a).all())
+    mod = np.abs(pts)
+    largest = np.maximum(np.maximum(mod[:, 0], mod[:, 1]), mod[:, 2])
+    coord_ok = bool((largest > params.m / params.a).all())
     note = None if params.precision_reviewed else "index above 9: review precision"
     return InequalityAudit(
         len(pts),
@@ -967,10 +1025,12 @@ class DefectReport:
 
 def _defect_draws(rng: np.random.Generator, count: int):
     """Phases (count, 2) and complex noise (count, 3) of count seeds, each
-    from rng.random(2) and then rng.standard_normal(6)."""
-    draws = [(rng.random(2), rng.standard_normal(6)) for _ in range(count)]
-    z = np.reshape([normal for _, normal in draws], (count, 6))
-    return 2.0 * math.pi * np.reshape([u for u, _ in draws], (count, 2)), z[:, :3] + 1j * z[:, 3:]
+    from rng.random(2) and then rng.standard_normal(6), drawn in place."""
+    unit, z = np.empty((count, 2)), np.empty((count, 6))
+    for u, normal in zip(unit, z):
+        rng.random(out=u)
+        rng.standard_normal(out=normal)
+    return 2.0 * math.pi * unit, z[:, :3] + 1j * z[:, 3:]
 
 
 def lagrangian_defect(

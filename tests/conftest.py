@@ -85,8 +85,7 @@ from tpqr.numcheck import (
     _axyz,
     _exponents,
     _monomials,
-    _smoothstep,
-    _smoothstep_integral,
+    _phi_parts,
     f_eval,
     point,
 )
@@ -1021,6 +1020,14 @@ def _shell_seed(
     return point(*coords)
 
 
+def _smoothstep(t):
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def _smoothstep_integral(t):
+    return t * t * t * t * (2.5 + t * (-3.0 + t))
+
+
 def _profile(u):
     """Derivative profile of the transition, for u in [0, 1]."""
     return _PLATEAU * np.where(
@@ -1160,6 +1167,77 @@ def separate_project_to_level(params: FibrationParams, pts: np.ndarray,
         norm2 = np.sum(grad.real**2 + grad.imag**2, axis=-1)
         pts[todo] = rows - res[:, None] * np.conj(grad) / norm2[:, None]
     raise AssertionError(f"no convergence after {max_iter} iterations")
+
+
+_NEXT, _AFTER = _CHART_ORDER[:, 1:].T.copy()
+
+
+def _taken_band(u):
+    """The bump and its derivative across the transition, the smoothstep
+    and its integral each evaluated on its own."""
+    ramp_in = u < _ALPHA
+    v = np.where(ramp_in, u / _ALPHA, (1.0 - u) / _ALPHA)
+    ramp = _PLATEAU * _ALPHA * _smoothstep_integral(v)
+    plateau = _PLATEAU * (_ALPHA / 2.0 + (u - _ALPHA))
+    integral = np.where(ramp_in, ramp, np.where(u <= 1.0 - _ALPHA, plateau, 1.0 - ramp))
+    profile = _PLATEAU * np.where(ramp_in | (u > 1.0 - _ALPHA), _smoothstep(v), 1.0)
+    return 1.0 - integral, -3.0 * profile
+
+
+def _taken_transition(s):
+    low = s <= 1.0 / 6.0
+    band = (~(low | (s >= 0.5))).ravel().nonzero()[0]
+    phi = low.astype(float)
+    dphi = np.zeros(s.shape)
+    if band.size:
+        phi_band, dphi_band = _taken_band((3.0 * (s.take(band) - 1.0 / 6.0)).clip(0.0, 1.0))
+        phi.put(band, phi_band)
+        dphi.put(band, dphi_band)
+    return phi, dphi
+
+
+def _taken_cross_terms(params: FibrationParams, pt: np.ndarray) -> np.ndarray:
+    return params.a * pt.take(_NEXT, axis=-1) * pt.take(_AFTER, axis=-1)
+
+
+def reducing_ft_pass(params: FibrationParams, pt: C3Point):
+    """The one-pass kernel as it was before the t = 0 path and the column
+    arithmetic: the radii, the ratios and the bump factors at every t,
+    sums and the origin test as reductions along the coordinate axis, and
+    transverse pairs taken with _NEXT and _AFTER."""
+    pt = np.asarray(pt, dtype=complex)
+    mod = np.abs(pt)
+    if not mod.any(axis=-1).all():
+        raise ValueError("bump factors are undefined at the origin")
+    rho = np.hypot(mod.take(_NEXT, axis=-1), mod.take(_AFTER, axis=-1))
+    with np.errstate(divide="ignore", over="ignore"):
+        phi, dphi = _taken_transition(rho / mod)
+    n = _exponents(params)
+    mono = pt**n
+    axyz = _axyz(params, pt)
+    t = params.t
+    value = mono.sum(axis=-1) + axyz
+    if t != 0.0:
+        value = (1.0 - t) * value + t * ((phi * mono).sum(axis=-1) + axyz)
+
+    def grads(rows=None, anti=False):
+        index = None if rows is None else rows.nonzero()[0]
+
+        def at(x):
+            return x if index is None else x.take(index, axis=0)
+
+        u = at(pt)
+        holo = (1.0 - t + t * at(phi)) * n * u ** (n - 1) + _taken_cross_terms(params, u)
+        if t == 0.0:
+            return (holo, np.zeros(u.shape, dtype=complex)) if anti else holo
+        m = at(mono)
+        coef, diag = _phi_parts(u, at(mod), at(rho), at(dphi))
+        w = m * coef
+        others = w.take(_NEXT, axis=-1) + w.take(_AFTER, axis=-1)
+        holo = holo + t * (np.conj(u) * others + m * diag)
+        return (holo, t * (u * others + m * np.conj(diag))) if anti else holo
+
+    return value, grads
 
 
 def looped_draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high):
