@@ -12,6 +12,8 @@ should load another for them:
   the layers.  It builds the methods of a frozen value class from
   closures, so a one-shot request neither imports ``dataclasses`` (and
   with it ``inspect``) nor compiles generated code for each class.
+  Every value class is built by its one generic constructor and checks
+  its fields in its own ``__post_init__``.
 """
 
 from operator import attrgetter
@@ -38,11 +40,9 @@ def value_class(cls):
     so ``vars`` lists them in declaration order and
     ``functools.cached_property`` works.
 
-    A method the class defines itself is kept.  A hot class writes its own
-    ``__init__`` with a plain signature, which binds faster than the
-    generic one; it must set every field with ``object.__setattr__``, as
-    the generic one does (assigning to ``self.__dict__`` would give each
-    instance a dict of its own, which costs memory and attribute reads)."""
+    A method the class defines itself is kept, but no class defines
+    ``__init__``: each is built by the generic constructor below and
+    checks its fields in ``__post_init__``."""
     names = tuple(cls.__annotations__)
     field_set = frozenset(names)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}

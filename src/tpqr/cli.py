@@ -165,10 +165,8 @@ def _cmd_lattice(args) -> int:
         lat = quadlattice.e_lattice(args.k)
     elif name == "h":
         lat = quadlattice.hyperbolic_plane()
-    elif name == "k3":
+    else:  # "k3"; argparse's choices admit no other name
         lat = quadlattice.k3_lattice()
-    else:
-        raise ValueError(f"unknown lattice {name!r}")
     snf = quadlattice.smith_normal_form(lat)
     report = {
         "lattice": lat.to_json(),

@@ -98,8 +98,8 @@ class QuadIrrational:
     c: int
     d: int
 
-    def __init__(self, a: int, b: int, c: int, d: int):
-        # the hot constructor, as in SL2Matrix
+    def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
         if c <= 0:
             raise ValueError("canonical form requires c > 0")
         if d <= 0:
@@ -110,11 +110,6 @@ class QuadIrrational:
             raise ValueError("d = 1 must be folded into the rational part")
         if math.gcd(a, b, c) != 1:
             raise ValueError("not gcd-reduced")
-        set_field = object.__setattr__
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
@@ -228,12 +223,14 @@ class Triple:
     given: tuple[int, int, int]
 
     def __post_init__(self):
+        if any(type(v) is not int for v in self.given):  # bool is not an index
+            raise TypeError(f"integer triple required, got {self.given!r}")
         if min(self.given) < 2:
             raise CuspDualityError("triple entries must be >= 2")
 
     @classmethod
     def of(cls, p: int, q: int, r: int) -> "Triple":
-        return cls((int(p), int(q), int(r)))
+        return cls((p, q, r))
 
     @property
     def sorted(self) -> tuple[int, int, int]:

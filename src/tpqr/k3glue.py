@@ -159,6 +159,8 @@ class InoseCase:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
+        if any(type(c) is not int for c in self.counts):  # bool is not a count
+            raise TypeError(f"integer quadrant counts required, got {self.counts!r}")
         if len(self.counts) != 4 or any(c not in (0, 1, 2) for c in self.counts):
             raise ValueError("quadrant counts must be four values in {0,1,2}")
 

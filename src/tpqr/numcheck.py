@@ -112,6 +112,8 @@ class FibrationParams:
     t: float = 1.0
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.p, self.q, self.r)):  # bool is not an index
+            raise TypeError(f"integer p, q, r required, got ({self.p!r}, {self.q!r}, {self.r!r})")
         if min(self.p, self.q, self.r) < 2:
             raise ValueError("p, q, r must be >= 2")
         if triple_excess(self.p, self.q, self.r) < 0:

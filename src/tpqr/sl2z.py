@@ -56,19 +56,13 @@ class SL2Matrix:
     c: int
     d: int
 
-    def __init__(self, a: int, b: int, c: int, d: int):
-        # the hot constructor: a plain signature binds faster than the
-        # generic one of value_class
+    def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
         for v in (a, b, c, d):
             if type(v) is not int:  # bool is not an entry
                 raise TypeError(f"integer entries required, got {v!r}")
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
-        set_field = object.__setattr__
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
 
     @classmethod
     def identity(cls) -> "SL2Matrix":
@@ -168,10 +162,12 @@ class TwistWord:
 
     steps: tuple[tuple[HomologyClass, int], ...]
 
+    def __post_init__(self):
+        if any(type(e) is not int for _, e in self.steps):  # bool is not an exponent
+            raise TypeError(f"integer exponents required, got {self.steps!r}")
+
     @classmethod
     def of(cls, *steps: tuple[HomologyClass, int]) -> "TwistWord":
-        if any(type(e) is not int for _, e in steps):  # bool is not an exponent
-            raise TypeError(f"integer exponents required, got {steps!r}")
         return cls(tuple((c, e) for c, e in steps))
 
     def __iter__(self) -> Iterator[tuple[HomologyClass, int]]:

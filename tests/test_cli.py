@@ -401,6 +401,9 @@ def test_projection_failure_is_a_precondition_error(argv):
 def test_usage_errors(capsys):
     assert cli.main(["dual", "2", "3"]) == 2
     assert cli.main(["nonsense"]) == 2
+    assert cli.main(["lattice", "foo"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'foo'" in err
 
 
 def test_big_int_sanitizer():

@@ -4,7 +4,9 @@ Four value classes are compared with their ``@dataclass(frozen=True)``
 declarations kept in conftest: construction by position, by keyword and
 with a default; TypeError for a missing or extra argument; the errors of
 their validation; ``==``, ``hash`` and ``repr``; AttributeError on
-assignment and deletion; a cached property, and a subclass."""
+assignment and deletion; a cached property, and a subclass.  Every value
+class of the layers is built by the one generic constructor, and checks
+the type of its integer fields when it is built."""
 
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -20,9 +22,10 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z, value_class
 from tpqr.cuspdual import QuadIrrational, Triple
 from tpqr.quadlattice import GramLattice
-from tpqr.sl2z import L, R, RLWord, SL2Matrix
+from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
 _I, _S = SL2Matrix.identity(), SL2Matrix(0, -1, 1, 0)
 
@@ -174,3 +177,47 @@ def test_a_one_field_class_hashes_the_one_tuple():
     assert hash(t) == hash(((2, 3, 7),))
     assert repr(t) == "Triple(given=(2, 3, 7))"
     assert t == Triple.of(2, 3, 7) and t != (2, 3, 7)
+
+
+@value_class
+class _Probe:
+    x: int
+
+
+def _layer_value_classes():
+    """Every class of the six layers that value_class made."""
+    frozen = _Probe.__setattr__.__code__
+    layers = (cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z)
+    return {
+        cls
+        for layer in layers
+        for cls in vars(layer).values()
+        if isinstance(cls, type)
+        and getattr(vars(cls).get("__setattr__"), "__code__", None) is frozen
+    }
+
+
+def test_no_value_class_writes_its_own_init():
+    classes = _layer_value_classes()
+    assert {SL2Matrix, QuadIrrational, TwistWord, GramLattice, numcheck.FibrationParams} <= classes
+    for cls in classes:
+        assert vars(cls)["__init__"].__code__ is _Probe.__init__.__code__, cls.__qualname__
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cuspdual.dual_triple(2.9, 3, 7),
+        lambda: Triple.of(2, 3, 7.0),
+        lambda: Triple((2, 3, True)),
+        lambda: numcheck.FibrationParams(2.0, 3, 7, a=1e13),
+        lambda: numcheck.FibrationParams(2, 3, True, a=1e13),
+        lambda: k3glue.InoseCase((1.0, 2, 0, True)),
+        lambda: k3glue.InoseCase((1, 2, 0, 2.0)),
+        lambda: TwistWord(((ALPHA, 2.9),)),
+        lambda: TwistWord(((ALPHA, 1), (BETA, True))),
+    ],
+)
+def test_integer_fields_refuse_floats_and_bools_when_built(build):
+    with pytest.raises(TypeError, match="integer"):
+        build()
