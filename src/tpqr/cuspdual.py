@@ -79,6 +79,11 @@ def _squarefree(n: int) -> tuple[int, int]:
     return (s * root, d) if root * root == m else (s, d * m)
 
 
+def _check_coefficients(abcd: tuple) -> None:
+    if any(type(v) is not int for v in abcd):  # bool is not a coefficient
+        raise TypeError(f"integer coefficients required, got {abcd!r}")
+
+
 @value_class
 class QuadIrrational:
     """(a + b*sqrt(d)) / c with c > 0 and gcd(a, b, c) = 1; d = 1 encodes a
@@ -99,7 +104,8 @@ class QuadIrrational:
     d: int
 
     def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d = abcd = self.a, self.b, self.c, self.d
+        _check_coefficients(abcd)
         if c <= 0:
             raise ValueError("canonical form requires c > 0")
         if d <= 0:
@@ -146,8 +152,7 @@ class QuadIrrational:
     @classmethod
     def from_json(cls, data) -> "QuadIrrational":
         abcd = tuple(data[k] for k in "abcd")
-        if any(type(v) is not int for v in abcd):  # bool is not a coefficient
-            raise TypeError(f"integer coefficients required, got {abcd!r}")
+        _check_coefficients(abcd)
         return cls.make(*abcd)
 
     def __str__(self) -> str:
@@ -223,8 +228,9 @@ class Triple:
     given: tuple[int, int, int]
 
     def __post_init__(self):
-        if any(type(v) is not int for v in self.given):  # bool is not an index
-            raise TypeError(f"integer triple required, got {self.given!r}")
+        given = self.given
+        if len(given) != 3 or any(type(v) is not int for v in given):  # bool is not an index
+            raise TypeError(f"integer triple required, got {given!r}")
         if min(self.given) < 2:
             raise CuspDualityError("triple entries must be >= 2")
 

@@ -424,7 +424,10 @@ def _ft_pass(params: FibrationParams, pt: C3Point):
     value and gradient is the same expression as for the separate maps
     ft = (1-t) f + t h and grad = (1-t+t phi) n u^(n-1) + cross + t bump.
     At t = 0, ft = f and the weight 1-t+t phi is exactly 1, so the radii,
-    the ratios and the bump factors are not computed there.  Nothing is
+    the ratios and the bump factors are not computed there.  The
+    holomorphic gradient alone leaves out the bump terms of rows where
+    they are zeros that cannot change it: no bump derivative is nonzero,
+    every monomial is finite and no part of the rest is zero.  Nothing is
     reduced along the coordinate axis: sums are column adds."""
     pt = np.asarray(pt, dtype=complex)
     t = params.t
@@ -453,8 +456,12 @@ def _ft_pass(params: FibrationParams, pt: C3Point):
         holo = weight * u ** (n - 1) + _cross_terms(params, u)
         if t == 0.0:
             return (holo, np.zeros(u.shape, dtype=complex)) if anti else holo
-        m = at(mono)
-        coef, diag = _phi_parts(u, at(mod), at(rho), at(dphi))
+        m, d = at(mono), at(dphi)
+        if not (anti or d.any()) and np.isfinite(m).all() and holo.view(float).all():
+            # The bump terms are then finite signed zeros, and adding a
+            # zero to a nonzero part changes no bit.
+            return holo
+        coef, diag = _phi_parts(u, at(mod), at(rho), d)
         w = m * coef
         others = w.take(_NEXT, axis=-1) + w.take(_AFTER, axis=-1)  # j != k
         holo = holo + t * (np.conj(u) * others + m * diag)
@@ -508,12 +515,21 @@ def _omega0(u: np.ndarray, v: np.ndarray) -> float:
     return np.sum(u[..., 0::2] * v[..., 1::2] - u[..., 1::2] * v[..., 0::2], axis=-1)
 
 
+# The outcome of a row under _newton; a larger code takes precedence.
+_CONVERGED, _STALLED, _VANISHED = 0, 1, 2
+_PROJECTION_STEPS = 50  # the Newton steps of a projection onto the level
+
+
 def _newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
     """Newton iteration on the rows of pts, (n, 3), in place, towards
     ft = tau.  Each row stops at its first iterate within tol; step(rows,
     residuals, gradients) gives the next iterate of the rows still moving,
-    the only rows whose holomorphic gradients are computed.  Returns the
-    indices of the rows still moving after max_iter steps."""
+    the only rows whose holomorphic gradients are computed, and the mask of
+    the rows it could not step, or None.  Rows do not interact, so each has
+    the iterates it has alone.  Returns the outcome of each row: _VANISHED
+    where step could not move it, _STALLED where it was still moving after
+    max_iter steps, and _CONVERGED."""
+    outcome = np.full(len(pts), _CONVERGED, dtype=np.int8)
     todo = np.arange(len(pts))
     for _ in range(max_iter):
         rows = pts.take(todo, axis=0)
@@ -522,34 +538,62 @@ def _newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
         moving = ~(np.abs(res) <= tol)
         keep = moving.nonzero()[0]
         if keep.size == 0:
-            return keep
+            return outcome
         todo = todo.take(keep)
-        pts[todo] = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
-    return todo
+        pts[todo], stuck = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
+        if stuck is not None:
+            outcome[todo[stuck]] = _VANISHED
+            todo = todo[~stuck]
+    outcome[todo] = _STALLED
+    return outcome
+
+
+def _project(params, seeds, config, max_iter):
+    """The seeds Newton-projected along the holomorphic gradient as in
+    ``project_to_level``, and the outcome of each row (n, 3) under
+    _newton; a row whose gradient vanishes stops where it is."""
+    tau = params.target
+    scale = max(abs(tau), 1e-300)
+    cur = np.array(seeds, dtype=complex)
+
+    def step(rows, res, grad):
+        norm2 = _row_sum(grad.real**2 + grad.imag**2)
+        stuck = norm2 == 0.0
+        if stuck.any():
+            norm2[stuck] = 1.0  # the step of a zero gradient is zero
+        else:
+            stuck = None
+        return rows - res[:, None] * np.conj(grad) / norm2[:, None], stuck
+
+    tol = config.residual_tol * scale
+    return cur, _newton(params, cur.reshape(-1, 3), tau, tol, max_iter, step)
+
+
+def _projection_error(outcome: np.ndarray, max_iter: int) -> Optional[str]:
+    """The ProjectionError message for rows with these outcomes, or None
+    when every row converged."""
+    worst = outcome.max(initial=_CONVERGED)
+    if worst == _VANISHED:
+        return "vanishing gradient during projection"
+    if worst == _STALLED:
+        return f"no convergence after {max_iter} iterations"
+    return None
 
 
 def project_to_level(
     params: FibrationParams,
     pt: C3Point,
     config: NumericalConfig = NumericalConfig(),
-    max_iter: int = 50,
+    max_iter: int = _PROJECTION_STEPS,
 ) -> C3Point:
     """Newton step along the holomorphic gradient until the map value
     reaches params.target within the relative residual tolerance; a stack
-    is projected row by row."""
-    tau = params.target
-    scale = max(abs(tau), 1e-300)
-    cur = np.array(pt, dtype=complex)
-
-    def step(rows, res, grad):
-        norm2 = _row_sum(grad.real**2 + grad.imag**2)
-        if (norm2 == 0.0).any():
-            raise ProjectionError("vanishing gradient during projection")
-        return rows - res[:, None] * np.conj(grad) / norm2[:, None]
-
-    tol = config.residual_tol * scale
-    if _newton(params, cur.reshape(-1, 3), tau, tol, max_iter, step).size:
-        raise ProjectionError(f"no convergence after {max_iter} iterations")
+    is projected row by row.  Raises ProjectionError if a row's gradient
+    vanishes or a row has not converged after max_iter steps."""
+    cur, outcome = _project(params, pt, config, max_iter)
+    error = _projection_error(outcome, max_iter)
+    if error is not None:
+        raise ProjectionError(error)
     return cur
 
 
@@ -731,9 +775,9 @@ def _solve_axial(
 
     def step(rows, res, grad):
         rows[:, axis] -= res / grad[:, axis]
-        return rows
+        return rows, None
 
-    stalled = _newton(params, pts, tau, 1e-15 * abs(tau), 60, step)
+    stalled = (_newton(params, pts, tau, 1e-15 * abs(tau), 60, step) != _CONVERGED).nonzero()[0]
     if stalled.size:
         rows = pts.take(stalled, axis=0)
         if not (np.abs(_ft_pass(params, rows)[0] - tau) <= _rounding_floor(params, rows)).all():
@@ -927,21 +971,79 @@ def _shell_seeds(
     return out
 
 
+def _sample_seeds(params: FibrationParams, config: NumericalConfig) -> np.ndarray:
+    """The seeds of ``sample_on_level``: samples // 2 on the regular torus,
+    then the rest on shells around the critical points, all drawn from
+    default_rng(config.seed)."""
+    rng = np.random.default_rng(config.seed)
+    crits = critical_points(params)
+    n_torus = config.samples // 2
+    return np.concatenate([
+        _torus_seeds(params, rng.uniform(0.0, 2.0 * math.pi, size=(n_torus, 2))),
+        _shell_seeds(params, crits, rng, config.samples - n_torus),
+    ])
+
+
+def _defect_seeds(params: FibrationParams, config: NumericalConfig) -> np.ndarray:
+    """The seeds of the default points of ``lagrangian_defect``:
+    max(10, samples // 10) points near the regular torus, drawn from their
+    own default_rng(config.seed)."""
+    rng = np.random.default_rng(config.seed)
+    phases, noise = _defect_draws(rng, max(10, config.samples // 10))
+    return _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
+
+
+def _level_stack(params: FibrationParams, config: NumericalConfig):
+    """At t = 1, where ``verify_fibration`` runs both the inequality audit
+    and the Lagrangian defect: the seeds of both projected in one Newton
+    stack, and ft's Wirtinger pair at the projected points from one kernel
+    pass.  Rows do not interact, so each row keeps the bits it has when its
+    own side is projected alone.
+
+    Returns, for the audit and then for the defect, (points, holo, anti,
+    error): error is the ProjectionError message of that side's own rows,
+    or None; a side with an error has no gradients.  The result is kept on
+    params for the last config asked for, read-only; whichever caller
+    comes first computes it, failed rows included, so a failure on one
+    side leaves the other's result in place."""
+    memo = vars(params).get("_level_memo")
+    if memo is not None and memo[0] == config:
+        return memo[1]
+    audit, defect = _sample_seeds(params, config), _defect_seeds(params, config)
+    pts, outcome = _project(params, np.concatenate([audit, defect]), config, _PROJECTION_STEPS)
+    n = len(audit)
+    errors = [_projection_error(o, _PROJECTION_STEPS) for o in (outcome[:n], outcome[n:])]
+    ok = np.repeat([errors[0] is None, errors[1] is None], [n, len(pts) - n])
+    holo, anti = _ft_pass(params, pts[ok])[1](anti=True)
+    cut = n if errors[0] is None else 0  # where the defect's rows start in the pass
+    for a in (pts, holo, anti):
+        a.flags.writeable = False
+    sides = ((pts[:n], holo[:cut], anti[:cut], errors[0]),
+             (pts[n:], holo[cut:], anti[cut:], errors[1]))
+    vars(params)["_level_memo"] = (config, sides)
+    return sides
+
+
+def _projected(side):
+    """(points, holo, anti) of one side of ``_level_stack``, or its
+    ProjectionError."""
+    points, holo, anti, error = side
+    if error is not None:
+        raise ProjectionError(error)
+    return points, holo, anti
+
+
 def sample_on_level(
     params: FibrationParams, config: NumericalConfig = NumericalConfig()
 ) -> np.ndarray:
     """Sample points of X_t, as a (samples, 3) stack: seeds on the regular
     torus and on transverse shells around each critical point,
-    Newton-projected onto the level."""
+    Newton-projected onto the level.  At t = 1 they are projected together
+    with the default points of ``lagrangian_defect``."""
     params.check()
-    rng = np.random.default_rng(config.seed)
-    crits = critical_points(params)
-    n_torus = config.samples // 2
-    seeds = np.concatenate([
-        _torus_seeds(params, rng.uniform(0.0, 2.0 * math.pi, size=(n_torus, 2))),
-        _shell_seeds(params, crits, rng, config.samples - n_torus),
-    ])
-    return project_to_level(params, seeds, config=config)
+    if params.t == 1.0:
+        return _projected(_level_stack(params, config)[0])[0].copy()
+    return project_to_level(params, _sample_seeds(params, config), config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1086,10 @@ def symplectic_inequality_audit(
     except AdmissibilityError as exc:
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
     pts = sample_on_level(params, config)
-    holo, anti = _ft_pass(params, pts)[1](anti=True)
+    if params.t == 1.0:
+        _, holo, anti, _ = _level_stack(params, config)[0]
+    else:
+        holo, anti = _ft_pass(params, pts)[1](anti=True)
     anti = _row_norm(anti)
     margin = _row_norm(holo) - anti
     worst = int(margin.argmin())  # the first of equal minima
@@ -1043,7 +1148,8 @@ def lagrangian_defect(
 ) -> DefectReport:
     """Evaluate the symplectic form on the numerically-computed tangent
     planes of the fibers of g on X_t at the given points (default: sampled
-    near the regular torus), away from the axes.
+    near the regular torus; at t = 1 projected together with the samples
+    of the inequality audit), away from the axes.
 
     At t = 1 the fibers are Lagrangian and the defect must vanish to
     tolerance; at t < 1 the report is informational - the defect is a
@@ -1051,17 +1157,20 @@ def lagrangian_defect(
     unit-scale points of the holomorphic hypersurface.
     """
     params.check()
-    if points is None:
-        rng = np.random.default_rng(config.seed)
-        phases, noise = _defect_draws(rng, max(10, config.samples // 10))
-        seeds = _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
-        points = project_to_level(params, seeds, config=config)
-    pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+    if points is None and params.t == 1.0:
+        pts, holo, anti = _projected(_level_stack(params, config)[1])
+    else:
+        if points is None:
+            points = project_to_level(params, _defect_seeds(params, config), config=config)
+        pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+        holo = anti = None
     if (np.abs(pts) == 0.0).any():
         raise ValueError("fiber tangent planes are not defined on the axes")
+    if holo is None:
+        holo, anti = _ft_pass(params, pts)[1](anti=True)
     jg = g_real_jacobian(pts)
     _, svals, vh = np.linalg.svd(
-        np.concatenate([ft_real_jacobian(params, pts), jg], axis=-2), full_matrices=True
+        np.concatenate([_real_jacobian(holo, anti), jg], axis=-2), full_matrices=True
     )
     # Points too close to a singular fiber for a clean kernel are skipped:
     # there the fourth singular value vanishes against the size of g's own

@@ -1402,6 +1402,98 @@ def staged_verify_fibration(params: FibrationParams, cfg: NumericalConfig) -> di
     return report
 
 
+def whole_stack_project_to_level(params: FibrationParams, seeds: np.ndarray,
+                                 config: NumericalConfig, max_iter: int = 50) -> np.ndarray:
+    """project_to_level before each row had its own outcome: a vanishing
+    gradient in any row raises at once, and the holomorphic gradient is
+    the one that always adds the bump terms."""
+    tau = params.target
+    tol = config.residual_tol * max(abs(tau), 1e-300)
+    pts = np.array(seeds, dtype=complex)
+    todo = np.arange(len(pts))
+    for _ in range(max_iter):
+        rows = pts.take(todo, axis=0)
+        value, grads = numcheck._ft_pass(params, rows)
+        res = value - tau
+        moving = ~(np.abs(res) <= tol)
+        keep = moving.nonzero()[0]
+        if keep.size == 0:
+            return pts
+        todo = todo.take(keep)
+        grad = grads(moving, anti=True)[0]
+        norm2 = numcheck._row_sum(grad.real**2 + grad.imag**2)
+        if (norm2 == 0.0).any():
+            raise numcheck.ProjectionError("vanishing gradient during projection")
+        pts[todo] = rows.take(keep, axis=0) - res.take(keep)[:, None] * np.conj(grad) / norm2[:, None]
+    raise numcheck.ProjectionError(f"no convergence after {max_iter} iterations")
+
+
+def separate_sample_on_level(params: FibrationParams, config: NumericalConfig) -> np.ndarray:
+    """sample_on_level with its own projection at every t."""
+    params.check()
+    rng = np.random.default_rng(config.seed)
+    crits = numcheck.critical_points(params)
+    n_torus = config.samples // 2
+    seeds = np.concatenate([
+        numcheck._torus_seeds(params, rng.uniform(0.0, 2.0 * math.pi, size=(n_torus, 2))),
+        numcheck._shell_seeds(params, crits, rng, config.samples - n_torus),
+    ])
+    return whole_stack_project_to_level(params, seeds, config)
+
+
+def separate_inequality_audit(params: FibrationParams,
+                              config: NumericalConfig) -> numcheck.InequalityAudit:
+    """The inequality audit on its own samples and its own kernel pass."""
+    try:
+        params.check()
+    except numcheck.AdmissibilityError as exc:
+        return numcheck.InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
+    pts = separate_sample_on_level(params, config)
+    holo, anti = numcheck._ft_pass(params, pts)[1](anti=True)
+    anti = numcheck._row_norm(anti)
+    margin = numcheck._row_norm(holo) - anti
+    worst = int(margin.argmin())
+    mod = np.abs(pts)
+    largest = np.maximum(np.maximum(mod[:, 0], mod[:, 1]), mod[:, 2])
+    return numcheck.InequalityAudit(
+        len(pts),
+        float(margin[worst]),
+        tuple(complex(c) for c in pts[worst]),
+        int(np.count_nonzero(anti > 0.0)),
+        bool((largest > params.m / params.a).all()),
+        int(np.count_nonzero(margin <= 0.0)),
+        None,
+        None if params.precision_reviewed else "index above 9: review precision",
+    )
+
+
+def separate_lagrangian_defect(params: FibrationParams, config: NumericalConfig,
+                               tolerance: float = 1e-6) -> numcheck.DefectReport:
+    """The Lagrangian defect at its default points, with their own
+    projection and their own kernel pass at every t."""
+    params.check()
+    rng = np.random.default_rng(config.seed)
+    phases, noise = numcheck._defect_draws(rng, max(10, config.samples // 10))
+    seeds = numcheck._torus_seeds(params, phases) * (1.0 + 0.05 * noise)
+    pts = whole_stack_project_to_level(params, seeds, config)
+    if (np.abs(pts) == 0.0).any():
+        raise ValueError("fiber tangent planes are not defined on the axes")
+    jg = numcheck.g_real_jacobian(pts)
+    _, svals, vh = np.linalg.svd(
+        np.concatenate([numcheck.ft_real_jacobian(params, pts), jg], axis=-2),
+        full_matrices=True,
+    )
+    used = ~(svals[:, 3] < 1e-9 * np.linalg.norm(jg, axis=(-2, -1)))
+    defect = np.abs(numcheck._omega0(vh[used, 4], vh[used, 5]))
+    return numcheck.DefectReport(
+        samples=int(np.count_nonzero(used)),
+        max_defect=float(defect.max(initial=0.0)),
+        lagrangian_expected=bool(params.t == 1.0),
+        tolerance=tolerance,
+        tried=len(pts),
+    )
+
+
 @dataclass(frozen=True)
 class DataclassSL2Matrix:
     a: int

@@ -216,8 +216,16 @@ def test_no_value_class_writes_its_own_init():
         lambda: k3glue.InoseCase((1, 2, 0, 2.0)),
         lambda: TwistWord(((ALPHA, 2.9),)),
         lambda: TwistWord(((ALPHA, 1), (BETA, True))),
+        lambda: QuadIrrational(True, 1, 2, 5),
+        lambda: QuadIrrational(1, 1, 2.0, 5),
     ],
 )
 def test_integer_fields_refuse_floats_and_bools_when_built(build):
     with pytest.raises(TypeError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize("given", [(2, 3), (2, 3, 7, 9)])
+def test_a_triple_needs_three_entries_when_built(given):
+    with pytest.raises(TypeError, match=r"^integer triple required, got \(2, 3"):
+        Triple(given)
