@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,6 +114,9 @@ class FibrationParams:
     def __post_init__(self):
         if any(type(v) is not int for v in (self.p, self.q, self.r)):  # bool is not an index
             raise TypeError(f"integer p, q, r required, got ({self.p!r}, {self.q!r}, {self.r!r})")
+        if any(type(v) is bool for v in (self.a, self.theta, self.t)):
+            raise TypeError(f"a, theta and t take a float or an integer, not a bool, "
+                            f"got ({self.a!r}, {self.theta!r}, {self.t!r})")
         if min(self.p, self.q, self.r) < 2:
             raise ValueError("p, q, r must be >= 2")
         if triple_excess(self.p, self.q, self.r) < 0:
@@ -222,8 +225,12 @@ class NumericalConfig:
         for v in (self.residual_tol, self.rank_tol):
             if not 0.0 < v < 1.0:
                 raise ValueError("tolerances must lie in (0, 1)")
+        if type(self.samples) is not int or type(self.seed) is not int:  # bool is not a count
+            raise TypeError(f"integer samples and seed required, got ({self.samples!r}, {self.seed!r})")
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse_config_file(path: str) -> NumericalConfig:
@@ -993,41 +1000,39 @@ def _defect_seeds(params: FibrationParams, config: NumericalConfig) -> np.ndarra
     return _torus_seeds(params, phases) * (1.0 + 0.05 * noise)
 
 
-def _level_stack(params: FibrationParams, config: NumericalConfig):
-    """At t = 1, where ``verify_fibration`` runs both the inequality audit
-    and the Lagrangian defect: the seeds of both projected in one Newton
+@lru_cache(maxsize=1)
+def _level_stack(params: FibrationParams, config: NumericalConfig, sides: tuple[int, ...]):
+    """The seeds of the given sides (0: the samples of ``sample_on_level``,
+    1: the default points of ``lagrangian_defect``) projected in one Newton
     stack, and ft's Wirtinger pair at the projected points from one kernel
     pass.  Rows do not interact, so each row keeps the bits it has when its
     own side is projected alone.
 
-    Returns, for the audit and then for the defect, (points, holo, anti,
-    error): error is the ProjectionError message of that side's own rows,
-    or None; a side with an error has no gradients.  The result is kept on
-    params for the last config asked for, read-only; whichever caller
-    comes first computes it, failed rows included, so a failure on one
-    side leaves the other's result in place."""
-    memo = vars(params).get("_level_memo")
-    if memo is not None and memo[0] == config:
-        return memo[1]
-    audit, defect = _sample_seeds(params, config), _defect_seeds(params, config)
-    pts, outcome = _project(params, np.concatenate([audit, defect]), config, _PROJECTION_STEPS)
-    n = len(audit)
-    errors = [_projection_error(o, _PROJECTION_STEPS) for o in (outcome[:n], outcome[n:])]
-    ok = np.repeat([errors[0] is None, errors[1] is None], [n, len(pts) - n])
-    holo, anti = _ft_pass(params, pts[ok])[1](anti=True)
-    cut = n if errors[0] is None else 0  # where the defect's rows start in the pass
+    Returns, per side, (points, holo, anti, error): error is the
+    ProjectionError message of that side's own rows, or None.  The arrays
+    are read-only; only the last stack asked for is kept, and equal
+    arguments share it."""
+    seeds = [_defect_seeds(params, config) if s else _sample_seeds(params, config) for s in sides]
+    pts, outcome = _project(params, np.concatenate(seeds), config, _PROJECTION_STEPS)
+    holo, anti = _ft_pass(params, pts)[1](anti=True)
     for a in (pts, holo, anti):
         a.flags.writeable = False
-    sides = ((pts[:n], holo[:cut], anti[:cut], errors[0]),
-             (pts[n:], holo[cut:], anti[cut:], errors[1]))
-    vars(params)["_level_memo"] = (config, sides)
-    return sides
+    out, start = [], 0
+    for s in seeds:
+        rows = slice(start, start + len(s))
+        start = rows.stop
+        out.append((pts[rows], holo[rows], anti[rows],
+                    _projection_error(outcome[rows], _PROJECTION_STEPS)))
+    return tuple(out)
 
 
-def _projected(side):
+def _level(params: FibrationParams, config: NumericalConfig, side: int):
     """(points, holo, anti) of one side of ``_level_stack``, or its
-    ProjectionError."""
-    points, holo, anti, error = side
+    ProjectionError.  At t = 1, where ``verify_fibration`` runs both the
+    inequality audit and the Lagrangian defect, both sides share one stack;
+    at t < 1 each side is projected alone."""
+    sides = (0, 1) if params.t == 1.0 else (side,)
+    points, holo, anti, error = _level_stack(params, config, sides)[sides.index(side)]
     if error is not None:
         raise ProjectionError(error)
     return points, holo, anti
@@ -1041,9 +1046,7 @@ def sample_on_level(
     Newton-projected onto the level.  At t = 1 they are projected together
     with the default points of ``lagrangian_defect``."""
     params.check()
-    if params.t == 1.0:
-        return _projected(_level_stack(params, config)[0])[0].copy()
-    return project_to_level(params, _sample_seeds(params, config), config=config)
+    return _level(params, config, 0)[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -1085,11 +1088,8 @@ def symplectic_inequality_audit(
         params.check()
     except AdmissibilityError as exc:
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
-    pts = sample_on_level(params, config)
-    if params.t == 1.0:
-        _, holo, anti, _ = _level_stack(params, config)[0]
-    else:
-        holo, anti = _ft_pass(params, pts)[1](anti=True)
+    pts = sample_on_level(params, config)  # the stage the bench times per sample
+    _, holo, anti = _level(params, config, 0)
     anti = _row_norm(anti)
     margin = _row_norm(holo) - anti
     worst = int(margin.argmin())  # the first of equal minima
@@ -1157,16 +1157,13 @@ def lagrangian_defect(
     unit-scale points of the holomorphic hypersurface.
     """
     params.check()
-    if points is None and params.t == 1.0:
-        pts, holo, anti = _projected(_level_stack(params, config)[1])
+    if points is None:
+        pts, holo, anti = _level(params, config, 1)
     else:
-        if points is None:
-            points = project_to_level(params, _defect_seeds(params, config), config=config)
         pts = np.asarray(points, dtype=complex).reshape(-1, 3)
-        holo = anti = None
     if (np.abs(pts) == 0.0).any():
         raise ValueError("fiber tangent planes are not defined on the axes")
-    if holo is None:
+    if points is not None:
         holo, anti = _ft_pass(params, pts)[1](anti=True)
     jg = g_real_jacobian(pts)
     _, svals, vh = np.linalg.svd(

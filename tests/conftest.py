@@ -101,6 +101,23 @@ from tpqr.sl2z import R, MatrixClass, SL2Matrix, _floor_surd, classify
 _I = SL2Matrix.identity()
 
 
+@pytest.fixture(autouse=True)
+def fresh_level_stack():
+    """No level-set stack is kept from another test: numcheck keeps the
+    last one by equal parameters and config, so a test that monkeypatches
+    the seed functions would otherwise read the stack of the real seeds."""
+    numcheck._level_stack.cache_clear()
+
+
+def assert_same_bits(got, want, label=""):
+    """Same type, dtype, shape and bytes.  Signed zeros must agree, and a
+    NaN equals a NaN with the same bits, which np.array_equal denies."""
+    assert type(got) is type(want), label
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
 def mat2(rows):
     (a, b), (c, d) = rows
     return SL2Matrix(a, b, c, d)

@@ -315,6 +315,17 @@ def test_tolerance_file_rejects_a_vacuous_tolerance(capsys, tmp_path, line):
     assert len(err.splitlines()) == 1
 
 
+def test_a_negative_seed_exits_2_before_any_stage_runs(capsys, monkeypatch):
+    from tpqr import numcheck
+
+    stages = []
+    monkeypatch.setattr(numcheck, "critical_points", lambda *a: stages.append(a))
+    code = cli.main(["verify-fibration", "--pqr", "2,3,7", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and stages == []
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_numerical_config_rejects_an_infinite_rank_tol():
     from tpqr.numcheck import NumericalConfig
 

@@ -1,13 +1,17 @@
-"""At t = 1 the inequality audit and the Lagrangian defect project their
-seeds in one Newton stack and take ft's Wirtinger pair from one kernel
-pass, kept on the parameter object for one config.  Both reports must
-equal those of the separate projections they replaced (the oracles in
-conftest) bit for bit, a failure must stay with the side whose rows
-failed, and the holomorphic gradient may leave out the bump terms only
-where adding them changes no bit."""
+"""The level-set stage: the inequality audit and the Lagrangian defect
+read their projected points and ft's Wirtinger pair from one cached
+stage, which at t = 1 projects the seeds of both in one Newton stack and
+one kernel pass, and at t < 1 each side alone.  Only the last stack
+is kept, by equal parameters and config, and no parameter object holds
+one.  Both reports must equal those of the separate projections they
+replaced (the oracles in conftest) bit for bit, a failure must stay with
+the side whose rows failed, and the holomorphic gradient may leave out
+the bump terms only where adding them changes no bit."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +176,7 @@ def test_projection_of_a_point_still_raises_for_each_failure():
             numcheck.project_to_level(params, np.array(rows, dtype=complex))
 
 
-# --- one projection per parameter object and config at t = 1 -----------------------
+# --- one projection per equal parameters and config at t = 1 ------------------------
 
 
 def count_projections(monkeypatch):
@@ -201,6 +205,65 @@ def test_audit_and_defect_project_once_at_t_1_and_twice_before(t, projections, m
         assert len(calls) == 2
         lagrangian_defect(params, config=config)  # the one entry now holds the other config
         assert len(calls) == 3
+
+
+def test_equal_parameters_built_apart_share_the_stack(monkeypatch):
+    config = NumericalConfig(samples=200)
+    calls = count_projections(monkeypatch)
+    symplectic_inequality_audit(FibrationParams.minimal(2, 3, 7, theta=0.7), config)
+    params = FibrationParams.minimal(2, 3, 7, theta=0.7)
+    lagrangian_defect(params, config=NumericalConfig(samples=200))
+    sample_on_level(params, config)
+    assert calls == [220]
+
+
+# The 14 cusp triples of the table, and the three parabolic ones.
+ALL_TRIPLES = (*TABLE_TRIPLES, (3, 3, 3), (2, 4, 4), (2, 3, 6))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_theta_of_either_signed_zero_gives_the_same_bits(t):
+    """θ = 0.0 and θ = -0.0 are equal parameters, so they share a stack:
+    each must give the same bytes on its own."""
+    config = NumericalConfig(samples=200, seed=3)
+    groups = [(0, 1)] if t == 1.0 else [(0,), (1,)]
+    compute = numcheck._level_stack.__wrapped__
+    for triple in ALL_TRIPLES:
+        plus = FibrationParams.minimal(*triple, t=t)
+        minus = FibrationParams.minimal(*triple, theta=-0.0, t=t)
+        assert math.copysign(1.0, minus.theta) == -1.0
+        assert plus == minus and hash(plus) == hash(minus)
+        for sides in groups:
+            for got, want in zip(compute(minus, config, sides), compute(plus, config, sides)):
+                assert got[3] is want[3] is None
+                for g, w in zip(got[:3], want[:3]):
+                    assert_bitwise(g, w, str(triple))
+
+
+def test_retained_parameters_hold_no_stack():
+    """After verify_fibration at t = 1 on parameter objects kept alive, the
+    traced memory grows by at most one stack: the one kept for the last."""
+    config = NumericalConfig(samples=2000)
+    one_stack = 3 * (2000 + 200) * 3 * 16  # points, holo and anti, complex rows
+    kept = [FibrationParams.minimal(2, 3, 7, theta=0.1 * k) for k in range(8)]
+    fields = set(vars(kept[0]))
+    with np.errstate(all="ignore"):  # what a first run allocates once
+        numcheck.verify_fibration(FibrationParams.minimal(2, 3, 7, theta=3.0), config)
+    numcheck._level_stack.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for params in kept:
+            with np.errstate(all="ignore"):
+                assert numcheck.verify_fibration(params, config)["passed"]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for params in kept:
+        assert set(vars(params)) <= fields | {"_critical_points"}
+    assert one_stack <= grown < 2 * one_stack
 
 
 def test_the_samples_handed_out_are_a_copy():

@@ -218,6 +218,13 @@ def test_no_value_class_writes_its_own_init():
         lambda: TwistWord(((ALPHA, 1), (BETA, True))),
         lambda: QuadIrrational(True, 1, 2, 5),
         lambda: QuadIrrational(1, 1, 2.0, 5),
+        lambda: numcheck.NumericalConfig(samples=True),
+        lambda: numcheck.NumericalConfig(samples=200.0),
+        lambda: numcheck.NumericalConfig(seed=True),
+        lambda: numcheck.NumericalConfig(seed=1.0),
+        lambda: numcheck.FibrationParams(2, 3, 7, a=True),
+        lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, theta=True),
+        lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, t=True),
     ],
 )
 def test_integer_fields_refuse_floats_and_bools_when_built(build):
