@@ -3,11 +3,13 @@ the T_{p,q,r} singularity family.
 
 The layers are the submodules cuspdual, k3glue, milnorfiber, numcheck,
 quadlattice and sl2z; import the ones you use (only numcheck needs numpy).
-Two things are defined here, because several layers share them and none
+Three things are defined here, because several layers share them and none
 should load another for them:
 
 - ``triple_excess``, the sign test of a triple used by sl2z, quadlattice
   and numcheck; sl2z re-exports it.
+- ``_check_triple``, the type check of an index triple where it enters
+  cuspdual, quadlattice, milnorfiber and sl2z.
 - ``value_class``, the decorator behind every report and value type of
   the layers.  It builds the methods of a frozen value class from
   closures, so a one-shot request neither imports ``dataclasses`` (and
@@ -27,6 +29,12 @@ def triple_excess(p: int, q: int, r: int) -> int:
     It has the sign of 1 - 1/p - 1/q - 1/r: positive exactly for a cusp
     triple and zero exactly for a parabolic one."""
     return p * q * r - p * q - q * r - r * p
+
+
+def _check_triple(given: tuple) -> None:
+    """TypeError unless ``given`` is three ints; bool is not an index."""
+    if len(given) != 3 or any(type(v) is not int for v in given):
+        raise TypeError(f"integer triple required, got {given!r}")
 
 
 def value_class(cls):

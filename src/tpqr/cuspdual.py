@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from . import value_class
+from . import _check_triple, value_class
 from .sl2z import (
     ConjugacyCertificate,
     SL2Matrix,
@@ -228,9 +228,7 @@ class Triple:
     given: tuple[int, int, int]
 
     def __post_init__(self):
-        given = self.given
-        if len(given) != 3 or any(type(v) is not int for v in given):  # bool is not an index
-            raise TypeError(f"integer triple required, got {given!r}")
+        _check_triple(self.given)
         if min(self.given) < 2:
             raise CuspDualityError("triple entries must be >= 2")
 

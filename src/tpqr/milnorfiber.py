@@ -40,7 +40,7 @@ class SurfaceSystem:
     triple: tuple[int, int, int]
 
     def __post_init__(self):
-        _check_tilde_triple(*self.triple)
+        _check_tilde_triple(self.triple)
 
     @cached_property
     def lattice(self) -> GramLattice:
@@ -83,7 +83,7 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     image s{m}_0 expanding through the fiber relation t2 = chain sum;
     s+ -> s+ + s1_1 + s2_1 + s3_1 - t2 and t2 is fixed.
     """
-    _check_tilde_triple(p, q, r)
+    _check_tilde_triple((p, q, r))
     starts = _arm_starts(p, q, r)
     plus = starts[3]
     t2 = plus + 1

@@ -1001,38 +1001,33 @@ def _defect_seeds(params: FibrationParams, config: NumericalConfig) -> np.ndarra
 
 
 @lru_cache(maxsize=1)
-def _level_stack(params: FibrationParams, config: NumericalConfig, sides: tuple[int, ...]):
-    """The seeds of the given sides (0: the samples of ``sample_on_level``,
-    1: the default points of ``lagrangian_defect``) projected in one Newton
-    stack, and ft's Wirtinger pair at the projected points from one kernel
-    pass.  Rows do not interact, so each row keeps the bits it has when its
-    own side is projected alone.
+def _level_stack(params: FibrationParams, config: NumericalConfig):
+    """The samples of ``sample_on_level`` (side 0) and the default points
+    of ``lagrangian_defect`` (side 1) projected in one Newton stack, and
+    ft's Wirtinger pair at the projected points from one kernel pass.
+    Rows do not interact, so each row keeps the bits it has when its own
+    side is projected alone.
 
     Returns, per side, (points, holo, anti, error): error is the
     ProjectionError message of that side's own rows, or None.  The arrays
     are read-only; only the last stack asked for is kept, and equal
     arguments share it."""
-    seeds = [_defect_seeds(params, config) if s else _sample_seeds(params, config) for s in sides]
-    pts, outcome = _project(params, np.concatenate(seeds), config, _PROJECTION_STEPS)
+    samples = _sample_seeds(params, config)
+    seeds = np.concatenate([samples, _defect_seeds(params, config)])
+    pts, outcome = _project(params, seeds, config, _PROJECTION_STEPS)
     holo, anti = _ft_pass(params, pts)[1](anti=True)
     for a in (pts, holo, anti):
         a.flags.writeable = False
-    out, start = [], 0
-    for s in seeds:
-        rows = slice(start, start + len(s))
-        start = rows.stop
-        out.append((pts[rows], holo[rows], anti[rows],
-                    _projection_error(outcome[rows], _PROJECTION_STEPS)))
-    return tuple(out)
+    return tuple(
+        (pts[rows], holo[rows], anti[rows], _projection_error(outcome[rows], _PROJECTION_STEPS))
+        for rows in (slice(len(samples)), slice(len(samples), None))
+    )
 
 
 def _level(params: FibrationParams, config: NumericalConfig, side: int):
     """(points, holo, anti) of one side of ``_level_stack``, or its
-    ProjectionError.  At t = 1, where ``verify_fibration`` runs both the
-    inequality audit and the Lagrangian defect, both sides share one stack;
-    at t < 1 each side is projected alone."""
-    sides = (0, 1) if params.t == 1.0 else (side,)
-    points, holo, anti, error = _level_stack(params, config, sides)[sides.index(side)]
+    ProjectionError."""
+    points, holo, anti, error = _level_stack(params, config)[side]
     if error is not None:
         raise ProjectionError(error)
     return points, holo, anti
@@ -1043,8 +1038,8 @@ def sample_on_level(
 ) -> np.ndarray:
     """Sample points of X_t, as a (samples, 3) stack: seeds on the regular
     torus and on transverse shells around each critical point,
-    Newton-projected onto the level.  At t = 1 they are projected together
-    with the default points of ``lagrangian_defect``."""
+    Newton-projected onto the level together with the default points of
+    ``lagrangian_defect``."""
     params.check()
     return _level(params, config, 0)[0].copy()
 
@@ -1148,8 +1143,8 @@ def lagrangian_defect(
 ) -> DefectReport:
     """Evaluate the symplectic form on the numerically-computed tangent
     planes of the fibers of g on X_t at the given points (default: sampled
-    near the regular torus; at t = 1 projected together with the samples
-    of the inequality audit), away from the axes.
+    near the regular torus, projected together with the samples of the
+    inequality audit), away from the axes.
 
     At t = 1 the fibers are Lagrangian and the defect must vanish to
     tolerance; at t < 1 the report is informational - the defect is a

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 
-from . import triple_excess, value_class
+from . import _check_triple, triple_excess, value_class
 
 __all__ = [
     "GramLattice",
@@ -159,6 +159,7 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
     Sign convention: -2 self-pairings and +1 on edges, matching resolution
     spheres, so T(2,3,7) compares directly against e_lattice(8) + H.
     """
+    _check_triple((p, q, r))
     if min(p, q, r) < 2:
         raise LatticeError("t_lattice needs p,q,r >= 2")
     labels, edges = _star(p, q, r)
@@ -173,8 +174,10 @@ def e_lattice(k: int) -> GramLattice:
     return GramLattice(tuple(f"e{i+1}" for i in range(base.rank)), base.gram)
 
 
-def _check_tilde_triple(p: int, q: int, r: int) -> None:
+def _check_tilde_triple(triple: tuple[int, int, int]) -> None:
     """The Milnor fiber lattices exist for cusp and parabolic triples."""
+    _check_triple(triple)
+    p, q, r = triple
     if min(p, q, r) < 2:
         raise LatticeError("t_tilde_lattice needs p,q,r >= 2")
     if triple_excess(p, q, r) < 0:
@@ -189,7 +192,7 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     is all -2.  generator "S'": basis (spheres, s+, t2), where t2 = s+ - s-
     pairs to zero with everything.
     """
-    _check_tilde_triple(p, q, r)
+    _check_tilde_triple((p, q, r))
     labels, edges = _star(p, q, r)
     last = len(labels)
     if generator == "S'":

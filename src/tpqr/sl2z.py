@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
-from . import triple_excess, value_class
+from . import _check_triple, triple_excess, value_class
 
 __all__ = [
     "SL2Matrix",
@@ -188,7 +188,6 @@ class ConjugacyCertificate:
     source: SL2Matrix
     target: SL2Matrix
     conjugator: SL2Matrix
-    relation: str = "P*M*P^-1 = N"
 
     def __post_init__(self):
         if not self.verify():
@@ -199,13 +198,14 @@ class ConjugacyCertificate:
 
     def to_json(self) -> dict:
         return {"source": self.source.to_json(), "target": self.target.to_json(),
-                "conjugator": self.conjugator.to_json(), "relation": self.relation}
+                "conjugator": self.conjugator.to_json(), "relation": "P*M*P^-1 = N"}
 
 
 def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
     """Torus-bundle monodromy of the T_{p,q,r} link: the cycle matrix of
     (r-1, q-1, p-1), i.e. the product of the three factors (n-1 -1; 1 0)
     for n = r, q, p, with the r-factor leftmost."""
+    _check_triple((p, q, r))
     if min(p, q, r) < 2:
         raise ValueError(f"indices must be >= 2, got ({p},{q},{r})")
     return cycle_matrix((r - 1, q - 1, p - 1))
@@ -315,6 +315,10 @@ class RLWord:
             raise TypeError(f"integer exponents required, got {self.exponents!r}")
         if any(e < 1 for e in self.exponents):
             raise ValueError("all exponents must be >= 1")
+        if type(self.sign) is not int:  # bool is not a sign
+            raise TypeError(f"integer sign required, got {self.sign!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {self.sign}")
 
     def matrix(self) -> SL2Matrix:
         m = _word_matrix(self.exponents)

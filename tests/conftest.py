@@ -870,7 +870,7 @@ def dense_t_lattice(p: int, q: int, r: int) -> GramLattice:
 
 
 def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
-    _check_tilde_triple(p, q, r)
+    _check_tilde_triple((p, q, r))
     star = dense_star_rows(p, q, r)
     n = len(star) + 1
     rows = [[0] * n for _ in range(n)]
@@ -891,7 +891,7 @@ def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> Gram
 
 
 def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    _check_tilde_triple(p, q, r)
+    _check_tilde_triple((p, q, r))
     arms = (p - 1, q - 1, r - 1)
     n = sum(arms) + 2
     t2 = n - 1

@@ -1,12 +1,12 @@
 """The level-set stage: the inequality audit and the Lagrangian defect
 read their projected points and ft's Wirtinger pair from one cached
-stage, which at t = 1 projects the seeds of both in one Newton stack and
-one kernel pass, and at t < 1 each side alone.  Only the last stack
-is kept, by equal parameters and config, and no parameter object holds
-one.  Both reports must equal those of the separate projections they
-replaced (the oracles in conftest) bit for bit, a failure must stay with
-the side whose rows failed, and the holomorphic gradient may leave out
-the bump terms only where adding them changes no bit."""
+stage, which at every t projects the seeds of both in one Newton stack
+and one kernel pass.  Only the last stack is kept, by equal parameters
+and config, and no parameter object holds one.  Both reports must equal
+those of the separate projections they replaced (the oracles in
+conftest) bit for bit, a failure must stay with the side whose rows
+failed at every t, and the holomorphic gradient may leave out the bump
+terms only where adding them changes no bit."""
 
 import gc
 import json
@@ -121,10 +121,11 @@ def expected_failure(params, seeds):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("failure", sorted(FAILURES))
 @pytest.mark.parametrize("defect_first", [False, True])
-def test_a_failing_defect_row_fails_the_defect_alone(failure, defect_first, monkeypatch):
-    params = FibrationParams.minimal(3, 4, 5, theta=0.7)
+def test_a_failing_defect_row_fails_the_defect_alone(failure, defect_first, t, monkeypatch):
+    params = FibrationParams.minimal(3, 4, 5, theta=0.7, t=t)
     row, message = FAILURES[failure]
     draw = numcheck._defect_seeds
     monkeypatch.setattr(numcheck, "_defect_seeds", poisoned(draw, row))
@@ -137,14 +138,19 @@ def test_a_failing_defect_row_fails_the_defect_alone(failure, defect_first, monk
     assert report_bits(audit) == report_bits(separate_inequality_audit(params, CONFIG))
     with pytest.raises(ProjectionError, match=f"^{message}$"):
         lagrangian_defect(params, config=CONFIG)
-    with pytest.raises(ProjectionError, match=f"^{message}$"):
-        numcheck.verify_fibration(params, CONFIG)
+    if t == 1.0:
+        with pytest.raises(ProjectionError, match=f"^{message}$"):
+            numcheck.verify_fibration(params, CONFIG)
+    else:  # the report has no defect before t = 1
+        report = numcheck.verify_fibration(params, CONFIG)
+        assert report["passed"] and "lagrangian_defect" not in report
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("failure", sorted(FAILURES))
-def test_a_failing_audit_row_fails_the_audit_and_the_defect_still_reports(failure, monkeypatch):
-    params = FibrationParams.minimal(3, 4, 5, theta=0.7)
+def test_a_failing_audit_row_fails_the_audit_and_the_defect_still_reports(failure, t, monkeypatch):
+    params = FibrationParams.minimal(3, 4, 5, theta=0.7, t=t)
     row, message = FAILURES[failure]
     draw = numcheck._sample_seeds
     monkeypatch.setattr(numcheck, "_sample_seeds", poisoned(draw, row))
@@ -176,7 +182,7 @@ def test_projection_of_a_point_still_raises_for_each_failure():
             numcheck.project_to_level(params, np.array(rows, dtype=complex))
 
 
-# --- one projection per equal parameters and config at t = 1 ------------------------
+# --- one projection per equal parameters and config --------------------------------
 
 
 def count_projections(monkeypatch):
@@ -186,25 +192,23 @@ def count_projections(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("t, projections", [(1.0, 1), (0.5, 2), (0.0, 2)])
-def test_audit_and_defect_project_once_at_t_1_and_twice_before(t, projections, monkeypatch):
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_audit_and_defect_project_once_at_every_t(t, monkeypatch):
     params = FibrationParams.minimal(2, 3, 7, theta=0.7, t=t)
     config = NumericalConfig(samples=200)
     calls = count_projections(monkeypatch)
     symplectic_inequality_audit(params, config)
     lagrangian_defect(params, config=config)
-    assert len(calls) == projections
-    if t == 1.0:
-        assert calls == [200 + 20]
-        sample_on_level(params, config)
-        symplectic_inequality_audit(params, NumericalConfig(samples=200))  # an equal config
-        assert len(calls) == 1
-        other = NumericalConfig(samples=200, seed=1)
-        symplectic_inequality_audit(params, other)
-        lagrangian_defect(params, config=other)
-        assert len(calls) == 2
-        lagrangian_defect(params, config=config)  # the one entry now holds the other config
-        assert len(calls) == 3
+    assert calls == [200 + 20]
+    sample_on_level(params, config)
+    symplectic_inequality_audit(params, NumericalConfig(samples=200))  # an equal config
+    assert len(calls) == 1
+    other = NumericalConfig(samples=200, seed=1)
+    symplectic_inequality_audit(params, other)
+    lagrangian_defect(params, config=other)
+    assert len(calls) == 2
+    lagrangian_defect(params, config=config)  # the one entry now holds the other config
+    assert len(calls) == 3
 
 
 def test_equal_parameters_built_apart_share_the_stack(monkeypatch):
@@ -226,18 +230,16 @@ def test_theta_of_either_signed_zero_gives_the_same_bits(t):
     """θ = 0.0 and θ = -0.0 are equal parameters, so they share a stack:
     each must give the same bytes on its own."""
     config = NumericalConfig(samples=200, seed=3)
-    groups = [(0, 1)] if t == 1.0 else [(0,), (1,)]
     compute = numcheck._level_stack.__wrapped__
     for triple in ALL_TRIPLES:
         plus = FibrationParams.minimal(*triple, t=t)
         minus = FibrationParams.minimal(*triple, theta=-0.0, t=t)
         assert math.copysign(1.0, minus.theta) == -1.0
         assert plus == minus and hash(plus) == hash(minus)
-        for sides in groups:
-            for got, want in zip(compute(minus, config, sides), compute(plus, config, sides)):
-                assert got[3] is want[3] is None
-                for g, w in zip(got[:3], want[:3]):
-                    assert_bitwise(g, w, str(triple))
+        for got, want in zip(compute(minus, config), compute(plus, config)):
+            assert got[3] is want[3] is None
+            for g, w in zip(got[:3], want[:3]):
+                assert_bitwise(g, w, str(triple))
 
 
 def test_retained_parameters_hold_no_stack():

@@ -6,7 +6,8 @@ with a default; TypeError for a missing or extra argument; the errors of
 their validation; ``==``, ``hash`` and ``repr``; AttributeError on
 assignment and deletion; a cached property, and a subclass.  Every value
 class of the layers is built by the one generic constructor, and checks
-the type of its integer fields when it is built."""
+the type of its integer fields when it is built; the exact layers check
+an index triple where it enters, and an RL word's sign is 1 or -1."""
 
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -225,11 +226,36 @@ def test_no_value_class_writes_its_own_init():
         lambda: numcheck.FibrationParams(2, 3, 7, a=True),
         lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, theta=True),
         lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, t=True),
+        lambda: RLWord((1, 1), True),
+        lambda: RLWord((1, 1), -1.0),
     ],
 )
 def test_integer_fields_refuse_floats_and_bools_when_built(build):
     with pytest.raises(TypeError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, triple",
+    [
+        (milnorfiber.surface_system, (2, 3, 7.0)),
+        (milnorfiber.monodromy_action, (2, 3, 7.0)),
+        (sl2z.monodromy_matrix, (2, 3, 7.5)),
+        (quadlattice.t_lattice, (2, 3, 7.0)),
+        (quadlattice.t_lattice, (2, 3, True)),
+        (quadlattice.t_tilde_lattice, (2, True, 7)),
+        (lambda *given: milnorfiber.SurfaceSystem(given), (2, 3)),
+    ],
+)
+def test_the_exact_layers_refuse_a_triple_that_is_not_three_ints(build, triple):
+    with pytest.raises(TypeError, match=rf"^integer triple required, got \({', '.join(map(str, triple))}\)$"):
+        build(*triple)
+
+
+@pytest.mark.parametrize("sign", [5, 0, -2])
+def test_an_rl_word_takes_the_sign_1_or_minus_1(sign):
+    with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
+        RLWord((1, 1), sign)
 
 
 @pytest.mark.parametrize("given", [(2, 3), (2, 3, 7, 9)])
