@@ -119,6 +119,7 @@ class QuadIrrational:
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
+        _check_coefficients((a, b, c, d))
         if c == 0:
             raise ZeroDivisionError("zero denominator")
         if d <= 0:
@@ -151,9 +152,7 @@ class QuadIrrational:
 
     @classmethod
     def from_json(cls, data) -> "QuadIrrational":
-        abcd = tuple(data[k] for k in "abcd")
-        _check_coefficients(abcd)
-        return cls.make(*abcd)
+        return cls.make(*(data[k] for k in "abcd"))
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import value_class
+from . import _check_triple, value_class
 from .cuspdual import Triple
 from .quadlattice import (
     GramLattice,
@@ -93,6 +93,7 @@ def strange_duality_table() -> tuple[DualPair, ...]:
 
 
 def pair_for_triple(p: int, q: int, r: int) -> Optional[DualPair]:
+    _check_triple((p, q, r))
     t = tuple(sorted((p, q, r)))
     for pair in _TABLE:
         if t in (pair.left, pair.right):

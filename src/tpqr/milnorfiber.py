@@ -116,6 +116,8 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     vectors A^j C are kept sparse and multiplied through the nonzero
     entries of each column of A; once one is zero, so are the later terms.
     """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("char_poly needs a square matrix")
     poly = [1]  # highest degree first
     cols: list[list[tuple[int, int]]] = [[] for _ in m]  # nonzeros (i, m_ij), i < k
     for k, row in enumerate(m):

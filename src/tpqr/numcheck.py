@@ -84,11 +84,15 @@ class ProjectionError(RuntimeError):
     pass
 
 
-def point(x: complex, y: complex, z: complex) -> C3Point:
-    pt = np.array([x, y, z], dtype=complex)
-    if not np.all(np.isfinite(pt.view(float))):
+def _finite(pts: np.ndarray) -> np.ndarray:
+    """``pts``, or ValueError if a component is NaN or infinite."""
+    if not np.isfinite(pts).all():
         raise ValueError("point components must be finite")
-    return pt
+    return pts
+
+
+def point(x: complex, y: complex, z: complex) -> C3Point:
+    return _finite(np.array([x, y, z], dtype=complex))
 
 
 @value_class
@@ -676,7 +680,7 @@ def _critical_reports(
 def verify_critical_point(
     params: FibrationParams, pt: C3Point, config: NumericalConfig = NumericalConfig()
 ) -> CriticalPointReport:
-    return _critical_reports(params, np.asarray(pt, dtype=complex)[None], config)[0]
+    return _critical_reports(params, _finite(np.asarray(pt, dtype=complex))[None], config)[0]
 
 
 def verify_critical_points(
@@ -1155,7 +1159,7 @@ def lagrangian_defect(
     if points is None:
         pts, holo, anti = _level(params, config, 1)
     else:
-        pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+        pts = _finite(np.asarray(points, dtype=complex).reshape(-1, 3))
     if (np.abs(pts) == 0.0).any():
         raise ValueError("fiber tangent planes are not defined on the axes")
     if points is not None:

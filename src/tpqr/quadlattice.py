@@ -50,7 +50,9 @@ class DefiniteLatticeError(LatticeError):
 
 @value_class
 class GramLattice:
-    """Symmetric integer Gram matrix with labeled basis.
+    """Symmetric integer Gram matrix with labeled basis; construction
+    refuses entries that are not ``int`` (bool included), then a shape
+    that does not match the labels, then an asymmetric matrix.
 
     The elimination behind ``discriminant``/``signature`` and the Smith
     normal form are computed at most once per object and kept on it.
@@ -61,6 +63,8 @@ class GramLattice:
 
     def __post_init__(self):
         n, g = len(self.labels), self.gram
+        if set(map(type, chain.from_iterable(g))) - {int}:  # bool is not an entry
+            raise TypeError(f"integer Gram entries required, got {g!r}")
         if len(g) != n or any(len(row) != n for row in g):
             raise LatticeError("gram matrix shape does not match labels")
         if tuple(map(tuple, g)) != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i
@@ -103,17 +107,13 @@ class GramLattice:
 
     @classmethod
     def from_rows(cls, labels, rows) -> "GramLattice":
-        rows = tuple(map(tuple, rows))
-        if set(map(type, chain.from_iterable(rows))) - {int}:  # bool is not an entry
-            raise TypeError(f"integer Gram entries required, got {rows!r}")
-        return cls(tuple(labels), rows)
+        return cls(tuple(labels), tuple(map(tuple, rows)))
 
 
 def _gram(labels, diagonal, edges) -> GramLattice:
     """The lattice on ``labels`` whose Gram matrix has ``diagonal`` on
     the diagonal, x at (i, j) and (j, i) for each edge (i, j, x) with
-    i < j, and 0 elsewhere.  The entries are ints already, so the rows
-    skip the check of ``from_rows``."""
+    i < j, and 0 elsewhere."""
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
     for i, x in enumerate(diagonal):
@@ -225,27 +225,26 @@ def k3_lattice() -> GramLattice:
 
 
 def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
-    """Determinant and, for symmetric input, inertia (n+, n0, n-) of a
-    square integer matrix given as a sequence of rows (left unchanged), by
-    one fraction-free elimination on sparse rows {column: entry}.
+    """Determinant and inertia (n+, n0, n-) of a symmetric integer matrix
+    given as a sequence of rows (left unchanged), by one fraction-free
+    elimination on sparse rows {column: entry}.
 
     Bareiss updates divided by the previous pivot keep every entry an
     integer minor; the trailing block is the previous pivot times the Schur
-    complement, so the sign of pivot/previous pivot is one term of the
-    inertia.  A zero pivot is replaced, in order of preference, by a
-    symmetric swap with a nonzero diagonal entry, by the unimodular
-    congruence v_a += v_b when m_ab + m_ba != 0, or by a row swap; the last
-    only happens once the remaining block is skew, so never for symmetric
-    input, and the inertia is then meaningless.  A row update reads the
-    nonzeros of the row and of the pivot row, and drops column k.  A row
-    whose multiplier is 0 would only be scaled by pivot/previous pivot, so
-    it is left as it is; it keeps the pivot of its last update in ``base``
-    and is brought up to date, by an exact division, only when it is read
-    across rows."""
+    complement, so it stays symmetric and the sign of pivot/previous pivot
+    is one term of the inertia.  A zero pivot is replaced by a symmetric
+    swap with a nonzero diagonal entry or, when the whole diagonal of the
+    block is zero, by the unimodular congruence v_d += v_b on the first
+    nonzero m_db with d < b; a block without one is zero.  A row update
+    reads the nonzeros of the row and of the pivot row, and drops column k.
+    A row whose multiplier is 0 would only be scaled by pivot/previous
+    pivot, so it is left as it is; it keeps the pivot of its last update in
+    ``base`` and its zeros, and is brought up to date, by an exact
+    division, only when its entries are read across rows."""
     m = [dict(compress(enumerate(row), row)) for row in rows]
     n = len(m)
     base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
-    sign, prev, pos, neg = 1, 1, 0, 0
+    prev, pos, neg = 1, 0, 0
 
     def current(i: int) -> dict:
         if base[i] != prev:
@@ -256,25 +255,16 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     for k in range(n):
         d = k if k in m[k] else next((i for i in range(k + 1, n) if i in m[i]), None)
         if d is None:
-            for i in range(k, n):
-                current(i)
-            d, b = next(
-                ((a, b) for a in range(k, n) for b in range(a + 1, n)
-                 if m[a].get(b, 0) + m[b].get(a, 0)),
-                (None, None),
-            )
-            if d is not None:
-                _add(m[d], m[b], 1)
-                for row in m[k:]:
-                    if b in row:
-                        _add(row, {d: row[b]}, 1)
-        if d is None:
-            i = next((i for i in range(k + 1, n) if k in m[i]), None)
-            if i is None:
+            # rows k..d-1 are zero, so by symmetry min(m[d]) is the first b > d
+            d = next((i for i in range(k, n) if m[i]), None)
+            if d is None:
                 return 0, (pos, n - k, neg)
-            m[k], m[i], base[k], base[i] = m[i], m[k], base[i], base[k]
-            sign = -sign
-        elif d != k:
+            b = min(m[d])
+            _add(current(d), current(b), 1)
+            for row in m[k:]:
+                if b in row:
+                    _add(row, {d: row[b]}, 1)
+        if d != k:
             m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
             for row in m[k:]:
                 x, y = row.pop(k, 0), row.pop(d, 0)
@@ -298,7 +288,7 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
                         del new[j]
                 m[i], base[i] = new, piv
         prev = piv
-    return sign * prev, (pos, 0, neg)
+    return prev, (pos, 0, neg)
 
 
 def discriminant(lat: GramLattice) -> int:

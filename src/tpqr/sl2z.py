@@ -163,6 +163,8 @@ class TwistWord:
     steps: tuple[tuple[HomologyClass, int], ...]
 
     def __post_init__(self):
+        if any(not isinstance(c, HomologyClass) for c, _ in self.steps):
+            raise TypeError(f"HomologyClass steps required, got {self.steps!r}")
         if any(type(e) is not int for _, e in self.steps):  # bool is not an exponent
             raise TypeError(f"integer exponents required, got {self.steps!r}")
 
@@ -250,6 +252,8 @@ def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2M
     so its e-th power is I + eN."""
     out = (1, 0, 0, 1)
     for c, e in word:
+        if not isinstance(c, HomologyClass):
+            raise TypeError(f"HomologyClass required, got {c!r}")
         if type(e) is not int:
             raise TypeError(f"integer exponent required, got {e!r}")
         k = e * c.m

@@ -30,7 +30,10 @@ offsets of its own, and ``column_monodromy_action`` is the earlier
 monodromy, built image column by image column and then transposed, with
 the S' basis indices derived again from p, q and r.  The dense Berkowitz and dense
 elimination oracles are the exact kernels before they used sparsity: full
-Krylov vectors, and every trailing row rescaled at every step.  The
+Krylov vectors, and every trailing row rescaled at every step.
+``general_eliminate`` is the sparse elimination as it ran on any square
+matrix, with a row swap and a determinant sign for a skew block, and a
+congruence pair m_ab + m_ba read off every row of the block.  The
 cycle-product oracle multiplies one factor per entry, runs of twos
 included.  The ``object_*`` oracles are the SL(2,Z) products as they ran
 before they moved to integer tuples: the cycle matrix (a run of twos as
@@ -65,7 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from operator import mul
 from typing import Iterator, Optional
 
@@ -93,6 +96,7 @@ from tpqr.quadlattice import (
     GramLattice,
     LatticeError,
     SNFResult,
+    _add,
     _check_tilde_triple,
     _eliminate,
 )
@@ -706,6 +710,84 @@ def dense_lazy_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     return sign * prev, (pos, 0, neg)
 
 
+def general_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
+    """quadlattice's elimination before it took symmetric input only: the
+    determinant and, for symmetric input, inertia (n+, n0, n-) of a
+    square integer matrix given as a sequence of rows (left unchanged), by
+    one fraction-free elimination on sparse rows {column: entry}.
+
+    Bareiss updates divided by the previous pivot keep every entry an
+    integer minor; the trailing block is the previous pivot times the Schur
+    complement, so the sign of pivot/previous pivot is one term of the
+    inertia.  A zero pivot is replaced, in order of preference, by a
+    symmetric swap with a nonzero diagonal entry, by the unimodular
+    congruence v_a += v_b when m_ab + m_ba != 0, or by a row swap; the last
+    only happens once the remaining block is skew, so never for symmetric
+    input, and the inertia is then meaningless.  A row update reads the
+    nonzeros of the row and of the pivot row, and drops column k.  A row
+    whose multiplier is 0 would only be scaled by pivot/previous pivot, so
+    it is left as it is; it keeps the pivot of its last update in ``base``
+    and is brought up to date, by an exact division, only when it is read
+    across rows."""
+    m = [dict(compress(enumerate(row), row)) for row in rows]
+    n = len(m)
+    base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
+    sign, prev, pos, neg = 1, 1, 0, 0
+
+    def current(i: int) -> dict:
+        if base[i] != prev:
+            m[i] = {j: x * prev // base[i] for j, x in m[i].items()}
+            base[i] = prev
+        return m[i]
+
+    for k in range(n):
+        d = k if k in m[k] else next((i for i in range(k + 1, n) if i in m[i]), None)
+        if d is None:
+            for i in range(k, n):
+                current(i)
+            d, b = next(
+                ((a, b) for a in range(k, n) for b in range(a + 1, n)
+                 if m[a].get(b, 0) + m[b].get(a, 0)),
+                (None, None),
+            )
+            if d is not None:
+                _add(m[d], m[b], 1)
+                for row in m[k:]:
+                    if b in row:
+                        _add(row, {d: row[b]}, 1)
+        if d is None:
+            i = next((i for i in range(k + 1, n) if k in m[i]), None)
+            if i is None:
+                return 0, (pos, n - k, neg)
+            m[k], m[i], base[k], base[i] = m[i], m[k], base[i], base[k]
+            sign = -sign
+        elif d != k:
+            m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
+            for row in m[k:]:
+                x, y = row.pop(k, 0), row.pop(d, 0)
+                row.update((c, z) for c, z in ((d, x), (k, y)) if z)
+        tail = current(k)  # row k is not read again
+        piv = tail.pop(k)
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if k in m[i]:
+                row = current(i)
+                f = row.pop(k)
+                new = {j: x * piv // prev for j, x in row.items()}  # exact off the tail
+                for j, y in tail.items():
+                    x = (row.get(j, 0) * piv - f * y) // prev
+                    if x:
+                        new[j] = x
+                    else:  # so j is in row, as f * y != 0
+                        del new[j]
+                m[i], base[i] = new, piv
+        prev = piv
+    return sign * prev, (pos, 0, neg)
+
+
 def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
     n = lat.rank
     ug = [
@@ -730,7 +812,7 @@ def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
             for j in range(n):
                 if sum(t[i][k] * t_inv[k][j] for k in range(n)) != int(i == j):
                     return False
-    return all(abs(_eliminate(t)[0]) == 1 for t in (snf.u, snf.v))
+    return all(abs(general_eliminate(t)[0]) == 1 for t in (snf.u, snf.v))
 
 
 def dense_smith(lat: GramLattice) -> SNFResult:

@@ -9,6 +9,7 @@ from conftest import (
     column_monodromy_action,
     dense_berkowitz,
     dense_eliminate,
+    general_eliminate,
     integer_matrices,
     interpolated_char_poly,
     square_matrices,
@@ -246,6 +247,12 @@ def test_char_poly_matches_interpolation_oracle(m):
     assert char_poly(m) == interpolated_char_poly(m)
 
 
+@pytest.mark.parametrize("m", [((1, 0, 0), (0, 1)), ((1, 2),), ((1,), (2,)), ((1, 0), (0, 1, 0))])
+def test_char_poly_refuses_a_matrix_that_is_not_square(m):
+    with pytest.raises(ValueError, match="^char_poly needs a square matrix$"):
+        char_poly(m)
+
+
 @given(integer_matrices())
 @settings(max_examples=150, deadline=None)
 def test_char_poly_matches_dense_berkowitz(m):
@@ -257,5 +264,5 @@ def test_sparse_kernels_match_dense_oracles_on_monodromy():
         mu = monodromy_action(*triple)
         g = t_tilde_lattice(*triple, "S'").gram
         assert char_poly(mu) == dense_berkowitz(mu), triple
-        assert _eliminate(mu) == dense_eliminate(mu), triple
+        assert general_eliminate(mu) == dense_eliminate(mu), triple
         assert _eliminate(g) == dense_eliminate(g), triple

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conftest import (
     dense_snf_verify,
     dense_t_lattice,
     dense_t_tilde_lattice,
+    general_eliminate,
     integer_matrices,
     square_matrices,
     symmetric_matrices,
@@ -281,7 +283,7 @@ def test_det_and_inertia_match_oracles(g):
 @given(square_matrices())
 @settings(max_examples=80, deadline=None)
 def test_det_of_general_matrices_matches_oracle(m):
-    assert _eliminate(m)[0] == bareiss_det([list(r) for r in m])
+    assert general_eliminate(m)[0] == bareiss_det([list(r) for r in m])
 
 
 # Zero diagonal, not symmetric: the congruence pair m_ab + m_ba is read from
@@ -303,7 +305,7 @@ PAIR_ACROSS_STALE_ROWS = [
 @example(PAIR_ACROSS_STALE_ROWS)
 @settings(max_examples=150, deadline=None)
 def test_eliminate_matches_dense_oracle(m):
-    assert _eliminate(m) == dense_eliminate(m)
+    assert general_eliminate(m) == dense_eliminate(m)
 
 
 def _zero_diagonal(m):
@@ -330,20 +332,65 @@ def skew_tail_matrices(draw, max_n=10):
     return m
 
 
+@given(st.one_of(square_matrices().map(_zero_diagonal), skew_tail_matrices()))
+@example([[2, 1, 1], [0, 0, 3], [0, -3, 0]])  # a skew tail under a pivot
+@example(PAIR_ACROSS_STALE_ROWS)
+@settings(max_examples=200, deadline=None)
+def test_general_oracle_matches_both_dense_oracles(m):
+    assert general_eliminate(m) == dense_lazy_eliminate(m) == dense_eliminate(m)
+
+
 @given(
     st.one_of(
         symmetric_matrices(),
-        symmetric_matrices().map(_zero_diagonal),  # the congruence v_a += v_b
-        square_matrices().map(_zero_diagonal),
-        skew_tail_matrices(),
+        symmetric_matrices().map(_zero_diagonal),  # the congruence v_d += v_b
     )
 )
-@example([[2, 1, 1], [0, 0, 3], [0, -3, 0]])  # a skew tail under a pivot
 @example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # congruence, then a zero row
-@example(PAIR_ACROSS_STALE_ROWS)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_sparse_elimination_matches_both_dense_oracles(m):
     assert _eliminate(m) == dense_lazy_eliminate(m) == dense_eliminate(m)
+
+
+def _hyperbolic_sum(copies):
+    return direct_sum(*[hyperbolic_plane()] * copies).gram
+
+
+@st.composite
+def zero_tail_matrices(draw, max_n=14):
+    """Symmetric matrices whose diagonal is nonzero on a short head and
+    zero after it, optionally with one row and column a multiple of
+    another (so singular).  The head's pivots leave the tail rows they do
+    not reach stale, so the congruence adds rows kept at other scales."""
+    n = draw(st.integers(1, max_n))
+    h = draw(st.integers(0, n // 2))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+        if i < h:
+            g[i][i] = draw(st.sampled_from([1, -1, 2, -2, 3, 5]))
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        g[a] = [c * x for x in g[b]]
+        for row in g:
+            row[a] = c * row[b]
+    return g
+
+
+@given(
+    st.one_of(
+        symmetric_matrices(),
+        zero_tail_matrices(),
+        st.integers(1, 40).map(_hyperbolic_sum),
+    )
+)
+@example(_hyperbolic_sum(50))
+@example([[0, 0, 0], [0, 0, 2], [0, 2, 0]])  # a zero row before the congruence pair
+@settings(max_examples=300, deadline=None)
+def test_eliminate_matches_the_general_oracle_on_symmetric_input(g):
+    assert _eliminate(g) == general_eliminate(g)
 
 
 @given(st.integers(25, 175), st.sampled_from(["T", "S", "S'"]))
@@ -662,9 +709,14 @@ def test_json_round_trip():
     assert GramLattice.from_json(lat.to_json()) == lat
 
 
-@pytest.mark.parametrize("gram", [[[-2.5]], [[True]], [[-2.0]]])
+@pytest.mark.parametrize("gram", [[[-2.5]], [[True]], [[-2.0]], [[2.5, 1], [1, True]]])
 def test_gram_readers_reject_floats_and_bools(gram):
-    with pytest.raises(TypeError, match="integer Gram entries"):
-        GramLattice.from_json({"labels": ["a"], "gram": gram})
-    with pytest.raises(TypeError, match="integer Gram entries"):
-        GramLattice.from_rows(["a"], gram)
+    labels = [f"v{i}" for i in range(len(gram))]
+    rows = tuple(map(tuple, gram))
+    message = rf"^integer Gram entries required, got {re.escape(repr(rows))}$"
+    with pytest.raises(TypeError, match=message):
+        GramLattice.from_json({"labels": labels, "gram": gram})
+    with pytest.raises(TypeError, match=message):
+        GramLattice.from_rows(labels, gram)
+    with pytest.raises(TypeError, match=message):
+        GramLattice(tuple(labels), rows)

@@ -7,7 +7,8 @@ their validation; ``==``, ``hash`` and ``repr``; AttributeError on
 assignment and deletion; a cached property, and a subclass.  Every value
 class of the layers is built by the one generic constructor, and checks
 the type of its integer fields when it is built; the exact layers check
-an index triple where it enters, and an RL word's sign is 1 or -1."""
+an index triple where it enters, an RL word's sign is 1 or -1, and a
+twist word's classes are HomologyClass objects."""
 
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -219,6 +220,8 @@ def test_no_value_class_writes_its_own_init():
         lambda: TwistWord(((ALPHA, 1), (BETA, True))),
         lambda: QuadIrrational(True, 1, 2, 5),
         lambda: QuadIrrational(1, 1, 2.0, 5),
+        lambda: QuadIrrational.make(1, 1, 2, True),
+        lambda: QuadIrrational.make(1.0, 1, 2, 5),
         lambda: numcheck.NumericalConfig(samples=True),
         lambda: numcheck.NumericalConfig(samples=200.0),
         lambda: numcheck.NumericalConfig(seed=True),
@@ -244,12 +247,26 @@ def test_integer_fields_refuse_floats_and_bools_when_built(build):
         (quadlattice.t_lattice, (2, 3, 7.0)),
         (quadlattice.t_lattice, (2, 3, True)),
         (quadlattice.t_tilde_lattice, (2, True, 7)),
+        (k3glue.pair_for_triple, (2.0, 3, 7)),
         (lambda *given: milnorfiber.SurfaceSystem(given), (2, 3)),
     ],
 )
 def test_the_exact_layers_refuse_a_triple_that_is_not_three_ints(build, triple):
     with pytest.raises(TypeError, match=rf"^integer triple required, got \({', '.join(map(str, triple))}\)$"):
         build(*triple)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwistWord((((1, 0), 1),)),
+        lambda: TwistWord.of((ALPHA, 1), ("beta", 2)),
+        lambda: sl2z.evaluate_word([((1, 0), 1)]),
+    ],
+)
+def test_a_twist_word_takes_homology_classes(build):
+    with pytest.raises(TypeError, match="^HomologyClass (steps )?required, got "):
+        build()
 
 
 @pytest.mark.parametrize("sign", [5, 0, -2])

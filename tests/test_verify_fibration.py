@@ -161,6 +161,20 @@ def test_a_critical_point_needs_a_vanishing_differential():
         assert rep.ok and rep.corank2_ratio < 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1)])
+@pytest.mark.parametrize(
+    "check",
+    [
+        numcheck.verify_critical_point,
+        lambda params, pt: numcheck.lagrangian_defect(params, points=[numcheck.point(1, 1j, -1), pt]),
+    ],
+    ids=["critical point", "defect"],
+)
+def test_a_point_that_is_not_finite_is_refused(check, bad):
+    with pytest.raises(ValueError, match="^point components must be finite$"):
+        check(FibrationParams.minimal(2, 3, 7), np.array([bad, 0.5, 1j]))
+
+
 @pytest.mark.parametrize("pqr,theta", [((2, 3, 7), 3e7), ((2, 3, 7), 1e8), ((2, 3, 7), 1e16),
                                        ((2, 3, 7), -1e8), ((3, 4, 5), 1e8)], ids=str)
 def test_a_large_theta_gives_the_report_of_its_reduced_angle(pqr, theta):
