@@ -58,15 +58,16 @@ _EXACT_BELOW = 10**18
 def _squarefree(n: int) -> tuple[int, int]:
     """n = s^2 * d with d squarefree; returns (s, d), for 0 < n < 10^18.
 
-    Trial division removes every prime up to 10^6 or the cube root of the
-    cofactor; a cofactor below 10^18 then has at most two prime factors,
-    so isqrt settles whether it is a square.  From 10^18 on a square prime
-    factor above 10^6 could stay in d, so such n are refused."""
+    Trial division removes every prime up to the cube root of the
+    cofactor, so what is left has at most two prime factors and isqrt
+    settles whether it is a square.  The cofactor is below 10^18, so no
+    divisor above 10^6 is tried.  From 10^18 on that bound would not hold,
+    so such n are refused."""
     if not 0 < n < _EXACT_BELOW:
         raise ValueError(f"square-free part needs 0 < n < 10^18, got {n}")
     s, d, m = 1, 1, n
     f = 2
-    while f <= 1_000_000 and f * f * f <= m:
+    while f * f * f <= m:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -79,24 +80,20 @@ def _squarefree(n: int) -> tuple[int, int]:
     return (s * root, d) if root * root == m else (s, d * m)
 
 
-def _check_coefficients(abcd: tuple) -> None:
-    if any(type(v) is not int for v in abcd):  # bool is not a coefficient
-        raise TypeError(f"integer coefficients required, got {abcd!r}")
-
-
 @value_class
 class QuadIrrational:
     """(a + b*sqrt(d)) / c with c > 0 and gcd(a, b, c) = 1; d = 1 encodes a
     rational value with b = 0.
 
-    ``make`` is the only normaliser, and its form is a function of the
-    number alone.  An irrational x is keyed by its primitive minimal
-    polynomial u x^2 + v x + w (u > 0), whose discriminant disc is
-    intrinsic to x.  Below 10^18, d is the square-free part of disc, so d
-    names the field.  From 10^18 on, (a, b, c, d) = (-v, +-1, 2u, disc)
-    with no factoring: d is that discriminant and does not name the field,
-    since two values of one field can carry radicands that differ by a
-    square factor."""
+    The constructor is the one normaliser: it takes any int a, b, c, d
+    with c != 0 and d > 0 and keeps the canonical form of the number,
+    which is a function of the number alone; ``make`` is the same call.
+    An irrational x is keyed by its primitive minimal polynomial
+    u x^2 + v x + w (u > 0), whose discriminant disc is intrinsic to x.
+    Below 10^18, d is the square-free part of disc, so d names the field.
+    From 10^18 on, (a, b, c, d) = (-v, +-1, 2u, disc) with no factoring:
+    d is that discriminant and does not name the field, since two values
+    of one field can carry radicands that differ by a square factor."""
 
     a: int
     b: int
@@ -105,21 +102,8 @@ class QuadIrrational:
 
     def __post_init__(self):
         a, b, c, d = abcd = self.a, self.b, self.c, self.d
-        _check_coefficients(abcd)
-        if c <= 0:
-            raise ValueError("canonical form requires c > 0")
-        if d <= 0:
-            raise ValueError("canonical form requires d > 0")
-        if b == 0 and d != 1:
-            raise ValueError("rational value must carry d = 1")
-        if d == 1 and b != 0:
-            raise ValueError("d = 1 must be folded into the rational part")
-        if math.gcd(a, b, c) != 1:
-            raise ValueError("not gcd-reduced")
-
-    @classmethod
-    def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
-        _check_coefficients((a, b, c, d))
+        if any(type(v) is not int for v in abcd):  # bool is not a coefficient
+            raise TypeError(f"integer coefficients required, got {abcd!r}")
         if c == 0:
             raise ZeroDivisionError("zero denominator")
         if d <= 0:
@@ -139,10 +123,16 @@ class QuadIrrational:
         if c < 0:
             a, b, c = -a, -b, -c
         g = math.gcd(a, b, c)
-        return cls(a // g, b // g, c // g, d)
+        for name, value in zip("abcd", (a // g, b // g, c // g, d)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
+        """(a + b*sqrt(d)) / c; the same call as the constructor."""
+        return cls(a, b, c, d)
 
     def conjugate(self) -> "QuadIrrational":
-        return QuadIrrational.make(self.a, -self.b, self.c, self.d)
+        return QuadIrrational(self.a, -self.b, self.c, self.d)
 
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
@@ -152,7 +142,7 @@ class QuadIrrational:
 
     @classmethod
     def from_json(cls, data) -> "QuadIrrational":
-        return cls.make(*(data[k] for k in "abcd"))
+        return cls(*(data[k] for k in "abcd"))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -334,16 +324,23 @@ def cf_value(cycle: CycleData) -> QuadIrrational:
 
     The value is the fixed point > 1 of the Moebius map x -> c1 - 1/(c2 -
     ... - 1/x), the larger root of C x^2 + (D - A) x - B for the cycle
-    matrix (A B; C D); the conjugate root lies in (0,1).
+    matrix (A B; C D); the conjugate root lies in (0,1).  C > 0 for every
+    cycle: each factor (c -1; 1 0), c >= 2, takes the lower-left entry
+    from C_{k-1} to C_k = c C_{k-1} - C_{k-2}, so it rises by at least 1
+    from C_0 = 0.  The larger root is then (A - D + sqrt(t^2 - 4)) / 2C
+    for the trace t, and no value is compared or factored here.
     """
-    return _omega(cycle_matrix(cycle.entries))
+    m = cycle_matrix(cycle.entries)
+    t = m.trace
+    return QuadIrrational(m.a - m.d, 1, 2 * m.c, t * t - 4)
 
 
 def alpha_v(cycle: CycleData) -> QuadIrrational:
     """The totally positive unit generating the automorphism group of the
     cusp, i.e. the product of cf_value over all cyclic rotations: the larger
     eigenvalue (t + sqrt(t^2 - 4))/2 of the cycle matrix of trace t."""
-    return _unit(cycle_matrix(cycle.entries))
+    t = cycle_matrix(cycle.entries).trace
+    return QuadIrrational(t, 1, 2, t * t - 4)
 
 
 def module_action_matrix(cycle: CycleData) -> SL2Matrix:
@@ -359,23 +356,7 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     own torus-bundle monodromy (the column arrangement lands in the
     inverse class, i.e. the dual partner's).
     """
-    return _action(cycle_matrix(cycle.entries))
-
-
-def _omega(m: SL2Matrix) -> QuadIrrational:
-    # C > 0 for every cycle: each factor (c -1; 1 0), c >= 2, takes the
-    # lower-left entry from C_{k-1} to C_k = c C_{k-1} - C_{k-2}, so it rises
-    # by at least 1 from C_0 = 0.  The + root is then the larger one.
-    t = m.trace
-    return QuadIrrational.make(m.a - m.d, 1, 2 * m.c, t * t - 4)
-
-
-def _unit(m: SL2Matrix) -> QuadIrrational:
-    t = m.trace
-    return QuadIrrational.make(t, 1, 2, t * t - 4)
-
-
-def _action(m: SL2Matrix) -> SL2Matrix:
+    m = cycle_matrix(cycle.entries)
     return SL2Matrix(m.d, m.c, m.b, m.a)
 
 
@@ -438,18 +419,14 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     dual_side = triple_to_cycle(p, q, r)
     self_cycle = dual_cycle(dual_side)
 
-    m_self = cycle_matrix(self_cycle.entries)
-    m_dual = cycle_matrix(dual_side.entries)
-    a_self = _unit(m_self)
-    a_dual = _unit(m_dual)
+    a_self = alpha_v(self_cycle)
+    a_dual = alpha_v(dual_side)
 
     a = monodromy_matrix(*t.sorted)
     a_prime = monodromy_matrix(*dual.sorted)
 
-    act = _action(m_self)
-    act_dual = _action(m_dual)
-    cert1 = is_conjugate(act, a)
-    cert2 = is_conjugate(act_dual, a_prime)
+    cert1 = is_conjugate(module_action_matrix(self_cycle), a)
+    cert2 = is_conjugate(module_action_matrix(dual_side), a_prime)
     cert3 = is_conjugate_to_inverse(a, a_prime)
     if cert1 is None or cert2 is None or cert3 is None:
         raise CuspDualityError(
@@ -460,8 +437,8 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
         dual=dual,
         self_cycle=self_cycle,
         dual_side_cycle=dual_side,
-        omega_self=_omega(m_self),
-        omega_dual=_omega(m_dual),
+        omega_self=cf_value(self_cycle),
+        omega_dual=cf_value(dual_side),
         alpha_self=a_self,
         alpha_dual=a_dual,
         alphas_equal=a_self == a_dual,

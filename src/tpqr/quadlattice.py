@@ -64,7 +64,10 @@ class GramLattice:
     def __post_init__(self):
         n, g = len(self.labels), self.gram
         if set(map(type, chain.from_iterable(g))) - {int}:  # bool is not an entry
-            raise TypeError(f"integer Gram entries required, got {g!r}")
+            i, j, x = next(
+                (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if type(x) is not int
+            )
+            raise TypeError(f"integer Gram entries required, got {x!r} at ({i},{j})")
         if len(g) != n or any(len(row) != n for row in g):
             raise LatticeError("gram matrix shape does not match labels")
         if tuple(map(tuple, g)) != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i
@@ -167,11 +170,14 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
 
 
 def e_lattice(k: int) -> GramLattice:
-    """E_k := T(2,3,k-3) in the same sign convention, 6 <= k <= 10."""
+    """E_k := T(2,3,k-3) in the same sign convention on the basis e1, ...,
+    ek, 6 <= k <= 10."""
+    if type(k) is not int:
+        raise TypeError(f"integer k required, got {k!r}")
     if k not in (6, 7, 8, 9, 10):
         raise LatticeError(f"e_lattice supports k in 6..10, got {k}")
-    base = t_lattice(2, 3, k - 3)
-    return GramLattice(tuple(f"e{i+1}" for i in range(base.rank)), base.gram)
+    _, edges = _star(2, 3, k - 3)
+    return _gram([f"e{i}" for i in range(1, k + 1)], [-2] * k, edges)
 
 
 def _check_tilde_triple(triple: tuple[int, int, int]) -> None:

@@ -59,7 +59,12 @@ each call, and ``triu_fd_hessian`` its index arrays.
 the CLI ran them stage by stage before ``numcheck.verify_fibration``.
 The ``Dataclass*`` classes are four value classes as they were declared
 before ``tpqr.value_class`` replaced ``@dataclass(frozen=True)``: their
-fields, defaults, validation and cached property.
+fields, defaults, validation and cached property.  ``DataclassQuadIrrational``
+normalises in ``__post_init__`` as the constructor of ``QuadIrrational``
+does, by a rule of its own: it writes the value over a square-free
+radicand found by trial division, which gives the canonical form while
+the discriminant of the value stays below 10^18, as it does for every
+value the comparison draws.
 """
 
 from __future__ import annotations
@@ -1630,16 +1635,27 @@ class DataclassQuadIrrational:
     d: int
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("canonical form requires c > 0")
-        if self.d <= 0:
-            raise ValueError("canonical form requires d > 0")
-        if self.b == 0 and self.d != 1:
-            raise ValueError("rational value must carry d = 1")
-        if self.d == 1 and self.b != 0:
-            raise ValueError("d = 1 must be folded into the rational part")
-        if math.gcd(math.gcd(abs(self.a), abs(self.b)), self.c) != 1:
-            raise ValueError("not gcd-reduced")
+        a, b, c, d = abcd = self.a, self.b, self.c, self.d
+        if any(type(v) is not int for v in abcd):
+            raise TypeError(f"integer coefficients required, got {abcd!r}")
+        if c == 0:
+            raise ZeroDivisionError("zero denominator")
+        if d <= 0:
+            raise ValueError("sqrt argument must be positive")
+        f = 2
+        while f * f <= d:  # move the square part of d into b
+            while d % (f * f) == 0:
+                b, d = b * f, d // (f * f)
+            f += 1
+        if d == 1:
+            a, b = a + b, 0
+        if b == 0:
+            d = 1
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = math.gcd(a, b, c)
+        for name, value in zip("abcd", (a // g, b // g, c // g, d)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -164,6 +165,38 @@ LARGE_PRIMES = [999983, 1000003, 1000033, 1000037]
 @settings(max_examples=150, deadline=None)
 def test_make_depends_on_the_number_only(a, b, c, d, k):
     assert QuadIrrational.make(a, b * k, c, d) == QuadIrrational.make(a, b, c, d * k * k)
+
+
+def _radicands():
+    """d = m * k^2 * (primes of LARGE_PRIME_PAIRS): square factors, square
+    primes above 10^6, and discriminants on both sides of 10^18."""
+    return st.builds(
+        lambda m, k, large: m * k * k * math.prod(large),
+        st.integers(1, 10**6),
+        st.one_of(st.integers(1, 100), st.sampled_from(LARGE_PRIMES)),
+        st.sampled_from(LARGE_PRIME_PAIRS),
+    )
+
+
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-30, 30),
+    st.integers(-30, 30).filter(bool),
+    st.one_of(st.integers(1, 100), _radicands()),
+)
+@example(0, 1, 1, 8)  # sqrt(8) = 2*sqrt(2)
+@example(1, 1, 2, 20)  # (1+sqrt(20))/2 = (1+2*sqrt(5))/2
+@example(1, 1, -2, 5)  # c < 0
+@example(3, 0, 2, 7)  # rational, d != 1
+@example(2, 0, 4, 1)  # not gcd-reduced
+@example(1, 1, 1, 1000033 * 1000003**2)  # disc > 10^18
+@settings(max_examples=150, deadline=None)
+def test_the_constructor_is_the_one_normaliser(a, b, c, d):
+    x = QuadIrrational(a, b, c, d)
+    assert vars(x) == vars(QuadIrrational.make(a, b, c, d))
+    assert vars(QuadIrrational(**vars(x))) == vars(x)  # canonical values are fixed points
+    assert x.c > 0 and math.gcd(x.a, x.b, x.c) == 1 and (x.b == 0) == (x.d == 1)
+    assert math.isclose(float(x), (a + b * math.sqrt(d)) / c, rel_tol=1e-12, abs_tol=1e-6)
 
 
 def test_squarefree_refuses_from_the_bound():

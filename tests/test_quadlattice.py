@@ -117,6 +117,12 @@ def test_e_lattice_determinants():
         e_lattice(5)
 
 
+@pytest.mark.parametrize("k", [8.0, True])
+def test_e_lattice_refuses_a_k_that_is_not_an_int(k):
+    with pytest.raises(TypeError, match=rf"^integer k required, got {k!r}$"):
+        e_lattice(k)
+
+
 def test_t_lattice_shape():
     t = t_lattice(2, 3, 7)
     assert t.rank == 10
@@ -709,14 +715,33 @@ def test_json_round_trip():
     assert GramLattice.from_json(lat.to_json()) == lat
 
 
-@pytest.mark.parametrize("gram", [[[-2.5]], [[True]], [[-2.0]], [[2.5, 1], [1, True]]])
-def test_gram_readers_reject_floats_and_bools(gram):
+@pytest.mark.parametrize(
+    "gram, bad",
+    [
+        ([[-2.5]], "-2.5 at (0,0)"),
+        ([[True]], "True at (0,0)"),
+        ([[-2.0]], "-2.0 at (0,0)"),
+        ([[2.5, 1], [1, True]], "2.5 at (0,0)"),
+        ([[2, 1], [1.0, True]], "1.0 at (1,0)"),
+    ],
+)
+def test_gram_readers_reject_floats_and_bools(gram, bad):
     labels = [f"v{i}" for i in range(len(gram))]
     rows = tuple(map(tuple, gram))
-    message = rf"^integer Gram entries required, got {re.escape(repr(rows))}$"
+    message = rf"^integer Gram entries required, got {re.escape(bad)}$"
     with pytest.raises(TypeError, match=message):
         GramLattice.from_json({"labels": labels, "gram": gram})
     with pytest.raises(TypeError, match=message):
         GramLattice.from_rows(labels, gram)
     with pytest.raises(TypeError, match=message):
         GramLattice(tuple(labels), rows)
+
+
+def test_a_bad_entry_of_a_large_gram_matrix_is_named_in_one_short_line():
+    t = t_lattice(2, 3, 172)
+    assert t.rank == 175
+    rows = [list(row) for row in t.gram]
+    rows[100][101] = -2.0
+    with pytest.raises(TypeError) as info:
+        GramLattice.from_rows(t.labels, rows)
+    assert str(info.value) == "integer Gram entries required, got -2.0 at (100,101)"
