@@ -3,13 +3,18 @@ the T_{p,q,r} singularity family.
 
 The layers are the submodules cuspdual, k3glue, milnorfiber, numcheck,
 quadlattice and sl2z; import the ones you use (only numcheck needs numpy).
-Three things are defined here, because several layers share them and none
+Four things are defined here, because several layers share them and none
 should load another for them:
 
-- ``triple_excess``, the sign test of a triple used by sl2z, quadlattice
-  and numcheck; sl2z re-exports it.
-- ``_check_triple``, the type check of an index triple where it enters
-  cuspdual, quadlattice, milnorfiber and sl2z.
+- ``triple_excess``, the sign test of a triple: positive for a cusp,
+  zero for a parabolic triple; sl2z re-exports it.
+- ``_check_ints``, the one integer rule: a count, index, entry or
+  exponent is an ``int``, and ``bool`` is not one.  Every layer calls it
+  where such a value enters, ``GramLattice`` aside, which names the
+  position of its first bad entry.
+- ``_check_triple``, the one rule for an index triple: three ints, each
+  >= 2, and where the caller asks, a cusp or a cusp-or-parabolic triple.
+  It raises the caller's own error for the last two.
 - ``value_class``, the decorator behind every report and value type of
   the layers.  It builds the methods of a frozen value class from
   closures, so a one-shot request neither imports ``dataclasses`` (and
@@ -31,10 +36,30 @@ def triple_excess(p: int, q: int, r: int) -> int:
     return p * q * r - p * q - q * r - r * p
 
 
-def _check_triple(given: tuple) -> None:
-    """TypeError unless ``given`` is three ints; bool is not an index."""
-    if len(given) != 3 or any(type(v) is not int for v in given):
+def _check_ints(what: str, values, shown=None) -> None:
+    """TypeError unless every one of ``values`` is an int; bool is not.
+    The message shows ``shown`` if given, else the first bad value."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"integer {what} required, got {v if shown is None else shown!r}")
+
+
+def _check_triple(given: tuple, error=None, least_excess=None) -> None:
+    """TypeError unless ``given`` is three ints.  With an ``error`` class,
+    that error unless each index is >= 2 and, with ``least_excess`` 1 or 0,
+    unless ``triple_excess`` reaches it: a cusp, or a cusp or parabolic
+    triple."""
+    if len(given) != 3:
         raise TypeError(f"integer triple required, got {given!r}")
+    _check_ints("triple", given, given)
+    if error is None:
+        return
+    name = "({},{},{})".format(*given)
+    if min(given) < 2:
+        raise error(f"indices must be >= 2, got {name}")
+    if least_excess is not None and triple_excess(*given) < least_excess:
+        kind, bound = ("cusp", "<") if least_excess else ("cusp or parabolic", "<=")
+        raise error(f"{name} is not a {kind} triple (needs 1/p+1/q+1/r {bound} 1)")
 
 
 def value_class(cls):

@@ -195,8 +195,7 @@ def _cmd_k3(args) -> int:
     p, q, r = _parse_triple(args.pair)
     pair = k3glue.pair_for_triple(p, q, r)
     if pair is None:
-        print(f"({p},{q},{r}) is not in the duality table", file=sys.stderr)
-        return 2
+        raise ValueError(f"({p},{q},{r}) is not in the duality table")
     lat, verdict = k3glue.glued_lattice(pair)
     count = k3glue.critical_count(pair)
     a = sl2z.monodromy_matrix(*pair.left)
@@ -267,9 +266,6 @@ def _cmd_verify_fibration(args) -> int:
         params = numcheck.FibrationParams.minimal(p, q, r, theta=args.theta, t=args.t)
     try:
         report = numcheck.verify_fibration(params, cfg)
-    except numcheck.AdmissibilityError as exc:
-        print(f"inadmissible parameters: {exc}", file=sys.stderr)
-        return 2
     except numcheck.ProjectionError as exc:  # a precondition, not a failed check
         print(f"error: projection onto the fiber failed: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from . import _check_triple, value_class
+from . import _check_ints, _check_triple, value_class
 from .sl2z import (
     ConjugacyCertificate,
     SL2Matrix,
@@ -102,8 +102,7 @@ class QuadIrrational:
 
     def __post_init__(self):
         a, b, c, d = abcd = self.a, self.b, self.c, self.d
-        if any(type(v) is not int for v in abcd):  # bool is not a coefficient
-            raise TypeError(f"integer coefficients required, got {abcd!r}")
+        _check_ints("coefficients", abcd, abcd)
         if c == 0:
             raise ZeroDivisionError("zero denominator")
         if d <= 0:
@@ -176,8 +175,7 @@ class CycleData:
     def __post_init__(self):
         if not self.entries:
             raise CuspDualityError("empty cycle")
-        if any(type(c) is not int for c in self.entries):
-            raise TypeError(f"integer cycle entries required, got {self.entries!r}")
+        _check_ints("cycle entries", self.entries, self.entries)
         if any(c < 2 for c in self.entries):
             raise CuspDualityError("all cycle entries must be >= 2")
         if all(c == 2 for c in self.entries):
@@ -217,9 +215,7 @@ class Triple:
     given: tuple[int, int, int]
 
     def __post_init__(self):
-        _check_triple(self.given)
-        if min(self.given) < 2:
-            raise CuspDualityError("triple entries must be >= 2")
+        _check_triple(self.given, CuspDualityError)
 
     @classmethod
     def of(cls, p: int, q: int, r: int) -> "Triple":
@@ -251,10 +247,8 @@ def triple_to_cycle(p: int, q: int, r: int) -> CycleData:
     (q-2, r-2) when p = 2, q >= 4; a single nodal curve (r-4) when
     (p,q) = (2,3).
     """
-    t = Triple.of(p, q, r)
-    if not t.is_cusp:
-        raise CuspDualityError(f"{t} is not a cusp triple (needs 1/p+1/q+1/r < 1)")
-    p, q, r = t.sorted
+    _check_triple((p, q, r), CuspDualityError, 1)
+    p, q, r = sorted((p, q, r))
     if p >= 3:
         return CycleData.of(q - 1, r - 1, p - 1)
     if q >= 4:

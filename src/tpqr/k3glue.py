@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import _check_triple, value_class
+from . import _check_ints, _check_triple, value_class
 from .cuspdual import Triple
 from .quadlattice import (
     GramLattice,
@@ -149,6 +149,7 @@ INOSE_FIBER_COUNTS = {"I1": 8, "IV*": 2}
 def torus_knot_types(p: int, q: int, r: int) -> tuple[tuple[int, int], ...]:
     """Knot types traced by the three critical-point families when the
     fibration is spun over the circle of fiber directions."""
+    _check_triple((p, q, r))
     return ((p, p - 1), (q, q - 1), (r, r - 1))
 
 
@@ -160,8 +161,7 @@ class InoseCase:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if any(type(c) is not int for c in self.counts):  # bool is not a count
-            raise TypeError(f"integer quadrant counts required, got {self.counts!r}")
+        _check_ints("quadrant counts", self.counts, self.counts)
         if len(self.counts) != 4 or any(c not in (0, 1, 2) for c in self.counts):
             raise ValueError("quadrant counts must be four values in {0,1,2}")
 

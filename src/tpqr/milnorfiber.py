@@ -12,10 +12,8 @@ from __future__ import annotations
 from functools import cached_property
 from operator import add
 
-from . import value_class
-from .quadlattice import (
-    GramLattice, _arm_starts, _check_tilde_triple, _row_times, t_tilde_lattice,
-)
+from . import _check_triple, value_class
+from .quadlattice import GramLattice, LatticeError, _arm_starts, _row_times, t_tilde_lattice
 
 __all__ = [
     "SurfaceSystem",
@@ -40,7 +38,7 @@ class SurfaceSystem:
     triple: tuple[int, int, int]
 
     def __post_init__(self):
-        _check_tilde_triple(self.triple)
+        _check_triple(self.triple, LatticeError, 0)
 
     @cached_property
     def lattice(self) -> GramLattice:
@@ -83,7 +81,7 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     image s{m}_0 expanding through the fiber relation t2 = chain sum;
     s+ -> s+ + s1_1 + s2_1 + s3_1 - t2 and t2 is fixed.
     """
-    _check_tilde_triple((p, q, r))
+    _check_triple((p, q, r), LatticeError, 0)
     starts = _arm_starts(p, q, r)
     plus = starts[3]
     t2 = plus + 1

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import triple_excess, value_class
+from . import _check_ints, _check_triple, value_class
 
 __all__ = [
     "C3Point",
@@ -116,15 +116,10 @@ class FibrationParams:
     t: float = 1.0
 
     def __post_init__(self):
-        if any(type(v) is not int for v in (self.p, self.q, self.r)):  # bool is not an index
-            raise TypeError(f"integer p, q, r required, got ({self.p!r}, {self.q!r}, {self.r!r})")
         if any(type(v) is bool for v in (self.a, self.theta, self.t)):
             raise TypeError(f"a, theta and t take a float or an integer, not a bool, "
                             f"got ({self.a!r}, {self.theta!r}, {self.t!r})")
-        if min(self.p, self.q, self.r) < 2:
-            raise ValueError("p, q, r must be >= 2")
-        if triple_excess(self.p, self.q, self.r) < 0:
-            raise ValueError("need 1/p + 1/q + 1/r <= 1")
+        _check_triple((self.p, self.q, self.r), ValueError, 0)
         if not (self.a > 0 and math.isfinite(self.a)):
             raise ValueError("a must be positive and finite")
         if self.a > _A_MAX:
@@ -229,8 +224,8 @@ class NumericalConfig:
         for v in (self.residual_tol, self.rank_tol):
             if not 0.0 < v < 1.0:
                 raise ValueError("tolerances must lie in (0, 1)")
-        if type(self.samples) is not int or type(self.seed) is not int:  # bool is not a count
-            raise TypeError(f"integer samples and seed required, got ({self.samples!r}, {self.seed!r})")
+        counts = (self.samples, self.seed)
+        _check_ints("samples and seed", counts, counts)
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
         if self.seed < 0:
@@ -724,6 +719,7 @@ def hessian_model(p: int, a: float) -> HessianModel:
     orthogonal conjugation splitting A into diag(lam-1, -lam-1) pairs and
     B into sqrt(3) antidiagonal blocks; the split is re-verified to
     relative 1e-12."""
+    _check_ints("exponent", (p,))
     if p < 2:
         raise ValueError("exponent must be >= 2")
     lam = (2.0 / p) * a ** ((2 * p - 3) / p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 
-from . import _check_triple, triple_excess, value_class
+from . import _check_ints, _check_triple, value_class
 
 __all__ = [
     "GramLattice",
@@ -128,6 +128,7 @@ def _gram(labels, diagonal, edges) -> GramLattice:
 
 def a_block(n: int) -> GramLattice:
     """Positive-definite A_n chain: +2 diagonal, -1 on diagram edges."""
+    _check_ints("n", (n,))
     if n < 1:
         raise LatticeError("a_block needs n >= 1")
     return _gram([f"a{i+1}" for i in range(n)], [2] * n, [(i, i + 1, -1) for i in range(n - 1)])
@@ -162,9 +163,7 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
     Sign convention: -2 self-pairings and +1 on edges, matching resolution
     spheres, so T(2,3,7) compares directly against e_lattice(8) + H.
     """
-    _check_triple((p, q, r))
-    if min(p, q, r) < 2:
-        raise LatticeError("t_lattice needs p,q,r >= 2")
+    _check_triple((p, q, r), LatticeError)
     labels, edges = _star(p, q, r)
     return _gram(labels, [-2] * len(labels), edges)
 
@@ -172,22 +171,11 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
 def e_lattice(k: int) -> GramLattice:
     """E_k := T(2,3,k-3) in the same sign convention on the basis e1, ...,
     ek, 6 <= k <= 10."""
-    if type(k) is not int:
-        raise TypeError(f"integer k required, got {k!r}")
+    _check_ints("k", (k,))
     if k not in (6, 7, 8, 9, 10):
         raise LatticeError(f"e_lattice supports k in 6..10, got {k}")
     _, edges = _star(2, 3, k - 3)
     return _gram([f"e{i}" for i in range(1, k + 1)], [-2] * k, edges)
-
-
-def _check_tilde_triple(triple: tuple[int, int, int]) -> None:
-    """The Milnor fiber lattices exist for cusp and parabolic triples."""
-    _check_triple(triple)
-    p, q, r = triple
-    if min(p, q, r) < 2:
-        raise LatticeError("t_tilde_lattice needs p,q,r >= 2")
-    if triple_excess(p, q, r) < 0:
-        raise LatticeError(f"({p},{q},{r}) is neither a cusp nor a parabolic triple")
 
 
 def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
@@ -198,7 +186,7 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     is all -2.  generator "S'": basis (spheres, s+, t2), where t2 = s+ - s-
     pairs to zero with everything.
     """
-    _check_tilde_triple((p, q, r))
+    _check_triple((p, q, r), LatticeError, 0)
     labels, edges = _star(p, q, r)
     last = len(labels)
     if generator == "S'":

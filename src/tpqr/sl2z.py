@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
-from . import _check_triple, triple_excess, value_class
+from . import _check_ints, _check_triple, triple_excess, value_class
 
 __all__ = [
     "SL2Matrix",
@@ -57,10 +57,8 @@ class SL2Matrix:
     d: int
 
     def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        for v in (a, b, c, d):
-            if type(v) is not int:  # bool is not an entry
-                raise TypeError(f"integer entries required, got {v!r}")
+        a, b, c, d = abcd = self.a, self.b, self.c, self.d
+        _check_ints("entries", abcd)
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
 
@@ -83,8 +81,7 @@ class SL2Matrix:
         return SL2Matrix(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "SL2Matrix":
-        if type(n) is not int:
-            raise TypeError(f"integer exponent required, got {n!r}")
+        _check_ints("exponent", (n,))
         a, b, c, d = self.a, self.b, self.c, self.d
         base = (a, b, c, d) if n >= 0 else (d, -b, -c, a)
         n, out = abs(n), (1, 0, 0, 1)
@@ -145,8 +142,8 @@ class HomologyClass:
     n: int
 
     def __post_init__(self):
-        if type(self.m) is not int or type(self.n) is not int:
-            raise TypeError(f"integer class required, got ({self.m!r}, {self.n!r})")
+        mn = (self.m, self.n)
+        _check_ints("class", mn, mn)
         if math.gcd(abs(self.m), abs(self.n)) != 1:
             raise ValueError(f"({self.m},{self.n}) is not a primitive class")
 
@@ -165,8 +162,7 @@ class TwistWord:
     def __post_init__(self):
         if any(not isinstance(c, HomologyClass) for c, _ in self.steps):
             raise TypeError(f"HomologyClass steps required, got {self.steps!r}")
-        if any(type(e) is not int for _, e in self.steps):  # bool is not an exponent
-            raise TypeError(f"integer exponents required, got {self.steps!r}")
+        _check_ints("exponents", [e for _, e in self.steps], self.steps)
 
     @classmethod
     def of(cls, *steps: tuple[HomologyClass, int]) -> "TwistWord":
@@ -207,9 +203,7 @@ def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
     """Torus-bundle monodromy of the T_{p,q,r} link: the cycle matrix of
     (r-1, q-1, p-1), i.e. the product of the three factors (n-1 -1; 1 0)
     for n = r, q, p, with the r-factor leftmost."""
-    _check_triple((p, q, r))
-    if min(p, q, r) < 2:
-        raise ValueError(f"indices must be >= 2, got ({p},{q},{r})")
+    _check_triple((p, q, r), ValueError)
     return cycle_matrix((r - 1, q - 1, p - 1))
 
 
@@ -217,11 +211,11 @@ def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
     """Product of the factors (c -1; 1 0) over the entries, leftmost first:
     the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle.
     A run of z twos is one factor, (2 -1; 1 0)^z = (z+1 -z; z 1-z)."""
+    entries = tuple(entries)
+    _check_ints("cycle entries", entries)
     a, b, c, d = 1, 0, 0, 1
     for e, run in groupby(entries):
-        for z, v in enumerate(run, 1):  # z ends as the length of the run
-            if type(v) is not int:
-                raise TypeError(f"integer cycle entries required, got {v!r}")
+        z = len(tuple(run))
         if e == 2:
             a, b, c, d = _prod((a, b, c, d), (z + 1, -z, z, 1 - z))
         else:
@@ -254,8 +248,7 @@ def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2M
     for c, e in word:
         if not isinstance(c, HomologyClass):
             raise TypeError(f"HomologyClass required, got {c!r}")
-        if type(e) is not int:
-            raise TypeError(f"integer exponent required, got {e!r}")
+        _check_ints("exponent", (e,))
         k = e * c.m
         out = _prod(out, (1 + k * c.n, -k * c.m, e * c.n * c.n, 1 - k * c.n))
     return SL2Matrix(*out)
@@ -315,12 +308,10 @@ class RLWord:
     def __post_init__(self):
         if len(self.exponents) == 0 or len(self.exponents) % 2 != 0:
             raise ValueError("exponent tuple must be nonempty of even length")
-        if any(type(e) is not int for e in self.exponents):
-            raise TypeError(f"integer exponents required, got {self.exponents!r}")
+        _check_ints("exponents", self.exponents, self.exponents)
         if any(e < 1 for e in self.exponents):
             raise ValueError("all exponents must be >= 1")
-        if type(self.sign) is not int:  # bool is not a sign
-            raise TypeError(f"integer sign required, got {self.sign!r}")
+        _check_ints("sign", (self.sign,))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
 

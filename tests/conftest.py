@@ -81,7 +81,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from tpqr import numcheck
+from tpqr import _check_triple, numcheck
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.numcheck import (
     _ALPHA,
@@ -102,7 +102,6 @@ from tpqr.quadlattice import (
     LatticeError,
     SNFResult,
     _add,
-    _check_tilde_triple,
     _eliminate,
 )
 from tpqr.sl2z import R, MatrixClass, SL2Matrix, _floor_surd, classify
@@ -957,7 +956,7 @@ def dense_t_lattice(p: int, q: int, r: int) -> GramLattice:
 
 
 def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
-    _check_tilde_triple((p, q, r))
+    _check_triple((p, q, r), LatticeError, 0)
     star = dense_star_rows(p, q, r)
     n = len(star) + 1
     rows = [[0] * n for _ in range(n)]
@@ -978,7 +977,7 @@ def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> Gram
 
 
 def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    _check_tilde_triple((p, q, r))
+    _check_triple((p, q, r), LatticeError, 0)
     arms = (p - 1, q - 1, r - 1)
     n = sum(arms) + 2
     t2 = n - 1

@@ -7,8 +7,9 @@ their validation; ``==``, ``hash`` and ``repr``; AttributeError on
 assignment and deletion; a cached property, and a subclass.  Every value
 class of the layers is built by the one generic constructor, and checks
 the type of its integer fields when it is built; the exact layers check
-an index triple where it enters, an RL word's sign is 1 or -1, and a
-twist word's classes are HomologyClass objects."""
+an index triple where it enters, with one wording per refusal in the
+layer's own error class, an RL word's sign is 1 or -1, and a twist
+word's classes are HomologyClass objects."""
 
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -25,8 +26,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z, value_class
-from tpqr.cuspdual import QuadIrrational, Triple
-from tpqr.quadlattice import GramLattice
+from tpqr.cuspdual import CuspDualityError, QuadIrrational, Triple
+from tpqr.quadlattice import GramLattice, LatticeError
 from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
 _I, _S = SL2Matrix.identity(), SL2Matrix(0, -1, 1, 0)
@@ -231,10 +232,14 @@ def test_no_value_class_writes_its_own_init():
         lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, t=True),
         lambda: RLWord((1, 1), True),
         lambda: RLWord((1, 1), -1.0),
+        lambda: quadlattice.a_block(True),
+        lambda: quadlattice.a_block(2.0),
+        lambda: numcheck.hessian_model(2.5, 1e8),
     ],
 )
 def test_integer_fields_refuse_floats_and_bools_when_built(build):
-    with pytest.raises(TypeError, match="integer"):
+    # the library's own wordings, not a TypeError from deeper down
+    with pytest.raises(TypeError, match="^integer [a-z ]+ required, got |^a, theta and t take "):
         build()
 
 
@@ -249,11 +254,38 @@ def test_integer_fields_refuse_floats_and_bools_when_built(build):
         (quadlattice.t_tilde_lattice, (2, True, 7)),
         (k3glue.pair_for_triple, (2.0, 3, 7)),
         (lambda *given: milnorfiber.SurfaceSystem(given), (2, 3)),
+        (k3glue.torus_knot_types, (True, 3, 7)),
+        (lambda *given: numcheck.FibrationParams(*given, a=1e13), (2.0, 3, 7)),
     ],
 )
 def test_the_exact_layers_refuse_a_triple_that_is_not_three_ints(build, triple):
     with pytest.raises(TypeError, match=rf"^integer triple required, got \({', '.join(map(str, triple))}\)$"):
         build(*triple)
+
+
+_RANGE = "indices must be >= 2, got ({},{},{})"
+_CUSP = "({},{},{}) is not a cusp triple (needs 1/p+1/q+1/r < 1)"
+_CUSP_OR_PARABOLIC = "({},{},{}) is not a cusp or parabolic triple (needs 1/p+1/q+1/r <= 1)"
+
+
+@pytest.mark.parametrize(
+    "build, triple, error, wording",
+    [
+        (Triple.of, (1, 3, 7), CuspDualityError, _RANGE),
+        (cuspdual.triple_to_cycle, (2, 3, 6), CuspDualityError, _CUSP),
+        (quadlattice.t_lattice, (2, 3, 1), LatticeError, _RANGE),
+        (quadlattice.t_tilde_lattice, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
+        (milnorfiber.surface_system, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
+        (milnorfiber.monodromy_action, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
+        (sl2z.monodromy_matrix, (1, 3, 7), ValueError, _RANGE),
+        (lambda *given: numcheck.FibrationParams(*given, a=1e13), (2, 3, 5), ValueError,
+         _CUSP_OR_PARABOLIC),
+    ],
+)
+def test_a_triple_out_of_range_or_class_raises_its_layers_own_error(build, triple, error, wording):
+    with pytest.raises(error) as info:
+        build(*triple)
+    assert type(info.value) is error and str(info.value) == wording.format(*triple)
 
 
 @pytest.mark.parametrize(
