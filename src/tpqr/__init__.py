@@ -3,18 +3,20 @@ the T_{p,q,r} singularity family.
 
 The layers are the submodules cuspdual, k3glue, milnorfiber, numcheck,
 quadlattice and sl2z; import the ones you use (only numcheck needs numpy).
-Four things are defined here, because several layers share them and none
+Five things are defined here, because several layers share them and none
 should load another for them:
 
 - ``triple_excess``, the sign test of a triple: positive for a cusp,
   zero for a parabolic triple; sl2z re-exports it.
 - ``_check_ints``, the one integer rule: a count, index, entry or
   exponent is an ``int``, and ``bool`` is not one.  Every layer calls it
-  where such a value enters, ``GramLattice`` aside, which names the
-  position of its first bad entry.
+  where such a value enters.
+- ``_check_int_rows``, the same rule for the entries of a matrix, whose
+  message names the first bad entry and its position; ``GramLattice``
+  and ``milnorfiber.char_poly`` call it.
 - ``_check_triple``, the one rule for an index triple: three ints, each
   >= 2, and where the caller asks, a cusp or a cusp-or-parabolic triple.
-  It raises the caller's own error for the last two.
+  It always raises the caller's own error for the last two.
 - ``value_class``, the decorator behind every report and value type of
   the layers.  It builds the methods of a frozen value class from
   closures, so a one-shot request neither imports ``dataclasses`` (and
@@ -23,6 +25,7 @@ should load another for them:
   its fields in its own ``__post_init__``.
 """
 
+from itertools import chain
 from operator import attrgetter
 
 __version__ = "0.1.0"
@@ -44,16 +47,23 @@ def _check_ints(what: str, values, shown=None) -> None:
             raise TypeError(f"integer {what} required, got {v if shown is None else shown!r}")
 
 
-def _check_triple(given: tuple, error=None, least_excess=None) -> None:
-    """TypeError unless ``given`` is three ints.  With an ``error`` class,
-    that error unless each index is >= 2 and, with ``least_excess`` 1 or 0,
-    unless ``triple_excess`` reaches it: a cusp, or a cusp or parabolic
-    triple."""
+def _check_int_rows(what: str, rows) -> None:
+    """TypeError unless every entry of ``rows`` is an int; bool is not.
+    The message names the first bad entry, row-major, and its (i,j)."""
+    if set(map(type, chain.from_iterable(rows))) - {int}:  # bool is not an entry
+        i, j, x = next(
+            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if type(x) is not int
+        )
+        raise TypeError(f"integer {what} required, got {x!r} at ({i},{j})")
+
+
+def _check_triple(given: tuple, error, least_excess=None) -> None:
+    """TypeError unless ``given`` is three ints; then ``error`` unless each
+    index is >= 2 and, with ``least_excess`` 1 or 0, unless
+    ``triple_excess`` reaches it: a cusp, or a cusp or parabolic triple."""
     if len(given) != 3:
         raise TypeError(f"integer triple required, got {given!r}")
     _check_ints("triple", given, given)
-    if error is None:
-        return
     name = "({},{},{})".format(*given)
     if min(given) < 2:
         raise error(f"indices must be >= 2, got {name}")

@@ -93,7 +93,9 @@ def strange_duality_table() -> tuple[DualPair, ...]:
 
 
 def pair_for_triple(p: int, q: int, r: int) -> Optional[DualPair]:
-    _check_triple((p, q, r))
+    """The table pair with (p,q,r), in any order, on one side; None for
+    a triple of indices >= 2 outside the table."""
+    _check_triple((p, q, r), ValueError)
     t = tuple(sorted((p, q, r)))
     for pair in _TABLE:
         if t in (pair.left, pair.right):
@@ -148,8 +150,9 @@ INOSE_FIBER_COUNTS = {"I1": 8, "IV*": 2}
 
 def torus_knot_types(p: int, q: int, r: int) -> tuple[tuple[int, int], ...]:
     """Knot types traced by the three critical-point families when the
-    fibration is spun over the circle of fiber directions."""
-    _check_triple((p, q, r))
+    fibration is spun over the circle of fiber directions.  The domain is
+    that of ``numcheck.FibrationParams``: a cusp or parabolic triple."""
+    _check_triple((p, q, r), ValueError, 0)
     return ((p, p - 1), (q, q - 1), (r, r - 1))
 
 

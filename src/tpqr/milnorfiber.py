@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import add
 
-from . import _check_triple, value_class
+from . import _check_int_rows, _check_triple, value_class
 from .quadlattice import GramLattice, LatticeError, _arm_starts, _row_times, t_tilde_lattice
 
 __all__ = [
@@ -113,7 +113,10 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     -R A^(k-1) C), times the polynomial of the k x k block A.  The Krylov
     vectors A^j C are kept sparse and multiplied through the nonzero
     entries of each column of A; once one is zero, so are the later terms.
+    An entry that is not an int is refused first, then a matrix that is
+    not square.
     """
+    _check_int_rows("matrix entries", m)
     if any(len(row) != len(m) for row in m):
         raise ValueError("char_poly needs a square matrix")
     poly = [1]  # highest degree first

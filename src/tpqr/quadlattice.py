@@ -10,9 +10,9 @@ unimodular lattices.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 
-from . import _check_ints, _check_triple, value_class
+from . import _check_int_rows, _check_ints, _check_triple, value_class
 
 __all__ = [
     "GramLattice",
@@ -63,11 +63,7 @@ class GramLattice:
 
     def __post_init__(self):
         n, g = len(self.labels), self.gram
-        if set(map(type, chain.from_iterable(g))) - {int}:  # bool is not an entry
-            i, j, x = next(
-                (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if type(x) is not int
-            )
-            raise TypeError(f"integer Gram entries required, got {x!r} at ({i},{j})")
+        _check_int_rows("Gram entries", g)
         if len(g) != n or any(len(row) != n for row in g):
             raise LatticeError("gram matrix shape does not match labels")
         if tuple(map(tuple, g)) != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i

@@ -243,12 +243,10 @@ def dehn_twist(c: HomologyClass) -> SL2Matrix:
 def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2Matrix:
     """Exact product of the twist word, leftmost letter applied last.  The
     twist along c = (m, n) is I + N, N = (mn -m^2; n^2 -mn), and N^2 = 0,
-    so its e-th power is I + eN."""
+    so its e-th power is I + eN.  The word's pairs are checked by building
+    a TwistWord of them."""
     out = (1, 0, 0, 1)
-    for c, e in word:
-        if not isinstance(c, HomologyClass):
-            raise TypeError(f"HomologyClass required, got {c!r}")
-        _check_ints("exponent", (e,))
+    for c, e in TwistWord(tuple(word)):
         k = e * c.m
         out = _prod(out, (1 + k * c.n, -k * c.m, e * c.n * c.n, 1 - k * c.n))
     return SL2Matrix(*out)

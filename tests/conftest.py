@@ -104,7 +104,7 @@ from tpqr.quadlattice import (
     _add,
     _eliminate,
 )
-from tpqr.sl2z import R, MatrixClass, SL2Matrix, _floor_surd, classify
+from tpqr.sl2z import ALPHA, BETA, GAMMA, R, MatrixClass, SL2Matrix, _floor_surd, classify
 
 _I = SL2Matrix.identity()
 
@@ -129,6 +129,13 @@ def assert_same_bits(got, want, label=""):
 def mat2(rows):
     (a, b), (c, d) = rows
     return SL2Matrix(a, b, c, d)
+
+
+def fibration_word(p, q, r):
+    """The twist word of the T_{p,q,r} fibration, beta^p gamma^q alpha^r
+    with the leftmost letter acting last: one twist per critical point of
+    each of the three families."""
+    return [(BETA, p), (GAMMA, q), (ALPHA, r)]
 
 
 def mul2(x, y):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import mat2
+from conftest import fibration_word, mat2
 from tpqr.k3glue import (
     INOSE_FIBER_COUNTS,
     SINGULAR_FIBER_EULER,
@@ -15,7 +15,15 @@ from tpqr.k3glue import (
     torus_knot_types,
 )
 from tpqr.quadlattice import discriminant, signature, t_lattice
-from tpqr.sl2z import GAMMA, HomologyClass, is_conjugate, is_conjugate_to_inverse, monodromy_matrix
+from tpqr.sl2z import (
+    GAMMA,
+    HomologyClass,
+    SL2Matrix,
+    evaluate_word,
+    is_conjugate,
+    is_conjugate_to_inverse,
+    monodromy_matrix,
+)
 
 
 def test_table_structure():
@@ -85,6 +93,19 @@ def test_glued_lattice_unimodular_only_for_237():
             * -1
         )
         assert verdict.det == det
+
+
+def test_the_twists_of_each_duality_pair_multiply_to_the_identity():
+    # W_L, then W_R with each class moved by P, where P M_R P^-1 = M_L^-1:
+    # a word of 24 twists around the two cusps whose product is I
+    for pair in strange_duality_table():
+        left, right = fibration_word(*pair.left), fibration_word(*pair.right)
+        cert = is_conjugate(evaluate_word(right), evaluate_word(left).inverse())
+        assert cert is not None, pair
+        moved = [(HomologyClass(*cert.conjugator.apply((c.m, c.n))), e) for c, e in right]
+        word = left + moved
+        assert sum(e for _, e in word) == 24, pair
+        assert evaluate_word(word) == SL2Matrix.identity(), pair
 
 
 def test_inose_monodromy_cases():

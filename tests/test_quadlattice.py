@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -25,6 +26,7 @@ from conftest import (
     symmetric_matrices,
 )
 from tpqr import k3glue, quadlattice, triple_excess
+from tpqr.milnorfiber import char_poly
 from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
@@ -46,6 +48,7 @@ from tpqr.quadlattice import (
     t_tilde_lattice,
     unimodular_indefinite_isomorphic,
 )
+from tpqr.sl2z import monodromy_matrix
 
 
 def disc_formula(p, q, r):
@@ -417,6 +420,26 @@ def test_snf_239():
     assert snf.divisors == (1,) * 11 + (3,)
 
 
+def coker_a_minus_i(p, q, r):
+    """The Smith invariants != 1 of A_{p,q,r} - I: the gcd g of its
+    entries, and |det|/g."""
+    a = monodromy_matrix(p, q, r)
+    w, x, y, z = a.a - 1, a.b, a.c, a.d - 1
+    g = math.gcd(w, x, y, z)
+    return [d for d in (g, abs(w * z - x * y) // g) if d != 1]
+
+
+def test_the_discriminant_group_of_t_is_the_cokernel_of_a_minus_i():
+    table = {t for pair in k3glue.strange_duality_table() for t in (pair.left, pair.right)}
+    triples = set(cusp_triples(12))
+    assert len(table) == 14 and table <= triples
+    for triple in sorted(triples):
+        divisors = [d for d in smith_normal_form(t_lattice(*triple)).divisors if d != 1]
+        assert divisors == coker_a_minus_i(*triple), triple
+    assert coker_a_minus_i(2, 3, 7) == [] and coker_a_minus_i(3, 4, 5) == [13]
+    assert coker_a_minus_i(4, 4, 4) == [4, 4]
+
+
 def _snf_oracle_check(lat):
     """Independent re-multiplication of U G V, and |det U| = |det V| = 1."""
     snf = smith_normal_form(lat)
@@ -735,6 +758,9 @@ def test_gram_readers_reject_floats_and_bools(gram, bad):
         GramLattice.from_rows(labels, gram)
     with pytest.raises(TypeError, match=message):
         GramLattice(tuple(labels), rows)
+    # the one matrix rule, with the same locator, in char_poly
+    with pytest.raises(TypeError, match=rf"^integer matrix entries required, got {re.escape(bad)}$"):
+        char_poly(rows)
 
 
 def test_a_bad_entry_of_a_large_gram_matrix_is_named_in_one_short_line():

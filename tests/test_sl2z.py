@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_conjugator,
     entrywise_cycle_matrix,
+    fibration_word,
     mat2,
     mul2,
     normal_form_conjugator,
@@ -410,6 +411,24 @@ def test_word_composition_order():
     # leftmost applied last means plain left-to-right matrix product
     w = [(ALPHA, 2), (BETA, -1)]
     assert evaluate_word(w) == dehn_twist(ALPHA) ** 2 * dehn_twist(BETA) ** -1
+
+
+def test_the_fibration_word_is_conjugate_to_the_inverse_link_monodromy():
+    # the main theorem, for every cusp and parabolic triple up to 10
+    triples = [
+        t for t in itertools.combinations_with_replacement(range(2, 11), 3) if triple_excess(*t) >= 0
+    ]
+    assert len(triples) == 153
+    also_direct = 0
+    for triple in triples:
+        a, m = monodromy_matrix(*triple), evaluate_word(fibration_word(*triple))
+        cert = is_conjugate(m, a.inverse())
+        assert cert is not None and cert.verify(), triple
+        also_direct += is_conjugate(m, a) is not None
+    assert also_direct == 6
+    # the order of the letters matters: the reversed word matches neither
+    a, m = monodromy_matrix(3, 4, 5), evaluate_word(fibration_word(3, 4, 5)[::-1])
+    assert is_conjugate(m, a) is None and is_conjugate(m, a.inverse()) is None
 
 
 def test_stress_randomized_word_conjugacy():

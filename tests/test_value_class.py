@@ -235,6 +235,10 @@ def test_no_value_class_writes_its_own_init():
         lambda: quadlattice.a_block(True),
         lambda: quadlattice.a_block(2.0),
         lambda: numcheck.hessian_model(2.5, 1e8),
+        lambda: milnorfiber.char_poly(((1.5, 0), (0, 1))),
+        lambda: milnorfiber.char_poly(((True, 0), (0, 1))),
+        lambda: sl2z.evaluate_word([(ALPHA, 2.9)]),
+        lambda: sl2z.evaluate_word([(ALPHA, 1), (BETA, True)]),
     ],
 )
 def test_integer_fields_refuse_floats_and_bools_when_built(build):
@@ -278,6 +282,9 @@ _CUSP_OR_PARABOLIC = "({},{},{}) is not a cusp or parabolic triple (needs 1/p+1/
         (milnorfiber.surface_system, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
         (milnorfiber.monodromy_action, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
         (sl2z.monodromy_matrix, (1, 3, 7), ValueError, _RANGE),
+        (k3glue.pair_for_triple, (1, 3, 7), ValueError, _RANGE),
+        (k3glue.torus_knot_types, (1, 3, 7), ValueError, _RANGE),
+        (k3glue.torus_knot_types, (2, 2, 2), ValueError, _CUSP_OR_PARABOLIC),
         (lambda *given: numcheck.FibrationParams(*given, a=1e13), (2, 3, 5), ValueError,
          _CUSP_OR_PARABOLIC),
     ],
@@ -297,7 +304,7 @@ def test_a_triple_out_of_range_or_class_raises_its_layers_own_error(build, tripl
     ],
 )
 def test_a_twist_word_takes_homology_classes(build):
-    with pytest.raises(TypeError, match="^HomologyClass (steps )?required, got "):
+    with pytest.raises(TypeError, match="^HomologyClass steps required, got "):
         build()
 
 
