@@ -2,15 +2,15 @@
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
 extensions, discriminants and signatures from one fraction-free integer
-elimination, Smith normal form with transforms and their inverses,
-radicals, and the rank/signature/parity isomorphism test for indefinite
-unimodular lattices.
+elimination, Smith normal form certified by its list of elementary
+operations, radicals, and the rank/signature/parity isomorphism test
+for indefinite unimodular lattices.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from . import _check_int_rows, _check_ints, _check_triple, value_class
 
@@ -320,56 +320,130 @@ def _add(t: dict, src: dict, f: int) -> None:
             del t[k]
 
 
+# The tags of the elementary operations that make up an SNF certificate,
+# and the length of the tuple of each.
+ROW_ADD, ROW_SWAP, ROW_NEG, COL_ADD, COL_SWAP = range(5)
+_ARITY = {ROW_ADD: 4, ROW_SWAP: 3, ROW_NEG: 2, COL_ADD: 4, COL_SWAP: 3}
+
+
+def _well_formed(ops, n: int) -> bool:
+    """Every operation is a tuple of ints (bool is not one) with a known
+    tag and its length, indices in range(n), and two distinct indices in
+    an add: an add of a row to itself would scale it."""
+    if set(map(type, ops)) - {tuple} or set(map(type, chain.from_iterable(ops))) - {int}:
+        return False
+    for op in ops:
+        size = len(op)
+        if _ARITY.get(op[0] if op else None) != size:
+            return False
+        i = op[1]
+        j = op[2] if size > 2 else i
+        if not (0 <= i < n and 0 <= j < n) or (size == 4 and i == j):
+            return False
+    return True
+
+
+def _replay(vectors: list, ops, add: int, swap: int, neg=None) -> list:
+    """Replay on the sparse vectors {index: entry}, in place and in order,
+    the operations of ``ops`` tagged ``add`` (t_i += f t_j), ``swap`` or
+    ``neg``, and skip those of other tags.  ``ops`` must be well formed.
+    The rows of a matrix take its row operations, its columns its column
+    operations."""
+    for op in ops:
+        tag = op[0]
+        if tag == add and op[3]:  # f = 0 changes nothing
+            _, i, j, f = op
+            t = vectors[i]
+            for k, y in vectors[j].items():
+                x = t.get(k, 0) + f * y
+                if x:
+                    t[k] = x
+                else:
+                    del t[k]
+        elif tag == swap:
+            _, i, j = op
+            vectors[i], vectors[j] = vectors[j], vectors[i]
+        elif tag == neg:
+            vectors[op[1]] = {k: -x for k, x in vectors[op[1]].items()}
+    return vectors
+
+
+def _dense(vectors: list, by_columns=False) -> tuple[tuple[int, ...], ...]:
+    """The square matrix with these sparse rows (columns), row-major."""
+    n = len(vectors)
+    out = [[0] * n for _ in range(n)]
+    for i, vec in enumerate(vectors):
+        if by_columns:
+            for j, x in vec.items():
+                out[j][i] = x
+        else:
+            row = out[i]
+            for j, x in vec.items():
+                row[j] = x
+    return tuple(map(tuple, out))
+
+
 @value_class
 class SNFResult:
-    """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0.
+    """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0,
+    certified by ``ops``: the elementary operations that take G to the
+    diagonal, in the order they were applied, as plain int tuples.
 
-    U * u_inv = V * v_inv = I: an integer inverse proves |det| = 1, so the
-    certificate of unimodularity is the pair of inverses, for singular G
-    as well.  The inverses stay out of ``to_json``.
+    - ``(ROW_ADD, i, j, f)``: row_i += f * row_j, with i != j;
+    - ``(ROW_SWAP, i, j)``: rows i and j trade places;
+    - ``(ROW_NEG, i)``: row_i = -row_i;
+    - ``(COL_ADD, i, j, f)`` and ``(COL_SWAP, i, j)``: the same on columns.
+
+    Each of these is unimodular by its form, so U, the product of the row
+    operations, and V, that of the column operations, have |det| = 1 with
+    no further proof, for singular G as well.  ``u`` and ``v`` are built
+    from the operations on first read, as dense row-major tuples.
     """
 
     divisors: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    u_inv: tuple[tuple[int, ...], ...]
-    v_inv: tuple[tuple[int, ...], ...]
+    ops: tuple[tuple[int, ...], ...]
 
     def verify(self, lat: GramLattice) -> bool:
-        """Exact check of the certificate, one row at a time through
-        sparse row products: U U^-1 = I, V V^-1 = I and U^-1 (D V^-1) = G.
-        The first two make both inverses two-sided, so the third holds
-        exactly when U G V = D; no elimination.  Every factor is read
-        through its nonzeros only, each product row is summed into a list
-        and compared with the row of I or of G: no sparse copy of G."""
-        n, d = lat.rank, self.divisors
-        mats = (self.u, self.v, self.u_inv, self.v_inv)
-        if len(d) != n or any(len(t) != n or any(len(r) != n for r in t) for t in mats):
+        """Exact check of the certificate against ``lat``, in three steps.
+
+        1. Every operation is well formed (``_well_formed``); if one is
+           not, the answer is False, with no exception.
+        2. The operations are replayed on a fresh sparse copy of G.  A row
+           operation multiplies on the left and a column operation on the
+           right, so the two kinds commute: the row operations run first,
+           on the rows, then the column operations, on the columns of the
+           result.  So each column operation reaches every row, and the
+           list need not be trusted to name the rows it touches.
+        3. The result must be exactly diag(divisors), a chain of
+           non-negative int divisors.
+
+        No elimination and no code of the reduction runs."""
+        n, d, ops = lat.rank, self.divisors, self.ops
+        if len(d) != n or set(map(type, d)) - {int} or not _well_formed(ops, n):
             return False
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        cols = range(n)
-        u_inv, v_inv = ([[(j, r[j]) for j in compress(cols, r)] for r in t] for t in mats[2:])
-        d_v_inv = [[(j, dk * x) for j, x in r] for dk, r in zip(d, v_inv)]
-        eye = [[0] * n for _ in cols]
-        for i, row in enumerate(eye):
-            row[i] = 1
+        rows = _replay([dict(compress(enumerate(row), row)) for row in lat.gram],
+                       ops, ROW_ADD, ROW_SWAP, ROW_NEG)
+        cols = [{} for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        _replay(cols, ops, COL_ADD, COL_SWAP)
+        return all(col == ({j: x} if x else {}) for j, (col, x) in enumerate(zip(cols, d)))
 
-        def times(row, right):  # the row times right, summed over its nonzeros
-            out = [0] * n
-            for k, x in zip(compress(cols, row), filter(None, row)):
-                for j, y in right[k]:
-                    out[j] += x * y
-            return out
+    @cached_property
+    def u(self) -> tuple[tuple[int, ...], ...]:
+        """U, the row operations replayed on the rows of I."""
+        eye = [{i: 1} for i in range(len(self.divisors))]
+        return _dense(_replay(eye, self.ops, ROW_ADD, ROW_SWAP, ROW_NEG))
 
-        return all(
-            times(row, right) == want
-            for left, right, product in (
-                (self.u, u_inv, eye), (self.v, v_inv, eye), (self.u_inv, d_v_inv, map(list, lat.gram))
-            )
-            for row, want in zip(left, product)
-        )
+    @cached_property
+    def v(self) -> tuple[tuple[int, ...], ...]:
+        """V, the column operations replayed on the columns of I."""
+        eye = [{i: 1} for i in range(len(self.divisors))]
+        return _dense(_replay(eye, self.ops, COL_ADD, COL_SWAP), by_columns=True)
 
     def to_json(self) -> dict:
         return {"divisors": list(self.divisors),
@@ -377,31 +451,30 @@ class SNFResult:
 
 
 def smith_normal_form(lat: GramLattice) -> SNFResult:
-    """Verified Smith normal form of the Gram matrix, computed once per
-    lattice object."""
+    """Smith normal form of the Gram matrix, verified by replaying its
+    operations on G, computed once per lattice object."""
     return lat._snf
 
 
 def _smith(lat: GramLattice) -> SNFResult:
-    """U G V = D by pivoting on the first smallest nonzero entry (row-major)
-    of the trailing block.  Each elementary operation on U or V is mirrored
-    by its inverse on U^-1 or V^-1: row_i -= f row_j on U is col_j += f col_i
-    on U^-1, and col_i -= f col_j on V is row_j += f row_i on V^-1.
+    """D = U G V by pivoting on the first smallest nonzero entry (row-major)
+    of the trailing block.  Only G is reduced: each elementary operation
+    is applied to G and appended to the certificate's list, and U and V
+    are left for the certificate to build if they are read.
 
-    Every matrix is held sparse, as {index: entry} without zeros: G and U
-    by rows, V and U^-1 by columns, V^-1 by rows, so an operation costs the
-    nonzeros it touches.  Once step s is done, row s and column s hold only
-    their diagonal entry, so no column index is kept: step s scans rows s+1..
-    for column s, its column operations walk the rows that still hold an
-    entry there, and a column swap walks rows s.. ."""
+    G is held by rows, as {column: entry} without zeros, so an operation
+    costs the nonzeros it touches.  Once step s is done, row s and column
+    s hold only their diagonal entry, so no column index is kept: step s
+    scans rows s+1.. for column s, its column operations walk the rows
+    that still hold an entry there, and a column swap moves the entries
+    of the rows from s on that hold either column.  The result passes ``SNFResult.verify`` before it is returned."""
     n = lat.rank
     m = [dict(compress(enumerate(row), row)) for row in lat.gram]
-    u, u_inv, v, v_inv = ([{i: 1} for i in range(n)] for _ in range(4))
+    ops = []
 
     def row_op(i, j, f):  # row_i -= f * row_j, f != 0
         _add(m[i], m[j], -f)
-        _add(u[i], u[j], -f)
-        _add(u_inv[j], u_inv[i], f)
+        ops.append((ROW_ADD, i, j, -f))
 
     for s in range(n):
         while True:  # rows s.. have no entry left of column s
@@ -417,17 +490,18 @@ def _smith(lat: GramLattice) -> SNFResult:
                 break
             _, i, j = best
             if i != s:
-                for t in (m, u, u_inv):
-                    t[s], t[i] = t[i], t[s]
+                m[s], m[i] = m[i], m[s]
+                ops.append((ROW_SWAP, s, i))
             if j != s:
                 for row in m[s:]:
+                    if s not in row and j not in row:
+                        continue
                     x, y = row.pop(s, 0), row.pop(j, 0)
                     if x:
                         row[j] = x
                     if y:
                         row[s] = y
-                for t in (v, v_inv):
-                    t[s], t[j] = t[j], t[s]
+                ops.append((COL_SWAP, s, j))
             # |piv| is the least in the block, so every quotient is nonzero
             piv, rows = m[s][s], [s]
             for i in range(s + 1, n):
@@ -444,8 +518,7 @@ def _smith(lat: GramLattice) -> SNFResult:
                         row[j] = x
                     else:
                         del row[j]
-                _add(v[j], v[s], -f)
-                _add(v_inv[s], v_inv[j], f)
+                ops.append((COL_ADD, j, s, -f))
             if len(rows) > 1 or len(m[s]) > 1:
                 continue
             bad = None if abs(piv) == 1 else next(
@@ -456,30 +529,18 @@ def _smith(lat: GramLattice) -> SNFResult:
                 continue
             break
         if m[s].get(s, 0) < 0:
-            for t in (m, u, u_inv):
-                t[s] = {k: -x for k, x in t[s].items()}
+            m[s] = {k: -x for k, x in m[s].items()}
+            ops.append((ROW_NEG, s))
 
-    def dense(vectors, by_columns=False):  # the matrix with these sparse rows (columns)
-        out = [[0] * n for _ in range(n)]
-        for i, vec in enumerate(vectors):
-            if by_columns:
-                for j, x in vec.items():
-                    out[j][i] = x
-            else:
-                row = out[i]
-                for j, x in vec.items():
-                    row[j] = x
-        return tuple(map(tuple, out))
-
-    res = SNFResult(tuple(m[s].get(s, 0) for s in range(n)),
-                    dense(u), dense(v, True), dense(u_inv, True), dense(v_inv))
+    res = SNFResult(tuple(m[s].get(s, 0) for s in range(n)), tuple(ops))
     if not res.verify(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res
 
 
 def radical(lat: GramLattice) -> list[tuple[int, ...]]:
-    """Integer basis of the kernel sublattice, read off the SNF transforms."""
+    """Integer basis of the kernel sublattice: the columns of V whose
+    divisor is 0."""
     snf = lat._snf
     return [tuple(row[j] for row in snf.v) for j, dj in enumerate(snf.divisors) if dj == 0]
 

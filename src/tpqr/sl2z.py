@@ -160,7 +160,12 @@ class TwistWord:
     steps: tuple[tuple[HomologyClass, int], ...]
 
     def __post_init__(self):
-        if any(not isinstance(c, HomologyClass) for c, _ in self.steps):
+        """Each step is a (class, exponent) pair, as a tuple or a list,
+        checked before it is unpacked; then the exponents are ints."""
+        if any(
+            type(s) not in (tuple, list) or len(s) != 2 or not isinstance(s[0], HomologyClass)
+            for s in self.steps
+        ):
             raise TypeError(f"HomologyClass steps required, got {self.steps!r}")
         _check_ints("exponents", [e for _, e in self.steps], self.steps)
 

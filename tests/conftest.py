@@ -20,10 +20,11 @@ R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
 built from the least of all rotations.  The SNF certificate oracle is the
 earlier dense check: U G V multiplied out in full, then one elimination
-each to show |det U| = |det V| = 1; it also multiplies out U U^-1 and
-V V^-1, so it reads all five fields of the certificate.  ``dense_smith``
-is the earlier Smith normal form on dense lists: the same pivot rule and
-operations, each one scanning a full row or column.  The ``dense_*``
+each to show |det U| = |det V| = 1; it reads the divisors and the dense
+U and V, so it judges the views of an operation list as well.
+``dense_smith`` is the earlier Smith normal form on dense lists, which
+carried U and V along: the same pivot rule and operations, each one
+scanning a full row or column, returning (divisors, U, V).  The ``dense_*``
 diagram builders are the earlier constructors of A_n, H, T(p,q,r) and
 its Milnor lattices, each filling a dense matrix by hand from arm
 offsets of its own, and ``column_monodromy_action`` is the earlier
@@ -100,7 +101,6 @@ from tpqr.numcheck import (
 from tpqr.quadlattice import (
     GramLattice,
     LatticeError,
-    SNFResult,
     _add,
     _eliminate,
 )
@@ -799,46 +799,43 @@ def general_eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     return sign * prev, (pos, 0, neg)
 
 
-def dense_snf_verify(snf: SNFResult, lat: GramLattice) -> bool:
+def dense_snf_verify(fields, lat: GramLattice) -> bool:
+    """``fields`` = (divisors, U, V), dense: U G V = diag(divisors)
+    multiplied out in full, a chain of non-negative divisors, and
+    |det U| = |det V| = 1 by one elimination each."""
+    divisors, u, v = fields
     n = lat.rank
     ug = [
-        [sum(snf.u[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
+        [sum(u[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     ugv = [
-        [sum(ug[i][k] * snf.v[k][j] for k in range(n)) for j in range(n)]
+        [sum(ug[i][k] * v[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     for i in range(n):
         for j in range(n):
-            if ugv[i][j] != (snf.divisors[i] if i == j else 0):
+            if ugv[i][j] != (divisors[i] if i == j else 0):
                 return False
-    nz = [d for d in snf.divisors if d]
+    nz = [d for d in divisors if d]
     if any(b % a for a, b in zip(nz, nz[1:])):
         return False
-    if any(d < 0 for d in snf.divisors):
+    if any(d < 0 for d in divisors):
         return False
-    for t, t_inv in ((snf.u, snf.u_inv), (snf.v, snf.v_inv)):
-        for i in range(n):
-            for j in range(n):
-                if sum(t[i][k] * t_inv[k][j] for k in range(n)) != int(i == j):
-                    return False
-    return all(abs(general_eliminate(t)[0]) == 1 for t in (snf.u, snf.v))
+    return all(abs(general_eliminate(t)[0]) == 1 for t in (u, v))
 
 
-def dense_smith(lat: GramLattice) -> SNFResult:
+def dense_smith(lat: GramLattice) -> tuple:
+    """(divisors, U, V) as plain tuples."""
     n = lat.rank
     m = [list(row) for row in lat.gram]
-    u, u_inv, v, v_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
+    u, v = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
 
     def row_op(i, j, f):  # row_i -= f * row_j
         if not f:
             return
         for t in (m, u):
             t[i] = [x - f * y for x, y in zip(t[i], t[j])]
-        for row in u_inv:
-            if row[i]:
-                row[j] += f * row[i]
 
     def col_op(i, j, f):  # col_i -= f * col_j
         if not f:
@@ -847,19 +844,15 @@ def dense_smith(lat: GramLattice) -> SNFResult:
             for row in t:
                 if row[j]:
                     row[i] -= f * row[j]
-        v_inv[j] = [x + f * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
         for t in (m, u):
             t[i], t[j] = t[j], t[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for t in (m, v):
             for row in t:
                 row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     for s in range(n):
         while True:
@@ -909,12 +902,8 @@ def dense_smith(lat: GramLattice) -> SNFResult:
         if m[s][s] < 0:
             m[s] = [-x for x in m[s]]
             u[s] = [-x for x in u[s]]
-            for row in u_inv:
-                row[s] = -row[s]
 
-    return SNFResult(
-        tuple(m[i][i] for i in range(n)), *(tuple(map(tuple, t)) for t in (u, v, u_inv, v_inv))
-    )
+    return tuple(m[i][i] for i in range(n)), *(tuple(map(tuple, t)) for t in (u, v))
 
 
 def dense_star_rows(p: int, q: int, r: int) -> list[list[int]]:

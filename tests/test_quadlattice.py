@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -31,7 +30,12 @@ from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
     LatticeError,
+    COL_ADD,
+    COL_SWAP,
     NotUnimodularError,
+    ROW_ADD,
+    ROW_NEG,
+    ROW_SWAP,
     SNFResult,
     _eliminate,
     a_block,
@@ -440,10 +444,15 @@ def test_the_discriminant_group_of_t_is_the_cokernel_of_a_minus_i():
     assert coker_a_minus_i(4, 4, 4) == [4, 4]
 
 
+def _fields(snf):
+    """(divisors, U, V) of a certificate, the dense views included."""
+    return snf.divisors, snf.u, snf.v
+
+
 def _snf_oracle_check(lat):
     """Independent re-multiplication of U G V, and |det U| = |det V| = 1."""
     snf = smith_normal_form(lat)
-    assert dense_snf_verify(snf, lat)
+    assert dense_snf_verify(_fields(snf), lat)
     return snf
 
 
@@ -479,36 +488,6 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _integer_inverse(m):
-    """Inverse of a square integer matrix if it has integer entries, else
-    None (Gauss-Jordan over Fraction)."""
-    n = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c]), None)
-        if p is None:
-            return None
-        a[c], a[p] = a[p], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    inv = [row[n:] for row in a]
-    if any(x.denominator != 1 for row in inv for x in row):
-        return None
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def _bumped(t, i, j, delta):
-    rows = [list(r) for r in t]
-    rows[i][j] += delta
-    return tuple(map(tuple, rows))
-
-
 @st.composite
 def gram_lattices(draw):
     """symmetric_matrices, sometimes with one row and column set to zero."""
@@ -521,126 +500,186 @@ def gram_lattices(draw):
     return GramLattice.from_rows([f"v{i}" for i in range(n)], g)
 
 
+def _with_op(snf, k, op=None):
+    """The certificate with operation k replaced by ``op``, or dropped."""
+    ops = snf.ops[:k] + ((op,) if op is not None else ()) + snf.ops[k + 1 :]
+    return SNFResult(snf.divisors, ops)
+
+
+def _with_divisor(snf, k, d):
+    return SNFResult(snf.divisors[:k] + (d,) + snf.divisors[k + 1 :], snf.ops)
+
+
+def _is_add(op):
+    return op[0] in (ROW_ADD, COL_ADD)
+
+
 @given(gram_lattices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_sparse_verify_agrees_with_the_dense_oracle(lat, data):
-    """On the SNF and on a certificate with one entry of U, V or D moved
-    by +-1 (carrying the true integer inverse when there is one), the
-    sparse check and the dense oracle give the same verdict."""
+    """On the SNF, and on a well-formed log with one operation dropped or
+    one multiplier moved by +-1 or +-2, or one divisor moved by +-1, the
+    replay check and the dense oracle on the log's own U and V give the
+    same verdict.  A moved multiplier always fails: the row or column it
+    adds holds a nonzero entry when it is added, and the operations after
+    it are invertible."""
     snf = smith_normal_form(lat)
-    assert snf.verify(lat) and dense_snf_verify(snf, lat)
+    assert snf.verify(lat) and dense_snf_verify(_fields(snf), lat)
     n = lat.rank
     if n == 0:
         return
-    which = data.draw(st.sampled_from(["u", "v", "divisors"]))
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    delta = data.draw(st.sampled_from([1, -1]))
-    if which == "divisors":
-        d = list(snf.divisors)
-        d[i] += delta
-        bad = SNFResult(**dict(vars(snf), divisors=tuple(d)))
-    else:
-        t = _bumped(getattr(snf, which), i, j, delta)
-        inv = _integer_inverse(t) or getattr(snf, which + "_inv")
-        bad = SNFResult(**dict(vars(snf), **{which: t, which + "_inv": inv}))
-    assert bad.verify(lat) == dense_snf_verify(bad, lat)
-
-
-@pytest.mark.parametrize(
-    "lat",
-    [
-        t_lattice(2, 3, 7),
-        t_lattice(3, 4, 5),
-        t_tilde_lattice(2, 3, 7, "S'"),
-        t_tilde_lattice(3, 3, 3, "S"),
-    ],
-    ids=["T237", "T345", "T~237-S'", "T~333-S"],
-)
-def test_every_single_entry_mutant_of_a_transform_fails(lat):
-    snf = smith_normal_form(lat)
-    n = lat.rank
-    for name in ("u", "v", "u_inv", "v_inv"):
-        t = getattr(snf, name)
-        for i, j, delta in itertools.product(range(n), range(n), (1, -1)):
-            bad = SNFResult(**dict(vars(snf), **{name: _bumped(t, i, j, delta)}))
-            assert not bad.verify(lat), (name, i, j, delta)
-
-
-def _fields(snf):
-    return snf.divisors, snf.u, snf.v, snf.u_inv, snf.v_inv
-
-
-@given(symmetric_matrices())
-@settings(max_examples=80, deadline=None)
-def test_snf_matches_the_dense_oracle_field_by_field(g):
-    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
-    assert _fields(smith_normal_form(lat)) == _fields(dense_smith(lat))
-
-
-@pytest.mark.parametrize("r", [20, 80, 170])
-@pytest.mark.parametrize("gen", ["T", "S", "S'"])
-def test_snf_matches_the_dense_oracle_on_the_ladder(gen, r):
-    """T(3,4,r) and its Milnor lattice in both bases, up to rank 176."""
-    lat = t_lattice(3, 4, r) if gen == "T" else t_tilde_lattice(3, 4, r, gen)
-    assert _fields(smith_normal_form(lat)) == _fields(dense_smith(lat))
-
-
-@pytest.mark.parametrize(
-    "lat", [t_lattice(3, 4, 5), t_tilde_lattice(3, 4, 5, "S'")], ids=["T345", "T~345-S'"]
-)
-def test_every_single_entry_mutant_of_the_certificate_fails(lat):
-    """One entry of any of the five fields moved by +-1: U U^-1 = I,
-    V V^-1 = I and U^-1 (D V^-1) = G reject it, and so does the dense
-    oracle, which multiplies out U G V, U U^-1 and V V^-1."""
-    snf = smith_normal_form(lat)
-    n = lat.rank
-    assert snf.divisors[-1] == (0 if lat.labels[-1] == "t2" else 13)
-    for delta in (1, -1):
-        for k in range(n):
-            d = list(snf.divisors)
-            d[k] += delta
-            bad = SNFResult(**dict(vars(snf), divisors=tuple(d)))
-            assert not bad.verify(lat) and not dense_snf_verify(bad, lat), (k, delta)
-        for name, i, j in itertools.product(("u", "v", "u_inv", "v_inv"), range(n), range(n)):
-            bad = SNFResult(**dict(vars(snf), **{name: _bumped(getattr(snf, name), i, j, delta)}))
-            assert not bad.verify(lat) and not dense_snf_verify(bad, lat), (name, i, j, delta)
-
-
-@given(symmetric_matrices(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_a_changed_entry_of_any_field_is_judged_as_the_dense_oracle_judges_it(g, data):
-    """One entry of one of the five fields moved by +-1 or +-2, with no
-    inverse carried along, on lattices that include singular ones with
-    several zero divisors: the sparse check agrees with the dense oracle,
-    and both reject the changed certificate."""
-    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
-    n = lat.rank
-    if n == 0:
-        return
-    snf = smith_normal_form(lat)
-    name = data.draw(st.sampled_from(["divisors", "u", "v", "u_inv", "v_inv"]))
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    which = data.draw(st.sampled_from(["drop", "multiplier", "divisor"]))
     delta = data.draw(st.sampled_from([1, -1, 2, -2]))
-    if name == "divisors":
-        changed = snf.divisors[:i] + (snf.divisors[i] + delta,) + snf.divisors[i + 1 :]
+    if which == "divisor":
+        i = data.draw(st.integers(0, n - 1))
+        bad = _with_divisor(snf, i, snf.divisors[i] + delta // abs(delta))
     else:
-        changed = _bumped(getattr(snf, name), i, j, delta)
-    bad = SNFResult(**dict(vars(snf), **{name: changed}))
-    assert bad.verify(lat) == dense_snf_verify(bad, lat)
-    assert not bad.verify(lat), (name, i, j, delta)
+        adds = [k for k, op in enumerate(snf.ops) if _is_add(op) or which == "drop"]
+        if not adds:
+            return
+        k = data.draw(st.sampled_from(adds))
+        op = snf.ops[k]
+        bad = _with_op(snf, k, op[:3] + (op[3] + delta,) if which == "multiplier" else None)
+    assert bad.verify(lat) == dense_snf_verify(_fields(bad), lat)
+    if which != "drop":
+        assert not bad.verify(lat), (which, delta)
+
+
+@given(gram_lattices())
+@settings(max_examples=80, deadline=None)
+def test_snf_matches_the_dense_oracle_field_by_field(lat):
+    """(divisors, U, V) equal the dense reduction's, and the dense oracle
+    holds on the views: U G V = D, |det U| = |det V| = 1."""
+    snf = smith_normal_form(lat)
+    assert _fields(snf) == dense_smith(lat)
+    assert dense_snf_verify(_fields(snf), lat)
+
+
+def _ladder_lattice(kind, rank):
+    """T(3,4,rank-5), or its Milnor lattice of that rank in basis S or S'."""
+    return t_lattice(3, 4, rank - 5) if kind == "T" else t_tilde_lattice(3, 4, rank - 6, kind)
+
+
+@pytest.mark.parametrize("rank", [25, 45, 65, 85, 175])
+@pytest.mark.parametrize("kind", ["T", "S", "S'"])
+def test_snf_matches_the_dense_oracle_on_the_ladder(kind, rank):
+    """T(3,4,r) and its Milnor lattice in both bases, up to rank 175."""
+    lat = _ladder_lattice(kind, rank)
+    assert lat.rank == rank
+    assert _fields(smith_normal_form(lat)) == dense_smith(lat)
+
+
+def _forged(snf, lat):
+    """(name, certificate) for one of each kind of forged log built from
+    the true one: every forgery here is malformed, or its replay differs
+    from diag(divisors)."""
+    n, ops, d = lat.rank, snf.ops, snf.divisors
+    k = max(i for i, x in enumerate(d) if x)  # the last nonzero divisor
+    twice = _with_divisor(snf, k, 2 * d[k])
+    # a row (column) added to itself scales it by 2: the replay gives
+    # exactly diag(twice.divisors), a chain, so only the form rule can refuse
+    yield "row scaling", SNFResult(twice.divisors, ops + ((ROW_ADD, k, k, 1),))
+    yield "column scaling", SNFResult(twice.divisors, ops + ((COL_ADD, k, k, 1),))
+    first = next(i for i, op in enumerate(ops) if op[0] == ROW_SWAP)
+    yield "index n", _with_op(snf, first, (ROW_SWAP, ops[first][1], n))
+    top = max(x for op in ops for x in op[1:3])
+    at = next(i for i, op in enumerate(ops) if top in op[1:3])
+    # Python reads top - n as top, so the replay would be the true one
+    moved = tuple(x - n if x == top else x for x in ops[at][1:3])
+    yield "negative index", _with_op(snf, at, ops[at][:1] + moved + ops[at][3:])
+    add = next(i for i, op in enumerate(ops) if _is_add(op))
+    tag, i, j, f = ops[add]
+    # True adds as 1 and is undone at once, and 2.0 adds as 2: the replays
+    # are the true one, so only the type rule can refuse these
+    undone = ((tag, i, j, True), (tag, i, j, -1))
+    yield "bool multiplier", SNFResult(d, ops[:add] + undone + ops[add:])
+    yield "float multiplier", _with_op(snf, add, (tag, i, j, float(f)))
+    yield "unknown tag", _with_op(snf, add, (5, i, j, f))
+    yield "negative tag", _with_op(snf, add, (-1, i, j, f))
+    for i in range(len(ops)):
+        yield f"op {i} dropped", _with_op(snf, i)
+        if _is_add(ops[i]):
+            for delta in (1, -1):
+                moved = ops[i][:3] + (ops[i][3] + delta,)
+                yield f"op {i} multiplier {delta:+d}", _with_op(snf, i, moved)
+    for i in range(n):
+        for delta in (1, -1):
+            yield f"divisor {i} {delta:+d}", _with_divisor(snf, i, d[i] + delta)
+
+
+@pytest.mark.parametrize("rank", [25, 45, 85])
+@pytest.mark.parametrize("kind", ["T", "S", "S'"])
+def test_every_forged_log_fails_without_raising(kind, rank):
+    lat = _ladder_lattice(kind, rank)
+    snf = smith_normal_form(lat)
+    assert snf.verify(lat) and dense_snf_verify(_fields(snf), lat)
+    for name, bad in _forged(snf, lat):
+        assert bad.verify(lat) is False, name
+
+
+@pytest.mark.parametrize("rank", [25, 45, 85])
+def test_a_log_fails_against_another_lattice_of_its_rank(rank):
+    """T(3,4,r) against T(2,5,r), and the S and S' bases of one Milnor
+    lattice against each other."""
+    pairs = [
+        (t_lattice(3, 4, rank - 5), t_lattice(2, 5, rank - 5)),
+        (_ladder_lattice("S", rank), _ladder_lattice("S'", rank)),
+    ]
+    for a, b in pairs:
+        assert a.rank == b.rank == rank
+        for lat, other in ((a, b), (b, a)):
+            assert not smith_normal_form(lat).verify(other)
+
+
+def test_a_malformed_operation_is_refused_without_raising():
+    lat = t_lattice(3, 4, 5)
+    snf = smith_normal_form(lat)
+    n = lat.rank
+    for op in [
+        (),
+        (ROW_NEG,),
+        [ROW_NEG, 0],
+        None,
+        (ROW_NEG, 0, 1),
+        (ROW_SWAP, 0, 1, 1),
+        (ROW_ADD, 0, 1),
+        (True, 0, 1),
+        (ROW_NEG, True),
+        (ROW_NEG, 0.0),
+        (COL_SWAP, 0, n),
+        (COL_ADD, -1, 0, 1),
+        (ROW_ADD, 0, 0, -2),  # a negation in this form is still refused
+        ("row add", 0, 1, 1),
+        (2.0, 0),
+    ]:
+        bad = SNFResult(snf.divisors, snf.ops + (op,))
+        assert bad.verify(lat) is False, op
+    assert SNFResult(snf.divisors, snf.ops + ((ROW_SWAP, 0, 0),)).verify(lat)  # the identity
+    assert SNFResult(snf.divisors[:-1], snf.ops).verify(lat) is False
+    assert SNFResult(snf.divisors[:-1] + (13.0,), snf.ops).verify(lat) is False
+
+
+def test_a_scaling_would_forge_a_singular_form_of_a_regular_lattice():
+    """G = (2): the log 'row_0 += -1 * row_0' takes G to (0), so without
+    the rule on equal indices the zero divisor would pass."""
+    lat = GramLattice.from_rows(["a"], [[2]])
+    assert smith_normal_form(lat) == SNFResult((2,), ())
+    assert not SNFResult((0,), ((ROW_ADD, 0, 0, -1),)).verify(lat)
+    assert not SNFResult((0,), ((COL_ADD, 0, 0, -1),)).verify(lat)
 
 
 @pytest.mark.parametrize(
     "diag", [(2, 3), (1, -2), (-1, 1)], ids=["no-chain", "negative", "negative-unit"]
 )
 def test_a_diagonal_that_is_no_nonnegative_divisor_chain_fails(diag):
-    """U = V = I certifies U G V = diag(G) exactly, so only the chain or
-    the sign rule can reject these."""
+    """The empty log certifies U G V = diag(G) exactly, with U = V = I, so
+    only the chain or the sign rule can reject these."""
     lat = GramLattice.from_rows(["a", "b"], [[diag[0], 0], [0, diag[1]]])
     eye = ((1, 0), (0, 1))
-    bad = SNFResult(diag, eye, eye, eye, eye)
+    bad = SNFResult(diag, ())
+    assert (bad.u, bad.v) == (eye, eye)
     assert not bad.verify(lat)
-    assert not dense_snf_verify(bad, lat)
+    assert not dense_snf_verify(_fields(bad), lat)
     assert smith_normal_form(lat).verify(lat)
 
 
@@ -648,29 +687,43 @@ def test_a_negated_divisor_fails_although_the_products_hold():
     lat = t_lattice(2, 3, 9)
     snf = smith_normal_form(lat)
     k = lat.rank - 1
-    bad = SNFResult(
-        divisors=snf.divisors[:k] + (-snf.divisors[k],),
-        u=snf.u[:k] + (tuple(-x for x in snf.u[k]),),
-        v=snf.v,
-        u_inv=tuple(r[:k] + (-r[k],) for r in snf.u_inv),
-        v_inv=snf.v_inv,
-    )
+    bad = SNFResult(snf.divisors[:k] + (-snf.divisors[k],), snf.ops + ((ROW_NEG, k),))
     n = lat.rank
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     diag = [[bad.divisors[i] if i == j else 0 for j in range(n)] for i in range(n)]
     assert _matmul(_matmul(bad.u, lat.gram), bad.v) == diag
-    assert _matmul(bad.u, bad.u_inv) == eye
     assert not bad.verify(lat)
 
 
-def test_verify_runs_no_elimination(monkeypatch):
+def test_the_views_are_the_replayed_operations_and_are_built_on_first_read():
+    lat = t_tilde_lattice(2, 3, 7, "S'")
+    snf = smith_normal_form(lat)
+    assert vars(snf).keys() == {"divisors", "ops"}
+    assert snf.to_json() == {"divisors": list(snf.divisors),
+                             "u": [list(r) for r in snf.u], "v": [list(r) for r in snf.v]}
+    assert snf.u is snf.u and snf.v is snf.v
+    assert {type(x) for op in snf.ops for x in op} == {int}
+
+
+def test_radical_reads_no_u(monkeypatch):
+    lat = t_tilde_lattice(3, 4, 80, "S'")
+
+    def refuse(self):
+        raise AssertionError("radical built U")
+
+    monkeypatch.setattr(SNFResult, "u", property(refuse))
+    assert radical(lat) == [tuple(int(label == "t2") for label in lat.labels)]
+    assert smith_normal_form(lat).divisors[-1] == 0
+
+
+def test_verify_runs_no_elimination_and_no_code_of_the_reduction(monkeypatch):
     lat = t_tilde_lattice(2, 3, 7, "S'")
     snf = smith_normal_form(lat)
 
-    def refuse(rows):
-        raise AssertionError("verify eliminated a matrix")
+    def refuse(*args):
+        raise AssertionError("verify ran code of the elimination or the reduction")
 
-    monkeypatch.setattr(quadlattice, "_eliminate", refuse)
+    for name in ("_eliminate", "_add", "_smith"):
+        monkeypatch.setattr(quadlattice, name, refuse)
     assert snf.verify(lat)
 
 

@@ -411,6 +411,7 @@ def test_word_composition_order():
     # leftmost applied last means plain left-to-right matrix product
     w = [(ALPHA, 2), (BETA, -1)]
     assert evaluate_word(w) == dehn_twist(ALPHA) ** 2 * dehn_twist(BETA) ** -1
+    assert evaluate_word([list(step) for step in w]) == evaluate_word(w)  # pairs as lists
 
 
 def test_the_fibration_word_is_conjugate_to_the_inverse_link_monodromy():

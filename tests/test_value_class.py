@@ -301,9 +301,14 @@ def test_a_triple_out_of_range_or_class_raises_its_layers_own_error(build, tripl
         lambda: TwistWord((((1, 0), 1),)),
         lambda: TwistWord.of((ALPHA, 1), ("beta", 2)),
         lambda: sl2z.evaluate_word([((1, 0), 1)]),
+        lambda: sl2z.evaluate_word([(ALPHA, 1, 2)]),
+        lambda: sl2z.evaluate_word([(ALPHA,)]),
+        lambda: sl2z.evaluate_word([ALPHA]),
     ],
 )
 def test_a_twist_word_takes_homology_classes(build):
+    """Each step must be a (class, exponent) pair; a step of another
+    length, or a bare class, is refused before it is unpacked."""
     with pytest.raises(TypeError, match="^HomologyClass steps required, got "):
         build()
 
