@@ -11,7 +11,7 @@ monodromy of the triple.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import _check_ints, _check_triple, value_class
@@ -181,6 +181,12 @@ class CycleData:
         if all(c == 2 for c in self.entries):
             raise CuspDualityError("some entry must be >= 3")
 
+    @cached_property
+    def _matrix(self) -> SL2Matrix:
+        """The cycle matrix, multiplied out once per cycle object for
+        ``cf_value``, ``alpha_v`` and ``module_action_matrix``."""
+        return cycle_matrix(self.entries)
+
     @classmethod
     def of(cls, *entries: int) -> "CycleData":
         return cls(entries)
@@ -324,7 +330,7 @@ def cf_value(cycle: CycleData) -> QuadIrrational:
     from C_0 = 0.  The larger root is then (A - D + sqrt(t^2 - 4)) / 2C
     for the trace t, and no value is compared or factored here.
     """
-    m = cycle_matrix(cycle.entries)
+    m = cycle._matrix
     t = m.trace
     return QuadIrrational(m.a - m.d, 1, 2 * m.c, t * t - 4)
 
@@ -333,7 +339,7 @@ def alpha_v(cycle: CycleData) -> QuadIrrational:
     """The totally positive unit generating the automorphism group of the
     cusp, i.e. the product of cf_value over all cyclic rotations: the larger
     eigenvalue (t + sqrt(t^2 - 4))/2 of the cycle matrix of trace t."""
-    t = cycle_matrix(cycle.entries).trace
+    t = cycle._matrix.trace
     return QuadIrrational(t, 1, 2, t * t - 4)
 
 
@@ -350,7 +356,7 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
     own torus-bundle monodromy (the column arrangement lands in the
     inverse class, i.e. the dual partner's).
     """
-    m = cycle_matrix(cycle.entries)
+    m = cycle._matrix
     return SL2Matrix(m.d, m.c, m.b, m.a)
 
 

@@ -71,9 +71,16 @@ class GramLattice:
             raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
 
     @cached_property
+    def _rows(self) -> tuple[dict[int, int], ...]:
+        """The Gram matrix as sparse rows {column: entry} without zeros,
+        built once per lattice.  Its readers copy a row before they change
+        it: the elimination, the reduction and ``SNFResult.verify``."""
+        return tuple(dict(compress(enumerate(row), row)) for row in self.gram)
+
+    @cached_property
     def _elimination(self) -> tuple[int, tuple[int, int, int]]:
         """Determinant and inertia, from one elimination per lattice."""
-        return _eliminate(self.gram)
+        return _eliminate(self._rows)
 
     @cached_property
     def _snf(self) -> SNFResult:
@@ -216,8 +223,8 @@ def k3_lattice() -> GramLattice:
 
 def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     """Determinant and inertia (n+, n0, n-) of a symmetric integer matrix
-    given as a sequence of rows (left unchanged), by one fraction-free
-    elimination on sparse rows {column: entry}.
+    given as its sparse rows {column: entry} without zeros (left
+    unchanged), by one fraction-free elimination on copies of them.
 
     Bareiss updates divided by the previous pivot keep every entry an
     integer minor; the trailing block is the previous pivot times the Schur
@@ -231,7 +238,7 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     pivot, so it is left as it is; it keeps the pivot of its last update in
     ``base`` and its zeros, and is brought up to date, by an exact
     division, only when its entries are read across rows."""
-    m = [dict(compress(enumerate(row), row)) for row in rows]
+    m = [dict(row) for row in rows]
     n = len(m)
     base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
     prev, pos, neg = 1, 0, 0
@@ -424,8 +431,7 @@ class SNFResult:
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        rows = _replay([dict(compress(enumerate(row), row)) for row in lat.gram],
-                       ops, ROW_ADD, ROW_SWAP, ROW_NEG)
+        rows = _replay([dict(row) for row in lat._rows], ops, ROW_ADD, ROW_SWAP, ROW_NEG)
         cols = [{} for _ in range(n)]
         for i, row in enumerate(rows):
             for j, x in row.items():
@@ -462,14 +468,18 @@ def _smith(lat: GramLattice) -> SNFResult:
     is applied to G and appended to the certificate's list, and U and V
     are left for the certificate to build if they are read.
 
-    G is held by rows, as {column: entry} without zeros, so an operation
-    costs the nonzeros it touches.  Once step s is done, row s and column
-    s hold only their diagonal entry, so no column index is kept: step s
+    G is held by rows, copies of the lattice's sparse rows {column:
+    entry}, so an operation costs the nonzeros it touches.  Once step s
+    is done, row s and column s hold only their diagonal entry.  Step s
     scans rows s+1.. for column s, its column operations walk the rows
     that still hold an entry there, and a column swap moves the entries
-    of the rows from s on that hold either column.  The result passes ``SNFResult.verify`` before it is returned."""
+    of the rows from s on that hold either column.  No column index is
+    kept: on the lattices of the benchmark ladder, an index of the rows
+    that hold each column gave the same operations and no gain, as its
+    upkeep on every row operation costs what the scans save.  The result
+    passes ``SNFResult.verify`` before it is returned."""
     n = lat.rank
-    m = [dict(compress(enumerate(row), row)) for row in lat.gram]
+    m = [dict(row) for row in lat._rows]
     ops = []
 
     def row_op(i, j, f):  # row_i -= f * row_j, f != 0
@@ -540,9 +550,27 @@ def _smith(lat: GramLattice) -> SNFResult:
 
 def radical(lat: GramLattice) -> list[tuple[int, ...]]:
     """Integer basis of the kernel sublattice: the columns of V whose
-    divisor is 0."""
-    snf = lat._snf
-    return [tuple(row[j] for row in snf.v) for j, dj in enumerate(snf.divisors) if dj == 0]
+    divisor is 0.
+
+    V is the product C_1 C_2 ... C_k of the column operations in the
+    order they were applied, so its column j is C_1 (C_2 (... C_k e_j)):
+    the operations replayed backwards on e_j, where (COL_ADD, i, j, f)
+    acts on a vector x as x[j] += f * x[i] and (COL_SWAP, i, j) swaps
+    x[i] and x[j].  Only these columns are built, and neither U nor V."""
+    snf, n = lat._snf, lat.rank
+    cols = [[int(i == j) for i in range(n)] for j, d in enumerate(snf.divisors) if d == 0]
+    if not cols:
+        return []
+    for op in reversed(snf.ops):
+        if op[0] == COL_ADD:
+            _, i, j, f = op
+            for x in cols:
+                x[j] += f * x[i]
+        elif op[0] == COL_SWAP:
+            _, i, j = op
+            for x in cols:
+                x[i], x[j] = x[j], x[i]
+    return list(map(tuple, cols))
 
 
 def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:

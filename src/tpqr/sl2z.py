@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
@@ -61,6 +62,14 @@ class SL2Matrix:
         _check_ints("entries", abcd)
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
+
+    @cached_property
+    def _rl(self) -> tuple[tuple[int, ...], "SL2Matrix"]:
+        """``_rl_reduce`` of the matrix, or of its negative when the trace
+        is negative, computed at most once per object; only a hyperbolic
+        matrix has one.  A P that conjugates -m to -n conjugates m to n,
+        so ``rl_word`` and the conjugacy test both read this."""
+        return _rl_reduce(self if self.trace > 0 else -self)
 
     @classmethod
     def identity(cls) -> "SL2Matrix":
@@ -160,18 +169,21 @@ class TwistWord:
     steps: tuple[tuple[HomologyClass, int], ...]
 
     def __post_init__(self):
-        """Each step is a (class, exponent) pair, as a tuple or a list,
-        checked before it is unpacked; then the exponents are ints."""
+        """The steps, from any iterable, are (class, exponent) pairs, as
+        tuples or lists, checked before they are unpacked; then the
+        exponents are ints.  They are stored as a tuple of tuples."""
+        steps = tuple(self.steps)
         if any(
             type(s) not in (tuple, list) or len(s) != 2 or not isinstance(s[0], HomologyClass)
-            for s in self.steps
+            for s in steps
         ):
-            raise TypeError(f"HomologyClass steps required, got {self.steps!r}")
-        _check_ints("exponents", [e for _, e in self.steps], self.steps)
+            raise TypeError(f"HomologyClass steps required, got {steps!r}")
+        _check_ints("exponents", [e for _, e in steps], steps)
+        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
     @classmethod
     def of(cls, *steps: tuple[HomologyClass, int]) -> "TwistWord":
-        return cls(tuple((c, e) for c, e in steps))
+        return cls(steps)
 
     def __iter__(self) -> Iterator[tuple[HomologyClass, int]]:
         return iter(self.steps)
@@ -251,7 +263,7 @@ def evaluate_word(word: TwistWord | Iterable[tuple[HomologyClass, int]]) -> SL2M
     so its e-th power is I + eN.  The word's pairs are checked by building
     a TwistWord of them."""
     out = (1, 0, 0, 1)
-    for c, e in TwistWord(tuple(word)):
+    for c, e in TwistWord(word):
         k = e * c.m
         out = _prod(out, (1 + k * c.n, -k * c.m, e * c.n * c.n, 1 - k * c.n))
     return SL2Matrix(*out)
@@ -395,8 +407,7 @@ def rl_word(m: SL2Matrix) -> RLWord:
     """
     if classify(m) is not MatrixClass.HYPERBOLIC:
         raise ValueError("rl_word requires a hyperbolic matrix")
-    sign = 1 if m.trace > 0 else -1
-    return RLWord(_rl_reduce(m if sign == 1 else -m)[0], sign)
+    return RLWord(m._rl[0], 1 if m.trace > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +416,8 @@ def rl_word(m: SL2Matrix) -> RLWord:
 
 
 def _conjugate_hyperbolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
-    if m.trace < 0:  # P conjugates -m to -n exactly when it conjugates m to n
-        m, n = -m, -n
-    exps_m, pm = _rl_reduce(m)
-    exps_n, pn = _rl_reduce(n)
+    """m and n have one trace, of absolute value >= 3."""
+    (exps_m, pm), (exps_n, pn) = m._rl, n._rl
     for k, rot in _block_rotations(exps_m):
         if rot == exps_n:
             a, b, c, d = _word(exps_m[:k])

@@ -24,7 +24,9 @@ each to show |det U| = |det V| = 1; it reads the divisors and the dense
 U and V, so it judges the views of an operation list as well.
 ``dense_smith`` is the earlier Smith normal form on dense lists, which
 carried U and V along: the same pivot rule and operations, each one
-scanning a full row or column, returning (divisors, U, V).  The ``dense_*``
+scanning a full row or column, returning (divisors, U, V).
+``dense_radical`` is the earlier radical, which read the columns of the
+dense V whose divisor is 0.  The ``dense_*``
 diagram builders are the earlier constructors of A_n, H, T(p,q,r) and
 its Milnor lattices, each filling a dense matrix by hand from arm
 offsets of its own, and ``column_monodromy_action`` is the earlier
@@ -103,6 +105,7 @@ from tpqr.quadlattice import (
     LatticeError,
     _add,
     _eliminate,
+    smith_normal_form,
 )
 from tpqr.sl2z import ALPHA, BETA, GAMMA, R, MatrixClass, SL2Matrix, _floor_surd, classify
 
@@ -906,6 +909,17 @@ def dense_smith(lat: GramLattice) -> tuple:
     return tuple(m[i][i] for i in range(n)), *(tuple(map(tuple, t)) for t in (u, v))
 
 
+def dense_radical(lat: GramLattice) -> list[tuple[int, ...]]:
+    snf = smith_normal_form(lat)
+    return [tuple(row[j] for row in snf.v) for j, dj in enumerate(snf.divisors) if dj == 0]
+
+
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """The rows of a matrix as {column: entry} without zeros, the form
+    that ``_eliminate`` reads."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def dense_star_rows(p: int, q: int, r: int) -> list[list[int]]:
     arms = (p - 1, q - 1, r - 1)
     n = sum(arms) + 1
@@ -1669,7 +1683,7 @@ class DataclassGramLattice:
 
     @cached_property
     def _elimination(self) -> tuple[int, tuple[int, int, int]]:
-        return _eliminate(self.gram)
+        return _eliminate(sparse_rows(self.gram))
 
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])

@@ -447,6 +447,33 @@ def test_actions_of_dual_cycles_are_inverse_conjugate():
 # --- full reports --------------------------------------------------------------------
 
 
+def test_the_cycle_matrix_is_multiplied_out_once_per_cycle(monkeypatch):
+    from tpqr import cuspdual
+
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return cycle_matrix(entries)
+
+    monkeypatch.setattr(cuspdual, "cycle_matrix", counted)
+    cycle = CycleData.of(5, 2, 2, 3, 4)
+    for _ in range(2):
+        cf_value(cycle), alpha_v(cycle), module_action_matrix(cycle)
+    assert calls == [cycle.entries]
+    calls.clear()
+    verify_duality(3, 4, 5)
+    assert len(calls) == 2  # the cycle of each side
+
+
+def test_a_filled_cycle_cache_leaves_the_value_unchanged():
+    cycle, twin = CycleData.of(3, 4, 2), CycleData.of(3, 4, 2)
+    before = repr(cycle), hash(cycle)
+    alpha_v(cycle)
+    assert "_matrix" in vars(cycle) and "_matrix" not in vars(twin)
+    assert (repr(cycle), hash(cycle)) == before == (repr(twin), hash(twin)) and cycle == twin
+
+
 def test_verify_duality_238():
     rep = verify_duality(2, 3, 8)
     assert rep.dual.sorted == (2, 4, 5)

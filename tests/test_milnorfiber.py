@@ -262,7 +262,8 @@ def test_char_poly_matches_dense_berkowitz(m):
 def test_sparse_kernels_match_dense_oracles_on_monodromy():
     for triple in all_triples(10):
         mu = monodromy_action(*triple)
-        g = t_tilde_lattice(*triple, "S'").gram
+        lat = t_tilde_lattice(*triple, "S'")
+        g = lat.gram
         assert char_poly(mu) == dense_berkowitz(mu), triple
         assert general_eliminate(mu) == dense_eliminate(mu), triple
-        assert _eliminate(g) == dense_eliminate(g), triple
+        assert _eliminate(lat._rows) == dense_eliminate(g), triple

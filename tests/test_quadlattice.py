@@ -15,12 +15,14 @@ from conftest import (
     dense_eliminate,
     dense_hyperbolic_plane,
     dense_lazy_eliminate,
+    dense_radical,
     dense_smith,
     dense_snf_verify,
     dense_t_lattice,
     dense_t_tilde_lattice,
     general_eliminate,
     integer_matrices,
+    sparse_rows,
     square_matrices,
     symmetric_matrices,
 )
@@ -362,7 +364,7 @@ def test_general_oracle_matches_both_dense_oracles(m):
 @example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # congruence, then a zero row
 @settings(max_examples=150, deadline=None)
 def test_sparse_elimination_matches_both_dense_oracles(m):
-    assert _eliminate(m) == dense_lazy_eliminate(m) == dense_eliminate(m)
+    assert _eliminate(sparse_rows(m)) == dense_lazy_eliminate(m) == dense_eliminate(m)
 
 
 def _hyperbolic_sum(copies):
@@ -403,7 +405,7 @@ def zero_tail_matrices(draw, max_n=14):
 @example([[0, 0, 0], [0, 0, 2], [0, 2, 0]])  # a zero row before the congruence pair
 @settings(max_examples=300, deadline=None)
 def test_eliminate_matches_the_general_oracle_on_symmetric_input(g):
-    assert _eliminate(g) == general_eliminate(g)
+    assert _eliminate(sparse_rows(g)) == general_eliminate(g)
 
 
 @given(st.integers(25, 175), st.sampled_from(["T", "S", "S'"]))
@@ -415,7 +417,7 @@ def test_eliminate_matches_the_general_oracle_on_symmetric_input(g):
 def test_sparse_elimination_on_the_ladder_matches_both_dense_oracles(rank, kind):
     lat = t_lattice(3, 4, rank - 5) if kind == "T" else t_tilde_lattice(3, 4, rank - 6, kind)
     g = lat.gram
-    assert _eliminate(g) == dense_lazy_eliminate(g) == dense_eliminate(g)
+    assert _eliminate(lat._rows) == dense_lazy_eliminate(g) == dense_eliminate(g)
 
 
 def test_snf_239():
@@ -567,6 +569,7 @@ def test_snf_matches_the_dense_oracle_on_the_ladder(kind, rank):
     lat = _ladder_lattice(kind, rank)
     assert lat.rank == rank
     assert _fields(smith_normal_form(lat)) == dense_smith(lat)
+    assert radical(lat) == dense_radical(lat)
 
 
 def _forged(snf, lat):
@@ -713,6 +716,48 @@ def test_radical_reads_no_u(monkeypatch):
     monkeypatch.setattr(SNFResult, "u", property(refuse))
     assert radical(lat) == [tuple(int(label == "t2") for label in lat.labels)]
     assert smith_normal_form(lat).divisors[-1] == 0
+
+
+def test_radical_builds_no_v(monkeypatch):
+    lat = t_tilde_lattice(3, 3, 3, "S")
+
+    def refuse(self):
+        raise AssertionError("radical built V")
+
+    want = dense_radical(lat)
+    assert len(want) == 2
+    monkeypatch.setattr(SNFResult, "v", property(refuse))
+    assert radical(lat) == want
+    assert radical(t_lattice(3, 4, 80)) == []
+
+
+@given(gram_lattices())
+@example(GramLattice.from_rows("abc", [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))  # H and a zero row
+@example(GramLattice.from_rows("ab", [[0, 0], [0, 0]]))
+@example(GramLattice.from_rows("abcd", [[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 0]]))
+@settings(max_examples=150, deadline=None)
+def test_radical_matches_the_dense_oracle(lat):
+    """The columns replayed backwards equal the columns of the dense V,
+    and they span a kernel of rank n0."""
+    rad = radical(lat)
+    assert rad == dense_radical(lat)
+    assert len(rad) == signature(lat)[1]
+    assert all(_matmul(lat.gram, [[v] for v in x]) == [[0]] * lat.rank for x in rad)
+
+
+def test_the_sparse_rows_are_built_once_and_left_unchanged():
+    """Every reader copies the rows it changes; the cache is kept out of
+    the value."""
+    lat = t_tilde_lattice(2, 3, 9, "S")
+    fresh = t_tilde_lattice(2, 3, 9, "S")
+    rows = lat._rows
+    assert rows == tuple({j: x for j, x in enumerate(r) if x} for r in lat.gram)
+    kept = [dict(r) for r in rows]
+    discriminant(lat), signature(lat), radical(lat)
+    assert smith_normal_form(lat).verify(lat)
+    assert lat._rows is rows and list(rows) == kept
+    assert "_rows" in vars(lat) and "_rows" not in vars(fresh)
+    assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
 
 
 def test_verify_runs_no_elimination_and_no_code_of_the_reduction(monkeypatch):

@@ -621,6 +621,43 @@ def test_reduce_equals_the_object_reduction(data, base, sign):
     assert _reduce(m) == object_reduce(m)
 
 
+def test_twist_word_stores_each_step_as_a_tuple():
+    word = TwistWord.of([ALPHA, 1], (BETA, -2))
+    assert word == TwistWord.of((ALPHA, 1), (BETA, -2)) == TwistWord(([ALPHA, 1], [BETA, -2]))
+    assert word.steps == ((ALPHA, 1), (BETA, -2))
+    assert hash(TwistWord(([ALPHA, 1],))) == hash(TwistWord.of((ALPHA, 1)))
+    assert TwistWord(step for step in word).steps == word.steps  # read once, then kept
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_is_conjugate_then_rl_word_reduces_each_matrix_once(monkeypatch, sign):
+    from tpqr import sl2z
+
+    calls = []
+    reduce = sl2z._rl_reduce
+
+    def counted(m):
+        calls.append(m)
+        return reduce(m)
+
+    monkeypatch.setattr(sl2z, "_rl_reduce", counted)
+    m = monodromy_matrix(3, 4, 5) * SL2Matrix(sign, 0, 0, sign)
+    n = m.conjugate_by(SL2Matrix(2, 3, 1, 2))
+    for _ in range(2):
+        assert is_conjugate(m, n) is not None
+        assert rl_word(m).sign == rl_word(n).sign == sign
+    assert len(calls) == 2
+    assert rl_word(m).cyclic_equal(rl_word(n))
+
+
+def test_a_filled_rl_cache_leaves_the_value_unchanged():
+    m, twin = monodromy_matrix(2, 3, 7), monodromy_matrix(2, 3, 7)
+    before = repr(m), hash(m)
+    rl_word(m)
+    assert "_rl" in vars(m) and "_rl" not in vars(twin)
+    assert (repr(m), hash(m)) == before == (repr(twin), hash(twin)) and m == twin
+
+
 def test_each_product_kernel_builds_one_matrix(monkeypatch):
     from tpqr.sl2z import _word_matrix
 

@@ -304,6 +304,9 @@ def test_a_triple_out_of_range_or_class_raises_its_layers_own_error(build, tripl
         lambda: sl2z.evaluate_word([(ALPHA, 1, 2)]),
         lambda: sl2z.evaluate_word([(ALPHA,)]),
         lambda: sl2z.evaluate_word([ALPHA]),
+        lambda: TwistWord.of((ALPHA, 1, 2)),
+        lambda: TwistWord.of((ALPHA,)),
+        lambda: TwistWord.of(ALPHA),
     ],
 )
 def test_a_twist_word_takes_homology_classes(build):
