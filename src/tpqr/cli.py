@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed (the
-failing certificate is in the report), 2 usage or precondition error.
+Each subcommand returns its report, its text lines and its verdict;
+``main`` alone prints them and picks the exit code: 0 all checks passed,
+1 a mathematical check failed (the failing certificate is in the report),
+2 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(report: dict, as_json: bool, lines: list[str] | None = None) -> None:
-    if as_json:
-        print(json.dumps(_sanitize(report), indent=2, sort_keys=True))
-    else:
-        for line in lines or []:
-            print(line)
-
-
 def _parse_triple(values: list[str] | str) -> tuple[int, int, int]:
     if isinstance(values, str):
         values = [values]
@@ -76,13 +70,10 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 def _load_config(args):
     from . import numcheck
 
-    path = getattr(args, "tolerance_file", None) or os.environ.get(CONFIG_ENV)
+    path = args.tolerance_file or os.environ.get(CONFIG_ENV)
     cfg = numcheck.parse_config_file(path) if path else numcheck.NumericalConfig()
-    updates = {
-        key: getattr(args, key)
-        for key in ("samples", "seed")
-        if getattr(args, key, None) is not None
-    }
+    given = {"samples": args.samples, "seed": args.seed}
+    updates = {key: value for key, value in given.items() if value is not None}
     cfg = numcheck.NumericalConfig(**{**vars(cfg), **updates})
     _check_limit("sample count", cfg.samples, _SAMPLES_LIMIT)
     return cfg
@@ -90,10 +81,12 @@ def _load_config(args):
 
 # Each command imports only the layers it calls, so a one-shot request
 # compiles no layer it does not run; numcheck, and with it numpy, only
-# for verify-fibration.
+# for verify-fibration.  A command returns (report, text lines, passed).
+
+Result = tuple[dict, list[str], bool]
 
 
-def _cmd_monodromy(args) -> int:
+def _cmd_monodromy(args) -> Result:
     from . import milnorfiber, sl2z
 
     p, q, r = _parse_triple(args.triple)
@@ -117,18 +110,10 @@ def _cmd_monodromy(args) -> int:
             "mu": [list(row) for row in mu],
             "char_poly": list(milnorfiber.char_poly(mu)),
         }
-    _emit(
-        report,
-        args.json,
-        [
-            f"A_{{{p},{q},{r}}} = {m}",
-            f"trace {m.trace}, {cls.value}",
-        ],
-    )
-    return 0
+    return report, [f"A_{{{p},{q},{r}}} = {m}", f"trace {m.trace}, {cls.value}"], True
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> Result:
     from . import cuspdual
 
     p, q, r = _parse_triple(args.triple)
@@ -136,20 +121,16 @@ def _cmd_dual(args) -> int:
     ok = rep.verify()
     report = rep.to_json()
     report["passed"] = ok
-    _emit(
-        report,
-        args.json,
-        [
-            f"dual of ({p},{q},{r}): {rep.dual}",
-            f"cycle {rep.self_cycle.entries} <-> {rep.dual_side_cycle.entries}",
-            f"alpha_v = {rep.alpha_self} (dual side {rep.alpha_dual}, equal: {rep.alphas_equal})",
-            f"conjugacy certificates verified: {ok}",
-        ],
-    )
-    return 0 if ok else 1
+    lines = [
+        f"dual of ({p},{q},{r}): {rep.dual}",
+        f"cycle {rep.self_cycle.entries} <-> {rep.dual_side_cycle.entries}",
+        f"alpha_v = {rep.alpha_self} (dual side {rep.alpha_dual}, equal: {rep.alphas_equal})",
+        f"conjugacy certificates verified: {ok}",
+    ]
+    return report, lines, ok
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> Result:
     from . import quadlattice
 
     name = args.name
@@ -177,19 +158,15 @@ def _cmd_lattice(args) -> int:
         "snf": snf.to_json(),
         "radical_rank": snf.divisors.count(0),
     }
-    _emit(
-        report,
-        args.json,
-        [
-            f"rank {report['rank']}, disc {report['disc']}, "
-            f"signature {tuple(report['signature'])}, {report['parity']}",
-            f"SNF divisors: {snf.divisors}",
-        ],
-    )
-    return 0
+    lines = [
+        f"rank {report['rank']}, disc {report['disc']}, "
+        f"signature {tuple(report['signature'])}, {report['parity']}",
+        f"SNF divisors: {snf.divisors}",
+    ]
+    return report, lines, True
 
 
-def _cmd_k3(args) -> int:
+def _cmd_k3(args) -> Result:
     from . import k3glue, sl2z
 
     p, q, r = _parse_triple(args.pair)
@@ -210,21 +187,17 @@ def _cmd_k3(args) -> int:
         "boundary_inverse_conjugacy": cert.to_json() if cert else None,
         "passed": ok,
     }
-    _emit(
-        report,
-        args.json,
-        [
-            f"{pair.left_label} {pair.left} <-> {pair.right_label} {pair.right}",
-            f"critical count {count}",
-            f"glued lattice: det {verdict.det}, signature {verdict.signature}, "
-            f"{verdict.parity}, unimodular {verdict.unimodular}",
-            f"boundary monodromies inverse-conjugate: {cert is not None}",
-        ],
-    )
-    return 0 if ok else 1
+    lines = [
+        f"{pair.left_label} {pair.left} <-> {pair.right_label} {pair.right}",
+        f"critical count {count}",
+        f"glued lattice: det {verdict.det}, signature {verdict.signature}, "
+        f"{verdict.parity}, unimodular {verdict.unimodular}",
+        f"boundary monodromies inverse-conjugate: {cert is not None}",
+    ]
+    return report, lines, ok
 
 
-def _cmd_inose(args) -> int:
+def _cmd_inose(args) -> Result:
     from . import k3glue
 
     counts = tuple(int(v) for v in args.case.split(","))
@@ -247,11 +220,10 @@ def _cmd_inose(args) -> int:
         lines.append(f"boundary of X_{{{p},{q},{r}}} (matched: {cls.side})")
     else:
         lines.append("no duality-table boundary matches")
-    _emit(report, args.json, lines)
-    return 0
+    return report, lines, True
 
 
-def _cmd_verify_fibration(args) -> int:
+def _cmd_verify_fibration(args) -> Result:
     p, q, r = _parse_triple(args.pqr)
     _check_limit("critical point count", p + q + r, _CRITICAL_POINT_LIMIT)
     if args.samples is not None:
@@ -267,8 +239,7 @@ def _cmd_verify_fibration(args) -> int:
     try:
         report = numcheck.verify_fibration(params, cfg)
     except numcheck.ProjectionError as exc:  # a precondition, not a failed check
-        print(f"error: projection onto the fiber failed: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"projection onto the fiber failed: {exc}") from exc
 
     crit, hess = report["critical_points"], report["hessian_x_axis"]
     audit = report["symplectic_inequality"]
@@ -286,11 +257,10 @@ def _cmd_verify_fibration(args) -> int:
     if "domain_y" in report:
         lines.append(f"domain_y audit: passed={report['domain_y']['passed']}")
     lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-    _emit(report, args.json, lines)
-    return 0 if report["passed"] else 1
+    return report, lines, report["passed"]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Result:
     from . import cuspdual, k3glue
 
     rows = []
@@ -326,8 +296,7 @@ def _cmd_table(args) -> int:
         )
         for row in rows
     ]
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
+    return report, lines, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,17 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(sp):
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-
     sp = sub.add_parser("monodromy", help="torus-bundle monodromy of a triple")
     sp.add_argument("triple", nargs="+")
-    add_json(sp)
     sp.set_defaults(func=_cmd_monodromy)
 
     sp = sub.add_parser("dual", help="verify the strange-duality data of a triple")
     sp.add_argument("triple", nargs="+")
-    add_json(sp)
     sp.set_defaults(func=_cmd_dual)
 
     sp = sub.add_parser("lattice", help="lattice invariants")
@@ -356,17 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--triple", nargs="+", default=["2,3,7"])
     sp.add_argument("--generator", default="S'", choices=["S", "S'"])
     sp.add_argument("--k", type=int, default=8)
-    add_json(sp)
     sp.set_defaults(func=_cmd_lattice)
 
     sp = sub.add_parser("k3", help="glued-lattice and boundary checks for a pair")
     sp.add_argument("--pair", required=True, help="p,q,r of either side")
-    add_json(sp)
     sp.set_defaults(func=_cmd_k3)
 
     sp = sub.add_parser("inose", help="classify a boundary loop by quadrant counts")
     sp.add_argument("--case", required=True, help="c1,c2,c3,c4")
-    add_json(sp)
     sp.set_defaults(func=_cmd_inose)
 
     sp = sub.add_parser("verify-fibration", help="numerical fibration verifier")
@@ -377,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tolerance-file", default=None, help="key=value overrides")
-    add_json(sp)
     sp.set_defaults(func=_cmd_verify_fibration)
 
     sp = sub.add_parser("table", help="the full duality table with verdicts")
-    add_json(sp)
     sp.set_defaults(func=_cmd_table)
 
+    for sp in sub.choices.values():  # the shared flag, listed last in each help
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -394,13 +355,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report, lines, passed = args.func(args)
+        if args.json:
+            print(json.dumps(_sanitize(report), indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import add
 
 from . import _check_int_rows, _check_triple, value_class
-from .quadlattice import GramLattice, LatticeError, _arm_starts, _row_times, t_tilde_lattice
+from .quadlattice import GramLattice, LatticeError, _arm_starts, t_tilde_lattice
 
 __all__ = [
     "SurfaceSystem",
@@ -102,6 +102,19 @@ def section_vector(p: int, q: int, r: int) -> tuple[int, ...]:
     """Pairing functional of the section class against the S' basis:
     zero on every sphere and on s+, one on the fiber class."""
     return (0,) * surface_system(p, q, r).t2_index + (1,)
+
+
+def _row_times(row, right) -> dict[int, int]:
+    """The row vector given by its (index, entry) pairs times the matrix
+    whose row k has the nonzero entries right[k], as (column, entry)
+    pairs; the result is {column: entry} without zeros.  Only the nonzero
+    products are formed, so the cost is the number of such products."""
+    out: dict[int, int] = {}
+    for k, x in row:
+        if x:
+            for j, y in right[k]:
+                out[j] = out.get(j, 0) + x * y
+    return {j: x for j, x in out.items() if x}
 
 
 def char_poly(m: IntMatrix) -> tuple[int, ...]:

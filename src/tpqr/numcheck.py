@@ -1083,8 +1083,7 @@ def symplectic_inequality_audit(
         params.check()
     except AdmissibilityError as exc:
         return InequalityAudit(0, math.nan, None, 0, False, 0, str(exc))
-    pts = sample_on_level(params, config)  # the stage the bench times per sample
-    _, holo, anti = _level(params, config, 0)
+    pts, holo, anti = _level(params, config, 0)
     anti = _row_norm(anti)
     margin = _row_norm(holo) - anti
     worst = int(margin.argmin())  # the first of equal minima

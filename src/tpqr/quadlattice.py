@@ -9,7 +9,7 @@ for indefinite unimodular lattices.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress
 
 from . import _check_int_rows, _check_ints, _check_triple, value_class
@@ -90,12 +90,6 @@ class GramLattice:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def permuted(self, order: list[int]) -> "GramLattice":
-        return GramLattice(
-            tuple(self.labels[i] for i in order),
-            tuple(tuple(self.gram[i][j] for j in order) for i in order),
-        )
 
     def basis_changed(self, b: list[list[int]]) -> "GramLattice":
         """Gram matrix B^T G B for the new basis given by the columns of B."""
@@ -215,8 +209,10 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
     return GramLattice.from_rows(labels, rows)
 
 
+@cache
 def k3_lattice() -> GramLattice:
-    """The even unimodular lattice of rank 22 and signature (3,19)."""
+    """The even unimodular lattice of rank 22 and signature (3,19), built
+    once per process: the value is frozen and keeps its reductions."""
     h = hyperbolic_plane()
     return direct_sum(e_lattice(8), e_lattice(8), h, h, h)
 
@@ -301,19 +297,6 @@ def signature(lat: GramLattice) -> tuple[int, int, int]:
 def parity(lat: GramLattice) -> str:
     """"even" iff every vector has even self-pairing (diagonal test)."""
     return "even" if all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)) else "odd"
-
-
-def _row_times(row, right) -> dict[int, int]:
-    """The row vector given by its (index, entry) pairs times the matrix
-    whose row k has the nonzero entries right[k], as (column, entry)
-    pairs; the result is {column: entry} without zeros.  Only the nonzero
-    products are formed, so the cost is the number of such products."""
-    out: dict[int, int] = {}
-    for k, x in row:
-        if x:
-            for j, y in right[k]:
-                out[j] = out.get(j, 0) + x * y
-    return {j: x for j, x in out.items() if x}
 
 
 def _add(t: dict, src: dict, f: int) -> None:

@@ -133,6 +133,64 @@ def test_simple_elliptic_outputs_are_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, request
 
 
+# Text-mode stdout of the exact subcommands, which the recorded requests
+# (all JSON) leave unpinned.  Every request exits 0.
+TEXT_SHA256 = {
+    "monodromy 2 3 7": "9461e3b0c9037623b75b0c38d1d6b75d754f1f4fe6cf885d9192b7fe5046c770",
+    "dual 2 3 7": "faeeaf8f73010eba678a11fd141f27f7cadd1132d4499f24b6761354eabc15ff",
+    "dual 3 4 5": "a8c9303f256217a3267d719b1b6f518351ecb9c372630f65fda20d94c4d7ee4b",
+    "lattice t": "1d0bece4357613ae2137bd953af9785c2250a887d1dbce18c232c001d4d324b0",
+    "lattice ttilde --triple 3,4,5 --generator S":
+        "ef602450e923a233cb4b2f9d75e0e1a45731791d529626e0a3d427ea3b83b685",
+    "lattice e --k 7": "1d6411f7e970589bebcd87b9de0cd50b95290de79026dbacff61a88e3d0ef801",
+    "lattice h": "53f7a05135611a75b03f47a3110c683140748f0447667c3e97520a2e6ba563d3",
+    "lattice k3": "ae218dc28469d0b5b0665845dedd7e9a342011c6b36b71b119d052fe9a3ced79",
+    "k3 --pair 3,4,5": "e6a4a895232f499917058751b012992398dcc3c3fabde1b5e7b9f83d7f11b933",
+    "inose --case 2,2,2,2": "4504fdc01be80c3aa645aae3b183503704425e8084961675a6340e49cb532dcc",
+    "inose --case 0,0,0,0": "757f4ffd5b280dd0948920ef925ac0f0610f55b913aeb8ff845fe8ba68b5e06d",
+    "table": "4dc4c9e97cdb0027cd122cbdf2fabc000b2be77284e7d9928380810f665fa834",
+}
+
+
+def test_text_outputs_are_byte_identical(capsys):
+    for request, want in TEXT_SHA256.items():
+        code, out = run(capsys, *request.split(" "))
+        assert code == 0, request
+        assert hashlib.sha256(out.encode()).hexdigest() == want, request
+
+
+def test_text_lines_show_the_json_report(capsys):
+    argv = ["verify-fibration", "--pqr", "2,3,7", "--t", "0.5", "--samples", "200"]
+    code, out = run(capsys, *argv)
+    json_code, data = run_json(capsys, *argv)
+    assert code == json_code == 0
+    crit, hess = data["critical_points"], data["hessian_x_axis"]
+    audit = data["symplectic_inequality"]
+    assert out.splitlines() == [
+        f"critical points: {crit['count']} verified, all_ok={crit['all_ok']}",
+        f"hessian (x-axis): matches={hess['matches']} lambda={hess['lam_measured']:.6g}",
+        f"inequality audit: passed={audit['passed']} min_margin={audit['min_margin']:.3g}",
+        f"overall: {'PASS' if data['passed'] else 'FAIL'}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["k3", "--pair", "5,5,5"], "error: (5,5,5) is not in the duality table\n"),
+        (
+            ["verify-fibration", "--pqr", "2,3,700", "--samples", "20"],
+            "error: projection onto the fiber failed: no convergence after 50 iterations\n",
+        ),
+    ],
+    ids=["k3", "verify-fibration"],
+)
+def test_text_mode_refusal_is_one_exact_stderr_line(argv, err):
+    # a fresh process, so that a numpy warning would reach stderr
+    proc = run_child("import sys, tpqr.cli; sys.exit(tpqr.cli.main(sys.argv[1:]))", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 def test_k3_json(capsys):
     code, data = run_json(capsys, "k3", "--pair", "2,3,8")
     assert code == 0

@@ -260,7 +260,9 @@ def test_e10_cartan_block_from_permuted_s_prime():
         labels.index("s1_1"),
         labels.index("t2"),
     ]
-    perm = tt.permuted(order)
+    perm = GramLattice.from_rows(
+        [tt.labels[i] for i in order], [[tt.gram[i][j] for j in order] for i in order]
+    )
     # expected: negative of the rank-10 Cartan matrix (A9 chain, 10th node
     # attached at position 3), bordered by the zero fiber row
     expect = [[0] * 11 for _ in range(11)]
@@ -796,10 +798,14 @@ def test_one_elimination_and_one_snf_per_lattice(monkeypatch):
 
 
 def test_glued_lattice_eliminates_each_lattice_once(monkeypatch):
+    k3_lattice.cache_clear()
     calls = _counting(monkeypatch, "_eliminate", "_smith")
-    _, verdict = k3glue.glued_lattice(k3glue.pair_for_triple(2, 3, 7))
+    pair = k3glue.pair_for_triple(2, 3, 7)
+    _, verdict = k3glue.glued_lattice(pair)
     assert verdict.isomorphic_to_k3
     assert calls == {"_eliminate": 2}  # the glued lattice and the K3 lattice
+    k3glue.glued_lattice(pair)  # the K3 lattice is built once per process
+    assert calls == {"_eliminate": 3}
 
 
 # --- unimodular classification --------------------------------------------------
