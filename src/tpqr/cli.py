@@ -38,13 +38,9 @@ _CRITICAL_POINT_LIMIT = 1000
 
 def _sanitize(obj):
     """Decimal-string any integer too wide for consumers that parse JSON
-    numbers as doubles."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
+    numbers as doubles; a bool, a float and a string pass as they are."""
+    if isinstance(obj, int):  # a bool is below the limit
         return obj if abs(obj) < _JSON_INT_LIMIT else str(obj)
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, dict):
@@ -79,17 +75,17 @@ def _load_config(args):
     return cfg
 
 
-# Each command imports only the layers it calls, so a one-shot request
-# compiles no layer it does not run; numcheck, and with it numpy, only
-# for verify-fibration.  A command returns (report, text lines, passed).
+# A command parses its arguments, then imports only the layers it calls: a
+# usage error compiles no layer, a request none it does not run, and only
+# verify-fibration loads numcheck (numpy).  It returns (report, lines, passed).
 
 Result = tuple[dict, list[str], bool]
 
 
 def _cmd_monodromy(args) -> Result:
-    from . import milnorfiber, sl2z
-
     p, q, r = _parse_triple(args.triple)
+    from . import sl2z
+
     m = sl2z.monodromy_matrix(p, q, r)
     cls = sl2z.classify(m)
     report = {
@@ -102,6 +98,7 @@ def _cmd_monodromy(args) -> Result:
         report["rl_word"] = list(sl2z.rl_word(m).exponents)
     if sl2z.triple_excess(p, q, r) >= 0:
         _check_limit("H_2 rank", p + q + r - 1, _MONODROMY_RANK_LIMIT)
+        from . import milnorfiber
         sys_ = milnorfiber.surface_system(p, q, r)
         mu = milnorfiber.monodromy_action(p, q, r)
         report["h2_action"] = {
@@ -114,15 +111,15 @@ def _cmd_monodromy(args) -> Result:
 
 
 def _cmd_dual(args) -> Result:
+    p, q, r = _parse_triple(args.triple)
     from . import cuspdual
 
-    p, q, r = _parse_triple(args.triple)
     rep = cuspdual.verify_duality(p, q, r)
     ok = rep.verify()
     report = rep.to_json()
     report["passed"] = ok
     lines = [
-        f"dual of ({p},{q},{r}): {rep.dual}",
+        "dual of ({},{},{}): ({},{},{})".format(p, q, r, *rep.dual),
         f"cycle {rep.self_cycle.entries} <-> {rep.dual_side_cycle.entries}",
         f"alpha_v = {rep.alpha_self} (dual side {rep.alpha_dual}, equal: {rep.alphas_equal})",
         f"conjugacy certificates verified: {ok}",
@@ -131,17 +128,17 @@ def _cmd_dual(args) -> Result:
 
 
 def _cmd_lattice(args) -> Result:
-    from . import quadlattice
-
     name = args.name
     if name in ("t", "ttilde"):
         p, q, r = _parse_triple(args.triple)
-        rank = p + q + r - (2 if name == "t" else 1)
-        _check_limit("lattice rank", rank, _LATTICE_RANK_LIMIT)
-        if name == "t":
-            lat = quadlattice.t_lattice(p, q, r)
-        else:
-            lat = quadlattice.t_tilde_lattice(p, q, r, generator=args.generator)
+        _check_limit("lattice rank", p + q + r - (2 if name == "t" else 1), _LATTICE_RANK_LIMIT)
+
+    from . import quadlattice
+
+    if name == "t":
+        lat = quadlattice.t_lattice(p, q, r)
+    elif name == "ttilde":
+        lat = quadlattice.t_tilde_lattice(p, q, r, generator=args.generator)
     elif name == "e":
         lat = quadlattice.e_lattice(args.k)
     elif name == "h":
@@ -167,9 +164,9 @@ def _cmd_lattice(args) -> Result:
 
 
 def _cmd_k3(args) -> Result:
+    p, q, r = _parse_triple(args.pair)
     from . import k3glue, sl2z
 
-    p, q, r = _parse_triple(args.pair)
     pair = k3glue.pair_for_triple(p, q, r)
     if pair is None:
         raise ValueError(f"({p},{q},{r}) is not in the duality table")
@@ -198,9 +195,9 @@ def _cmd_k3(args) -> Result:
 
 
 def _cmd_inose(args) -> Result:
+    counts = tuple(int(v) for v in args.case.split(","))
     from . import k3glue
 
-    counts = tuple(int(v) for v in args.case.split(","))
     case = k3glue.InoseCase(counts)
     m = k3glue.inose_monodromy(case)
     cls = k3glue.classify_inose_boundary(case)
@@ -213,7 +210,7 @@ def _cmd_inose(args) -> Result:
     }
     lines = [f"monodromy {m}, trace {m.trace}"]
     if cls is not None:
-        p, q, r = cls.triple.sorted
+        p, q, r = cls.triple
         report["boundary"] = f"X_{{{p},{q},{r}}}"
         report["side"] = cls.side
         report["certificate"] = cls.certificate.to_json()
@@ -280,7 +277,7 @@ def _cmd_table(args) -> Result:
             "critical_count": k3glue.critical_count(pair),
         }
         ok = ok and row["conjugacy_verified"] and row["critical_count"] == 24
-        ok = ok and rep.dual.sorted == pair.right
+        ok = ok and rep.dual == pair.right
         rows.append(row)
     report = {"rows": rows, "passed": ok}
     lines = [

@@ -22,13 +22,11 @@ from .sl2z import (
     is_conjugate,
     is_conjugate_to_inverse,
     monodromy_matrix,
-    triple_excess,
 )
 
 __all__ = [
     "CycleData",
     "QuadIrrational",
-    "Triple",
     "DualityReport",
     "CuspDualityError",
     "triple_to_cycle",
@@ -214,38 +212,6 @@ class CycleData:
         return list(self.entries)
 
 
-@value_class
-class Triple:
-    """Index triple with its sorted normalization kept alongside."""
-
-    given: tuple[int, int, int]
-
-    def __post_init__(self):
-        _check_triple(self.given, CuspDualityError)
-
-    @classmethod
-    def of(cls, p: int, q: int, r: int) -> "Triple":
-        return cls((p, q, r))
-
-    @property
-    def sorted(self) -> tuple[int, int, int]:
-        return tuple(sorted(self.given))
-
-    @property
-    def is_cusp(self) -> bool:
-        return triple_excess(*self.given) > 0
-
-    @property
-    def is_parabolic(self) -> bool:
-        return triple_excess(*self.given) == 0
-
-    def __iter__(self):
-        return iter(self.given)
-
-    def __str__(self) -> str:
-        return "({},{},{})".format(*self.given)
-
-
 def triple_to_cycle(p: int, q: int, r: int) -> CycleData:
     """Resolution cycle of the dual-side cusp attached to T_{p,q,r}.
 
@@ -262,21 +228,22 @@ def triple_to_cycle(p: int, q: int, r: int) -> CycleData:
     return CycleData.of(r - 4)
 
 
-def cycle_to_triple(cycle: CycleData) -> Optional[Triple]:
-    """Invert triple_to_cycle, up to cyclic rotation; None when the cycle is
-    longer than 3 or no rotation matches the construction."""
+def cycle_to_triple(cycle: CycleData) -> Optional[tuple[int, int, int]]:
+    """Invert triple_to_cycle, up to cyclic rotation: the sorted triple, or
+    None when the cycle is longer than 3 or no rotation matches the
+    construction."""
     k = len(cycle)
     if k > 3:
         return None
     if k == 1:
-        return Triple.of(2, 3, cycle.entries[0] + 4)
+        return (2, 3, cycle.entries[0] + 4)
     if k == 2:
         d1, d2 = sorted(cycle.entries)
-        return Triple.of(2, d1 + 2, d2 + 2)
+        return (2, d1 + 2, d2 + 2)
     for d1, d2, d3 in cycle.rotations():
         p, q, r = d3 + 1, d1 + 1, d2 + 1
-        if p <= q <= r and p >= 3:
-            return Triple.of(p, q, r)
+        if 3 <= p <= q <= r:
+            return (p, q, r)
     return None
 
 
@@ -302,8 +269,8 @@ def dual_cycle(cycle: CycleData) -> CycleData:
     return CycleData(tuple(dual))
 
 
-def dual_triple(p: int, q: int, r: int) -> Triple:
-    """Strange-dual triple, via the cycle calculus."""
+def dual_triple(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """Strange-dual triple, sorted, via the cycle calculus."""
     cycle = triple_to_cycle(p, q, r)
     short = sum(c - 2 for c in cycle.entries) <= 3  # the dual cycle's length
     dual = cycle_to_triple(dual_cycle(cycle)) if short else None
@@ -367,8 +334,8 @@ def module_action_matrix(cycle: CycleData) -> SL2Matrix:
 
 @value_class
 class DualityReport:
-    triple: Triple
-    dual: Triple
+    triple: tuple[int, int, int]  # as given
+    dual: tuple[int, int, int]  # sorted
     self_cycle: CycleData  # resolution cycle of the cusp itself
     dual_side_cycle: CycleData  # resolution cycle of the dual cusp
     omega_self: QuadIrrational
@@ -390,8 +357,8 @@ class DualityReport:
 
     def to_json(self) -> dict:
         return {
-            "triple": list(self.triple.given),
-            "dual": list(self.dual.given),
+            "triple": list(self.triple),
+            "dual": list(self.dual),
             "self_dual": self.self_dual,
             "self_cycle": self.self_cycle.to_json(),
             "dual_side_cycle": self.dual_side_cycle.to_json(),
@@ -414,7 +381,6 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     cycles on both sides, continued-fraction values, equality of the two
     units, the module action conjugate to the monodromy, and the
     monodromies of the pair conjugate-inverse to each other."""
-    t = Triple.of(p, q, r)
     dual = dual_triple(p, q, r)
     dual_side = triple_to_cycle(p, q, r)
     self_cycle = dual_cycle(dual_side)
@@ -422,18 +388,19 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     a_self = alpha_v(self_cycle)
     a_dual = alpha_v(dual_side)
 
-    a = monodromy_matrix(*t.sorted)
-    a_prime = monodromy_matrix(*dual.sorted)
+    t = tuple(sorted((p, q, r)))
+    a = monodromy_matrix(*t)
+    a_prime = monodromy_matrix(*dual)
 
     cert1 = is_conjugate(module_action_matrix(self_cycle), a)
     cert2 = is_conjugate(module_action_matrix(dual_side), a_prime)
     cert3 = is_conjugate_to_inverse(a, a_prime)
     if cert1 is None or cert2 is None or cert3 is None:
         raise CuspDualityError(
-            f"duality conjugacy failed for {t}: this contradicts the theory"
+            f"duality conjugacy failed for ({p},{q},{r}): this contradicts the theory"
         )
     return DualityReport(
-        triple=t,
+        triple=(p, q, r),
         dual=dual,
         self_cycle=self_cycle,
         dual_side_cycle=dual_side,
@@ -445,5 +412,5 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
         action_conjugacy=cert1,
         dual_action_conjugacy=cert2,
         inverse_conjugacy=cert3,
-        self_dual=dual.sorted == t.sorted,
+        self_dual=dual == t,
     )

@@ -1,25 +1,17 @@
 """K3-side bookkeeping: the duality table, critical-point counts, glued
 lattices, and the boundary classification for loops in the base of the
 Kummer-surface elliptic fibration with two IV* fibers and eight I_1
-fibers."""
+fibers.
+
+A triple is a sorted int tuple.  Of the other layers only sl2z is loaded
+here: ``glued_lattice`` imports quadlattice where it builds a lattice.
+The boundary match takes one pass over the fourteen table triples."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import _check_ints, _check_triple, value_class
-from .cuspdual import Triple
-from .quadlattice import (
-    GramLattice,
-    direct_sum,
-    discriminant,
-    hyperbolic_plane,
-    k3_lattice,
-    parity,
-    signature,
-    t_lattice,
-    unimodular_indefinite_isomorphic,
-)
 from .sl2z import (
     ALPHA,
     BETA,
@@ -31,6 +23,9 @@ from .sl2z import (
     is_conjugate,
     monodromy_matrix,
 )
+
+if TYPE_CHECKING:
+    from .quadlattice import GramLattice
 
 __all__ = [
     "DualPair",
@@ -134,12 +129,14 @@ def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
     case the sum is the K3 lattice."""
     if pair not in _TABLE:
         raise ValueError(f"{pair} is not a duality-table pair")
-    h = GramLattice.from_rows(["section", "fiber"], hyperbolic_plane().gram)
-    lat = direct_sum(t_lattice(*pair.left), t_lattice(*pair.right), h)
-    det, sig = discriminant(lat), signature(lat)
+    from . import quadlattice as ql  # the one user of the layer here
+
+    h = ql.GramLattice.from_rows(["section", "fiber"], ql.hyperbolic_plane().gram)
+    lat = ql.direct_sum(ql.t_lattice(*pair.left), ql.t_lattice(*pair.right), h)
+    det, sig = ql.discriminant(lat), ql.signature(lat)
     uni = abs(det) == 1
-    iso = unimodular_indefinite_isomorphic(lat, k3_lattice()) if uni else None
-    return lat, GluedVerdict(det, sig, parity(lat), uni, iso)
+    iso = ql.unimodular_indefinite_isomorphic(lat, ql.k3_lattice()) if uni else None
+    return lat, GluedVerdict(det, sig, ql.parity(lat), uni, iso)
 
 
 # Euler numbers of the singular fibers of the Kummer-surface fibration:
@@ -195,13 +192,13 @@ def inose_monodromy(
 
 @value_class
 class InoseClassification:
-    triple: Triple
+    triple: tuple[int, int, int]  # sorted
     side: str  # "direct": monodromy ~ A; "inverse": monodromy ~ A^{-1}
     certificate: ConjugacyCertificate
 
     def to_json(self) -> dict:
         return {
-            "triple": list(self.triple.sorted),
+            "triple": list(self.triple),
             "side": self.side,
             "certificate": self.certificate.to_json(),
         }
@@ -220,19 +217,17 @@ def classify_inose_boundary(
     monodromies are inverse-conjugate to each other - unambiguous.
     """
     m = inose_monodromy(case, gamma)
-    triples = sorted({pair.left for pair in _TABLE} | {pair.right for pair in _TABLE})
-    for prefer in ("inverse", "direct"):
-        matches = []
-        for t in triples:
-            a = monodromy_matrix(*t)
-            cert = is_conjugate(m, a.inverse() if prefer == "inverse" else a)
-            if cert is not None:
-                other = is_conjugate(m, a if prefer == "inverse" else a.inverse())
-                side = "both" if other is not None else prefer
-                matches.append((t, side, cert))
+    inverse, direct = [], []  # the matches of each side, as (triple, side, certificate)
+    for t in sorted({pair.left for pair in _TABLE} | {pair.right for pair in _TABLE}):
+        a = monodromy_matrix(*t)
+        to_inverse, to_direct = is_conjugate(m, a.inverse()), is_conjugate(m, a)
+        if to_inverse is not None:
+            inverse.append((t, "inverse" if to_direct is None else "both", to_inverse))
+        if to_direct is not None:
+            direct.append((t, "direct" if to_inverse is None else "both", to_direct))
+    for matches in (inverse, direct):
         if len(matches) == 1:
-            t, side, cert = matches[0]
-            return InoseClassification(Triple.of(*t), side, cert)
+            return InoseClassification(*matches[0])
         if len(matches) > 1:  # pragma: no cover - distinct triples, distinct classes
             raise AssertionError(f"ambiguous classification: {matches}")
     return None

@@ -408,14 +408,19 @@ class SNFResult:
            non-negative int divisors.
 
         No elimination and no code of the reduction runs."""
-        n, d, ops = lat.rank, self.divisors, self.ops
-        if len(d) != n or set(map(type, d)) - {int} or not _well_formed(ops, n):
-            return False
+        n, d = lat.rank, self.divisors
+        well_formed = len(d) == n and not set(map(type, d)) - {int} and _well_formed(self.ops, n)
+        return well_formed and self._replays_to_diagonal(lat)
+
+    def _replays_to_diagonal(self, lat: GramLattice) -> bool:
+        """Steps 2 and 3 of ``verify``, for n int divisors and well-formed
+        operations: what ``_smith`` checks on the list it has just built."""
+        d, ops = self.divisors, self.ops
         nz = [x for x in d if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
         rows = _replay([dict(row) for row in lat._rows], ops, ROW_ADD, ROW_SWAP, ROW_NEG)
-        cols = [{} for _ in range(n)]
+        cols = [{} for _ in range(lat.rank)]
         for i, row in enumerate(rows):
             for j, x in row.items():
                 cols[j][i] = x
@@ -460,7 +465,8 @@ def _smith(lat: GramLattice) -> SNFResult:
     kept: on the lattices of the benchmark ladder, an index of the rows
     that hold each column gave the same operations and no gain, as its
     upkeep on every row operation costs what the scans save.  The result
-    passes ``SNFResult.verify`` before it is returned."""
+    passes the checks of ``SNFResult.verify`` but its form check, which
+    the operations built here need not, before it is returned."""
     n = lat.rank
     m = [dict(row) for row in lat._rows]
     ops = []
@@ -526,7 +532,7 @@ def _smith(lat: GramLattice) -> SNFResult:
             ops.append((ROW_NEG, s))
 
     res = SNFResult(tuple(m[s].get(s, 0) for s in range(n)), tuple(ops))
-    if not res.verify(lat):  # pragma: no cover - algorithmic guard
+    if not res._replays_to_diagonal(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res
 

@@ -60,6 +60,10 @@ conversions, ``stacked_real_jacobian`` interleaves the real Jacobian with
 each call, and ``triu_fd_hessian`` its index arrays.
 ``staged_verify_fibration`` is the fibration pipeline and its verdict as
 the CLI ran them stage by stage before ``numcheck.verify_fibration``.
+``two_pass_inose_classification`` is the earlier Inose boundary match: a
+pass over the table triples for the inverse side and, only when nothing
+matched there, a second pass for the direct side, building each
+monodromy matrix again.
 The ``Dataclass*`` classes are four value classes as they were declared
 before ``tpqr.value_class`` replaced ``@dataclass(frozen=True)``: their
 fields, defaults, validation and cached property.  ``DataclassQuadIrrational``
@@ -86,6 +90,7 @@ from hypothesis import strategies as st
 
 from tpqr import _check_triple, numcheck
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
+from tpqr.k3glue import InoseClassification, inose_monodromy, strange_duality_table
 from tpqr.numcheck import (
     _ALPHA,
     _CHART_ORDER,
@@ -107,7 +112,18 @@ from tpqr.quadlattice import (
     _eliminate,
     smith_normal_form,
 )
-from tpqr.sl2z import ALPHA, BETA, GAMMA, R, MatrixClass, SL2Matrix, _floor_surd, classify
+from tpqr.sl2z import (
+    ALPHA,
+    BETA,
+    GAMMA,
+    R,
+    MatrixClass,
+    SL2Matrix,
+    _floor_surd,
+    classify,
+    is_conjugate,
+    monodromy_matrix,
+)
 
 _I = SL2Matrix.identity()
 
@@ -580,6 +596,28 @@ def three_factor_monodromy(p: int, q: int, r: int) -> SL2Matrix:
         return SL2Matrix(n - 1, -1, 1, 0)
 
     return factor(r) * factor(q) * factor(p)
+
+
+def two_pass_inose_classification(case, gamma=GAMMA) -> Optional[InoseClassification]:
+    """Match the boundary monodromy against the fourteen table triples,
+    the inverse side in a first pass and the direct side in a second."""
+    m = inose_monodromy(case, gamma)
+    table = strange_duality_table()
+    triples = sorted({pair.left for pair in table} | {pair.right for pair in table})
+    for prefer in ("inverse", "direct"):
+        matches = []
+        for t in triples:
+            a = monodromy_matrix(*t)
+            cert = is_conjugate(m, a.inverse() if prefer == "inverse" else a)
+            if cert is not None:
+                other = is_conjugate(m, a if prefer == "inverse" else a.inverse())
+                side = "both" if other is not None else prefer
+                matches.append((t, side, cert))
+        if len(matches) == 1:
+            return InoseClassification(*matches[0])
+        if len(matches) > 1:
+            raise AssertionError(f"ambiguous classification: {matches}")
+    return None
 
 
 def rotation_dual_cycle(cycle: CycleData) -> CycleData:

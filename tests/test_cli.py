@@ -280,21 +280,19 @@ LOADED_MODULES = (
     "print(json.dumps([rc, before, after, 'numpy' in sys.modules]), file=sys.stderr)"
 )
 
-_K3GLUE_SET = {"k3glue", "cuspdual", "quadlattice", "sl2z"}
-
-
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (["monodromy", "2", "3", "7"], {"milnorfiber", "quadlattice", "sl2z"}),
+        (["monodromy", "2", "3", "5"], {"sl2z"}),
         (["dual", "2", "3", "8"], {"cuspdual", "sl2z"}),
         (["lattice", "t", "--triple", "2,3,7"], {"quadlattice"}),
         (["lattice", "h"], {"quadlattice"}),
-        (["k3", "--pair", "2,4,5"], _K3GLUE_SET),
-        (["inose", "--case", "0,1,0,2"], _K3GLUE_SET),
-        (["table"], _K3GLUE_SET),
+        (["k3", "--pair", "2,4,5"], {"k3glue", "quadlattice", "sl2z"}),
+        (["inose", "--case", "0,1,0,2"], {"k3glue", "sl2z"}),
+        (["table"], {"k3glue", "cuspdual", "sl2z"}),
     ],
-    ids=["monodromy", "dual", "lattice-t", "lattice-h", "k3", "inose", "table"],
+    ids=["monodromy", "monodromy-235", "dual", "lattice-t", "lattice-h", "k3", "inose", "table"],
 )
 def test_each_command_loads_only_its_layers(argv, layers):
     proc = run_child(LOADED_MODULES, *argv, "--json")
@@ -305,6 +303,39 @@ def test_each_command_loads_only_its_layers(argv, layers):
     assert set(after[0]) == {"tpqr", "tpqr.cli"} | {f"tpqr.{m}" for m in layers}
     assert after[1] == []
     assert not numpy_loaded
+
+
+_TRIPLE_REQUIRED = "error: a triple p q r (or p,q,r) is required"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["monodromy", "2", "3"], _TRIPLE_REQUIRED),
+        (["dual", "2", "3"], _TRIPLE_REQUIRED),
+        (["k3", "--pair", "2,3"], _TRIPLE_REQUIRED),
+        (["inose", "--case", "1,x"], "error: invalid literal for int() with base 10: 'x'"),
+        (["lattice", "t", "--triple", "2,3"], _TRIPLE_REQUIRED),
+    ],
+    ids=["monodromy", "dual", "k3", "inose", "lattice-t"],
+)
+def test_a_usage_error_loads_no_layer(argv, err):
+    proc = run_child(LOADED_MODULES, *argv, "--json")
+    assert proc.stdout == ""
+    *lines, last = proc.stderr.splitlines()
+    rc, before, after, numpy_loaded = json.loads(last)
+    assert (rc, lines) == (2, [err])
+    assert before == after == [["tpqr", "tpqr.cli"], []]
+    assert not numpy_loaded
+
+
+def test_k3glue_loads_neither_cuspdual_nor_quadlattice():
+    proc = run_child(
+        "import sys, tpqr.k3glue; "
+        "print(sorted(m for m in sys.modules if m.startswith('tpqr.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['tpqr.k3glue', 'tpqr.sl2z']\n"
 
 
 @pytest.mark.parametrize("layer", ["quadlattice", "numcheck"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -18,7 +19,6 @@ from tpqr.cuspdual import (
     CuspDualityError,
     CycleData,
     QuadIrrational,
-    Triple,
     _squarefree,
     alpha_v,
     cf_value,
@@ -257,11 +257,11 @@ def test_triple_to_cycle_three_cases():
 
 
 def test_cycle_to_triple_inverts():
-    assert cycle_to_triple(CycleData.of(4)).sorted == (2, 3, 8)
-    assert cycle_to_triple(CycleData.of(2, 3, 2)).sorted == (3, 3, 4)
+    assert cycle_to_triple(CycleData.of(4)) == (2, 3, 8)
+    assert cycle_to_triple(CycleData.of(2, 3, 2)) == (3, 3, 4)
     assert cycle_to_triple(CycleData.of(3, 3, 3, 3)) is None
     for t in TABLE:
-        assert cycle_to_triple(triple_to_cycle(*t)).sorted == t
+        assert cycle_to_triple(triple_to_cycle(*t)) == t
 
 
 def test_dual_cycle_examples():
@@ -298,10 +298,10 @@ def test_dual_cycle_of_a_long_cycle_stays_small():
 
 def test_dual_triple_reproduces_table():
     for t in TABLE:
-        assert dual_triple(*t).sorted == DUALS[t], t
+        assert dual_triple(*t) == DUALS[t], t
     # involution on the table
     for t in TABLE:
-        assert dual_triple(*dual_triple(*t).sorted).sorted == t
+        assert dual_triple(*dual_triple(*t)) == t
 
 
 def test_dual_triple_reports_long_cycles():
@@ -476,7 +476,7 @@ def test_a_filled_cycle_cache_leaves_the_value_unchanged():
 
 def test_verify_duality_238():
     rep = verify_duality(2, 3, 8)
-    assert rep.dual.sorted == (2, 4, 5)
+    assert rep.dual == (2, 4, 5)
     assert rep.alpha_self == QuadIrrational.make(2, 1, 1, 3)
     assert rep.alphas_equal
     assert rep.verify()
@@ -497,7 +497,7 @@ def test_all_fourteen_report():
         rep = verify_duality(*t)
         assert rep.verify()
         assert rep.alphas_equal
-        seen_pairs.add(frozenset({t, rep.dual.sorted}))
+        seen_pairs.add(frozenset({t, rep.dual}))
     assert len(seen_pairs) == 10
 
 
@@ -511,12 +511,26 @@ def test_oversized_dual_rejected_before_it_is_built():
         dual_triple(10**9, 10**9, 10**9)
 
 
-def test_triple_normalization():
-    t = Triple.of(7, 3, 2)
-    assert t.sorted == (2, 3, 7)
-    assert t.given == (7, 3, 2)
-    assert t.is_cusp and not t.is_parabolic
-    assert Triple.of(3, 3, 3).is_parabolic
+def test_verify_duality_keeps_the_given_triple_and_sorts_the_dual():
+    rep = verify_duality(7, 3, 2)
+    assert rep.triple == (7, 3, 2) and rep.dual == (2, 3, 7)
+    assert rep.self_dual
+    data = rep.to_json()
+    assert (data["triple"], data["dual"]) == ([7, 3, 2], [2, 3, 7])
+
+
+def test_cycle_to_triple_returns_a_sorted_int_tuple():
+    """Every cycle of length <= 3 with entries 2..12 that has a triple."""
+    found = 0
+    for k in (1, 2, 3):
+        for entries in itertools.product(range(2, 13), repeat=k):
+            if max(entries) < 3 or (t := cycle_to_triple(CycleData(entries))) is None:
+                continue
+            found += 1
+            assert type(t) is tuple and list(map(type, t)) == [int] * 3, entries
+            assert t == tuple(sorted(t)), entries
+            assert triple_to_cycle(*t).cyclic_equal(CycleData(entries)), entries
+    assert found == 10 + 120 + 835  # by length: every one, every one, a frozen census
 
 
 def test_cycle_to_triple_absent_for_unmatchable_rotation():

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from conftest import fibration_word, mat2
+from conftest import fibration_word, mat2, two_pass_inose_classification
+from tpqr import k3glue
 from tpqr.k3glue import (
     INOSE_FIBER_COUNTS,
     SINGULAR_FIBER_EULER,
@@ -142,7 +145,7 @@ def test_boundary_classification(case, triple, trace):
     assert m.trace == trace
     cls = classify_inose_boundary(InoseCase.of(*case))
     assert cls is not None
-    assert cls.triple.sorted == triple
+    assert cls.triple == triple
     assert cls.certificate.verify()
     # self-dual monodromies match on both sides, dual pairs on one
     assert cls.side == ("both" if triple in ((2, 3, 7), (2, 5, 5)) else "inverse")
@@ -154,8 +157,8 @@ def test_trace4_cases_distinguish_the_dual_pair():
     assert a.trace == b.trace == 4
     assert is_conjugate(a, b) is None
     # within the preferred side the match is unique
-    assert classify_inose_boundary(InoseCase.of(0, 1, 0, 2)).triple.sorted == (2, 4, 5)
-    assert classify_inose_boundary(InoseCase.of(0, 2, 1, 2)).triple.sorted == (2, 3, 8)
+    assert classify_inose_boundary(InoseCase.of(0, 1, 0, 2)).triple == (2, 4, 5)
+    assert classify_inose_boundary(InoseCase.of(0, 2, 1, 2)).triple == (2, 3, 8)
 
 
 def test_no_match_case():
@@ -185,8 +188,6 @@ def test_torus_knot_metadata():
 
 
 def test_all_81_quadrant_cases_classify_unambiguously():
-    import itertools
-
     classified = 0
     for counts in itertools.product((0, 1, 2), repeat=4):
         out = classify_inose_boundary(InoseCase(counts))
@@ -194,3 +195,25 @@ def test_all_81_quadrant_cases_classify_unambiguously():
             assert out.certificate.verify()
             classified += 1
     assert classified == 22  # frozen census over the full case space
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, HomologyClass(1, 1)], ids=["gamma-1-minus-1", "gamma-1-1"])
+def test_one_pass_classification_equals_the_two_pass_oracle(gamma, monkeypatch):
+    """The same (triple, side, certificate) on all 81 quadrant cases, with
+    each table triple's monodromy matrix built once per call."""
+    built = []
+
+    def counted(*t):
+        built.append(t)
+        return monodromy_matrix(*t)
+
+    monkeypatch.setattr(k3glue, "monodromy_matrix", counted)
+    sides = set()
+    for counts in itertools.product((0, 1, 2), repeat=4):
+        case = InoseCase(counts)
+        built.clear()
+        got = classify_inose_boundary(case, gamma)
+        assert len(built) == len(set(built)) == 14, counts
+        assert got == two_pass_inose_classification(case, gamma), counts
+        sides.add(None if got is None else got.side)
+    assert {None, "inverse", "both"} <= sides

@@ -51,14 +51,17 @@ def outputs(kernel, params, stack, subset):
 
 
 def assert_kernel_equals_oracle(params, stack, subset):
-    try:
-        want = outputs(reducing_ft_pass, params, stack, subset)
-    except ValueError as exc:
-        assert str(exc) == "bump factors are undefined at the origin"
-        with pytest.raises(ValueError, match="^bump factors are undefined at the origin$"):
-            numcheck._ft_pass(params, stack)
-        return
-    got = outputs(numcheck._ft_pass, params, stack, subset)
+    # the subnormal example gives NaN gradients in both kernels; as in
+    # verify_fibration, numpy warns of none of its floating-point steps
+    with np.errstate(all="ignore"):
+        try:
+            want = outputs(reducing_ft_pass, params, stack, subset)
+        except ValueError as exc:
+            assert str(exc) == "bump factors are undefined at the origin"
+            with pytest.raises(ValueError, match="^bump factors are undefined at the origin$"):
+                numcheck._ft_pass(params, stack)
+            return
+        got = outputs(numcheck._ft_pass, params, stack, subset)
     for name, g, w in zip(("value", "holo", "holo, anti", "anti", "holo of the subset",
                            "holo of the subset, anti", "anti of the subset"), got, want):
         assert_same_bits(g, w, name)

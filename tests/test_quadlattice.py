@@ -787,6 +787,18 @@ def _counting(monkeypatch, *names):
     return calls
 
 
+def test_the_smith_guard_replays_without_the_form_check(monkeypatch):
+    """_smith checks the list it built by the divisor chain and the replay
+    of verify; only verify, which takes a list from anywhere, checks its
+    form as well."""
+    calls = _counting(monkeypatch, "_well_formed", "_replay")
+    lat = t_tilde_lattice(2, 3, 9, "S'")
+    snf = smith_normal_form(lat)
+    assert calls == {"_replay": 2}  # the rows, then the columns
+    assert snf.verify(lat)
+    assert calls == {"_replay": 4, "_well_formed": 1}
+
+
 def test_one_elimination_and_one_snf_per_lattice(monkeypatch):
     calls = _counting(monkeypatch, "_eliminate", "_smith")
     lat = t_tilde_lattice(2, 3, 9, "S'")

@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z, value_class
-from tpqr.cuspdual import CuspDualityError, QuadIrrational, Triple
+from tpqr.cuspdual import CuspDualityError, QuadIrrational
 from tpqr.quadlattice import GramLattice, LatticeError
 from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
@@ -176,10 +176,10 @@ def test_a_subclass_names_itself_and_equals_only_its_own_instances():
 
 
 def test_a_one_field_class_hashes_the_one_tuple():
-    t = Triple((2, 3, 7))
-    assert hash(t) == hash(((2, 3, 7),))
-    assert repr(t) == "Triple(given=(2, 3, 7))"
-    assert t == Triple.of(2, 3, 7) and t != (2, 3, 7)
+    c = k3glue.InoseCase((2, 2, 0, 1))
+    assert hash(c) == hash(((2, 2, 0, 1),))
+    assert repr(c) == "InoseCase(counts=(2, 2, 0, 1))"
+    assert c == k3glue.InoseCase.of(2, 2, 0, 1) and c != (2, 2, 0, 1)
 
 
 @value_class
@@ -211,8 +211,8 @@ def test_no_value_class_writes_its_own_init():
     "build",
     [
         lambda: cuspdual.dual_triple(2.9, 3, 7),
-        lambda: Triple.of(2, 3, 7.0),
-        lambda: Triple((2, 3, True)),
+        lambda: cuspdual.verify_duality(2, 3, 7.0),
+        lambda: cuspdual.triple_to_cycle(2, 3, True),
         lambda: numcheck.FibrationParams(2.0, 3, 7, a=1e13),
         lambda: numcheck.FibrationParams(2, 3, True, a=1e13),
         lambda: k3glue.InoseCase((1.0, 2, 0, True)),
@@ -275,7 +275,7 @@ _CUSP_OR_PARABOLIC = "({},{},{}) is not a cusp or parabolic triple (needs 1/p+1/
 @pytest.mark.parametrize(
     "build, triple, error, wording",
     [
-        (Triple.of, (1, 3, 7), CuspDualityError, _RANGE),
+        (cuspdual.verify_duality, (1, 3, 7), CuspDualityError, _RANGE),
         (cuspdual.triple_to_cycle, (2, 3, 6), CuspDualityError, _CUSP),
         (quadlattice.t_lattice, (2, 3, 1), LatticeError, _RANGE),
         (quadlattice.t_tilde_lattice, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
@@ -325,4 +325,4 @@ def test_an_rl_word_takes_the_sign_1_or_minus_1(sign):
 @pytest.mark.parametrize("given", [(2, 3), (2, 3, 7, 9)])
 def test_a_triple_needs_three_entries_when_built(given):
     with pytest.raises(TypeError, match=r"^integer triple required, got \(2, 3"):
-        Triple(given)
+        milnorfiber.SurfaceSystem(given)
