@@ -128,9 +128,6 @@ class QuadIrrational:
         """(a + b*sqrt(d)) / c; the same call as the constructor."""
         return cls(a, b, c, d)
 
-    def conjugate(self) -> "QuadIrrational":
-        return QuadIrrational(self.a, -self.b, self.c, self.d)
-
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
@@ -269,16 +266,25 @@ def dual_cycle(cycle: CycleData) -> CycleData:
     return CycleData(tuple(dual))
 
 
+def _duality(p: int, q: int, r: int) -> tuple[CycleData, CycleData, tuple[int, int, int]]:
+    """(dual_side, self_cycle, dual): the resolution cycle of the dual-side
+    cusp, its dual (the cusp's own cycle) and the sorted strange-dual
+    triple, each built once.  The length rule refuses a triple before its
+    dual cycle is built."""
+    dual_side = triple_to_cycle(p, q, r)
+    if sum(c - 2 for c in dual_side.entries) <= 3:  # the dual cycle's length
+        self_cycle = dual_cycle(dual_side)
+        dual = cycle_to_triple(self_cycle)
+        if dual is not None:
+            return dual_side, self_cycle, dual
+    raise CuspDualityError(
+        f"dual cycle of ({p},{q},{r}) has length > 3: no hypersurface dual"
+    )
+
+
 def dual_triple(p: int, q: int, r: int) -> tuple[int, int, int]:
     """Strange-dual triple, sorted, via the cycle calculus."""
-    cycle = triple_to_cycle(p, q, r)
-    short = sum(c - 2 for c in cycle.entries) <= 3  # the dual cycle's length
-    dual = cycle_to_triple(dual_cycle(cycle)) if short else None
-    if dual is None:
-        raise CuspDualityError(
-            f"dual cycle of ({p},{q},{r}) has length > 3: no hypersurface dual"
-        )
-    return dual
+    return _duality(p, q, r)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +387,7 @@ def verify_duality(p: int, q: int, r: int) -> DualityReport:
     cycles on both sides, continued-fraction values, equality of the two
     units, the module action conjugate to the monodromy, and the
     monodromies of the pair conjugate-inverse to each other."""
-    dual = dual_triple(p, q, r)
-    dual_side = triple_to_cycle(p, q, r)
-    self_cycle = dual_cycle(dual_side)
+    dual_side, self_cycle, dual = _duality(p, q, r)
 
     a_self = alpha_v(self_cycle)
     a_dual = alpha_v(dual_side)

@@ -196,13 +196,6 @@ class InoseClassification:
     side: str  # "direct": monodromy ~ A; "inverse": monodromy ~ A^{-1}
     certificate: ConjugacyCertificate
 
-    def to_json(self) -> dict:
-        return {
-            "triple": list(self.triple),
-            "side": self.side,
-            "certificate": self.certificate.to_json(),
-        }
-
 
 def classify_inose_boundary(
     case: InoseCase, gamma: HomologyClass = GAMMA

@@ -259,9 +259,7 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
                     _add(row, {d: row[b]}, 1)
         if d != k:
             m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
-            for row in m[k:]:
-                x, y = row.pop(k, 0), row.pop(d, 0)
-                row.update((c, z) for c, z in ((d, x), (k, y)) if z)
+            _swap_columns(m[k:], k, d)
         tail = current(k)  # row k is not read again
         piv = tail.pop(k)
         if (piv > 0) == (prev > 0):
@@ -297,6 +295,17 @@ def signature(lat: GramLattice) -> tuple[int, int, int]:
 def parity(lat: GramLattice) -> str:
     """"even" iff every vector has even self-pairing (diagonal test)."""
     return "even" if all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)) else "odd"
+
+
+def _swap_columns(rows, i: int, j: int) -> None:
+    """Swap the entries of columns i and j in each sparse row {column: entry}."""
+    for row in rows:
+        if i in row or j in row:
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
 
 
 def _add(t: dict, src: dict, f: int) -> None:
@@ -358,18 +367,13 @@ def _replay(vectors: list, ops, add: int, swap: int, neg=None) -> list:
     return vectors
 
 
-def _dense(vectors: list, by_columns=False) -> tuple[tuple[int, ...], ...]:
-    """The square matrix with these sparse rows (columns), row-major."""
-    n = len(vectors)
-    out = [[0] * n for _ in range(n)]
-    for i, vec in enumerate(vectors):
-        if by_columns:
-            for j, x in vec.items():
-                out[j][i] = x
-        else:
-            row = out[i]
-            for j, x in vec.items():
-                row[j] = x
+def _dense(rows: list) -> tuple[tuple[int, ...], ...]:
+    """The square matrix with these sparse rows, as dense tuples."""
+    n = len(rows)
+    out = [[0] * n for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
     return tuple(map(tuple, out))
 
 
@@ -437,7 +441,7 @@ class SNFResult:
     def v(self) -> tuple[tuple[int, ...], ...]:
         """V, the column operations replayed on the columns of I."""
         eye = [{i: 1} for i in range(len(self.divisors))]
-        return _dense(_replay(eye, self.ops, COL_ADD, COL_SWAP), by_columns=True)
+        return tuple(zip(*_dense(_replay(eye, self.ops, COL_ADD, COL_SWAP))))
 
     def to_json(self) -> dict:
         return {"divisors": list(self.divisors),
@@ -492,14 +496,7 @@ def _smith(lat: GramLattice) -> SNFResult:
                 m[s], m[i] = m[i], m[s]
                 ops.append((ROW_SWAP, s, i))
             if j != s:
-                for row in m[s:]:
-                    if s not in row and j not in row:
-                        continue
-                    x, y = row.pop(s, 0), row.pop(j, 0)
-                    if x:
-                        row[j] = x
-                    if y:
-                        row[s] = y
+                _swap_columns(m[s:], s, j)
                 ops.append((COL_SWAP, s, j))
             # |piv| is the least in the block, so every quotient is nonzero
             piv, rows = m[s][s], [s]

@@ -340,10 +340,6 @@ class RLWord:
     def cyclic_equal(self, other: "RLWord") -> bool:
         return self.sign == other.sign and self.canonical() == other.canonical()
 
-    def __str__(self) -> str:
-        body = " ".join(f"{'RL'[i % 2]}^{e}" for i, e in enumerate(self.exponents))
-        return body if self.sign == 1 else f"-({body})"
-
 
 def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:
     """Factor hyperbolic m of trace >= 3: returns (exps, P) with

@@ -133,6 +133,27 @@ def test_simple_elliptic_outputs_are_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, request
 
 
+# The largest Smith certificates of the pinned requests: their U and V
+# have rank 178 and 176.  The other large requests pinned with these
+# (`lattice t --triple 3,4,170`, `monodromy 3 4 114`, `lattice ttilde
+# --triple 3,3,3 --generator S` and `monodromy 2 3 6`) are pinned above.
+LARGE_LATTICE_SHA256 = {
+    ("lattice", "t", "--triple", "2,3,175"):
+        "f99111c705823fae8b4861db9ea63e52f6aa3952ef9138e07081be49fc8ebdd3",
+    ("lattice", "ttilde", "--triple", "3,4,170", "--generator", "S'"):
+        "bfbeca5ca4a3b6fff50c611b8d79b6064e584a5fd3f17ef23d1a85a731bda989",
+    ("lattice", "ttilde", "--triple", "3,4,170", "--generator", "S"):
+        "70de836ed46432c2512510e42cc497dd1ef675fea5aaec0c399dff099bfc2f60",
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_LATTICE_SHA256), ids=" ".join)
+def test_large_lattice_json_is_byte_identical(capsys, argv):
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_LATTICE_SHA256[argv]
+
+
 # Text-mode stdout of the exact subcommands, which the recorded requests
 # (all JSON) leave unpinned.  Every request exits 0.
 TEXT_SHA256 = {

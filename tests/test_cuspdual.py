@@ -466,6 +466,24 @@ def test_the_cycle_matrix_is_multiplied_out_once_per_cycle(monkeypatch):
     assert len(calls) == 2  # the cycle of each side
 
 
+@pytest.mark.parametrize("p, q, r", [(3, 4, 5), (2, 3, 7)])
+def test_verify_duality_builds_each_cycle_once(monkeypatch, p, q, r):
+    from tpqr import cuspdual
+
+    calls = []
+    for name in ("triple_to_cycle", "dual_cycle", "cycle_to_triple"):
+        def counted(*args, _f=getattr(cuspdual, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(cuspdual, name, counted)
+    rep = verify_duality(p, q, r)
+    assert calls == ["triple_to_cycle", "dual_cycle", "cycle_to_triple"]
+    assert rep.dual_side_cycle == triple_to_cycle(p, q, r)
+    assert rep.self_cycle == dual_cycle(rep.dual_side_cycle)
+    assert rep.dual == cycle_to_triple(rep.self_cycle) == DUALS[p, q, r]
+
+
 def test_a_filled_cycle_cache_leaves_the_value_unchanged():
     cycle, twin = CycleData.of(3, 4, 2), CycleData.of(3, 4, 2)
     before = repr(cycle), hash(cycle)
