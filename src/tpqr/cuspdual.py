@@ -189,10 +189,6 @@ class CycleData:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def single(self) -> bool:
-        return len(self.entries) == 1
-
     def rotations(self) -> list[tuple[int, ...]]:
         e = self.entries
         return [e[i:] + e[:i] for i in range(len(e))]
@@ -201,9 +197,6 @@ class CycleData:
         """Lexicographically least rotation starting at an entry >= 3."""
         e = self.entries
         return CycleData(min(e[i:] + e[:i] for i, c in enumerate(e) if c >= 3))
-
-    def cyclic_equal(self, other: "CycleData") -> bool:
-        return self.canonical().entries == other.canonical().entries
 
     def to_json(self) -> list[int]:
         return list(self.entries)

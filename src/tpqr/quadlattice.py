@@ -20,7 +20,6 @@ __all__ = [
     "LatticeError",
     "NotUnimodularError",
     "DefiniteLatticeError",
-    "a_block",
     "e_lattice",
     "hyperbolic_plane",
     "direct_sum",
@@ -121,14 +120,6 @@ def _gram(labels, diagonal, edges) -> GramLattice:
     for i, j, x in edges:
         rows[i][j] = rows[j][i] = x
     return GramLattice(tuple(labels), tuple(map(tuple, rows)))
-
-
-def a_block(n: int) -> GramLattice:
-    """Positive-definite A_n chain: +2 diagonal, -1 on diagram edges."""
-    _check_ints("n", (n,))
-    if n < 1:
-        raise LatticeError("a_block needs n >= 1")
-    return _gram([f"a{i+1}" for i in range(n)], [2] * n, [(i, i + 1, -1) for i in range(n - 1)])
 
 
 def hyperbolic_plane() -> GramLattice:
@@ -439,9 +430,9 @@ class SNFResult:
 
     @cached_property
     def v(self) -> tuple[tuple[int, ...], ...]:
-        """V, the column operations replayed on the columns of I."""
-        eye = [{i: 1} for i in range(len(self.divisors))]
-        return tuple(zip(*_dense(_replay(eye, self.ops, COL_ADD, COL_SWAP))))
+        """V, from its rows replayed backwards (``_v_rows``)."""
+        n = len(self.divisors)
+        return _dense(_v_rows(self.ops, n, range(n)))
 
     def to_json(self) -> dict:
         return {"divisors": list(self.divisors),
@@ -534,29 +525,34 @@ def _smith(lat: GramLattice) -> SNFResult:
     return res
 
 
-def radical(lat: GramLattice) -> list[tuple[int, ...]]:
-    """Integer basis of the kernel sublattice: the columns of V whose
-    divisor is 0.
-
-    V is the product C_1 C_2 ... C_k of the column operations in the
-    order they were applied, so its column j is C_1 (C_2 (... C_k e_j)):
-    the operations replayed backwards on e_j, where (COL_ADD, i, j, f)
-    acts on a vector x as x[j] += f * x[i] and (COL_SWAP, i, j) swaps
-    x[i] and x[j].  Only these columns are built, and neither U nor V."""
-    snf, n = lat._snf, lat.rank
-    cols = [[int(i == j) for i in range(n)] for j, d in enumerate(snf.divisors) if d == 0]
-    if not cols:
-        return []
-    for op in reversed(snf.ops):
-        if op[0] == COL_ADD:
+def _v_rows(ops, n: int, columns) -> list:
+    """The sparse rows {column: entry} of V restricted to ``columns``.
+    V = C_1 C_2 ... C_k, the column operations in the order applied, so
+    the operations run last first, as row operations, on those columns of
+    I: (COL_ADD, i, j, f) adds f * row i to row j, skipped as in
+    ``_replay`` when f = 0, and (COL_SWAP, i, j) swaps rows i and j."""
+    rows = [{} for _ in range(n)]
+    for j in columns:
+        rows[j][j] = 1
+    for op in reversed(ops):
+        if op[0] == COL_ADD and op[3] and rows[op[1]]:  # an empty row i adds nothing
             _, i, j, f = op
-            for x in cols:
-                x[j] += f * x[i]
+            _add(rows[j], rows[i], f)
         elif op[0] == COL_SWAP:
             _, i, j = op
-            for x in cols:
-                x[i], x[j] = x[j], x[i]
-    return list(map(tuple, cols))
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def radical(lat: GramLattice) -> list[tuple[int, ...]]:
+    """Integer basis of the kernel sublattice: the columns of V whose
+    divisor is 0, from ``_v_rows`` on those columns alone."""
+    snf = lat._snf
+    zero = [j for j, d in enumerate(snf.divisors) if d == 0]
+    if not zero:
+        return []
+    rows = _v_rows(snf.ops, lat.rank, zero)
+    return [tuple(row.get(j, 0) for row in rows) for j in zero]
 
 
 def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:

@@ -303,12 +303,6 @@ def _word_matrix(exps: Iterable[int]) -> SL2Matrix:
     return SL2Matrix(*_word(exps))
 
 
-def _block_rotations(exps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(k, exps rotated left by k) for every even k: the rotations that keep
-    R and L blocks in their places."""
-    return ((k, exps[k:] + exps[:k]) for k in range(0, len(exps), 2))
-
-
 @value_class
 class RLWord:
     """Cyclic positive word R^{e1} L^{e2} ... R^{e_{2s-1}} L^{e_{2s}}.
@@ -329,16 +323,6 @@ class RLWord:
         _check_ints("sign", (self.sign,))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
-
-    def matrix(self) -> SL2Matrix:
-        m = _word_matrix(self.exponents)
-        return m if self.sign == 1 else -m
-
-    def canonical(self) -> tuple[int, ...]:
-        return min(rot for _, rot in _block_rotations(self.exponents))
-
-    def cyclic_equal(self, other: "RLWord") -> bool:
-        return self.sign == other.sign and self.canonical() == other.canonical()
 
 
 def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:
@@ -414,8 +398,8 @@ def rl_word(m: SL2Matrix) -> RLWord:
 def _conjugate_hyperbolic(m: SL2Matrix, n: SL2Matrix) -> Optional[SL2Matrix]:
     """m and n have one trace, of absolute value >= 3."""
     (exps_m, pm), (exps_n, pn) = m._rl, n._rl
-    for k, rot in _block_rotations(exps_m):
-        if rot == exps_n:
+    for k in range(0, len(exps_m), 2):  # the rotations that keep R and L blocks in place
+        if exps_m[k:] + exps_m[:k] == exps_n:
             a, b, c, d = _word(exps_m[:k])
             # word(exps_n) = prefix^-1 * word(exps_m) * prefix
             head = _prod((pn.d, -pn.b, -pn.c, pn.a), (d, -b, -c, a))

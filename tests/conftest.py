@@ -25,9 +25,10 @@ U and V, so it judges the views of an operation list as well.
 ``dense_smith`` is the earlier Smith normal form on dense lists, which
 carried U and V along: the same pivot rule and operations, each one
 scanning a full row or column, returning (divisors, U, V).
-``dense_radical`` is the earlier radical, which read the columns of the
-dense V whose divisor is 0.  The ``dense_*``
-diagram builders are the earlier constructors of A_n, H, T(p,q,r) and
+``dense_radical`` reads the columns of ``dense_smith``'s V whose divisor
+is 0, so it shares no code with ``radical`` and ``SNFResult.v``, which
+both read V from one backward replay.  The ``dense_*``
+diagram builders are the earlier constructors of H, T(p,q,r) and
 its Milnor lattices, each filling a dense matrix by hand from arm
 offsets of its own, and ``column_monodromy_action`` is the earlier
 monodromy, built image column by image column and then transposed, with
@@ -110,7 +111,6 @@ from tpqr.quadlattice import (
     LatticeError,
     _add,
     _eliminate,
-    smith_normal_form,
 )
 from tpqr.sl2z import (
     ALPHA,
@@ -545,6 +545,12 @@ def object_word_matrix(exps) -> SL2Matrix:
     return out
 
 
+def same_rl_word(v, w) -> bool:
+    """Equal signs, and w's exponents are v's rotated by whole R^a L^b blocks."""
+    e = v.exponents
+    return v.sign == w.sign and w.exponents in {e[k:] + e[:k] for k in range(0, len(e), 2)}
+
+
 def object_power(m: SL2Matrix, n: int) -> SL2Matrix:
     """m^n by repeated squaring of SL2Matrix objects."""
     if n < 0:
@@ -948,8 +954,8 @@ def dense_smith(lat: GramLattice) -> tuple:
 
 
 def dense_radical(lat: GramLattice) -> list[tuple[int, ...]]:
-    snf = smith_normal_form(lat)
-    return [tuple(row[j] for row in snf.v) for j, dj in enumerate(snf.divisors) if dj == 0]
+    divisors, _, v = dense_smith(lat)
+    return [tuple(row[j] for row in v) for j, dj in enumerate(divisors) if dj == 0]
 
 
 def sparse_rows(rows) -> list[dict[int, int]]:
@@ -980,17 +986,6 @@ def dense_star_labels(p: int, q: int, r: int) -> list[str]:
     for m, arm in ((1, p - 1), (2, q - 1), (3, r - 1)):
         labels += [f"s{m}_{j}" for j in range(1, arm + 1)]
     return labels + ["s+"]
-
-
-def dense_a_block(n: int) -> GramLattice:
-    if n < 1:
-        raise LatticeError("a_block needs n >= 1")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-        if i + 1 < n:
-            rows[i][i + 1] = rows[i + 1][i] = -1
-    return GramLattice.from_rows([f"a{i+1}" for i in range(n)], rows)
 
 
 def dense_hyperbolic_plane() -> GramLattice:
