@@ -232,6 +232,8 @@ def test_no_value_class_writes_its_own_init():
         lambda: numcheck.FibrationParams(2, 3, 7, a=1e13, t=True),
         lambda: RLWord((1, 1), True),
         lambda: RLWord((1, 1), -1.0),
+        lambda: quadlattice.e_lattice(True),
+        lambda: quadlattice.e_lattice(8.0),
         lambda: numcheck.hessian_model(2.5, 1e8),
         lambda: milnorfiber.char_poly(((1.5, 0), (0, 1))),
         lambda: milnorfiber.char_poly(((True, 0), (0, 1))),
