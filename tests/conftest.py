@@ -73,6 +73,10 @@ does, by a rule of its own: it writes the value over a square-free
 radicand found by trial division, which gives the canonical form while
 the discriminant of the value stays below 10^18, as it does for every
 value the comparison draws.
+``meyer_signature`` is the signature of the Lefschetz fibration of a twist
+word from Meyer's cocycle alone, in rationals, with twists of its own: it
+shares no code with ``quadlattice`` or ``sl2z``, so it can judge every
+lattice built from a word.
 """
 
 from __future__ import annotations
@@ -117,10 +121,12 @@ from tpqr.sl2z import (
     BETA,
     GAMMA,
     R,
+    HomologyClass,
     MatrixClass,
     SL2Matrix,
     _floor_surd,
     classify,
+    evaluate_word,
     is_conjugate,
     monodromy_matrix,
 )
@@ -157,11 +163,96 @@ def fibration_word(p, q, r):
     return [(BETA, p), (GAMMA, q), (ALPHA, r)]
 
 
+def glued_word(pair):
+    """W_L, then W_R with each class moved by P, where P M_R P^-1 = M_L^-1:
+    a word of 24 twists around the two cusps of a duality pair whose
+    product is I."""
+    left, right = fibration_word(*pair.left), fibration_word(*pair.right)
+    cert = is_conjugate(evaluate_word(right), evaluate_word(left).inverse())
+    assert cert is not None, pair
+    return left + [(HomologyClass(*cert.conjugator.apply((c.m, c.n))), e) for c, e in right]
+
+
+def word_letters(word):
+    """The classes of a twist word as (m, n) pairs, one per letter, in
+    written order."""
+    return [(c.m, c.n) for c, e in word for _ in range(e)]
+
+
+def all_triples(limit, strict=None):
+    """The triples p <= q <= r <= limit with 1/p + 1/q + 1/r <= 1: the
+    cusp ones (sum < 1) for strict=True, the parabolic ones for False,
+    both for None."""
+    for p in range(2, limit + 1):
+        for q in range(p, limit + 1):
+            for r in range(q, limit + 1):
+                s = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
+                if s <= 1 and (strict is None or (s < 1) == strict):
+                    yield p, q, r
+
+
+def mat_mul(a, b):
+    """Integer matrix product on nested sequences, as lists of lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def mul2(x, y):
     """Independent 2x2 integer product on row-pair tuples."""
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _meyer_tau(a, b):
+    """Meyer's cocycle tau(A, B): the signature of the form
+    (x1 + y1)^T J (I - B) y2, symmetrized, on the space V of (x, y) in
+    Q^2 x Q^2 with (A^-1 - I) x + (B - I) y = 0.  J = (0 1; -1 0), so
+    x^T J y is HomologyClass's pairing x1 y2 - x2 y1."""
+    (p, q), (r, s) = a
+    (e, f), (g, h) = b
+    rows = [[Fraction(v) for v in row] for row in ((s - 1, -q, e - 1, f), (-r, p - 1, g, h - 1))]
+    pivots = []  # Gauss-Jordan on the two rows; V has one vector per free column
+    for col in range(4):
+        k = len(pivots)
+        i = next((i for i in range(k, 2) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        rows[k] = [v / rows[k][col] for v in rows[k]]
+        rows[1 - k] = [u - rows[1 - k][col] * v for u, v in zip(rows[1 - k], rows[k])]
+        pivots.append(col)
+    basis = []  # each vector scaled to integers, which keeps the signature
+    for free in (col for col in range(4) if col not in pivots):
+        v = [Fraction(col == free) for col in range(4)]
+        for k, col in enumerate(pivots):
+            v[col] = -rows[k][free]
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+
+    def form(v, w):
+        z1, z2 = (1 - e) * w[2] - f * w[3], -g * w[2] + (1 - h) * w[3]  # (I - B) y2
+        return (v[0] + v[2]) * z2 - (v[1] + v[3]) * z1
+
+    pos, _, neg = congruence_sig([[Fraction(form(v, w) + form(w, v)) for w in basis] for v in basis])
+    return pos - neg
+
+
+def meyer_signature(classes):
+    """The signature of the Lefschetz fibration over D^2 whose vanishing
+    cycles are ``classes``, (m, n) pairs in written order, from Meyer's
+    cocycle alone: with T_j the twist I + N, N = (mn -m^2; n^2 -mn), along
+    the j-th class, P_1 = T_0 and P_{j+1} = P_j T_j (the order in which
+    evaluate_word multiplies), it is the sum of tau(P_j, T_j) for
+    j = 1 .. n-1.  A nodal fiber's neighbourhood has signature 0, so by
+    Novikov additivity nothing else contributes.  Of the four order and
+    sign conventions this is the one the tests fix: the reversed order
+    and the negated sum match no triple's lattice."""
+    twists = [((1 + m * n, -m * m), (n * n, 1 - m * n)) for m, n in classes]
+    total, prod = 0, twists[0]
+    for t in twists[1:]:
+        total += _meyer_tau(prod, t)
+        prod = mul2(prod, t)
+    return total
 
 
 def brute_conjugator(m: SL2Matrix, n: SL2Matrix, bound: int = 20):
@@ -852,14 +943,7 @@ def dense_snf_verify(fields, lat: GramLattice) -> bool:
     |det U| = |det V| = 1 by one elimination each."""
     divisors, u, v = fields
     n = lat.rank
-    ug = [
-        [sum(u[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    ugv = [
-        [sum(ug[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    ugv = mat_mul(mat_mul(u, lat.gram), v)
     for i in range(n):
         for j in range(n):
             if ugv[i][j] != (divisors[i] if i == j else 0):

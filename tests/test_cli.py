@@ -477,6 +477,13 @@ def test_text_report_below_t_1_has_no_defect_line(capsys):
     )
 
 
+def test_verify_fibration_passes_at_a_large_a(capsys):
+    # the defect's rows grow with a, and it still uses all of its points
+    code, data = run_json(capsys, "verify-fibration", "--pqr", "2,3,7", "--a", "1e28", "--samples", "100")
+    assert code == 0 and data["passed"] is True
+    assert data["lagrangian_defect"]["samples"] == 10 and data["lagrangian_defect"]["passed"] is True
+
+
 @pytest.mark.parametrize("a", ["1e160", "1e308"])
 def test_a_beyond_the_double_range_is_a_precondition_error(capsys, a):
     # past a = 6.7e153, |xyz| = 1/a^2 on the fiber is not a normal double

@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from conftest import fibration_word, mat2, two_pass_inose_classification
+from conftest import glued_word, mat2, meyer_signature, two_pass_inose_classification, word_letters
 from tpqr import k3glue
 from tpqr.k3glue import (
     INOSE_FIBER_COUNTS,
@@ -17,7 +18,7 @@ from tpqr.k3glue import (
     strange_duality_table,
     torus_knot_types,
 )
-from tpqr.quadlattice import discriminant, signature, t_lattice
+from tpqr.quadlattice import discriminant, k3_lattice, signature, t_lattice
 from tpqr.sl2z import (
     GAMMA,
     HomologyClass,
@@ -99,16 +100,20 @@ def test_glued_lattice_unimodular_only_for_237():
 
 
 def test_the_twists_of_each_duality_pair_multiply_to_the_identity():
-    # W_L, then W_R with each class moved by P, where P M_R P^-1 = M_L^-1:
-    # a word of 24 twists around the two cusps whose product is I
     for pair in strange_duality_table():
-        left, right = fibration_word(*pair.left), fibration_word(*pair.right)
-        cert = is_conjugate(evaluate_word(right), evaluate_word(left).inverse())
-        assert cert is not None, pair
-        moved = [(HomologyClass(*cert.conjugator.apply((c.m, c.n))), e) for c, e in right]
-        word = left + moved
+        word = glued_word(pair)
         assert sum(e for _, e in word) == 24, pair
         assert evaluate_word(word) == SL2Matrix.identity(), pair
+
+
+def test_the_meyer_signature_of_each_glued_word_is_that_of_k3():
+    pos, zero, neg = signature(k3_lattice())
+    assert (pos, zero, neg) == (3, 0, 19)
+    for pair in strange_duality_table():
+        word = glued_word(pair)
+        classes = word_letters(word)
+        assert len(classes) == 24 and evaluate_word(word) == SL2Matrix.identity(), pair
+        assert meyer_signature(classes) == pos - neg == -16, pair
 
 
 def test_inose_monodromy_cases():
@@ -195,6 +200,25 @@ def test_all_81_quadrant_cases_classify_unambiguously():
             assert out.certificate.verify()
             classified += 1
     assert classified == 22  # frozen census over the full case space
+
+
+def test_each_inose_domain_and_its_complement_are_a_duality_pair():
+    # the complement, with counts 2 - c, holds the other IV* fiber and the
+    # other 8 - sum(c) nodal fibers of the Kummer fibration
+    census = Counter()
+    for counts in itertools.product((0, 1, 2), repeat=4):
+        case, complement = InoseCase(counts), InoseCase(tuple(2 - c for c in counts))
+        domain, other = classify_inose_boundary(case), classify_inose_boundary(complement)
+        assert (domain is None) == (other is None), counts
+        m, m_complement = inose_monodromy(case), inose_monodromy(complement)
+        assert is_conjugate(m_complement, m.inverse()) is not None, counts
+        if domain is None:
+            continue
+        pair = pair_for_triple(*domain.triple)
+        assert (domain.triple, other.triple) in ((pair.left, pair.right), (pair.right, pair.left)), counts
+        assert 8 + sum(counts) == sum(domain.triple), counts  # Euler: chi of T_pqr's fiber is p+q+r
+        census[pair.left_label, pair.right_label] += 1
+    assert census == {("E12", "E12"): 12, ("Z11", "E13"): 8, ("W12", "W12"): 2}
 
 
 @pytest.mark.parametrize("gamma", [GAMMA, HomologyClass(1, 1)], ids=["gamma-1-minus-1", "gamma-1-1"])

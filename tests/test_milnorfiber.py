@@ -1,17 +1,18 @@
 import itertools
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    all_triples,
     column_monodromy_action,
     dense_berkowitz,
     dense_eliminate,
     general_eliminate,
     integer_matrices,
     interpolated_char_poly,
+    mat_mul,
     square_matrices,
 )
 from tpqr import cli, milnorfiber, triple_excess
@@ -22,25 +23,6 @@ from tpqr.milnorfiber import (
     surface_system,
 )
 from tpqr.quadlattice import _eliminate, t_tilde_lattice
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def transpose(a):
-    n = len(a)
-    return [[a[j][i] for j in range(n)] for i in range(n)]
-
-
-def all_triples(limit, strict=None):
-    for p in range(2, limit + 1):
-        for q in range(p, limit + 1):
-            for r in range(q, limit + 1):
-                s = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
-                if s <= 1 and (strict is None or (s < 1) == strict):
-                    yield p, q, r
 
 
 def test_surface_system_matches_lattice():
@@ -117,14 +99,14 @@ def test_monodromy_fixes_fiber_and_is_isometry_small():
     n = len(mu)
     assert [mu[i][n - 1] for i in range(n)] == [0] * (n - 1) + [1]
     g = [list(r) for r in t_tilde_lattice(2, 3, 7, "S'").gram]
-    assert mat_mul(mat_mul(transpose([list(r) for r in mu]), g), [list(r) for r in mu]) == g
+    assert mat_mul(mat_mul(list(zip(*mu)), g), mu) == g
 
 
 def test_monodromy_isometry_all_triples_to_ten():
     for triple in all_triples(10):
-        mu = [list(r) for r in monodromy_action(*triple)]
+        mu = monodromy_action(*triple)
         g = [list(r) for r in t_tilde_lattice(*triple, "S'").gram]
-        assert mat_mul(mat_mul(transpose(mu), g), mu) == g, triple
+        assert mat_mul(mat_mul(list(zip(*mu)), g), mu) == g, triple
 
 
 def test_monodromy_determinant_unit():

@@ -17,21 +17,9 @@ from conftest import (
     stacked_real_jacobian,
     triu_fd_hessian,
 )
+from test_numcheck_bitwise import TABLE_TRIPLES, assert_bitwise
 from tpqr import numcheck
 from tpqr.numcheck import FibrationParams, NumericalConfig, critical_points
-
-TABLE_TRIPLES = (
-    (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 4, 5), (2, 4, 6), (2, 4, 7), (2, 5, 5),
-    (2, 5, 6), (3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 4, 4), (3, 4, 5), (4, 4, 4),
-)
-
-
-def assert_bitwise(got, want, label=""):
-    """Same type, dtype, shape and bytes: signed zeros must agree too."""
-    assert type(got) is type(want), label
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape, label
-    assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), label
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_triples,
     bareiss_det,
     congruence_sig,
     dense_eliminate,
@@ -19,11 +20,15 @@ from conftest import (
     dense_snf_verify,
     dense_t_lattice,
     dense_t_tilde_lattice,
+    fibration_word,
     general_eliminate,
     integer_matrices,
+    mat_mul,
+    meyer_signature,
     sparse_rows,
     square_matrices,
     symmetric_matrices,
+    word_letters,
 )
 from tpqr import k3glue, quadlattice, triple_excess
 from tpqr.milnorfiber import char_poly
@@ -58,15 +63,6 @@ from tpqr.sl2z import monodromy_matrix
 
 def disc_formula(p, q, r):
     return (-1) ** (p + q + r - 2) * (q * r + r * p + p * q - p * q * r)
-
-
-def cusp_triples(limit, strict=True):
-    for p in range(2, limit + 1):
-        for q in range(p, limit + 1):
-            for r in range(q, limit + 1):
-                s = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
-                if (s < 1) if strict else (s <= 1):
-                    yield p, q, r
 
 
 # --- construction -------------------------------------------------------------
@@ -172,17 +168,30 @@ def test_disc_matches_closed_formula_up_to_12():
                 )
 
 
+def test_the_meyer_signature_of_each_fibration_word_is_that_of_its_lattice():
+    # 155 triples, p <= q <= 8 and q <= r <= 11; the reversed letter order
+    # and the negated sum, the other three conventions, match none of them
+    triples = [t for t in all_triples(11) if t[1] <= 8]
+    assert len(triples) == 155
+    for triple in triples:
+        pos, _, neg = signature(t_lattice(*triple))
+        classes = word_letters(fibration_word(*triple))
+        forward, backward = meyer_signature(classes), meyer_signature(classes[::-1])
+        assert forward == pos - neg, triple
+        assert pos - neg not in (backward, -forward, -backward), triple
+
+
 def test_unimodular_iff_237_over_cusp_range():
     # the closed formula equals the determinant (previous test); sweep it
     hits = [
         (p, q, r)
-        for (p, q, r) in cusp_triples(20)
+        for (p, q, r) in all_triples(20, strict=True)
         if abs(disc_formula(p, q, r)) == 1
     ]
     assert hits == [(2, 3, 7)]
     # spot-check the formula-determinant agreement in the extended range
     rng = random.Random(2)
-    pool = [t for t in cusp_triples(20) if max(t) > 12]
+    pool = [t for t in all_triples(20, strict=True) if max(t) > 12]
     for p, q, r in rng.sample(pool, 12):
         assert discriminant(t_lattice(p, q, r)) == disc_formula(p, q, r)
 
@@ -434,7 +443,7 @@ def coker_a_minus_i(p, q, r):
 
 def test_the_discriminant_group_of_t_is_the_cokernel_of_a_minus_i():
     table = {t for pair in k3glue.strange_duality_table() for t in (pair.left, pair.right)}
-    triples = set(cusp_triples(12))
+    triples = set(all_triples(12, strict=True))
     assert len(table) == 14 and table <= triples
     for triple in sorted(triples):
         divisors = [d for d in smith_normal_form(t_lattice(*triple)).divisors if d != 1]
@@ -481,10 +490,6 @@ def test_snf_transforms_and_divisors_on_corpus():
         for d in snf.divisors:
             prod *= d
         assert abs(prod) == abs(discriminant(lat))
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 @st.composite
@@ -690,7 +695,7 @@ def test_a_negated_divisor_fails_although_the_products_hold():
     bad = SNFResult(snf.divisors[:k] + (-snf.divisors[k],), snf.ops + ((ROW_NEG, k),))
     n = lat.rank
     diag = [[bad.divisors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    assert _matmul(_matmul(bad.u, lat.gram), bad.v) == diag
+    assert mat_mul(mat_mul(bad.u, lat.gram), bad.v) == diag
     assert not bad.verify(lat)
 
 
@@ -739,7 +744,7 @@ def test_radical_matches_the_dense_oracle(lat):
     rad = radical(lat)
     assert rad == dense_radical(lat)
     assert len(rad) == signature(lat)[1]
-    assert all(_matmul(lat.gram, [[v] for v in x]) == [[0]] * lat.rank for x in rad)
+    assert all(mat_mul(lat.gram, [[v] for v in x]) == [[0]] * lat.rank for x in rad)
 
 
 @given(gram_lattices(), st.integers(0, 2**16 - 1))
