@@ -7,7 +7,7 @@ Five things are defined here, because several layers share them and none
 should load another for them:
 
 - ``triple_excess``, the sign test of a triple: positive for a cusp,
-  zero for a parabolic triple; sl2z re-exports it.
+  zero for a parabolic triple.
 - ``_check_ints``, the one integer rule: a count, index, entry or
   exponent is an ``int``, and ``bool`` is not one.  Every layer calls it
   where such a value enters.
@@ -58,11 +58,9 @@ def _check_int_rows(what: str, rows) -> None:
 
 
 def _check_triple(given: tuple, error, least_excess=None) -> None:
-    """TypeError unless ``given`` is three ints; then ``error`` unless each
-    index is >= 2 and, with ``least_excess`` 1 or 0, unless
+    """TypeError unless the three entries of ``given`` are ints; then
+    ``error`` unless each is >= 2 and, with ``least_excess`` 1 or 0, unless
     ``triple_excess`` reaches it: a cusp, or a cusp or parabolic triple."""
-    if len(given) != 3:
-        raise TypeError(f"integer triple required, got {given!r}")
     _check_ints("triple", given, given)
     name = "({},{},{})".format(*given)
     if min(given) < 2:

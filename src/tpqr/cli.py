@@ -84,7 +84,7 @@ Result = tuple[dict, list[str], bool]
 
 def _cmd_monodromy(args) -> Result:
     p, q, r = _parse_triple(args.triple)
-    from . import sl2z
+    from . import sl2z, triple_excess
 
     m = sl2z.monodromy_matrix(p, q, r)
     cls = sl2z.classify(m)
@@ -96,14 +96,14 @@ def _cmd_monodromy(args) -> Result:
     }
     if cls is sl2z.MatrixClass.HYPERBOLIC:
         report["rl_word"] = list(sl2z.rl_word(m).exponents)
-    if sl2z.triple_excess(p, q, r) >= 0:
+    if triple_excess(p, q, r) >= 0:
         _check_limit("H_2 rank", p + q + r - 1, _MONODROMY_RANK_LIMIT)
-        from . import milnorfiber
-        sys_ = milnorfiber.surface_system(p, q, r)
+        from . import milnorfiber, quadlattice
+        lattice = quadlattice.t_tilde_lattice(p, q, r)
         mu = milnorfiber.monodromy_action(p, q, r)
         report["h2_action"] = {
-            "labels": list(sys_.labels),
-            "gram": [list(row) for row in sys_.lattice.gram],
+            "labels": list(lattice.labels),
+            "gram": [list(row) for row in lattice.gram],
             "mu": [list(row) for row in mu],
             "char_poly": list(milnorfiber.char_poly(mu)),
         }

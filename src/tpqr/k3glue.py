@@ -40,7 +40,6 @@ __all__ = [
     "classify_inose_boundary",
     "SINGULAR_FIBER_EULER",
     "INOSE_FIBER_COUNTS",
-    "torus_knot_types",
 ]
 
 
@@ -143,14 +142,6 @@ def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
 # eight nodal fibers and two of the star type with five components.
 SINGULAR_FIBER_EULER = {"I1": 1, "IV*": 8}
 INOSE_FIBER_COUNTS = {"I1": 8, "IV*": 2}
-
-
-def torus_knot_types(p: int, q: int, r: int) -> tuple[tuple[int, int], ...]:
-    """Knot types traced by the three critical-point families when the
-    fibration is spun over the circle of fiber directions.  The domain is
-    that of ``numcheck.FibrationParams``: a cusp or parabolic triple."""
-    _check_triple((p, q, r), ValueError, 0)
-    return ((p, p - 1), (q, q - 1), (r, r - 1))
 
 
 @value_class

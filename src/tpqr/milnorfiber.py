@@ -1,77 +1,23 @@
-"""Surface systems on the Milnor fiber of T_{p,q,r}.
+"""The homological monodromy of the Milnor fiber of T_{p,q,r}.
 
 The fiber carries a torus fibration with three singular fibers, each a
 closed chain of 2-spheres; dropping one sphere from each chain and tying
-the rest to a regular fiber yields a basis of H_2.  This module builds
-that basis with its intersection form, the homological monodromy action
-on it, and the pairing vector of the fibration's section.
+the rest to a regular fiber yields the S' basis of H_2, whose
+intersection form is ``quadlattice.t_tilde_lattice``.  This module gives
+the homological monodromy action on that basis and its characteristic
+polynomial.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import add
 
-from . import _check_int_rows, _check_triple, value_class
-from .quadlattice import GramLattice, LatticeError, _arm_starts, t_tilde_lattice
+from . import _check_int_rows, _check_triple
+from .quadlattice import LatticeError, _arm_starts
 
-__all__ = [
-    "SurfaceSystem",
-    "surface_system",
-    "monodromy_action",
-    "section_vector",
-    "char_poly",
-]
+__all__ = ["monodromy_action", "char_poly"]
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-@value_class
-class SurfaceSystem:
-    """The S' basis (spheres s{m}_{j}, s+, t2) of H_2 of the Milnor fiber.
-
-    ``t2_index`` points at the fiber class; the removed sphere s{m}_0 of
-    each chain expands as t2 - sum_j s{m}_j.  The intersection form is
-    built on first use.
-    """
-
-    triple: tuple[int, int, int]
-
-    def __post_init__(self):
-        _check_triple(self.triple, LatticeError, 0)
-
-    @cached_property
-    def lattice(self) -> GramLattice:
-        return t_tilde_lattice(*self.triple)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.lattice.labels
-
-    @property
-    def rank(self) -> int:
-        return self.t2_index + 1
-
-    @property
-    def t2_index(self) -> int:
-        return _arm_starts(*self.triple)[3] + 1  # right after s+
-
-    def arm_indices(self, m: int) -> list[int]:
-        """Basis indices of the spheres s{m}_1 .. s{m}_{len}."""
-        starts = _arm_starts(*self.triple)
-        return list(range(starts[m - 1], starts[m]))
-
-    def expand_sigma_m0(self, m: int) -> tuple[int, ...]:
-        """Coordinates of the removed chain sphere s{m}_0 in this basis."""
-        v = [0] * self.rank
-        v[self.t2_index] = 1
-        for i in self.arm_indices(m):
-            v[i] = -1
-        return tuple(v)
-
-
-def surface_system(p: int, q: int, r: int) -> SurfaceSystem:
-    return SurfaceSystem((p, q, r))
 
 
 def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
@@ -96,12 +42,6 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     rows[plus][plus] = rows[t2][t2] = 1
     rows[t2][plus] = -1
     return tuple(map(tuple, rows))
-
-
-def section_vector(p: int, q: int, r: int) -> tuple[int, ...]:
-    """Pairing functional of the section class against the S' basis:
-    zero on every sphere and on s+, one on the fiber class."""
-    return (0,) * surface_system(p, q, r).t2_index + (1,)
 
 
 def _row_times(row, right) -> dict[int, int]:

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
-from . import _check_ints, _check_triple, triple_excess, value_class
+from . import _check_ints, _check_triple, value_class
 
 __all__ = [
     "SL2Matrix",
@@ -38,7 +38,6 @@ __all__ = [
     "GAMMA",
     "monodromy_matrix",
     "cycle_matrix",
-    "triple_excess",
     "classify",
     "rl_word",
     "is_conjugate",

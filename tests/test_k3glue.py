@@ -16,7 +16,6 @@ from tpqr.k3glue import (
     inose_monodromy,
     pair_for_triple,
     strange_duality_table,
-    torus_knot_types,
 )
 from tpqr.quadlattice import discriminant, k3_lattice, signature, t_lattice
 from tpqr.sl2z import (
@@ -186,10 +185,6 @@ def test_euler_number_bookkeeping():
     )
     assert total == 24
     assert INOSE_FIBER_COUNTS == {"I1": 8, "IV*": 2}
-
-
-def test_torus_knot_metadata():
-    assert torus_knot_types(2, 3, 7) == ((2, 1), (3, 2), (7, 6))
 
 
 def test_all_81_quadrant_cases_classify_unambiguously():

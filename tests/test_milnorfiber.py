@@ -15,83 +15,103 @@ from conftest import (
     mat_mul,
     square_matrices,
 )
-from tpqr import cli, milnorfiber, triple_excess
-from tpqr.milnorfiber import (
-    char_poly,
-    monodromy_action,
-    section_vector,
-    surface_system,
-)
+from tpqr import cli, quadlattice, triple_excess
+from tpqr.milnorfiber import char_poly, monodromy_action
 from tpqr.quadlattice import _eliminate, t_tilde_lattice
 
 
-def test_surface_system_matches_lattice():
+def _arm(labels, m) -> list[int]:
+    """Basis indices of the spheres s{m}_1, s{m}_2, ... among the S' labels."""
+    names = itertools.takewhile(labels.__contains__, (f"s{m}_{j}" for j in itertools.count(1)))
+    return [labels.index(name) for name in names]
+
+
+def _removed_sphere(labels, m) -> list[int]:
+    """Coordinates of the sphere s{m}_0 dropped from chain m: t2 - sum_j s{m}_j."""
+    v = [0] * len(labels)
+    v[labels.index("t2")] = 1
+    for i in _arm(labels, m):
+        v[i] = -1
+    return v
+
+
+def _pairing(gram, u, v) -> int:
+    return sum(x * g * y for x, row in zip(u, gram) for g, y in zip(row, v))
+
+
+def test_the_s_prime_basis_is_the_default_and_ends_with_t2():
     for triple in [(2, 3, 7), (3, 3, 4), (3, 3, 3)]:
-        sys_ = surface_system(*triple)
-        assert sys_.lattice == t_tilde_lattice(*triple, "S'")
-        assert sys_.rank == sum(triple) - 1
-        assert sys_.labels[sys_.t2_index] == "t2"
+        lattice = t_tilde_lattice(*triple)
+        assert lattice == t_tilde_lattice(*triple, "S'")
+        assert lattice.rank == sum(triple) - 1 == len(monodromy_action(*triple))
+        assert lattice.labels.index("t2") == lattice.rank - 1
+        assert [len(_arm(lattice.labels, m)) for m in (1, 2, 3)] == [k - 1 for k in triple]
 
 
 def _count_lattices(monkeypatch) -> list:
     calls = []
-    build = milnorfiber.t_tilde_lattice
+    build = quadlattice.t_tilde_lattice
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(milnorfiber, "t_tilde_lattice", counted)
+    monkeypatch.setattr(quadlattice, "t_tilde_lattice", counted)
     return calls
 
 
 def test_lattice_is_built_once_and_only_when_read(monkeypatch, capsys):
     calls = _count_lattices(monkeypatch)
-    monodromy_action(3, 4, 114), section_vector(3, 4, 114)
-    sys_ = surface_system(3, 4, 114)
-    assert sys_.rank == 120 and sys_.t2_index == 119 and sys_.arm_indices(3)[-1] == 117
+    monodromy_action(3, 4, 114)
     assert calls == []
-    assert sys_.labels[sys_.t2_index] == "t2" and sys_.lattice.rank == 120
-    assert calls == [(3, 4, 114)]
-    calls.clear()
     assert cli.main(["monodromy", "3", "4", "114", "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["h2_action"]["gram"]) == 120
+    h2 = json.loads(capsys.readouterr().out)["h2_action"]
+    assert len(h2["gram"]) == 120 and h2["labels"].index("t2") == 119
+    assert _arm(h2["labels"], 3)[-1] == 117
     assert calls == [(3, 4, 114)]
-
-
-def test_surface_system_rejects_hyperbolic_deficit():
-    with pytest.raises(ValueError):
-        surface_system(2, 2, 2)
-    with pytest.raises(ValueError):
-        surface_system(1, 5, 9)
 
 
 def test_center_pairs_plus_one_with_first_arm_spheres():
-    sys_ = surface_system(2, 3, 7)
-    g = sys_.lattice.gram
-    plus = sys_.rank - 2
+    lattice = t_tilde_lattice(2, 3, 7)
+    g = lattice.gram
+    plus = lattice.labels.index("s+")
     for m in (1, 2, 3):
-        first = sys_.arm_indices(m)[0]
+        first, *others = _arm(lattice.labels, m)
         assert g[plus][first] == 1
-        for other in sys_.arm_indices(m)[1:]:
+        for other in others:
             assert g[plus][other] == 0
 
 
 def test_removed_sphere_expansion_pairings():
     # s+ . expanded s{m}_0 = -1 while s+ . s{m}_1 = +1
-    sys_ = surface_system(2, 3, 7)
-    g = sys_.lattice.gram
-    plus = sys_.rank - 2
+    lattice = t_tilde_lattice(2, 3, 7)
+    g = lattice.gram
+    plus = [int(name == "s+") for name in lattice.labels]
     for m in (1, 2, 3):
-        e = sys_.expand_sigma_m0(m)
-        pairing = sum(e[i] * g[plus][i] for i in range(sys_.rank))
-        assert pairing == -1
+        assert _pairing(g, plus, _removed_sphere(lattice.labels, m)) == -1
+
+
+def test_each_removed_sphere_closes_its_chain():
+    # s{m}_0, s{m}_1, ..., s{m}_last pair as a cycle of -2 spheres, each
+    # meeting the next once (twice when the cycle has two spheres)
+    for triple in all_triples(10):
+        lattice = t_tilde_lattice(*triple)
+        for m in (1, 2, 3):
+            unit = [[int(i == j) for j in range(lattice.rank)] for i in _arm(lattice.labels, m)]
+            chain = [_removed_sphere(lattice.labels, m), *unit]
+            n = len(chain)
+            got = [[_pairing(lattice.gram, u, v) for v in chain] for u in chain]
+            want = [
+                [-2 if i == j else ((j - i) % n == 1) + ((i - j) % n == 1) for j in range(n)]
+                for i in range(n)
+            ]
+            assert got == want, (triple, m)
 
 
 def test_fiber_class_self_pairing_zero():
-    sys_ = surface_system(3, 4, 5)
-    t2 = sys_.t2_index
-    assert sys_.lattice.gram[t2][t2] == 0
+    lattice = t_tilde_lattice(3, 4, 5)
+    t2 = lattice.labels.index("t2")
+    assert lattice.gram[t2][t2] == 0
 
 
 def test_monodromy_fixes_fiber_and_is_isometry_small():
@@ -128,18 +148,13 @@ def test_p2_wrap_formula():
 
 
 def test_wrap_expansion_on_longer_arm():
-    # (3,4,5): the q-arm has indices 1..3; its last sphere wraps through t2
-    sys_ = surface_system(3, 4, 5)
+    # (3,4,5): the q-arm is s2_1..s2_3; its last sphere wraps to s2_0 = t2 - chain sum
+    labels = t_tilde_lattice(3, 4, 5).labels
     mu = monodromy_action(3, 4, 5)
     n = len(mu)
-    arm = sys_.arm_indices(2)
-    last = arm[-1]
-    col = [mu[i][last] for i in range(n)]
-    expect = [0] * n
-    for i in arm:
-        expect[i] = -1
-    expect[sys_.t2_index] = 1
-    assert col == expect
+    arm = _arm(labels, 2)
+    col = [mu[i][arm[-1]] for i in range(n)]
+    assert col == _removed_sphere(labels, 2)
     # interior steps shift by one
     col0 = [mu[i][arm[0]] for i in range(n)]
     expect0 = [0] * n
@@ -148,7 +163,7 @@ def test_wrap_expansion_on_longer_arm():
 
 
 def test_center_image():
-    sys_ = surface_system(2, 3, 7)
+    labels = t_tilde_lattice(2, 3, 7).labels
     mu = monodromy_action(2, 3, 7)
     n = len(mu)
     plus = n - 2
@@ -156,8 +171,8 @@ def test_center_image():
     expect = [0] * n
     expect[plus] = 1
     for m in (1, 2, 3):
-        expect[sys_.arm_indices(m)[0]] += 1
-    expect[sys_.t2_index] -= 1
+        expect[_arm(labels, m)[0]] += 1
+    expect[labels.index("t2")] -= 1
     assert col == expect
 
 
@@ -176,17 +191,6 @@ def test_monodromy_has_infinite_order_for_cusp_triples():
         for _ in range(100):
             power = mat_mul(power, mu)
             assert power != ident
-
-
-def test_section_vector_pairings():
-    sec = section_vector(2, 3, 7)
-    sys_ = surface_system(2, 3, 7)
-    assert sec[sys_.t2_index] == 1
-    assert all(sec[i] == 0 for i in range(sys_.rank) if i != sys_.t2_index)
-    # against the expanded removed spheres the pairing is +1
-    for m in (1, 2, 3):
-        e = sys_.expand_sigma_m0(m)
-        assert sum(a * b for a, b in zip(sec, e)) == 1
 
 
 def test_char_poly_against_direct_expansion():

@@ -24,6 +24,7 @@ from conftest import (
     same_rl_word,
     three_factor_monodromy,
 )
+from tpqr import triple_excess
 from tpqr.sl2z import (
     ALPHA,
     BETA,
@@ -42,7 +43,6 @@ from tpqr.sl2z import (
     is_conjugate_to_inverse,
     monodromy_matrix,
     rl_word,
-    triple_excess,
 )
 from tpqr.sl2z import _reduce
 

@@ -250,15 +250,15 @@ def test_integer_fields_refuse_floats_and_bools_when_built(build):
 @pytest.mark.parametrize(
     "build, triple",
     [
-        (milnorfiber.surface_system, (2, 3, 7.0)),
+        (cuspdual.dual_triple, (2.9, 3, 7)),
         (milnorfiber.monodromy_action, (2, 3, 7.0)),
         (sl2z.monodromy_matrix, (2, 3, 7.5)),
         (quadlattice.t_lattice, (2, 3, 7.0)),
         (quadlattice.t_lattice, (2, 3, True)),
         (quadlattice.t_tilde_lattice, (2, True, 7)),
         (k3glue.pair_for_triple, (2.0, 3, 7)),
-        (lambda *given: milnorfiber.SurfaceSystem(given), (2, 3)),
-        (k3glue.torus_knot_types, (True, 3, 7)),
+        (milnorfiber.monodromy_action, (True, 3, 7)),
+        (k3glue.pair_for_triple, (True, 3, 7)),
         (lambda *given: numcheck.FibrationParams(*given, a=1e13), (2.0, 3, 7)),
     ],
 )
@@ -279,12 +279,12 @@ _CUSP_OR_PARABOLIC = "({},{},{}) is not a cusp or parabolic triple (needs 1/p+1/
         (cuspdual.triple_to_cycle, (2, 3, 6), CuspDualityError, _CUSP),
         (quadlattice.t_lattice, (2, 3, 1), LatticeError, _RANGE),
         (quadlattice.t_tilde_lattice, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
-        (milnorfiber.surface_system, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
+        (milnorfiber.monodromy_action, (1, 5, 9), LatticeError, _RANGE),
         (milnorfiber.monodromy_action, (2, 3, 5), LatticeError, _CUSP_OR_PARABOLIC),
         (sl2z.monodromy_matrix, (1, 3, 7), ValueError, _RANGE),
         (k3glue.pair_for_triple, (1, 3, 7), ValueError, _RANGE),
-        (k3glue.torus_knot_types, (1, 3, 7), ValueError, _RANGE),
-        (k3glue.torus_knot_types, (2, 2, 2), ValueError, _CUSP_OR_PARABOLIC),
+        (quadlattice.t_tilde_lattice, (2, 1, 9), LatticeError, _RANGE),
+        (lambda *given: numcheck.FibrationParams(*given, a=1e13), (1, 3, 7), ValueError, _RANGE),
         (lambda *given: numcheck.FibrationParams(*given, a=1e13), (2, 3, 5), ValueError,
          _CUSP_OR_PARABOLIC),
     ],
@@ -320,9 +320,3 @@ def test_a_twist_word_takes_homology_classes(build):
 def test_an_rl_word_takes_the_sign_1_or_minus_1(sign):
     with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
         RLWord((1, 1), sign)
-
-
-@pytest.mark.parametrize("given", [(2, 3), (2, 3, 7, 9)])
-def test_a_triple_needs_three_entries_when_built(given):
-    with pytest.raises(TypeError, match=r"^integer triple required, got \(2, 3"):
-        milnorfiber.SurfaceSystem(given)
