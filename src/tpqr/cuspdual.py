@@ -175,6 +175,7 @@ class CycleData:
             raise CuspDualityError("all cycle entries must be >= 2")
         if all(c == 2 for c in self.entries):
             raise CuspDualityError("some entry must be >= 3")
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @cached_property
     def _matrix(self) -> SL2Matrix:

@@ -130,7 +130,7 @@ def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
         raise ValueError(f"{pair} is not a duality-table pair")
     from . import quadlattice as ql  # the one user of the layer here
 
-    h = ql.GramLattice.from_rows(["section", "fiber"], ql.hyperbolic_plane().gram)
+    h = ql.GramLattice(["section", "fiber"], ql.hyperbolic_plane().gram)
     lat = ql.direct_sum(ql.t_lattice(*pair.left), ql.t_lattice(*pair.right), h)
     det, sig = ql.discriminant(lat), ql.signature(lat)
     uni = abs(det) == 1
@@ -155,6 +155,7 @@ class InoseCase:
         _check_ints("quadrant counts", self.counts, self.counts)
         if len(self.counts) != 4 or any(c not in (0, 1, 2) for c in self.counts):
             raise ValueError("quadrant counts must be four values in {0,1,2}")
+        object.__setattr__(self, "counts", tuple(self.counts))
 
     @classmethod
     def of(cls, c1: int, c2: int, c3: int, c4: int) -> "InoseCase":

@@ -199,16 +199,12 @@ class FibrationParams:
         return complex(math.cos(self.theta), math.sin(self.theta)) / self.a
 
     @classmethod
-    def minimal(cls, p: int, q: int, r: int, theta: float = 0.0, t: float = 1.0,
-                domain_y: bool = False) -> "FibrationParams":
-        """Minimal admissible a + 1 for the requested checks."""
-        probe = cls(p, q, r, a=1.0, theta=theta, t=t)
-        bound = probe.tube_bound
-        if domain_y:
-            bound = max(bound, probe.domain_bound)
+    def minimal(cls, p: int, q: int, r: int, theta: float = 0.0,
+                t: float = 1.0) -> "FibrationParams":
+        """The least admissible a: the tube bound + 1."""
+        bound = cls(p, q, r, a=1.0, theta=theta, t=t).tube_bound
         # past 2^53, bound + 1.0 rounds back to bound
-        return cls(p, q, r, a=max(bound + 1.0, math.nextafter(bound, math.inf)),
-                   theta=theta, t=t)
+        return cls(p, q, r, a=max(bound + 1.0, math.nextafter(bound, math.inf)), theta=theta, t=t)
 
 
 @value_class
@@ -824,12 +820,10 @@ class HessianReport:
     a_rel_err: float
     b_rel_err: float
     residual_rel: float
-    a_fd: np.ndarray
-    b_fd: np.ndarray
     matches: bool
 
     def to_json(self) -> dict:
-        return _fields(self, "a_fd", "b_fd")
+        return _fields(self)
 
 
 def hessian_fd_check(
@@ -872,12 +866,12 @@ def hessian_fd_check(
     transverse[:, 1] *= c_w
     values = g_eval(_solve_axial(params, axis, transverse, u0))
     g0 = values[0]
-    a_fd = (_fd_hessian(values[:33], delta_a) * _OMEGA ** (-axis)).real
-    b_fd = (_fd_hessian(values[33:], delta_b) * _OMEGA ** (-axis)).imag
+    a_est = (_fd_hessian(values[:33], delta_a) * _OMEGA ** (-axis)).real
+    b_est = (_fd_hessian(values[33:], delta_b) * _OMEGA ** (-axis)).imag
 
-    a_err = float(np.abs(a_fd - model.a_matrix).max()) / float(np.abs(model.a_matrix).max())
-    b_err = float(np.abs(b_fd - model.b_matrix).max()) / _S3
-    lam_measured = -float(a_fd[0, 2])
+    a_err = float(np.abs(a_est - model.a_matrix).max()) / float(np.abs(model.a_matrix).max())
+    b_err = float(np.abs(b_est - model.b_matrix).max()) / _S3
+    lam_measured = -float(a_est[0, 2])
     lam_err = abs(lam_measured - model.lam) / model.lam
     center_err = abs(g0 - center_expected) / abs(center_expected)
     matches = bool(
@@ -896,8 +890,6 @@ def hessian_fd_check(
         a_rel_err=a_err,
         b_rel_err=b_err,
         residual_rel=float(residual),
-        a_fd=a_fd,
-        b_fd=b_fd,
         matches=matches,
     )
 

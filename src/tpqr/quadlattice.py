@@ -49,9 +49,9 @@ class DefiniteLatticeError(LatticeError):
 
 @value_class
 class GramLattice:
-    """Symmetric integer Gram matrix with labeled basis; construction
-    refuses entries that are not ``int`` (bool included), then a shape
-    that does not match the labels, then an asymmetric matrix.
+    """Symmetric integer Gram matrix on a labeled basis, from any sequences,
+    stored as tuples.  It refuses entries that are not ``int`` (bool
+    included), then a shape not matching the labels, then asymmetry.
 
     The elimination behind ``discriminant``/``signature`` and the Smith
     normal form are computed at most once per object and kept on it.
@@ -61,13 +61,16 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n, g = len(self.labels), self.gram
+        labels, g = tuple(self.labels), tuple(map(tuple, self.gram))
+        n = len(labels)
         _check_int_rows("Gram entries", g)
         if len(g) != n or any(len(row) != n for row in g):
             raise LatticeError("gram matrix shape does not match labels")
-        if tuple(map(tuple, g)) != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i
+        if g != tuple(zip(*g)):  # name the first asymmetric (i, j), j >= i
             i, j = next((i, j) for i in range(n) for j in range(i, n) if g[i][j] != g[j][i])
             raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "gram", g)
 
     @cached_property
     def _rows(self) -> tuple[dict[int, int], ...]:
@@ -94,19 +97,15 @@ class GramLattice:
         """Gram matrix B^T G B for the new basis given by the columns of B."""
         r = range(self.rank)
         gb = [[sum(self.gram[i][k] * b[k][j] for k in r) for j in r] for i in r]
-        new = [tuple(sum(b[k][i] * gb[k][j] for k in r) for j in r) for i in r]
-        return GramLattice(self.labels, tuple(new))
+        new = [[sum(b[k][i] * gb[k][j] for k in r) for j in r] for i in r]
+        return GramLattice(self.labels, new)
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
 
     @classmethod
     def from_json(cls, data) -> "GramLattice":
-        return cls.from_rows(map(str, data["labels"]), data["gram"])
-
-    @classmethod
-    def from_rows(cls, labels, rows) -> "GramLattice":
-        return cls(tuple(labels), tuple(map(tuple, rows)))
+        return cls(map(str, data["labels"]), data["gram"])
 
 
 def _gram(labels, diagonal, edges) -> GramLattice:
@@ -119,7 +118,7 @@ def _gram(labels, diagonal, edges) -> GramLattice:
         rows[i][i] = x
     for i, j, x in edges:
         rows[i][j] = rows[j][i] = x
-    return GramLattice(tuple(labels), tuple(map(tuple, rows)))
+    return GramLattice(labels, rows)
 
 
 def hyperbolic_plane() -> GramLattice:
@@ -194,10 +193,10 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
     n = sum(lat.rank for lat in lattices)
     rows, labels, offset = [], [], 0
     for bi, lat in enumerate(lattices, 1):
-        rows += [(0,) * offset + tuple(r) + (0,) * (n - offset - lat.rank) for r in lat.gram]
+        rows += [(0,) * offset + r + (0,) * (n - offset - lat.rank) for r in lat.gram]
         labels += [f"{lab}.{bi}" for lab in lat.labels]
         offset += lat.rank
-    return GramLattice.from_rows(labels, rows)
+    return GramLattice(labels, rows)
 
 
 @cache

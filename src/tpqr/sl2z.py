@@ -322,6 +322,7 @@ class RLWord:
         _check_ints("sign", (self.sign,))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
+        object.__setattr__(self, "exponents", tuple(self.exponents))
 
 
 def _rl_reduce(m: SL2Matrix) -> tuple[tuple[int, ...], SL2Matrix]:

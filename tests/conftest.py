@@ -1073,13 +1073,13 @@ def dense_star_labels(p: int, q: int, r: int) -> list[str]:
 
 
 def dense_hyperbolic_plane() -> GramLattice:
-    return GramLattice.from_rows(["e", "f"], [[0, 1], [1, 0]])
+    return GramLattice(["e", "f"], [[0, 1], [1, 0]])
 
 
 def dense_t_lattice(p: int, q: int, r: int) -> GramLattice:
     if min(p, q, r) < 2:
         raise LatticeError("t_lattice needs p,q,r >= 2")
-    return GramLattice.from_rows(dense_star_labels(p, q, r), dense_star_rows(p, q, r))
+    return GramLattice(dense_star_labels(p, q, r), dense_star_rows(p, q, r))
 
 
 def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
@@ -1092,14 +1092,14 @@ def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> Gram
             rows[i][j] = star[i][j]
     labels = dense_star_labels(p, q, r)
     if generator == "S'":
-        return GramLattice.from_rows(labels + ["t2"], rows)
+        return GramLattice(labels + ["t2"], rows)
     if generator == "S":
         last = n - 1
         for i in range(n - 2):
             rows[i][last] = rows[last][i] = star[i][n - 2]
         rows[last][last] = -2
         rows[n - 2][last] = rows[last][n - 2] = -2
-        return GramLattice.from_rows(labels + ["s-"], rows)
+        return GramLattice(labels + ["s-"], rows)
     raise LatticeError(f"unknown generator tag {generator!r}")
 
 

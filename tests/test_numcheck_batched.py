@@ -183,18 +183,14 @@ def test_a_stack_with_the_origin_is_rejected(t):
 # --- FibrationParams.minimal ---------------------------------------------------------
 
 
-def old_minimal_a(p, q, r, domain_y):
+def old_minimal_a(p, q, r):
     """The minimal a + 1 as written out before it reused the bound properties."""
     big_m = max(p, q, r)
     m = 30 * big_m
-    bound = max(12 * big_m, m * m * (m + 3))
-    if domain_y:
-        bound = max(bound, 3**big_m)
-    return float(bound + 1)
+    return float(max(12 * big_m, m * m * (m + 3)) + 1)
 
 
-@pytest.mark.parametrize("domain_y", [False, True])
-def test_minimal_a_is_unchanged_for_every_cusp_triple(domain_y):
+def test_minimal_a_is_unchanged_for_every_cusp_triple():
     triples = [
         (p, q, r)
         for p in range(2, 13) for q in range(p, 13) for r in range(q, 13)
@@ -202,10 +198,10 @@ def test_minimal_a_is_unchanged_for_every_cusp_triple(domain_y):
     ]
     assert len(triples) > 100
     for triple in triples:
-        params = FibrationParams.minimal(*triple, theta=0.3, t=0.5, domain_y=domain_y)
-        assert params.a == old_minimal_a(*triple, domain_y), triple
+        params = FibrationParams.minimal(*triple, theta=0.3, t=0.5)
+        assert params.a == old_minimal_a(*triple), triple
         assert (params.theta, params.t) == (0.3, 0.5)
-        assert params.admissible and (params.domain_y_admissible or not domain_y)
+        assert params.admissible
 
 
 @pytest.mark.parametrize(
@@ -244,15 +240,11 @@ def test_domain_bound_beyond_the_double_range_is_infinite():
     assert huge.tube_bound == huge.domain_bound == math.inf
 
 
-@pytest.mark.parametrize(
-    "r, domain_y",
-    [(6935, False), (6936, False), (20000, False), (33, True), (34, True), (40, True)],
-)
-def test_minimal_a_is_admissible_past_two_to_the_53(r, domain_y):
+@pytest.mark.parametrize("r", [6935, 6936, 20000])
+def test_minimal_a_is_admissible_past_two_to_the_53(r):
     """From 2^53 on, bound + 1.0 rounds back to the bound; minimal still
     returns an a above it."""
-    params = FibrationParams.minimal(2, 3, r, domain_y=domain_y)
-    assert params.admissible and (params.domain_y_admissible or not domain_y)
+    assert FibrationParams.minimal(2, 3, r).admissible
 
 
 def test_defect_report_for_a_fixed_seed_is_unchanged():

@@ -70,9 +70,9 @@ def disc_formula(p, q, r):
 
 def test_gram_validation():
     with pytest.raises(LatticeError):
-        GramLattice.from_rows(["a", "b"], [[0, 1], [2, 0]])
+        GramLattice(["a", "b"], [[0, 1], [2, 0]])
     with pytest.raises(LatticeError):
-        GramLattice.from_rows(["a"], [[0, 1], [1, 0]])
+        GramLattice(["a"], [[0, 1], [1, 0]])
 
 
 def test_hyperbolic_plane():
@@ -264,7 +264,7 @@ def test_e10_cartan_block_from_permuted_s_prime():
         labels.index("s1_1"),
         labels.index("t2"),
     ]
-    perm = GramLattice.from_rows(
+    perm = GramLattice(
         [tt.labels[i] for i in order], [[tt.gram[i][j] for j in order] for i in order]
     )
     # expected: negative of the rank-10 Cartan matrix (A9 chain, 10th node
@@ -289,14 +289,14 @@ def test_signature_zero_block_handled():
     tt = t_tilde_lattice(2, 3, 7, "S'")
     assert signature(tt) == (1, 1, 9)
     # all-zero corner exercised through the hyperbolic pivot
-    lat = GramLattice.from_rows(["a", "b", "c"], [[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+    lat = GramLattice(["a", "b", "c"], [[0, 1, 0], [1, 0, 0], [0, 0, -2]])
     assert signature(lat) == (1, 0, 2)
 
 
 @given(symmetric_matrices())
 @settings(max_examples=80, deadline=None)
 def test_det_and_inertia_match_oracles(g):
-    lat = GramLattice.from_rows([f"v{i}" for i in range(len(g))], g)
+    lat = GramLattice([f"v{i}" for i in range(len(g))], g)
     assert discriminant(lat) == bareiss_det([list(r) for r in g])
     assert signature(lat) == congruence_sig([[Fraction(v) for v in r] for r in g])
 
@@ -482,7 +482,7 @@ def test_snf_transforms_and_divisors_on_corpus():
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-        corpus.append(GramLattice.from_rows([f"v{i}" for i in range(n)], rows))
+        corpus.append(GramLattice([f"v{i}" for i in range(n)], rows))
     for lat in corpus:
         assert lat.rank <= 25
         snf = _snf_oracle_check(lat)
@@ -501,7 +501,7 @@ def gram_lattices(draw):
         k = draw(st.integers(0, n - 1))
         for i in range(n):
             g[k][i] = g[i][k] = 0
-    return GramLattice.from_rows([f"v{i}" for i in range(n)], g)
+    return GramLattice([f"v{i}" for i in range(n)], g)
 
 
 def _with_op(snf, k, op=None):
@@ -667,7 +667,7 @@ def test_a_malformed_operation_is_refused_without_raising():
 def test_a_scaling_would_forge_a_singular_form_of_a_regular_lattice():
     """G = (2): the log 'row_0 += -1 * row_0' takes G to (0), so without
     the rule on equal indices the zero divisor would pass."""
-    lat = GramLattice.from_rows(["a"], [[2]])
+    lat = GramLattice(["a"], [[2]])
     assert smith_normal_form(lat) == SNFResult((2,), ())
     assert not SNFResult((0,), ((ROW_ADD, 0, 0, -1),)).verify(lat)
     assert not SNFResult((0,), ((COL_ADD, 0, 0, -1),)).verify(lat)
@@ -679,7 +679,7 @@ def test_a_scaling_would_forge_a_singular_form_of_a_regular_lattice():
 def test_a_diagonal_that_is_no_nonnegative_divisor_chain_fails(diag):
     """The empty log certifies U G V = diag(G) exactly, with U = V = I, so
     only the chain or the sign rule can reject these."""
-    lat = GramLattice.from_rows(["a", "b"], [[diag[0], 0], [0, diag[1]]])
+    lat = GramLattice(["a", "b"], [[diag[0], 0], [0, diag[1]]])
     eye = ((1, 0), (0, 1))
     bad = SNFResult(diag, ())
     assert (bad.u, bad.v) == (eye, eye)
@@ -734,9 +734,9 @@ def test_radical_builds_no_v(monkeypatch):
 
 
 @given(gram_lattices())
-@example(GramLattice.from_rows("abc", [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))  # H and a zero row
-@example(GramLattice.from_rows("ab", [[0, 0], [0, 0]]))
-@example(GramLattice.from_rows("abcd", [[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 0]]))
+@example(GramLattice("abc", [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))  # H and a zero row
+@example(GramLattice("ab", [[0, 0], [0, 0]]))
+@example(GramLattice("abcd", [[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 0]]))
 @settings(max_examples=150, deadline=None)
 def test_radical_matches_the_dense_oracle(lat):
     """The columns replayed backwards equal the columns of the dense V,
@@ -748,9 +748,9 @@ def test_radical_matches_the_dense_oracle(lat):
 
 
 @given(gram_lattices(), st.integers(0, 2**16 - 1))
-@example(GramLattice.from_rows("abc", [[0, 1, 0], [1, 0, 0], [0, 0, 0]]), 0b101)
-@example(GramLattice.from_rows("ab", [[0, 0], [0, 0]]), 0b11)
-@example(GramLattice.from_rows("abcd", [[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 0]]), 0b1011)
+@example(GramLattice("abc", [[0, 1, 0], [1, 0, 0], [0, 0, 0]]), 0b101)
+@example(GramLattice("ab", [[0, 0], [0, 0]]), 0b11)
+@example(GramLattice("abcd", [[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 0]]), 0b1011)
 @settings(max_examples=150, deadline=None)
 def test_v_rows_are_the_dense_v_on_any_columns(lat, mask):
     """The backward replay on a subset of the columns gives those columns
@@ -853,7 +853,7 @@ def test_two_t237_plus_h_is_k3():
 
 
 def test_parity_distinguishes_h_from_odd_plane():
-    odd = GramLattice.from_rows(["u", "v"], [[1, 0], [0, -1]])
+    odd = GramLattice(["u", "v"], [[1, 0], [0, -1]])
     assert parity(odd) == "odd"
     assert not unimodular_indefinite_isomorphic(hyperbolic_plane(), odd)
 
@@ -887,7 +887,7 @@ def test_gram_readers_reject_floats_and_bools(gram, bad):
     with pytest.raises(TypeError, match=message):
         GramLattice.from_json({"labels": labels, "gram": gram})
     with pytest.raises(TypeError, match=message):
-        GramLattice.from_rows(labels, gram)
+        GramLattice(labels, gram)
     with pytest.raises(TypeError, match=message):
         GramLattice(tuple(labels), rows)
     # the one matrix rule, with the same locator, in char_poly
@@ -901,5 +901,5 @@ def test_a_bad_entry_of_a_large_gram_matrix_is_named_in_one_short_line():
     rows = [list(row) for row in t.gram]
     rows[100][101] = -2.0
     with pytest.raises(TypeError) as info:
-        GramLattice.from_rows(t.labels, rows)
+        GramLattice(t.labels, rows)
     assert str(info.value) == "integer Gram entries required, got -2.0 at (100,101)"

@@ -9,7 +9,10 @@ class of the layers is built by the one generic constructor, and checks
 the type of its integer fields when it is built; the exact layers check
 an index triple where it enters, with one wording per refusal in the
 layer's own error class, an RL word's sign is 1 or -1, and a twist
-word's classes are HomologyClass objects."""
+word's classes are HomologyClass objects.  A constructor stores its
+sequence fields as tuples, so a value built from lists is the value built
+from tuples, and the caller's lists can change afterwards without changing
+the value or what was computed from it."""
 
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -26,8 +29,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z, value_class
-from tpqr.cuspdual import CuspDualityError, QuadIrrational
-from tpqr.quadlattice import GramLattice, LatticeError
+from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
+from tpqr.quadlattice import (
+    GramLattice,
+    LatticeError,
+    discriminant,
+    signature,
+    smith_normal_form,
+)
 from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
 _I, _S = SL2Matrix.identity(), SL2Matrix(0, -1, 1, 0)
@@ -320,3 +329,48 @@ def test_a_twist_word_takes_homology_classes(build):
 def test_an_rl_word_takes_the_sign_1_or_minus_1(sign):
     with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
         RLWord((1, 1), sign)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda seq: GramLattice(seq("ab"), seq(map(seq, [[-2, 1], [1, -2]]))),
+                     id="GramLattice"),
+        pytest.param(lambda seq: CycleData(seq([3, 2])), id="CycleData"),
+        pytest.param(lambda seq: k3glue.InoseCase(seq([2, 2, 2, 2])), id="InoseCase"),
+        pytest.param(lambda seq: RLWord(seq([1, 2])), id="RLWord"),
+    ],
+)
+def test_a_value_built_from_lists_is_the_value_built_from_tuples(build):
+    listed, tupled = build(list), build(tuple)
+    assert listed == tupled and hash(listed) == hash(tupled) and repr(listed) == repr(tupled)
+
+
+def _lattice_invariants(lat):
+    return discriminant(lat), signature(lat), smith_normal_form(lat).divisors
+
+
+def test_a_lattice_keeps_its_gram_when_the_callers_rows_change():
+    labels, rows = ["a", "b"], [[-2, 1], [1, -2]]
+    lat = GramLattice(labels, rows)
+    read = _lattice_invariants(lat)
+    assert read == (3, (0, 0, 2), (1, 3))
+    labels[0], rows[0][0], rows[1][0] = "z", 5, 7  # det -17, and no longer symmetric
+    assert lat.labels == ("a", "b") and lat.gram == ((-2, 1), (1, -2))
+    assert _lattice_invariants(lat) == read == _lattice_invariants(GramLattice(lat.labels, lat.gram))
+
+
+def test_a_cycle_keeps_its_entries_when_the_callers_list_changes():
+    entries = [3, 2]
+    cycle = CycleData(entries)
+    value = cf_value(cycle)
+    entries[0] = 5
+    assert cycle.entries == (3, 2)
+    assert cf_value(cycle) == value == cf_value(CycleData(cycle.entries))
+
+
+def test_two_hessian_reports_of_one_point_compare_equal_and_hash():
+    params = numcheck.FibrationParams.minimal(2, 3, 7)
+    pt = numcheck.critical_points(params)[0]
+    first, second = numcheck.hessian_fd_check(params, pt), numcheck.hessian_fd_check(params, pt)
+    assert first is not second and first == second and hash(first) == hash(second)
