@@ -2,7 +2,7 @@
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
 extensions, discriminants and signatures from one fraction-free integer
-elimination, Smith normal form certified by its list of elementary
+elimination, Smith normal form certified by its row and column
 operations, radicals, and the rank/signature/parity isomorphism test
 for indefinite unimodular lattices.
 """
@@ -309,51 +309,39 @@ def _add(t: dict, src: dict, f: int) -> None:
             del t[k]
 
 
-# The tags of the elementary operations that make up an SNF certificate,
-# and the length of the tuple of each.
-ROW_ADD, ROW_SWAP, ROW_NEG, COL_ADD, COL_SWAP = range(5)
-_ARITY = {ROW_ADD: 4, ROW_SWAP: 3, ROW_NEG: 2, COL_ADD: 4, COL_SWAP: 3}
-
-
-def _well_formed(ops, n: int) -> bool:
-    """Every operation is a tuple of ints (bool is not one) with a known
-    tag and its length, indices in range(n), and two distinct indices in
-    an add: an add of a row to itself would scale it."""
+def _well_formed(ops, n: int, sizes: tuple[int, ...]) -> bool:
+    """Every operation is a tuple of ints (bool is not one) whose length is
+    one of ``sizes``, with its indices op[:2] in range(n) and two distinct
+    indices in an add: an add of a line to itself would scale it."""
     if set(map(type, ops)) - {tuple} or set(map(type, chain.from_iterable(ops))) - {int}:
         return False
     for op in ops:
-        size = len(op)
-        if _ARITY.get(op[0] if op else None) != size:
-            return False
-        i = op[1]
-        j = op[2] if size > 2 else i
-        if not (0 <= i < n and 0 <= j < n) or (size == 4 and i == j):
+        size, i = len(op), op[0] if op else -1
+        j = op[1] if size > 1 else i
+        if size not in sizes or not (0 <= i < n and 0 <= j < n) or (size == 3 and i == j):
             return False
     return True
 
 
-def _replay(vectors: list, ops, add: int, swap: int, neg=None) -> list:
-    """Replay on the sparse vectors {index: entry}, in place and in order,
-    the operations of ``ops`` tagged ``add`` (t_i += f t_j), ``swap`` or
-    ``neg``, and skip those of other tags.  ``ops`` must be well formed.
-    The rows of a matrix take its row operations, its columns its column
-    operations."""
+def _replay(vectors: list, ops) -> list:
+    """Replay ``ops``, well formed, on the sparse vectors {index: entry},
+    in place and in order: (i, j, f) adds f * t_j to t_i, (i, j) swaps t_i
+    and t_j, (i,) negates t_i.  The rows of a matrix take its row
+    operations, its columns its column operations."""
     for op in ops:
-        tag = op[0]
-        if tag == add and op[3]:  # f = 0 changes nothing
-            _, i, j, f = op
-            t = vectors[i]
-            for k, y in vectors[j].items():
+        if len(op) == 2:
+            i, j = op
+            vectors[i], vectors[j] = vectors[j], vectors[i]
+        elif len(op) == 1:
+            vectors[op[0]] = {k: -x for k, x in vectors[op[0]].items()}
+        elif op[2]:  # f = 0 changes nothing
+            t, f = vectors[op[0]], op[2]
+            for k, y in vectors[op[1]].items():
                 x = t.get(k, 0) + f * y
                 if x:
                     t[k] = x
                 else:
                     del t[k]
-        elif tag == swap:
-            _, i, j = op
-            vectors[i], vectors[j] = vectors[j], vectors[i]
-        elif tag == neg:
-            vectors[op[1]] = {k: -x for k, x in vectors[op[1]].items()}
     return vectors
 
 
@@ -370,68 +358,71 @@ def _dense(rows: list) -> tuple[tuple[int, ...], ...]:
 @value_class
 class SNFResult:
     """U * G * V = diag(divisors) with d1 | d2 | ... and every d >= 0,
-    certified by ``ops``: the elementary operations that take G to the
-    diagonal, in the order they were applied, as plain int tuples.
+    certified by ``row_ops`` and ``col_ops``: the elementary row and
+    column operations that take G to the diagonal, each list in the order
+    it was applied, as plain int tuples whose length gives the kind.
 
-    - ``(ROW_ADD, i, j, f)``: row_i += f * row_j, with i != j;
-    - ``(ROW_SWAP, i, j)``: rows i and j trade places;
-    - ``(ROW_NEG, i)``: row_i = -row_i;
-    - ``(COL_ADD, i, j, f)`` and ``(COL_SWAP, i, j)``: the same on columns.
+    - ``(i, j, f)``: line_i += f * line_j, with i != j;
+    - ``(i, j)``: lines i and j trade places;
+    - ``(i,)``: row_i = -row_i; there is no column negation.
 
     Each of these is unimodular by its form, so U, the product of the row
     operations, and V, that of the column operations, have |det| = 1 with
-    no further proof, for singular G as well.  ``u`` and ``v`` are built
-    from the operations on first read, as dense row-major tuples.
+    no further proof, for singular G as well.  The fields are tuples, each
+    operation as given; ``u`` and ``v`` are built on first read, dense.
     """
 
     divisors: tuple[int, ...]
-    ops: tuple[tuple[int, ...], ...]
+    row_ops: tuple[tuple[int, ...], ...]
+    col_ops: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for name in ("divisors", "row_ops", "col_ops"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def verify(self, lat: GramLattice) -> bool:
         """Exact check of the certificate against ``lat``, in three steps.
 
-        1. Every operation is well formed (``_well_formed``); if one is
-           not, the answer is False, with no exception.
-        2. The operations are replayed on a fresh sparse copy of G.  A row
-           operation multiplies on the left and a column operation on the
-           right, so the two kinds commute: the row operations run first,
-           on the rows, then the column operations, on the columns of the
-           result.  So each column operation reaches every row, and the
-           list need not be trusted to name the rows it touches.
+        1. Every operation of each list is well formed (``_well_formed``);
+           if one is not, the answer is False, with no exception.
+        2. The operations are replayed on a fresh sparse copy of G.  Row
+           operations multiply on the left and column operations on the
+           right, so the two lists commute: the row operations run on the
+           rows, then the column operations on the columns of the result.
         3. The result must be exactly diag(divisors), a chain of
            non-negative int divisors.
 
         No elimination and no code of the reduction runs."""
         n, d = lat.rank, self.divisors
-        well_formed = len(d) == n and not set(map(type, d)) - {int} and _well_formed(self.ops, n)
-        return well_formed and self._replays_to_diagonal(lat)
+        ops_ok = _well_formed(self.row_ops, n, (1, 2, 3)) and _well_formed(self.col_ops, n, (2, 3))
+        d_ok = len(d) == n and not set(map(type, d)) - {int}
+        return d_ok and ops_ok and self._replays_to_diagonal(lat)
 
     def _replays_to_diagonal(self, lat: GramLattice) -> bool:
         """Steps 2 and 3 of ``verify``, for n int divisors and well-formed
-        operations: what ``_smith`` checks on the list it has just built."""
-        d, ops = self.divisors, self.ops
-        nz = [x for x in d if x]
+        operations: what ``_smith`` checks on the lists it has just built."""
+        d, nz = self.divisors, [x for x in self.divisors if x]
         if any(x < 0 for x in d) or any(b % a for a, b in zip(nz, nz[1:])):
             return False
-        rows = _replay([dict(row) for row in lat._rows], ops, ROW_ADD, ROW_SWAP, ROW_NEG)
+        rows = _replay([dict(row) for row in lat._rows], self.row_ops)
         cols = [{} for _ in range(lat.rank)]
         for i, row in enumerate(rows):
             for j, x in row.items():
                 cols[j][i] = x
-        _replay(cols, ops, COL_ADD, COL_SWAP)
+        _replay(cols, self.col_ops)
         return all(col == ({j: x} if x else {}) for j, (col, x) in enumerate(zip(cols, d)))
 
     @cached_property
     def u(self) -> tuple[tuple[int, ...], ...]:
         """U, the row operations replayed on the rows of I."""
         eye = [{i: 1} for i in range(len(self.divisors))]
-        return _dense(_replay(eye, self.ops, ROW_ADD, ROW_SWAP, ROW_NEG))
+        return _dense(_replay(eye, self.row_ops))
 
     @cached_property
     def v(self) -> tuple[tuple[int, ...], ...]:
         """V, from its rows replayed backwards (``_v_rows``)."""
         n = len(self.divisors)
-        return _dense(_v_rows(self.ops, n, range(n)))
+        return _dense(_v_rows(self.col_ops, n, range(n)))
 
     def to_json(self) -> dict:
         return {"divisors": list(self.divisors),
@@ -447,8 +438,8 @@ def smith_normal_form(lat: GramLattice) -> SNFResult:
 def _smith(lat: GramLattice) -> SNFResult:
     """D = U G V by pivoting on the first smallest nonzero entry (row-major)
     of the trailing block.  Only G is reduced: each elementary operation
-    is applied to G and appended to the certificate's list, and U and V
-    are left for the certificate to build if they are read.
+    is applied to G and appended to the certificate's row or column list;
+    U and V are left for the certificate to build if they are read.
 
     G is held by rows, copies of the lattice's sparse rows {column:
     entry}, so an operation costs the nonzeros it touches.  Once step s
@@ -463,11 +454,11 @@ def _smith(lat: GramLattice) -> SNFResult:
     the operations built here need not, before it is returned."""
     n = lat.rank
     m = [dict(row) for row in lat._rows]
-    ops = []
+    row_ops, col_ops = [], []
 
     def row_op(i, j, f):  # row_i -= f * row_j, f != 0
         _add(m[i], m[j], -f)
-        ops.append((ROW_ADD, i, j, -f))
+        row_ops.append((i, j, -f))
 
     for s in range(n):
         while True:  # rows s.. have no entry left of column s
@@ -484,10 +475,10 @@ def _smith(lat: GramLattice) -> SNFResult:
             _, i, j = best
             if i != s:
                 m[s], m[i] = m[i], m[s]
-                ops.append((ROW_SWAP, s, i))
+                row_ops.append((s, i))
             if j != s:
                 _swap_columns(m[s:], s, j)
-                ops.append((COL_SWAP, s, j))
+                col_ops.append((s, j))
             # |piv| is the least in the block, so every quotient is nonzero
             piv, rows = m[s][s], [s]
             for i in range(s + 1, n):
@@ -504,7 +495,7 @@ def _smith(lat: GramLattice) -> SNFResult:
                         row[j] = x
                     else:
                         del row[j]
-                ops.append((COL_ADD, j, s, -f))
+                col_ops.append((j, s, -f))
             if len(rows) > 1 or len(m[s]) > 1:
                 continue
             bad = None if abs(piv) == 1 else next(
@@ -516,30 +507,29 @@ def _smith(lat: GramLattice) -> SNFResult:
             break
         if m[s].get(s, 0) < 0:
             m[s] = {k: -x for k, x in m[s].items()}
-            ops.append((ROW_NEG, s))
+            row_ops.append((s,))
 
-    res = SNFResult(tuple(m[s].get(s, 0) for s in range(n)), tuple(ops))
+    res = SNFResult([m[s].get(s, 0) for s in range(n)], row_ops, col_ops)
     if not res._replays_to_diagonal(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res
 
 
-def _v_rows(ops, n: int, columns) -> list:
+def _v_rows(col_ops, n: int, columns) -> list:
     """The sparse rows {column: entry} of V restricted to ``columns``.
     V = C_1 C_2 ... C_k, the column operations in the order applied, so
-    the operations run last first, as row operations, on those columns of
-    I: (COL_ADD, i, j, f) adds f * row i to row j, skipped as in
-    ``_replay`` when f = 0, and (COL_SWAP, i, j) swaps rows i and j."""
+    they run last first, as row operations, on those columns of I: (i, j, f)
+    adds f * row i to row j, skipped when f = 0, and (i, j) swaps the two."""
     rows = [{} for _ in range(n)]
     for j in columns:
         rows[j][j] = 1
-    for op in reversed(ops):
-        if op[0] == COL_ADD and op[3] and rows[op[1]]:  # an empty row i adds nothing
-            _, i, j, f = op
-            _add(rows[j], rows[i], f)
-        elif op[0] == COL_SWAP:
-            _, i, j = op
+    for op in reversed(col_ops):
+        if len(op) == 2:
+            i, j = op
             rows[i], rows[j] = rows[j], rows[i]
+        elif op[2] and rows[op[0]]:  # an empty row i adds nothing
+            i, j, f = op
+            _add(rows[j], rows[i], f)
     return rows
 
 
@@ -550,7 +540,7 @@ def radical(lat: GramLattice) -> list[tuple[int, ...]]:
     zero = [j for j, d in enumerate(snf.divisors) if d == 0]
     if not zero:
         return []
-    rows = _v_rows(snf.ops, lat.rank, zero)
+    rows = _v_rows(snf.col_ops, lat.rank, zero)
     return [tuple(row.get(j, 0) for row in rows) for j in zero]
 
 

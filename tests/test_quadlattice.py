@@ -36,12 +36,7 @@ from tpqr.quadlattice import (
     DefiniteLatticeError,
     GramLattice,
     LatticeError,
-    COL_ADD,
-    COL_SWAP,
     NotUnimodularError,
-    ROW_ADD,
-    ROW_NEG,
-    ROW_SWAP,
     SNFResult,
     _eliminate,
     _v_rows,
@@ -504,18 +499,33 @@ def gram_lattices(draw):
     return GramLattice([f"v{i}" for i in range(n)], g)
 
 
-def _with_op(snf, k, op=None):
-    """The certificate with operation k replaced by ``op``, or dropped."""
-    ops = snf.ops[:k] + ((op,) if op is not None else ()) + snf.ops[k + 1 :]
-    return SNFResult(snf.divisors, ops)
+def _replaced(snf, **fields):
+    """The certificate with the given fields replaced."""
+    return SNFResult(**{"divisors": snf.divisors, "row_ops": snf.row_ops,
+                        "col_ops": snf.col_ops, **fields})
+
+
+def _ops(snf):
+    """(list name, index, operation) for each operation of the certificate,
+    the row operations first."""
+    for field in ("row_ops", "col_ops"):
+        for k, op in enumerate(getattr(snf, field)):
+            yield field, k, op
+
+
+def _with_op(snf, field, k, op=None):
+    """The certificate with operation k of the list ``field`` replaced by
+    ``op``, or dropped."""
+    ops = getattr(snf, field)
+    return _replaced(snf, **{field: ops[:k] + ((op,) if op is not None else ()) + ops[k + 1 :]})
 
 
 def _with_divisor(snf, k, d):
-    return SNFResult(snf.divisors[:k] + (d,) + snf.divisors[k + 1 :], snf.ops)
+    return _replaced(snf, divisors=snf.divisors[:k] + (d,) + snf.divisors[k + 1 :])
 
 
 def _is_add(op):
-    return op[0] in (ROW_ADD, COL_ADD)
+    return len(op) == 3
 
 
 @given(gram_lattices(), st.data())
@@ -538,12 +548,13 @@ def test_sparse_verify_agrees_with_the_dense_oracle(lat, data):
         i = data.draw(st.integers(0, n - 1))
         bad = _with_divisor(snf, i, snf.divisors[i] + delta // abs(delta))
     else:
-        adds = [k for k, op in enumerate(snf.ops) if _is_add(op) or which == "drop"]
+        adds = [(field, k) for field, k, op in _ops(snf) if _is_add(op) or which == "drop"]
         if not adds:
             return
-        k = data.draw(st.sampled_from(adds))
-        op = snf.ops[k]
-        bad = _with_op(snf, k, op[:3] + (op[3] + delta,) if which == "multiplier" else None)
+        field, k = data.draw(st.sampled_from(adds))
+        op = getattr(snf, field)[k]
+        moved = op[:2] + (op[2] + delta,) if which == "multiplier" else None
+        bad = _with_op(snf, field, k, moved)
     assert bad.verify(lat) == dense_snf_verify(_fields(bad), lat)
     if which != "drop":
         assert not bad.verify(lat), (which, delta)
@@ -578,35 +589,39 @@ def _forged(snf, lat):
     """(name, certificate) for one of each kind of forged log built from
     the true one: every forgery here is malformed, or its replay differs
     from diag(divisors)."""
-    n, ops, d = lat.rank, snf.ops, snf.divisors
+    n, d = lat.rank, snf.divisors
     k = max(i for i, x in enumerate(d) if x)  # the last nonzero divisor
     twice = _with_divisor(snf, k, 2 * d[k])
     # a row (column) added to itself scales it by 2: the replay gives
     # exactly diag(twice.divisors), a chain, so only the form rule can refuse
-    yield "row scaling", SNFResult(twice.divisors, ops + ((ROW_ADD, k, k, 1),))
-    yield "column scaling", SNFResult(twice.divisors, ops + ((COL_ADD, k, k, 1),))
-    first = next(i for i, op in enumerate(ops) if op[0] == ROW_SWAP)
-    yield "index n", _with_op(snf, first, (ROW_SWAP, ops[first][1], n))
-    top = max(x for op in ops for x in op[1:3])
-    at = next(i for i, op in enumerate(ops) if top in op[1:3])
+    yield "row scaling", _replaced(twice, row_ops=snf.row_ops + ((k, k, 1),))
+    yield "column scaling", _replaced(twice, col_ops=snf.col_ops + ((k, k, 1),))
+    first = next(i for i, op in enumerate(snf.row_ops) if len(op) == 2)
+    yield "index n", _with_op(snf, "row_ops", first, (snf.row_ops[first][0], n))
+    top = max(x for _, _, op in _ops(snf) for x in op[:2])
+    field, at, op = next(t for t in _ops(snf) if top in t[2][:2])
     # Python reads top - n as top, so the replay would be the true one
-    moved = tuple(x - n if x == top else x for x in ops[at][1:3])
-    yield "negative index", _with_op(snf, at, ops[at][:1] + moved + ops[at][3:])
-    add = next(i for i, op in enumerate(ops) if _is_add(op))
-    tag, i, j, f = ops[add]
-    # True adds as 1 and is undone at once, and 2.0 adds as 2: the replays
-    # are the true one, so only the type rule can refuse these
-    undone = ((tag, i, j, True), (tag, i, j, -1))
-    yield "bool multiplier", SNFResult(d, ops[:add] + undone + ops[add:])
-    yield "float multiplier", _with_op(snf, add, (tag, i, j, float(f)))
-    yield "unknown tag", _with_op(snf, add, (5, i, j, f))
-    yield "negative tag", _with_op(snf, add, (-1, i, j, f))
-    for i in range(len(ops)):
-        yield f"op {i} dropped", _with_op(snf, i)
-        if _is_add(ops[i]):
+    moved = tuple(x - n if x == top else x for x in op[:2])
+    yield "negative index", _with_op(snf, field, at, moved + op[2:])
+    # negating a column twice, or an add with a fourth entry 0, replays as
+    # the true log, so only the length rule can refuse these
+    yield "column negation", _replaced(snf, col_ops=snf.col_ops + ((k,), (k,)))
+    for field in ("row_ops", "col_ops"):
+        ops = getattr(snf, field)
+        add = next(i for i, op in enumerate(ops) if _is_add(op))
+        i, j, f = ops[add]
+        # True adds as 1 and is undone at once, and 2.0 adds as 2: the replays
+        # are the true one, so only the type rule can refuse these
+        undone = ((i, j, True), (i, j, -1))
+        yield f"bool multiplier in {field}", _replaced(snf, **{field: ops[:add] + undone + ops[add:]})
+        yield f"float multiplier in {field}", _with_op(snf, field, add, (i, j, float(f)))
+        yield f"4-tuple in {field}", _with_op(snf, field, add, (i, j, f, 0))
+    for field, i, op in _ops(snf):
+        yield f"{field} {i} dropped", _with_op(snf, field, i)
+        if _is_add(op):
             for delta in (1, -1):
-                moved = ops[i][:3] + (ops[i][3] + delta,)
-                yield f"op {i} multiplier {delta:+d}", _with_op(snf, i, moved)
+                moved = op[:2] + (op[2] + delta,)
+                yield f"{field} {i} multiplier {delta:+d}", _with_op(snf, field, i, moved)
     for i in range(n):
         for delta in (1, -1):
             yield f"divisor {i} {delta:+d}", _with_divisor(snf, i, d[i] + delta)
@@ -640,37 +655,43 @@ def test_a_malformed_operation_is_refused_without_raising():
     lat = t_lattice(3, 4, 5)
     snf = smith_normal_form(lat)
     n = lat.rank
-    for op in [
-        (),
-        (ROW_NEG,),
-        [ROW_NEG, 0],
-        None,
-        (ROW_NEG, 0, 1),
-        (ROW_SWAP, 0, 1, 1),
-        (ROW_ADD, 0, 1),
-        (True, 0, 1),
-        (ROW_NEG, True),
-        (ROW_NEG, 0.0),
-        (COL_SWAP, 0, n),
-        (COL_ADD, -1, 0, 1),
-        (ROW_ADD, 0, 0, -2),  # a negation in this form is still refused
-        ("row add", 0, 1, 1),
-        (2.0, 0),
+    for field, op in [
+        ("row_ops", ()),
+        ("col_ops", ()),
+        ("col_ops", (0,)),  # there is no column negation
+        ("row_ops", (0, 1, 1, 1)),
+        ("col_ops", (0, 1, 1, 0)),
+        ("row_ops", [0, 1]),
+        ("col_ops", [0, 1]),
+        ("row_ops", None),
+        ("col_ops", None),
+        ("row_ops", (True, 1)),
+        ("row_ops", (True,)),
+        ("row_ops", (0.0,)),
+        ("col_ops", (0, 1, True)),
+        ("row_ops", (n,)),
+        ("col_ops", (0, n)),
+        ("col_ops", (-1, 0, 1)),
+        ("row_ops", (0, 0, -2)),  # a negation in this form is still refused
+        ("col_ops", (0, 0, 1)),
+        ("row_ops", ("0", 1, 1)),
+        ("row_ops", (2.0, 0)),
     ]:
-        bad = SNFResult(snf.divisors, snf.ops + (op,))
-        assert bad.verify(lat) is False, op
-    assert SNFResult(snf.divisors, snf.ops + ((ROW_SWAP, 0, 0),)).verify(lat)  # the identity
-    assert SNFResult(snf.divisors[:-1], snf.ops).verify(lat) is False
-    assert SNFResult(snf.divisors[:-1] + (13.0,), snf.ops).verify(lat) is False
+        bad = _replaced(snf, **{field: getattr(snf, field) + (op,)})
+        assert bad.verify(lat) is False, (field, op)
+    for field in ("row_ops", "col_ops"):  # the identity
+        assert _replaced(snf, **{field: getattr(snf, field) + ((0, 0),)}).verify(lat)
+    assert _replaced(snf, divisors=snf.divisors[:-1]).verify(lat) is False
+    assert _replaced(snf, divisors=snf.divisors[:-1] + (13.0,)).verify(lat) is False
 
 
 def test_a_scaling_would_forge_a_singular_form_of_a_regular_lattice():
     """G = (2): the log 'row_0 += -1 * row_0' takes G to (0), so without
     the rule on equal indices the zero divisor would pass."""
     lat = GramLattice(["a"], [[2]])
-    assert smith_normal_form(lat) == SNFResult((2,), ())
-    assert not SNFResult((0,), ((ROW_ADD, 0, 0, -1),)).verify(lat)
-    assert not SNFResult((0,), ((COL_ADD, 0, 0, -1),)).verify(lat)
+    assert smith_normal_form(lat) == SNFResult((2,), (), ())
+    assert not SNFResult((0,), ((0, 0, -1),), ()).verify(lat)
+    assert not SNFResult((0,), (), ((0, 0, -1),)).verify(lat)
 
 
 @pytest.mark.parametrize(
@@ -681,7 +702,7 @@ def test_a_diagonal_that_is_no_nonnegative_divisor_chain_fails(diag):
     only the chain or the sign rule can reject these."""
     lat = GramLattice(["a", "b"], [[diag[0], 0], [0, diag[1]]])
     eye = ((1, 0), (0, 1))
-    bad = SNFResult(diag, ())
+    bad = SNFResult(diag, (), ())
     assert (bad.u, bad.v) == (eye, eye)
     assert not bad.verify(lat)
     assert not dense_snf_verify(_fields(bad), lat)
@@ -692,7 +713,8 @@ def test_a_negated_divisor_fails_although_the_products_hold():
     lat = t_lattice(2, 3, 9)
     snf = smith_normal_form(lat)
     k = lat.rank - 1
-    bad = SNFResult(snf.divisors[:k] + (-snf.divisors[k],), snf.ops + ((ROW_NEG, k),))
+    bad = _replaced(snf, divisors=snf.divisors[:k] + (-snf.divisors[k],),
+                    row_ops=snf.row_ops + ((k,),))
     n = lat.rank
     diag = [[bad.divisors[i] if i == j else 0 for j in range(n)] for i in range(n)]
     assert mat_mul(mat_mul(bad.u, lat.gram), bad.v) == diag
@@ -702,11 +724,12 @@ def test_a_negated_divisor_fails_although_the_products_hold():
 def test_the_views_are_the_replayed_operations_and_are_built_on_first_read():
     lat = t_tilde_lattice(2, 3, 7, "S'")
     snf = smith_normal_form(lat)
-    assert vars(snf).keys() == {"divisors", "ops"}
+    assert vars(snf).keys() == {"divisors", "row_ops", "col_ops"}
     assert snf.to_json() == {"divisors": list(snf.divisors),
                              "u": [list(r) for r in snf.u], "v": [list(r) for r in snf.v]}
     assert snf.u is snf.u and snf.v is snf.v
-    assert {type(x) for op in snf.ops for x in op} == {int}
+    assert {type(x) for _, _, op in _ops(snf) for x in op} == {int}
+    assert {len(op) for op in snf.col_ops} == {2, 3} and 1 in {len(op) for op in snf.row_ops}
 
 
 def test_radical_reads_no_u(monkeypatch):
@@ -760,7 +783,7 @@ def test_v_rows_are_the_dense_v_on_any_columns(lat, mask):
     cols = [j for j in range(n) if mask >> j & 1]
     _, _, v = dense_smith(lat)
     want = [{j: x for j in cols if (x := row[j])} for row in v]
-    assert _v_rows(smith_normal_form(lat).ops, n, cols) == want
+    assert _v_rows(smith_normal_form(lat).col_ops, n, cols) == want
 
 
 def test_the_sparse_rows_are_built_once_and_left_unchanged():
@@ -812,7 +835,7 @@ def test_the_smith_guard_replays_without_the_form_check(monkeypatch):
     snf = smith_normal_form(lat)
     assert calls == {"_replay": 2}  # the rows, then the columns
     assert snf.verify(lat)
-    assert calls == {"_replay": 4, "_well_formed": 1}
+    assert calls == {"_replay": 4, "_well_formed": 2}  # once per list
 
 
 def test_one_elimination_and_one_snf_per_lattice(monkeypatch):

@@ -33,9 +33,11 @@ from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.quadlattice import (
     GramLattice,
     LatticeError,
+    SNFResult,
     discriminant,
     signature,
     smith_normal_form,
+    t_lattice,
 )
 from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
@@ -339,11 +341,18 @@ def test_an_rl_word_takes_the_sign_1_or_minus_1(sign):
         pytest.param(lambda seq: CycleData(seq([3, 2])), id="CycleData"),
         pytest.param(lambda seq: k3glue.InoseCase(seq([2, 2, 2, 2])), id="InoseCase"),
         pytest.param(lambda seq: RLWord(seq([1, 2])), id="RLWord"),
+        pytest.param(lambda seq: SNFResult(*map(seq, _snf_fields(t_lattice(2, 3, 7)))),
+                     id="SNFResult"),
     ],
 )
 def test_a_value_built_from_lists_is_the_value_built_from_tuples(build):
     listed, tupled = build(list), build(tuple)
     assert listed == tupled and hash(listed) == hash(tupled) and repr(listed) == repr(tupled)
+
+
+def _snf_fields(lat):
+    snf = smith_normal_form(lat)
+    return snf.divisors, snf.row_ops, snf.col_ops
 
 
 def _lattice_invariants(lat):
@@ -374,3 +383,25 @@ def test_two_hessian_reports_of_one_point_compare_equal_and_hash():
     pt = numcheck.critical_points(params)[0]
     first, second = numcheck.hessian_fd_check(params, pt), numcheck.hessian_fd_check(params, pt)
     assert first is not second and first == second and hash(first) == hash(second)
+
+
+def test_a_certificate_keeps_its_operations_when_the_callers_lists_change():
+    lat = t_lattice(2, 3, 7)
+    divisors, row_ops, col_ops = map(list, _snf_fields(lat))
+    snf = SNFResult(divisors, row_ops, col_ops)
+    read = snf.u, snf.v, snf.verify(lat)
+    assert read == (smith_normal_form(lat).u, smith_normal_form(lat).v, True)
+    divisors[0], row_ops[:], col_ops[:] = 5, [], col_ops[::-1]
+    assert (snf.u, snf.v, snf.verify(lat)) == read
+    fresh = SNFResult(snf.divisors, snf.row_ops, snf.col_ops)
+    assert snf == smith_normal_form(lat) and (fresh.u, fresh.v, fresh.verify(lat)) == read
+
+
+def test_a_list_operation_is_kept_as_given_and_refused_without_raising():
+    """Only the outer sequences become tuples: an operation that is not a
+    tuple is left for ``verify`` to refuse."""
+    lat = t_lattice(2, 3, 7)
+    divisors, row_ops, col_ops = _snf_fields(lat)
+    bad = SNFResult(divisors, row_ops + ([0, 1],), col_ops)
+    assert type(bad.row_ops) is tuple and bad.row_ops[-1] == [0, 1]
+    assert bad.verify(lat) is False
