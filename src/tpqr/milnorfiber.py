@@ -26,6 +26,12 @@ def monodromy_action(p: int, q: int, r: int) -> IntMatrix:
     Each sphere chain shifts cyclically, s{m}_j -> s{m}_{j+1}, the wrap
     image s{m}_0 expanding through the fiber relation t2 = chain sum;
     s+ -> s+ + s1_1 + s2_1 + s3_1 - t2 and t2 is fixed.
+
+    Classically (Gabrielov) this is the product of the Picard-Lefschetz
+    reflections x -> x + <x, v> v over the S basis of ``t_tilde_lattice(p,
+    q, r, "S")``, the first listed acting first: arms 1, 2 and 3, each
+    from its outer sphere inward, then s-, then s+; the product is read in
+    S' coordinates, with t2 = s+ - s-.
     """
     _check_triple((p, q, r), LatticeError, 0)
     starts = _arm_starts(p, q, r)

@@ -857,7 +857,7 @@ def hessian_fd_check(
     au0 = abs(u0)
     c_w = u0 ** (n - 2) / (np.conj(u0) * au0 ** (n - 3))
     model = hessian_model(n, params.a)
-    center_expected = _OMEGA**axis * params.a ** (-2.0 / n)
+    center_expected = critical_values(params)[axis]
 
     delta_a = min(1e-4, 0.02 / math.sqrt(model.lam)) * au0
     delta_b = 1e-4 * au0
@@ -946,6 +946,15 @@ def _draw_per_seed(rng: np.random.Generator, count: int, choices: int, low, high
     return picks, low + (np.asarray(high) - low) * unit
 
 
+def _axis_layout(axis, on_axis, first, second) -> np.ndarray:
+    """Points (n, 3) with on_axis at each row's axis, and first and second
+    at its two other axes in ascending order."""
+    rows = np.arange(len(axis))[:, None]
+    out = np.empty((len(axis), 3), dtype=complex)
+    out[rows, np.column_stack([axis, _OTHERS[axis]])] = np.column_stack([on_axis, first, second])
+    return out
+
+
 def _shell_seeds(
     params: FibrationParams, crits: np.ndarray, rng: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -959,15 +968,11 @@ def _shell_seeds(
     )
     eta, ph1, ph2, split, stretch = draws.T
     crit = crits[picks]
-    rows = np.arange(count)
     axis = np.argmax(np.abs(crit), axis=-1)
-    center = crit[rows, axis]
-    others = _OTHERS[axis]
-    out = np.zeros((count, 3), dtype=complex)
-    out[rows, axis] = center * (1.0 + stretch)
-    out[rows, others[:, 0]] = eta * np.abs(center) * np.cos(split) * np.exp(1j * ph1)
-    out[rows, others[:, 1]] = eta * np.abs(center) * np.sin(split) * np.exp(1j * ph2)
-    return out
+    center = crit[np.arange(count), axis]
+    radius = eta * np.abs(center)
+    return _axis_layout(axis, center * (1.0 + stretch), radius * np.cos(split) * np.exp(1j * ph1),
+                        radius * np.sin(split) * np.exp(1j * ph2))
 
 
 def _sample_seeds(params: FibrationParams, config: NumericalConfig) -> np.ndarray:
@@ -1213,27 +1218,18 @@ def _half_sphere_boundary_points(
     sphere: two coordinates carry the radius, the third is pinned by
     a*x*y*z = target (all bump factors vanish there).  Per point: the axis
     of the tiny coordinate, the ratio mu of the two large moduli and their
-    two phases."""
-    tau = params.target
+    two phases.  The large moduli c mu, c / mu solve c^2 (mu^2 + mu^-2) +
+    |z|^2 = 1/4 with |z| = 1/(a^2 c^2).  After ``check_domain_y``, a > 753300
+    (= 90^2 * 93) and mu in [0.75, 1.3) gives c^2 > 0.106, so |z| < 2e-11 and
+    |z|^2 < 4e-22 is below half an ulp of 1/4: in doubles |z| moves no c."""
     tiny_axis, draws = _draw_per_seed(
         rng, count, 3, (0.75, 0.0, 0.0), (1.3, 2 * math.pi, 2 * math.pi)
     )
     mu, ph1, ph2 = draws.T
-    # solve c with c^2 (mu^2 + mu^-2) + |z|^2 = 1/4, |z| = |tau| / (a c^2)
-    spread = mu**2 + mu**-2
-    c = np.sqrt(0.25 / spread)
-    for _ in range(3):
-        tiny = abs(tau) / (params.a * ((c * mu) * (c / mu)))
-        c = np.sqrt(np.maximum(0.25 - tiny**2, 0.0) / spread)
-    rows = np.arange(count)
-    others = _OTHERS[tiny_axis]
+    c = np.sqrt(0.25 / (mu**2 + mu**-2))
     big1 = c * mu * np.exp(1j * ph1)
     big2 = c * (1.0 / mu) * np.exp(1j * ph2)
-    out = np.zeros((count, 3), dtype=complex)
-    out[rows, others[:, 0]] = big1
-    out[rows, others[:, 1]] = big2
-    out[rows, tiny_axis] = tau / (params.a * big1 * big2)
-    return out
+    return _axis_layout(tiny_axis, params.target / (params.a * big1 * big2), big1, big2)
 
 
 def domain_y_audit(
@@ -1260,24 +1256,20 @@ def domain_y_audit(
     prod = np.abs(pts[:, 0] * pts[:, 1] * pts[:, 2])
     xyz_ok = not (
         np.any(np.abs(ft_eval(params, pts) - tau) > 1e-9 * abs(tau))
-        or np.any(np.abs(np.linalg.norm(pts, axis=-1) - 0.5) > 1e-9)
+        or np.any(np.abs(_row_norm(pts) - 0.5) > 1e-9)
         or not np.all((np.min(np.abs(pts), axis=-1) ** 3 <= prod) & (prod < 1.0 / params.a))
     )
     m = params.m
-    chain_ok = 1.0 / params.a < 1.0 / (m * m * (m + 3)) < (1.0 / 90.0) ** 3
+    chain_ok = params.a > m * m * (m + 3) > 90**3  # exact: no rounded reciprocal
 
     # Spot checks for "on the boundary triangle iff some coordinate is 0":
-    # a vanishing coordinate lands exactly on the radius-1/4 triangle's
-    # boundary, while the sampled points (all coordinates nonzero) sit a
-    # distance ~ min|coordinate|^2 inside - far below the stated width
-    # 1/4050, which is what is checkable in doubles.
-    axis_pt = point(0.5, 0, 0)
-    edge_pt = point(math.sqrt(1 / 8), math.sqrt(1 / 8) * 1j, 0)
-    vertex_ok = (
-        _triangle_boundary_distance(g_eval(axis_pt), 0.25) <= 1e-15
-        and _triangle_boundary_distance(g_eval(edge_pt), 0.25) <= 1e-12
-        and not np.any(_triangle_boundary_distance(g_eval(pts), 0.25) >= 1.0 / 4050.0)
-    )
+    # a vanishing coordinate (an axis point, an edge point) lands exactly
+    # on the radius-1/4 triangle's boundary, while the sampled points (all
+    # coordinates nonzero) sit a distance ~ min|coordinate|^2 inside - far
+    # below the stated width 1/4050, which is what is checkable in doubles.
+    spots = np.array([[0.5, 0, 0], [math.sqrt(1 / 8), math.sqrt(1 / 8) * 1j, 0]])
+    dist = _triangle_boundary_distance(g_eval(np.concatenate([spots, pts])), 0.25)
+    vertex_ok = dist[0] <= 1e-15 and dist[1] <= 1e-12 and not np.any(dist[2:] >= 1.0 / 4050.0)
 
     return DomainYAudit(
         critical_values_inside=bool(inside),

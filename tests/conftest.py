@@ -77,6 +77,13 @@ value the comparison draws.
 word from Meyer's cocycle alone, in rationals, with twists of its own: it
 shares no code with ``quadlattice`` or ``sl2z``, so it can judge every
 lattice built from a word.
+``reflection_monodromy`` is the classical Milnor monodromy, a product of
+Picard-Lefschetz reflections in the S basis: it shares nothing with
+``milnorfiber`` beyond the Gram of ``t_tilde_lattice``, so it judges the
+chain-shift picture of ``monodromy_action`` from outside.
+``iterated_half_sphere_boundary_points`` is the domain audit's sphere
+sampler before c had a closed form: three correction steps for the tiny
+coordinate, which move no bit once the domain bound holds.
 """
 
 from __future__ import annotations
@@ -115,6 +122,7 @@ from tpqr.quadlattice import (
     LatticeError,
     _add,
     _eliminate,
+    t_tilde_lattice,
 )
 from tpqr.sl2z import (
     ALPHA,
@@ -1138,6 +1146,32 @@ def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def reflection_monodromy(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The Milnor monodromy as a product of Picard-Lefschetz reflections
+    s_v(x) = x + <x, v> v on the S basis of ``t_tilde_lattice(p, q, r,
+    "S")``, read from its labels and Gram alone, the first listed acting
+    first: each arm from its outer sphere inward (arms 1, 2, 3), then s-,
+    then s+.  The product C, columns as images, is returned in S'
+    coordinates as B C B, where the involution B takes S' coordinates to S
+    ones (t2 = s+ - s-)."""
+    lat = t_tilde_lattice(p, q, r, "S")
+    gram, index = lat.gram, {label: i for i, label in enumerate(lat.labels)}
+    order = [index[f"s{m}_{j}"] for m, k in ((1, p), (2, q), (3, r)) for j in range(k - 1, 0, -1)]
+    c = [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]
+    for v in order + [index["s-"], index["s+"]]:
+        gain = [0] * len(gram)  # the row vector <., v> of C: s_v adds it to row v
+        for k, g in enumerate(gram[v]):
+            if g:
+                gain = [x + g * y for x, y in zip(gain, c[k])]
+        c[v] = [x + y for x, y in zip(c[v], gain)]
+    plus, minus = index["s+"], index["s-"]
+    c[plus] = [x + y for x, y in zip(c[plus], c[minus])]
+    c[minus] = [-y for y in c[minus]]
+    for row in c:
+        row[minus] = row[plus] - row[minus]
+    return tuple(map(tuple, c))
+
+
 def congruence_sig(g: list[list[Fraction]]) -> tuple[int, int, int]:
     n = len(g)
     if n == 0:
@@ -1722,6 +1756,33 @@ def separate_lagrangian_defect(params: FibrationParams, config: NumericalConfig,
         tolerance=tolerance,
         tried=len(pts),
     )
+
+
+def iterated_half_sphere_boundary_points(params: FibrationParams, rng: np.random.Generator,
+                                         count: int) -> np.ndarray:
+    """The half-sphere points of the domain audit as they were computed
+    before c had a closed form: three correction steps on c for the tiny
+    modulus, and each coordinate written into its column by hand."""
+    tau = params.target
+    tiny_axis, draws = numcheck._draw_per_seed(
+        rng, count, 3, (0.75, 0.0, 0.0), (1.3, 2 * math.pi, 2 * math.pi)
+    )
+    mu, ph1, ph2 = draws.T
+    # solve c with c^2 (mu^2 + mu^-2) + |z|^2 = 1/4, |z| = |tau| / (a c^2)
+    spread = mu**2 + mu**-2
+    c = np.sqrt(0.25 / spread)
+    for _ in range(3):
+        tiny = abs(tau) / (params.a * ((c * mu) * (c / mu)))
+        c = np.sqrt(np.maximum(0.25 - tiny**2, 0.0) / spread)
+    rows = np.arange(count)
+    others = np.array([[1, 2], [0, 2], [0, 1]])[tiny_axis]
+    big1 = c * mu * np.exp(1j * ph1)
+    big2 = c * (1.0 / mu) * np.exp(1j * ph2)
+    out = np.zeros((count, 3), dtype=complex)
+    out[rows, others[:, 0]] = big1
+    out[rows, others[:, 1]] = big2
+    out[rows, tiny_axis] = tau / (params.a * big1 * big2)
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import glued_word, mat2, meyer_signature, two_pass_inose_classification, word_letters
+from conftest import (
+    all_triples,
+    glued_word,
+    mat2,
+    meyer_signature,
+    two_pass_inose_classification,
+    word_letters,
+)
 from tpqr import k3glue
+from tpqr.cuspdual import CuspDualityError, _duality
 from tpqr.k3glue import (
     INOSE_FIBER_COUNTS,
     SINGULAR_FIBER_EULER,
@@ -61,6 +69,39 @@ def test_boundary_gluing_inverse_conjugacy_all_pairs():
         b = monodromy_matrix(*pair.right)
         cert = is_conjugate_to_inverse(a, b)
         assert cert is not None and cert.verify(), pair
+
+
+def test_the_gluing_condition_picks_the_duality_pairs():
+    """Exhaustive over the 26 cusp triples with p+q+r <= 14.
+
+    ``_duality`` refuses a triple whose dual cycle would be longer than 3
+    by the length rule sum(c - 2) <= 3 over the entries c of
+    ``triple_to_cycle``.  With p <= q <= r that sum is p+q+r-9 for p >= 3
+    (entries q-1, r-1, p-1), q+r-8 for p = 2, q >= 4 (entries q-2, r-2)
+    and r-6 for (2, 3, r) (entry r-4).  A triple with a hypersurface dual
+    thus has p+q+r <= 12, 13 or 14, and every cusp triple past 14 is
+    refused, so within that bound the scan is complete.  There:
+    ``_duality`` succeeds on exactly the 14 table triples, the boundary
+    monodromies are inverse-conjugate, M(u) ~ M(t)^-1, for exactly the 10
+    table pairs, and each such pair totals 24 critical points.  The
+    inverse-conjugacy relation is scanned only within the bound."""
+    triples = [t for t in all_triples(14, strict=True) if sum(t) <= 14]
+    assert len(triples) == 26
+    table = strange_duality_table()
+
+    def has_dual(triple):
+        try:
+            _duality(*triple)
+        except CuspDualityError:
+            return False
+        return True
+
+    assert {t for t in triples if has_dual(t)} == {x for pair in table for x in (pair.left, pair.right)}
+    matrices = {t: monodromy_matrix(*t) for t in triples}
+    glued = {(u, t) for u, t in itertools.combinations_with_replacement(triples, 2)
+             if is_conjugate(matrices[u], matrices[t].inverse()) is not None}
+    assert glued == {tuple(sorted((pair.left, pair.right))) for pair in table}
+    assert all(sum(u) + sum(t) == 24 for u, t in glued)
 
 
 def test_glued_lattice_237():

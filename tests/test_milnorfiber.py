@@ -3,6 +3,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_triples,
@@ -13,6 +14,7 @@ from conftest import (
     integer_matrices,
     interpolated_char_poly,
     mat_mul,
+    reflection_monodromy,
     square_matrices,
 )
 from tpqr import cli, quadlattice, triple_excess
@@ -180,6 +182,19 @@ def test_monodromy_matches_the_column_built_oracle():
     triples = itertools.product(range(2, 13), repeat=3)
     for triple in [*(t for t in triples if triple_excess(*t) >= 0), (3, 4, 114), (2, 3, 116)]:
         assert monodromy_action(*triple) == column_monodromy_action(*triple), triple
+
+
+def test_monodromy_is_the_product_of_picard_lefschetz_reflections():
+    triples = list(all_triples(12))
+    assert len(triples) == 272
+    for triple in triples:
+        assert monodromy_action(*triple) == reflection_monodromy(*triple), triple
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(2, 40)] * 3).filter(lambda t: triple_excess(*t) >= 0))
+def test_monodromy_is_the_reflection_product_on_larger_triples(triple):
+    assert monodromy_action(*triple) == reflection_monodromy(*triple)
 
 
 def test_monodromy_has_infinite_order_for_cusp_triples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _shell_seed, _torus_seed
+from conftest import _shell_seed, _torus_seed, all_triples
 from tpqr import numcheck
 from tpqr.numcheck import (
     AdmissibilityError,
@@ -238,6 +238,16 @@ def test_domain_bound_beyond_the_double_range_is_infinite():
         params.check_domain_y()
     huge = FibrationParams(2, 3, 10**400, a=1.0)
     assert huge.tube_bound == huge.domain_bound == math.inf
+
+
+@pytest.mark.parametrize("triple", list(all_triples(9)), ids=str)
+def test_the_domain_audit_passes_one_ulp_above_the_domain_bound(triple):
+    """The chain 1/a < 1/(m^2(m+3)) < (1/90)^3 holds for every admissible
+    a, also where a and m^2(m+3) are one ulp apart and their rounded
+    reciprocals are equal (as for (3, 3, 4), (3, 4, 4) and (4, 4, 4))."""
+    bound = FibrationParams(*triple, a=1.0).domain_bound
+    report = numcheck.domain_y_audit(FibrationParams(*triple, a=math.nextafter(bound, math.inf)))
+    assert report.chain_bound_ok and report.passed, report
 
 
 @pytest.mark.parametrize("r", [6935, 6936, 20000])

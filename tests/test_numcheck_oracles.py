@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_triples,
     built_hessian_model,
+    iterated_half_sphere_boundary_points,
     looped_defect_draws,
     per_point_critical_reports,
     separate_project_to_level,
@@ -124,6 +126,25 @@ def test_hessian_model_matrices_are_read_only():
             m[0, 0] = 0.0
     model.a_matrix[0, 0] = 5.0  # its own
     assert numcheck.hessian_model(2, 1e8).a_matrix[0, 0] == -1.0
+
+
+@st.composite
+def domain_params(draw):
+    """Parameters of a cusp triple with indices <= 9 whose a passes the
+    domain bound: the next double above it, or any double up to 1e40."""
+    triple = draw(st.sampled_from(list(all_triples(9, strict=True))))
+    low = math.nextafter(FibrationParams(*triple, a=1.0).domain_bound, math.inf)
+    a = draw(st.one_of(st.just(low), st.floats(low, 1e40)))
+    return FibrationParams(*triple, a=a, theta=draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=domain_params(), seed=st.integers(0, 2**64 - 1), count=st.integers(1, 300))
+def test_half_sphere_points_equal_the_iterated_solve(params, seed, count):
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_bitwise(numcheck._half_sphere_boundary_points(params, one, count),
+                   iterated_half_sphere_boundary_points(params, two, count))
+    assert one.bit_generator.state == two.bit_generator.state
 
 
 @pytest.mark.parametrize("fn", [numcheck.bump, numcheck.bump_deriv])
