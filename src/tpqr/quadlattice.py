@@ -1,18 +1,26 @@
 """Exact integral-lattice arithmetic.
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
-extensions, discriminants and signatures from one fraction-free integer
-elimination, Smith normal form certified by its row and column
-operations, radicals, and the rank/signature/parity isomorphism test
-for indefinite unimodular lattices.
+extensions, discriminants and signatures, Smith normal form certified by
+its row and column operations, radicals, and the rank/signature/parity
+isomorphism test for indefinite unimodular lattices.
+
+Every lattice a builder returns (``t_lattice``, ``t_tilde_lattice``,
+``e_lattice``, ``hyperbolic_plane``, ``direct_sum`` and ``k3_lattice``)
+carries its determinant and inertia in closed form (``_star_form``);
+``direct_sum`` multiplies the determinants of its parts and adds their
+inertias.  A lattice built by hand, ``GramLattice(labels, gram)``, gets
+them from one fraction-free integer elimination, ``_eliminate``, run at
+most once per object.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import chain, compress
+from math import prod
 
-from . import _check_int_rows, _check_ints, _check_triple, value_class
+from . import _check_int_rows, _check_ints, _check_triple, triple_excess, value_class
 
 __all__ = [
     "GramLattice",
@@ -53,8 +61,10 @@ class GramLattice:
     stored as tuples.  It refuses entries that are not ``int`` (bool
     included), then a shape not matching the labels, then asymmetry.
 
-    The elimination behind ``discriminant``/``signature`` and the Smith
-    normal form are computed at most once per object and kept on it.
+    The determinant and inertia behind ``discriminant``/``signature``
+    and the Smith normal form are computed at most once per object and
+    kept on it; a builder sets the first pair in closed form, so only a
+    lattice built by hand runs the elimination.
     """
 
     labels: tuple[str, ...]
@@ -81,7 +91,8 @@ class GramLattice:
 
     @cached_property
     def _elimination(self) -> tuple[int, tuple[int, int, int]]:
-        """Determinant and inertia, from one elimination per lattice."""
+        """Determinant and inertia, from one elimination per lattice; a
+        builder puts its closed form in this slot instead."""
         return _eliminate(self._rows)
 
     @cached_property
@@ -108,21 +119,24 @@ class GramLattice:
         return cls(map(str, data["labels"]), data["gram"])
 
 
-def _gram(labels, diagonal, edges) -> GramLattice:
+def _gram(labels, diagonal, edges, form) -> GramLattice:
     """The lattice on ``labels`` whose Gram matrix has ``diagonal`` on
     the diagonal, x at (i, j) and (j, i) for each edge (i, j, x) with
-    i < j, and 0 elsewhere."""
+    i < j, and 0 elsewhere; ``form``, its determinant and inertia, is
+    kept in the slot of the elimination's cache."""
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
     for i, x in enumerate(diagonal):
         rows[i][i] = x
     for i, j, x in edges:
         rows[i][j] = rows[j][i] = x
-    return GramLattice(labels, rows)
+    lat = GramLattice(labels, rows)
+    vars(lat)["_elimination"] = form
+    return lat
 
 
 def hyperbolic_plane() -> GramLattice:
-    return _gram(["e", "f"], [0, 0], [(0, 1, 1)])
+    return _gram(["e", "f"], [0, 0], [(0, 1, 1)], (-1, (1, 0, 1)))
 
 
 def _arm_starts(p: int, q: int, r: int) -> tuple[int, int, int, int]:
@@ -144,6 +158,28 @@ def _star(p: int, q: int, r: int) -> tuple[list[str], list[tuple[int, int, int]]
     return labels + ["s+"], edges
 
 
+def _star_form(p: int, q: int, r: int) -> tuple[int, tuple[int, int, int]]:
+    """Determinant and inertia (n+, n0, n-) of T(p,q,r), n = p+q+r-2, in
+    closed form.
+
+    With the arms first and the center s+ last, G = [[A, b], [b^T, -2]].
+    An arm of k-1 spheres is the chain -A_{k-1}: negative definite, with
+    determinant (-1)^(k-1) k and -(k-1)/k as the entry of its inverse at
+    the sphere next to the center, where b has its 1.  So det A =
+    (-1)^(n-1) pqr, and the Schur complement at the center is
+
+        s = -2 - b^T A^-1 b = -2 + sum (k-1)/k = 1 - 1/p - 1/q - 1/r = e/(pqr)
+
+    with e = ``triple_excess(p, q, r)``.  Hence det G = det A * s =
+    (-1)^n (pq + qr + rp - pqr), and by Haynsworth's additivity the
+    inertia is that of A, (0, 0, n-1), plus the sign of s: (1, 0, n-1)
+    for a cusp (e > 0), (0, 1, n-1) for a parabolic triple (e = 0) and
+    (0, 0, n) otherwise (D_n and E6-E8)."""
+    e, n = triple_excess(p, q, r), p + q + r - 2
+    inertia = (1, 0, n - 1) if e > 0 else (0, 1, n - 1) if e == 0 else (0, 0, n)
+    return (-1) ** n * -e, inertia
+
+
 def t_lattice(p: int, q: int, r: int) -> GramLattice:
     """Gram matrix of the star diagram T(p,q,r), rank p+q+r-2.
 
@@ -152,7 +188,7 @@ def t_lattice(p: int, q: int, r: int) -> GramLattice:
     """
     _check_triple((p, q, r), LatticeError)
     labels, edges = _star(p, q, r)
-    return _gram(labels, [-2] * len(labels), edges)
+    return _gram(labels, [-2] * len(labels), edges, _star_form(p, q, r))
 
 
 def e_lattice(k: int) -> GramLattice:
@@ -162,7 +198,7 @@ def e_lattice(k: int) -> GramLattice:
     if k not in (6, 7, 8, 9, 10):
         raise LatticeError(f"e_lattice supports k in 6..10, got {k}")
     _, edges = _star(2, 3, k - 3)
-    return _gram([f"e{i}" for i in range(1, k + 1)], [-2] * k, edges)
+    return _gram([f"e{i}" for i in range(1, k + 1)], [-2] * k, edges, _star_form(2, 3, k - 3))
 
 
 def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattice:
@@ -172,20 +208,30 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
     pair +1 with the arm vertices nearest the center and the corner block
     is all -2.  generator "S'": basis (spheres, s+, t2), where t2 = s+ - s-
     pairs to zero with everything.
+
+    In S' the Gram matrix is that of T(p,q,r) bordered by the zero row of
+    t2, so the determinant is 0 and the inertia is that of T with one more
+    zero; S is S' after the unimodular change s- = s+ - t2, which keeps
+    both.
     """
     _check_triple((p, q, r), LatticeError, 0)
     labels, edges = _star(p, q, r)
     last = len(labels)
+    pos, zero, neg = _star_form(p, q, r)[1]
+    form = 0, (pos, zero + 1, neg)
     if generator == "S'":
-        return _gram(labels + ["t2"], [-2] * last + [0], edges)
+        return _gram(labels + ["t2"], [-2] * last + [0], edges, form)
     if generator == "S":
         *arms, center = _arm_starts(p, q, r)
         corner = [(a, last, 1) for a in arms] + [(center, last, -2)]
-        return _gram(labels + ["s-"], [-2] * (last + 1), edges + corner)
+        return _gram(labels + ["s-"], [-2] * (last + 1), edges + corner, form)
     raise LatticeError(f"unknown generator tag {generator!r}")
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
+    """The orthogonal sum, with labels suffixed .1, .2, ... by part.  Its
+    determinant is the product of the parts' and its inertia their sum;
+    a part built by hand runs its own elimination, once, for them."""
     if not lattices:
         raise LatticeError("direct_sum of nothing")
     if len(lattices) == 1:
@@ -196,7 +242,10 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
         rows += [(0,) * offset + r + (0,) * (n - offset - lat.rank) for r in lat.gram]
         labels += [f"{lab}.{bi}" for lab in lat.labels]
         offset += lat.rank
-    return GramLattice(labels, rows)
+    dets, inertias = zip(*(lat._elimination for lat in lattices))
+    out = GramLattice(labels, rows)
+    vars(out)["_elimination"] = prod(dets), tuple(map(sum, zip(*inertias)))
+    return out
 
 
 @cache
@@ -288,7 +337,8 @@ def parity(lat: GramLattice) -> str:
 
 
 def _swap_columns(rows, i: int, j: int) -> None:
-    """Swap the entries of columns i and j in each sparse row {column: entry}."""
+    """Swap the entries of columns i and j in each sparse row {column:
+    entry}: the symmetric swap of ``_eliminate``."""
     for row in rows:
         if i in row or j in row:
             x, y = row.pop(i, 0), row.pop(j, 0)
@@ -442,18 +492,22 @@ def _smith(lat: GramLattice) -> SNFResult:
     U and V are left for the certificate to build if they are read.
 
     G is held by rows, copies of the lattice's sparse rows {column:
-    entry}, so an operation costs the nonzeros it touches.  Once step s
-    is done, row s and column s hold only their diagonal entry.  Step s
-    scans rows s+1.. for column s, its column operations walk the rows
-    that still hold an entry there, and a column swap moves the entries
-    of the rows from s on that hold either column.  No column index is
-    kept: on the lattices of the benchmark ladder, an index of the rows
-    that hold each column gave the same operations and no gain, as its
-    upkeep on every row operation costs what the scans save.  The result
-    passes the checks of ``SNFResult.verify`` but its form check, which
-    the operations built here need not, before it is returned."""
+    entry}, so an operation costs the nonzeros it touches.  The columns
+    are permuted, not moved: ``key[c]`` is the dict key that holds
+    logical column c and ``col`` is its inverse, so a column swap
+    exchanges two keys and touches no row.  The operations are recorded,
+    and ties in the pivot search broken, in logical columns.  Once step
+    s is done, row s and column s hold only their diagonal entry.  Step s
+    scans rows s+1.. for column s and its column operations walk the
+    rows that still hold an entry there.  No index of the rows holding
+    each column is kept: on the lattices of the benchmark ladder it gave
+    the same operations and no gain, as its upkeep on every row operation
+    costs what the scans save.  The result passes the checks of
+    ``SNFResult.verify`` but its form check, which the operations built
+    here need not, before it is returned."""
     n = lat.rank
     m = [dict(row) for row in lat._rows]
+    key, col = list(range(n)), list(range(n))
     row_ops, col_ops = [], []
 
     def row_op(i, j, f):  # row_i -= f * row_j, f != 0
@@ -465,36 +519,40 @@ def _smith(lat: GramLattice) -> SNFResult:
             best = None
             for i in range(s, n):
                 if m[i]:
-                    x, j = min((abs(x), j) for j, x in m[i].items())
+                    x = min(map(abs, m[i].values()))
                     if best is None or x < best[0]:
-                        best = x, i, j
+                        best = x, i
                         if x == 1:
                             break
             if best is None:
                 break
-            _, i, j = best
+            x, i = best
+            j = min(col[k] for k, y in m[i].items() if abs(y) == x)
             if i != s:
                 m[s], m[i] = m[i], m[s]
                 row_ops.append((s, i))
             if j != s:
-                _swap_columns(m[s:], s, j)
+                key[s], key[j] = key[j], key[s]
+                col[key[s]], col[key[j]] = s, j
                 col_ops.append((s, j))
             # |piv| is the least in the block, so every quotient is nonzero
-            piv, rows = m[s][s], [s]
+            c = key[s]
+            piv, rows = m[s][c], [s]
             for i in range(s + 1, n):
-                if s in m[i]:
-                    row_op(i, s, m[i][s] // piv)
-                    if s in m[i]:
+                if c in m[i]:
+                    row_op(i, s, m[i][c] // piv)
+                    if c in m[i]:
                         rows.append(i)
-            for j in sorted(m[s].keys() - {s}):  # col_j -= f * col_s
-                f = m[s][j] // piv
+            for j in sorted(col[k] for k in m[s] if k != c):  # col_j -= f * col_s
+                kj = key[j]
+                f = m[s][kj] // piv
                 for r in rows:
                     row = m[r]
-                    x = row.get(j, 0) - f * row[s]
+                    x = row.get(kj, 0) - f * row[c]
                     if x:
-                        row[j] = x
+                        row[kj] = x
                     else:
-                        del row[j]
+                        del row[kj]
                 col_ops.append((j, s, -f))
             if len(rows) > 1 or len(m[s]) > 1:
                 continue
@@ -505,11 +563,11 @@ def _smith(lat: GramLattice) -> SNFResult:
                 row_op(s, bad, -1)
                 continue
             break
-        if m[s].get(s, 0) < 0:
+        if m[s].get(key[s], 0) < 0:
             m[s] = {k: -x for k, x in m[s].items()}
             row_ops.append((s,))
 
-    res = SNFResult([m[s].get(s, 0) for s in range(n)], row_ops, col_ops)
+    res = SNFResult([m[s].get(key[s], 0) for s in range(n)], row_ops, col_ops)
     if not res._replays_to_diagonal(lat):  # pragma: no cover - algorithmic guard
         raise AssertionError("SNF failed to verify")
     return res

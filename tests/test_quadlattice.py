@@ -840,23 +840,114 @@ def test_the_smith_guard_replays_without_the_form_check(monkeypatch):
 
 def test_one_elimination_and_one_snf_per_lattice(monkeypatch):
     calls = _counting(monkeypatch, "_eliminate", "_smith")
-    lat = t_tilde_lattice(2, 3, 9, "S'")
+    built = t_tilde_lattice(2, 3, 9, "S'")
+    lat = GramLattice(built.labels, built.gram)  # the same matrix, by hand
     for _ in range(2):
         discriminant(lat), signature(lat), smith_normal_form(lat), radical(lat)
     assert calls == {"_eliminate": 1, "_smith": 1}
-    signature(t_tilde_lattice(2, 3, 9, "S'"))  # an equal object has its own
+    signature(GramLattice(built.labels, built.gram))  # an equal object has its own
     assert calls == {"_eliminate": 2, "_smith": 1}
+    for _ in range(2):
+        discriminant(built), signature(built), smith_normal_form(built), radical(built)
+    assert calls == {"_eliminate": 2, "_smith": 2}  # a builder lattice eliminates nothing
+    assert (discriminant(built), signature(built)) == (discriminant(lat), signature(lat))
 
 
 def test_glued_lattice_eliminates_each_lattice_once(monkeypatch):
+    """Only the hand-built section/fiber plane of ``glued_lattice`` runs
+    an elimination: its T parts, their sum and the K3 lattice are builder
+    lattices."""
     k3_lattice.cache_clear()
-    calls = _counting(monkeypatch, "_eliminate", "_smith")
+    calls = _counting(monkeypatch, "_smith")
+    sizes = []
+
+    def recorded(rows, _fn=_eliminate):
+        sizes.append(len(rows))
+        return _fn(rows)
+
+    monkeypatch.setattr(quadlattice, "_eliminate", recorded)
     pair = k3glue.pair_for_triple(2, 3, 7)
     _, verdict = k3glue.glued_lattice(pair)
     assert verdict.isomorphic_to_k3
-    assert calls == {"_eliminate": 2}  # the glued lattice and the K3 lattice
-    k3glue.glued_lattice(pair)  # the K3 lattice is built once per process
-    assert calls == {"_eliminate": 3}
+    assert sizes == [2]
+    for p in k3glue.strange_duality_table():
+        k3glue.glued_lattice(p)
+    k3 = k3_lattice()
+    signature(k3), discriminant(k3)
+    assert sizes == [2] * 11 and calls == {}
+    assert k3_lattice() is k3  # built once per process
+
+
+# --- closed forms ----------------------------------------------------------------
+
+
+def _builder_lattices():
+    """(name, lattice) for every builder lattice the closed forms cover
+    here: T(p,q,r) for 2 <= p <= q <= r <= 12, its Milnor lattice in both
+    bases for each cusp or parabolic triple among them, E6..E10, H and
+    the K3 lattice."""
+    for p in range(2, 13):
+        for q in range(p, 13):
+            for r in range(q, 13):
+                yield f"T{p, q, r}", t_lattice(p, q, r)
+    for triple in all_triples(12):
+        for gen in ("S", "S'"):
+            yield f"{gen}{triple}", t_tilde_lattice(*triple, gen)
+    for k in range(6, 11):
+        yield f"E{k}", e_lattice(k)
+    yield "H", hyperbolic_plane()
+    yield "K3", k3_lattice()
+
+
+def test_every_builder_lattice_carries_its_elimination_in_closed_form():
+    kinds = Counter()
+    for name, lat in _builder_lattices():
+        assert "_elimination" in vars(lat), name  # set by the builder
+        assert lat._elimination == _eliminate(lat._rows), name
+        kinds[signature(lat)[:2]] += 1
+    # (n+, n0): 269 cusp T, H and E10; 14 spherical T and E6-E8; 3 parabolic
+    # T and E9; 269 cusp triples in two bases; 3 parabolic ones; K3
+    assert kinds == {(1, 0): 271, (0, 0): 17, (0, 1): 4, (1, 1): 538, (0, 2): 6, (3, 0): 1}
+
+
+@st.composite
+def builder_lattices(draw):
+    """A lattice from one of the builders, of rank at most 22."""
+    kind = draw(st.sampled_from(["T", "S", "S'", "E", "H", "K3"]))
+    if kind == "E":
+        return e_lattice(draw(st.integers(6, 10)))
+    if kind == "H":
+        return hyperbolic_plane()
+    if kind == "K3":
+        return k3_lattice()
+    if kind == "T":
+        p, q, r = sorted(draw(st.lists(st.integers(2, 8), min_size=3, max_size=3)))
+        return t_lattice(p, q, r)
+    return t_tilde_lattice(*draw(st.sampled_from(list(all_triples(8)))), kind)
+
+
+@given(st.lists(st.one_of(builder_lattices(), gram_lattices()), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_direct_sum_multiplies_determinants_and_adds_inertias(parts):
+    lat = direct_sum(*parts)
+    assert lat.rank == sum(part.rank for part in parts)
+    assert (discriminant(lat), signature(lat)) == _eliminate(lat._rows)
+
+
+@pytest.mark.parametrize("rank", [25, 45, 65, 85, 180])
+@pytest.mark.parametrize("kind", ["T", "S", "S'"])
+def test_the_closed_forms_agree_with_the_smith_certificate_on_the_ladder(kind, rank):
+    """The nonzero divisors multiply to |det| where det != 0, and n0 of
+    them are zero."""
+    lat = _ladder_lattice(kind, rank)
+    det, (_, n0, _) = discriminant(lat), signature(lat)
+    divisors = smith_normal_form(lat).divisors
+    nonzero = [d for d in divisors if d]
+    assert len(divisors) - len(nonzero) == n0 == (kind != "T")
+    if n0:
+        assert det == 0
+    else:
+        assert math.prod(nonzero) == abs(det)
 
 
 # --- unimodular classification --------------------------------------------------
