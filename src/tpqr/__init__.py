@@ -22,7 +22,9 @@ should load another for them:
   closures, so a one-shot request neither imports ``dataclasses`` (and
   with it ``inspect``) nor compiles generated code for each class.
   Every value class is built by its one generic constructor and checks
-  its fields in its own ``__post_init__``.
+  its fields in its own ``__post_init__``; quadlattice's builders store
+  the lattices they have checked from their own inputs through the
+  private ``_stored``.
 """
 
 from itertools import chain

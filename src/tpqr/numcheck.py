@@ -688,6 +688,9 @@ def verify_critical_points(
 
 @value_class
 class HessianModel:
+    """The quadratic model of ``hessian_model``.  Its matrices stay numpy
+    arrays; ``==`` and ``hash`` read each one by dtype, shape and bytes."""
+
     lam: float
     a_matrix: np.ndarray
     b_matrix: np.ndarray
@@ -696,6 +699,20 @@ class HessianModel:
     ptbp: np.ndarray
     conjugation_dev: float
     ok: bool
+
+    def _key(self) -> tuple:
+        """The fields, each matrix as its dtype, shape and bytes: an
+        ndarray's ``==`` is elementwise and it has no hash."""
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in vars(self).values())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # The parts of the model that do not depend on lam: B, the conjugation P,

@@ -9,9 +9,12 @@ Every lattice a builder returns (``t_lattice``, ``t_tilde_lattice``,
 ``e_lattice``, ``hyperbolic_plane``, ``direct_sum`` and ``k3_lattice``)
 carries its determinant and inertia in closed form (``_star_form``);
 ``direct_sum`` multiplies the determinants of its parts and adds their
-inertias.  A lattice built by hand, ``GramLattice(labels, gram)``, gets
-them from one fraction-free integer elimination, ``_eliminate``, run at
-most once per object.
+inertias.  A builder checks its own inputs, a diagonal and an edge list
+or checked parts, in time linear in them, and stores the lattice without
+the O(n^2) scans of the constructor (``_stored``).  A lattice built by
+hand, ``GramLattice(labels, gram)``, keeps every check and gets its
+determinant and inertia from one fraction-free integer elimination,
+``_eliminate``, run at most once per object.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ class GramLattice:
     """Symmetric integer Gram matrix on a labeled basis, from any sequences,
     stored as tuples.  It refuses entries that are not ``int`` (bool
     included), then a shape not matching the labels, then asymmetry.
+    These checks scan all n^2 entries; they are for input from outside
+    the program, and the builders, which check their own smaller inputs,
+    store their lattices through ``_stored`` instead.
 
     The determinant and inertia behind ``discriminant``/``signature``
     and the Smith normal form are computed at most once per object and
@@ -85,8 +91,9 @@ class GramLattice:
     @cached_property
     def _rows(self) -> tuple[dict[int, int], ...]:
         """The Gram matrix as sparse rows {column: entry} without zeros,
-        built once per lattice.  Its readers copy a row before they change
-        it: the elimination, the reduction and ``SNFResult.verify``."""
+        built once per lattice, or by ``_gram`` with the dense rows.  Its
+        readers copy a row before they change it: the elimination, the
+        reduction and ``SNFResult.verify``."""
         return tuple(dict(compress(enumerate(row), row)) for row in self.gram)
 
     @cached_property
@@ -119,20 +126,41 @@ class GramLattice:
         return cls(map(str, data["labels"]), data["gram"])
 
 
+def _stored(labels: tuple, gram: tuple, **cached) -> GramLattice:
+    """A lattice whose labels and Gram tuples are already known to be well
+    formed, stored as they are with ``cached`` in the slots of its cached
+    properties; ``__post_init__`` does not run.  Only the builders call
+    it, on what they have checked or built from checked lattices."""
+    lat = object.__new__(GramLattice)
+    vars(lat).update(labels=labels, gram=gram, **cached)
+    return lat
+
+
 def _gram(labels, diagonal, edges, form) -> GramLattice:
     """The lattice on ``labels`` whose Gram matrix has ``diagonal`` on
-    the diagonal, x at (i, j) and (j, i) for each edge (i, j, x) with
-    i < j, and 0 elsewhere; ``form``, its determinant and inertia, is
-    kept in the slot of the elimination's cache."""
-    n = len(labels)
-    rows = [[0] * n for _ in range(n)]
+    the diagonal, x at (i, j) and (j, i) for each edge (i, j, x), and 0
+    elsewhere; ``form``, its determinant and inertia, is kept in the slot
+    of the elimination's cache.
+
+    The matrix is fully determined by these inputs, so they are what is
+    checked, in time linear in them: int values (bool refused), one
+    diagonal entry per label and 0 <= i < j < n for each edge.  Symmetry
+    and shape then hold by construction.  One pass over the diagonal and
+    the edges writes both the dense rows and the sparse ``_rows``."""
+    labels, n = tuple(labels), len(labels)
+    _check_ints("Gram entries", chain(diagonal, chain.from_iterable(edges)))
+    if len(diagonal) != n:
+        raise LatticeError(f"{len(diagonal)} diagonal entries for {n} labels")
+    dense, rows = [[0] * n for _ in range(n)], [{} for _ in range(n)]
     for i, x in enumerate(diagonal):
-        rows[i][i] = x
+        if x:
+            dense[i][i] = rows[i][i] = x
     for i, j, x in edges:
-        rows[i][j] = rows[j][i] = x
-    lat = GramLattice(labels, rows)
-    vars(lat)["_elimination"] = form
-    return lat
+        if not 0 <= i < j < n:
+            raise LatticeError(f"edge ({i},{j}) is not 0 <= i < j < {n}")
+        if x:
+            dense[i][j] = dense[j][i] = rows[i][j] = rows[j][i] = x
+    return _stored(labels, tuple(map(tuple, dense)), _rows=tuple(rows), _elimination=form)
 
 
 def hyperbolic_plane() -> GramLattice:
@@ -231,7 +259,12 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
 def direct_sum(*lattices: GramLattice) -> GramLattice:
     """The orthogonal sum, with labels suffixed .1, .2, ... by part.  Its
     determinant is the product of the parts' and its inertia their sum;
-    a part built by hand runs its own elimination, once, for them."""
+    a part built by hand runs its own elimination, once, for them.  The
+    parts were checked when they were built, so the sum is stored without
+    a scan; its sparse rows are left to be built on first read."""
+    for lat in lattices:
+        if not isinstance(lat, GramLattice):
+            raise TypeError(f"direct_sum takes GramLattice parts, got {type(lat).__name__}")
     if not lattices:
         raise LatticeError("direct_sum of nothing")
     if len(lattices) == 1:
@@ -243,9 +276,8 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
         labels += [f"{lab}.{bi}" for lab in lat.labels]
         offset += lat.rank
     dets, inertias = zip(*(lat._elimination for lat in lattices))
-    out = GramLattice(labels, rows)
-    vars(out)["_elimination"] = prod(dets), tuple(map(sum, zip(*inertias)))
-    return out
+    form = prod(dets), tuple(map(sum, zip(*inertias)))
+    return _stored(tuple(labels), tuple(rows), _elimination=form)
 
 
 @cache

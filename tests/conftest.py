@@ -725,10 +725,17 @@ def two_pass_inose_classification(case, gamma=GAMMA) -> Optional[InoseClassifica
     return None
 
 
+def all_rotations_canonical(cycle: CycleData) -> CycleData:
+    """The earlier ``CycleData.canonical``: the least of all rotations that
+    start at an entry >= 3, each copied in full."""
+    e = cycle.entries
+    return CycleData(min(e[i:] + e[:i] for i, c in enumerate(e) if c >= 3))
+
+
 def rotation_dual_cycle(cycle: CycleData) -> CycleData:
     """Run-length dual read off the least of all rotations that start at an
     entry >= 3."""
-    c = min(rot for rot in cycle.rotations() if rot[0] >= 3)
+    c = all_rotations_canonical(cycle).entries
     gammas: list[int] = []
     runs: list[int] = []
     i = 0

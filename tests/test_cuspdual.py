@@ -5,11 +5,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     Quad,
+    all_rotations_canonical,
     basis_solve_action,
     brute_conjugator,
     rotation_alpha_v,
@@ -244,6 +245,44 @@ def test_canonical_rotation():
     c = CycleData.of(2, 2, 5, 2, 3)
     assert c.canonical().entries == (3, 2, 2, 5, 2)
     assert c.canonical() == CycleData.of(5, 2, 3, 2, 2).canonical()
+
+
+@st.composite
+def block_cycles(draw):
+    """Cycles where the block keys of ``canonical`` tie or wrap: random
+    ones, single entries, periodic ones ((3,2)^k, (4,2,3,2)^k or a random
+    period) and runs of 2s that cross the end."""
+    kind = draw(st.sampled_from(["random", "single", "periodic", "wrap"]))
+    if kind == "single":
+        return (draw(st.integers(3, 40)),)
+    period = draw(st.one_of(
+        st.sampled_from([(3, 2), (4, 2, 3, 2)]),
+        st.lists(st.integers(2, 5), min_size=1, max_size=6).map(tuple),
+    ))
+    if kind == "periodic":
+        entries = period * draw(st.integers(1, 30))
+    else:
+        entries = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=60)))
+    if kind == "wrap":
+        entries = (2,) * draw(st.integers(1, 5)) + entries + (2,) * draw(st.integers(1, 5))
+    assume(any(c >= 3 for c in entries))
+    return entries
+
+
+@given(block_cycles(), st.integers(0, 200))
+@settings(max_examples=600, deadline=None)
+@example((3, 2) * 7, 3)
+@example((4, 2, 3, 2) * 5, 1)
+@example((2, 2, 3, 2, 3, 2, 2, 2), 0)
+@example((7,), 0)
+def test_canonical_and_the_dual_match_the_all_rotations_oracle(entries, shift):
+    """The block-key rotation is the one the full comparison of all
+    rotations picks, so ``canonical`` and ``dual_cycle`` answer as the
+    earlier code did, from any starting rotation."""
+    shift %= len(entries)
+    cycle = CycleData(entries[shift:] + entries[:shift])
+    assert cycle.canonical() == all_rotations_canonical(cycle)
+    assert dual_cycle(cycle) == rotation_dual_cycle(cycle)
 
 
 def test_triple_to_cycle_three_cases():

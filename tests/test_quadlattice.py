@@ -787,18 +787,22 @@ def test_v_rows_are_the_dense_v_on_any_columns(lat, mask):
 
 
 def test_the_sparse_rows_are_built_once_and_left_unchanged():
-    """Every reader copies the rows it changes; the cache is kept out of
-    the value."""
+    """A builder lattice has its sparse rows from birth, a hand-built one
+    on first read; every reader copies the rows it changes, and the cache
+    is kept out of the value."""
     lat = t_tilde_lattice(2, 3, 9, "S")
     fresh = t_tilde_lattice(2, 3, 9, "S")
-    rows = lat._rows
-    assert rows == tuple({j: x for j, x in enumerate(r) if x} for r in lat.gram)
-    kept = [dict(r) for r in rows]
-    discriminant(lat), signature(lat), radical(lat)
-    assert smith_normal_form(lat).verify(lat)
-    assert lat._rows is rows and list(rows) == kept
-    assert "_rows" in vars(lat) and "_rows" not in vars(fresh)
-    assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
+    by_hand = GramLattice(lat.labels, lat.gram)
+    assert "_rows" in vars(lat) and "_rows" not in vars(by_hand)
+    for one in (lat, by_hand):
+        rows = one._rows
+        assert rows == tuple({j: x for j, x in enumerate(r) if x} for r in one.gram)
+        kept = [dict(r) for r in rows]
+        discriminant(one), signature(one), radical(one)
+        assert smith_normal_form(one).verify(one)
+        assert one._rows is rows and list(rows) == kept
+    assert lat == fresh == by_hand and hash(lat) == hash(fresh) == hash(by_hand)
+    assert repr(lat) == repr(fresh) == repr(by_hand)
 
 
 def test_verify_runs_no_elimination_and_no_code_of_the_reduction(monkeypatch):
@@ -908,6 +912,80 @@ def test_every_builder_lattice_carries_its_elimination_in_closed_form():
     # (n+, n0): 269 cusp T, H and E10; 14 spherical T and E6-E8; 3 parabolic
     # T and E9; 269 cusp triples in two bases; 3 parabolic ones; K3
     assert kinds == {(1, 0): 271, (0, 0): 17, (0, 1): 4, (1, 1): 538, (0, 2): 6, (3, 0): 1}
+
+
+def _every_builder_lattice():
+    """(name, lattice) for T(p,q,r) on every ordered triple with entries
+    2..12, its Milnor lattice in both bases where the triple is a cusp or
+    parabolic one, E6..E10, H, the K3 lattice and direct sums of these."""
+    for p in range(2, 13):
+        for q in range(2, 13):
+            for r in range(2, 13):
+                yield f"T{p, q, r}", t_lattice(p, q, r)
+                if triple_excess(p, q, r) >= 0:
+                    for gen in ("S", "S'"):
+                        yield f"{gen}{p, q, r}", t_tilde_lattice(p, q, r, gen)
+    for k in range(6, 11):
+        yield f"E{k}", e_lattice(k)
+    yield "H", hyperbolic_plane()
+    yield "K3", k3_lattice()
+    t, h = t_lattice(2, 3, 7), hyperbolic_plane()
+    odd = GramLattice(["u", "v"], [[1, 0], [0, -1]])
+    for parts in ((t, t, h), (e_lattice(8), h), (t_tilde_lattice(3, 4, 5, "S"), odd, h)):
+        yield "+".join(lat.labels[0] for lat in parts), direct_sum(*parts)
+
+
+def test_every_builder_lattice_is_the_lattice_the_checked_constructor_builds():
+    """The builders check their inputs, not the n^2 entries; what they
+    store is what ``GramLattice`` stores from the same labels and matrix,
+    and the sparse rows are those of the dense matrix."""
+    count = 0
+    for name, lat in _every_builder_lattice():
+        by_hand = GramLattice(lat.labels, lat.gram)
+        assert lat == by_hand and hash(lat) == hash(by_hand), name
+        assert type(lat.labels) is tuple and type(lat.gram) is tuple, name
+        assert all(type(row) is tuple for row in lat.gram), name
+        assert lat._rows == tuple(sparse_rows(lat.gram)) == by_hand._rows, name
+        count += 1
+    assert count == 11**3 + 2 * 1285 + 10  # 1285 ordered cusp or parabolic triples
+
+
+def test_the_smith_certificate_of_a_builder_lattice_is_that_of_its_hand_built_copy():
+    """The sparse rows of ``_gram`` hold their entries in another order
+    than rows read off the dense matrix; the reduction gives the same
+    operations on both."""
+    for lat in (t_lattice(3, 4, 20), t_tilde_lattice(3, 4, 20, "S"), t_tilde_lattice(3, 4, 20, "S'"),
+                hyperbolic_plane(), k3_lattice()):
+        assert smith_normal_form(lat) == smith_normal_form(GramLattice(lat.labels, lat.gram))
+
+
+@pytest.mark.parametrize(
+    "diagonal, edges, error, message",
+    [
+        ([-2, True], [(0, 1, 1)], TypeError, "integer Gram entries required, got True"),
+        ([-2, -2], [(0, 1, 1.0)], TypeError, "integer Gram entries required, got 1.0"),
+        ([-2, -2], [(0.0, 1, 1)], TypeError, "integer Gram entries required, got 0.0"),
+        ([-2], [], LatticeError, "1 diagonal entries for 2 labels"),
+        ([-2, -2, -2], [], LatticeError, "3 diagonal entries for 2 labels"),
+        ([-2, -2], [(1, 0, 1)], LatticeError, "edge (1,0) is not 0 <= i < j < 2"),
+        ([-2, -2], [(1, 1, 1)], LatticeError, "edge (1,1) is not 0 <= i < j < 2"),
+        ([-2, -2], [(0, 2, 1)], LatticeError, "edge (0,2) is not 0 <= i < j < 2"),
+        ([-2, -2], [(-1, 1, 1)], LatticeError, "edge (-1,1) is not 0 <= i < j < 2"),
+    ],
+)
+def test_the_builder_path_checks_its_diagonal_and_edges(diagonal, edges, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        quadlattice._gram(["a", "b"], diagonal, edges, (0, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("parts, got", [
+    ((((1,),),), "tuple"),
+    ((t_lattice(2, 3, 7), [[1]]), "list"),
+    ((hyperbolic_plane(), None), "NoneType"),
+])
+def test_direct_sum_refuses_a_part_that_is_not_a_lattice(parts, got):
+    with pytest.raises(TypeError, match=f"^direct_sum takes GramLattice parts, got {got}$"):
+        direct_sum(*parts)
 
 
 @st.composite

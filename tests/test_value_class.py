@@ -18,6 +18,7 @@ from dataclasses import MISSING, fields
 from functools import reduce
 from operator import mul
 
+import numpy as np
 import pytest
 from conftest import (
     DataclassGramLattice,
@@ -383,6 +384,21 @@ def test_two_hessian_reports_of_one_point_compare_equal_and_hash():
     pt = numcheck.critical_points(params)[0]
     first, second = numcheck.hessian_fd_check(params, pt), numcheck.hessian_fd_check(params, pt)
     assert first is not second and first == second and hash(first) == hash(second)
+
+
+def test_two_hessian_models_compare_equal_and_hash_and_keep_their_arrays():
+    first, second = numcheck.hessian_model(3, 1e8), numcheck.hessian_model(3, 1e8)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert not first != second and len({first, second}) == 1
+    assert isinstance(first.a_matrix, np.ndarray) and first.a_matrix.shape == (4, 4)
+    other = numcheck.hessian_model(4, 1e8)
+    assert first != other and first.b_matrix is other.b_matrix  # only lam differs
+    # a matrix of another dtype or shape with the same bytes is another model
+    same_bytes = vars(first) | {"a_matrix": first.a_matrix.view(np.int64)}
+    assert numcheck.HessianModel(**same_bytes) != first
+    reshaped = vars(first) | {"a_matrix": first.a_matrix.reshape(2, 8)}
+    assert numcheck.HessianModel(**reshaped) != first
+    assert first.__eq__(vars(first)) is NotImplemented and first != vars(first)
 
 
 def test_a_certificate_keeps_its_operations_when_the_callers_lists_change():
