@@ -120,14 +120,14 @@ class FibrationParams:
             raise TypeError(f"a, theta and t take a float or an integer, not a bool, "
                             f"got ({self.a!r}, {self.theta!r}, {self.t!r})")
         _check_triple((self.p, self.q, self.r), ValueError, 0)
-        if not (self.a > 0 and math.isfinite(self.a)):
+        if not 0 < self.a <= sys.float_info.max:  # NaN fails; no int is converted
             raise ValueError("a must be positive and finite")
         if self.a > _A_MAX:
             raise ValueError(
                 f"a = {self.a} exceeds {_A_MAX:.3g}: |xyz| = 1/a^2 on the fiber "
                 "would not be a normal double"
             )
-        if not math.isfinite(self.theta):
+        if not abs(self.theta) <= sys.float_info.max:
             raise ValueError("theta must be finite")
         if not 0.0 <= self.theta < _TAU:  # the fiber depends on e^{i theta} alone
             theta = math.atan2(math.sin(self.theta), math.cos(self.theta))  # exact reduction
@@ -735,6 +735,8 @@ def hessian_model(p: int, a: float) -> HessianModel:
     _check_ints("exponent", (p,))
     if p < 2:
         raise ValueError("exponent must be >= 2")
+    if a < 0 or a > sys.float_info.max:  # NaN and 0 fail the lam check below
+        raise ValueError("a must be positive and finite")
     lam = (2.0 / p) * a ** ((2 * p - 3) / p)
     if not lam > 1.0:
         raise AdmissibilityError("model requires lam > 1; enlarge a")
@@ -1265,7 +1267,9 @@ def domain_y_audit(
         raise ValueError("the domain audit concerns the end of the homotopy, t = 1")
 
     max_cv = max(abs(v) for v in critical_values(params))
-    inside = max_cv < 1.0 / 9.0 and params.a ** (-2.0 / params.big_m) < 1.0 / 9.0
+    # max|cv| = a^(-2/M) < 1/9 iff a > 3^M, compared exactly (no rounding
+    # onto 1/9); a passed check_domain_y, so 3^M < a <= 6.7e153 is small
+    inside = params.a > 3**params.big_m
 
     rng = np.random.default_rng(config.seed)
     pts = _half_sphere_boundary_points(params, rng, max(16, config.samples // 10))

@@ -13,8 +13,9 @@ inertias.  A builder checks its own inputs, a diagonal and an edge list
 or checked parts, in time linear in them, and stores the lattice without
 the O(n^2) scans of the constructor (``_stored``).  A lattice built by
 hand, ``GramLattice(labels, gram)``, keeps every check and gets its
-determinant and inertia from one fraction-free integer elimination,
-``_eliminate``, run at most once per object.
+determinant and inertia from one plain fraction-free (Bareiss) integer
+elimination, ``_eliminate``, run at most once per object; only such a
+lattice reaches it.
 """
 
 from __future__ import annotations
@@ -291,31 +292,23 @@ def k3_lattice() -> GramLattice:
 def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
     """Determinant and inertia (n+, n0, n-) of a symmetric integer matrix
     given as its sparse rows {column: entry} without zeros (left
-    unchanged), by one fraction-free elimination on copies of them.
+    unchanged), by one fraction-free (Bareiss) elimination on copies of
+    them.
 
-    Bareiss updates divided by the previous pivot keep every entry an
-    integer minor; the trailing block is the previous pivot times the Schur
-    complement, so it stays symmetric and the sign of pivot/previous pivot
-    is one term of the inertia.  A zero pivot is replaced by a symmetric
-    swap with a nonzero diagonal entry or, when the whole diagonal of the
-    block is zero, by the unimodular congruence v_d += v_b on the first
-    nonzero m_db with d < b; a block without one is zero.  A row update
-    reads the nonzeros of the row and of the pivot row, and drops column k.
-    A row whose multiplier is 0 would only be scaled by pivot/previous
-    pivot, so it is left as it is; it keeps the pivot of its last update in
-    ``base`` and its zeros, and is brought up to date, by an exact
-    division, only when its entries are read across rows."""
+    Each step updates every trailing row by (x * pivot - f * y) / previous
+    pivot, an exact division that keeps every entry an integer minor; the
+    trailing block is the previous pivot times the Schur complement, so it
+    stays symmetric and the sign of pivot/previous pivot is one term of the
+    inertia.  A zero pivot is replaced by a symmetric swap with the first
+    nonzero diagonal entry or, when the whole diagonal of the block is
+    zero, by the unimodular congruence v_d += v_b on the first nonzero
+    m_db with d < b; a block without one is zero.  A row update reads the
+    nonzeros of the row and of the pivot row, and drops column k.  Only a
+    lattice built by hand runs it: every builder lattice carries its
+    determinant and inertia in closed form."""
     m = [dict(row) for row in rows]
     n = len(m)
-    base = [1] * n  # row i holds its up-to-date entries times base[i] / prev
     prev, pos, neg = 1, 0, 0
-
-    def current(i: int) -> dict:
-        if base[i] != prev:
-            m[i] = {j: x * prev // base[i] for j, x in m[i].items()}
-            base[i] = prev
-        return m[i]
-
     for k in range(n):
         d = k if k in m[k] else next((i for i in range(k + 1, n) if i in m[i]), None)
         if d is None:
@@ -324,31 +317,33 @@ def _eliminate(rows) -> tuple[int, tuple[int, int, int]]:
             if d is None:
                 return 0, (pos, n - k, neg)
             b = min(m[d])
-            _add(current(d), current(b), 1)
+            _add(m[d], m[b], 1)
             for row in m[k:]:
                 if b in row:
                     _add(row, {d: row[b]}, 1)
-        if d != k:
-            m[k], m[d], base[k], base[d] = m[d], m[k], base[d], base[k]
-            _swap_columns(m[k:], k, d)
-        tail = current(k)  # row k is not read again
+        if d != k:  # the symmetric swap of k and d
+            m[k], m[d] = m[d], m[k]
+            for row in m[k:]:
+                x, y = row.pop(k, 0), row.pop(d, 0)
+                row.update((c, z) for c, z in ((d, x), (k, y)) if z)
+        tail = m[k]  # row k is not read again
         piv = tail.pop(k)
         if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if k in m[i]:
-                row = current(i)
-                f = row.pop(k)
-                new = {j: x * piv // prev for j, x in row.items()}  # exact off the tail
+            row = m[i]
+            f = row.pop(k, 0)
+            new = {j: x * piv // prev for j, x in row.items()}  # exact where f * y = 0
+            if f:
                 for j, y in tail.items():
                     x = (row.get(j, 0) * piv - f * y) // prev
                     if x:
                         new[j] = x
                     else:  # so j is in row, as f * y != 0
                         del new[j]
-                m[i], base[i] = new, piv
+            m[i] = new
         prev = piv
     return prev, (pos, 0, neg)
 
@@ -366,18 +361,6 @@ def signature(lat: GramLattice) -> tuple[int, int, int]:
 def parity(lat: GramLattice) -> str:
     """"even" iff every vector has even self-pairing (diagonal test)."""
     return "even" if all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)) else "odd"
-
-
-def _swap_columns(rows, i: int, j: int) -> None:
-    """Swap the entries of columns i and j in each sparse row {column:
-    entry}: the symmetric swap of ``_eliminate``."""
-    for row in rows:
-        if i in row or j in row:
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[i] = y
 
 
 def _add(t: dict, src: dict, f: int) -> None:

@@ -1,6 +1,7 @@
 """The batched numcheck kernels against their per-point use, and the sampler
 against the earlier one-seed-at-a-time loop (the seed oracles in conftest)."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _shell_seed, _torus_seed, all_triples
-from tpqr import numcheck
+from tpqr import cli, numcheck
 from tpqr.numcheck import (
     AdmissibilityError,
     FibrationParams,
@@ -248,6 +249,40 @@ def test_the_domain_audit_passes_one_ulp_above_the_domain_bound(triple):
     bound = FibrationParams(*triple, a=1.0).domain_bound
     report = numcheck.domain_y_audit(FibrationParams(*triple, a=math.nextafter(bound, math.inf)))
     assert report.chain_bound_ok and report.passed, report
+
+
+def _cusp_triples_with_the_domain_bound_3_to_the_m():
+    """The 322 cusp triples p <= q <= 6, 18 <= r <= 40: from M = 18 on,
+    3^M exceeds m^2(m+3), so the domain bound is 3^M."""
+    for p in range(2, 7):
+        for q in range(p, 7):
+            for r in range(18, 41):
+                if q * r + r * p + p * q < p * q * r:
+                    yield p, q, r
+
+
+def test_the_critical_values_are_inside_one_ulp_above_three_to_the_m(capsys):
+    """max|cv| = a^(-2/M) < 1/9 iff a > 3^M.  One ulp above 3^M, a^(-2/M)
+    and max|cv| both round onto 1/9 in doubles, so only the exact form of
+    the comparison passes here."""
+    triples = list(_cusp_triples_with_the_domain_bound_3_to_the_m())
+    assert len(triples) == 322
+    failed = []
+    for triple in triples:
+        bound = float(3 ** triple[2])
+        params = FibrationParams(*triple, a=math.nextafter(bound, math.inf))
+        assert params.domain_bound == bound
+        report = numcheck.domain_y_audit(params, NumericalConfig(samples=200))
+        if not (report.critical_values_inside and report.passed):
+            failed.append(triple)
+    assert failed == []
+    a = repr(math.nextafter(float(3**18), math.inf))
+    argv = ["verify-fibration", "--pqr", "2,3,18", "--a", a, "--samples", "200", "--json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)["domain_y"]
+    assert err == "" and report["critical_values_inside"] and report["passed"], report
+    assert report["max_critical_value"] == 1 / 9  # still reported, as rounded
 
 
 @pytest.mark.parametrize("r", [6935, 6936, 20000])

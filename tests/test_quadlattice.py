@@ -30,7 +30,7 @@ from conftest import (
     symmetric_matrices,
     word_letters,
 )
-from tpqr import k3glue, quadlattice, triple_excess
+from tpqr import cli, k3glue, quadlattice, triple_excess
 from tpqr.milnorfiber import char_poly
 from tpqr.quadlattice import (
     DefiniteLatticeError,
@@ -880,6 +880,41 @@ def test_glued_lattice_eliminates_each_lattice_once(monkeypatch):
     signature(k3), discriminant(k3)
     assert sizes == [2] * 11 and calls == {}
     assert k3_lattice() is k3  # built once per process
+
+
+def test_only_the_k3_command_eliminates_once_on_its_rank_2_plane(monkeypatch, capsys):
+    """At the CLI the elimination runs only on hand-built lattices: the
+    section/fiber plane of each ``k3`` request.  Every lattice that
+    ``lattice``, ``monodromy``, ``dual``, ``table`` and ``inose`` read is a
+    builder lattice."""
+    ranks = []
+
+    def recorded(rows, _fn=_eliminate):
+        ranks.append(len(rows))
+        return _fn(rows)
+
+    monkeypatch.setattr(quadlattice, "_eliminate", recorded)
+    others = [
+        ["lattice", "t", "--triple", "3,4,5"],
+        ["lattice", "ttilde", "--triple", "3,4,5", "--generator", "S"],
+        ["lattice", "ttilde", "--triple", "3,4,5", "--generator", "S'"],
+        ["lattice", "e", "--k", "10"],
+        ["lattice", "h"],
+        ["lattice", "k3"],
+        ["monodromy", "2", "3", "7"],  # a cusp triple
+        ["monodromy", "3", "3", "3"],  # a parabolic one
+        ["dual", "2", "3", "7"],
+        ["table"],
+        ["inose", "--case", "2,2,2,2"],
+    ]
+    for argv in others:
+        assert cli.main(argv + ["--json"]) == 0, argv
+        assert ranks == [], argv
+    for pair in k3glue.strange_duality_table():
+        assert cli.main(["k3", "--pair", ",".join(map(str, pair.left)), "--json"]) == 0
+        assert ranks == [2], pair
+        ranks.clear()
+    capsys.readouterr()
 
 
 # --- closed forms ----------------------------------------------------------------

@@ -175,6 +175,33 @@ def test_a_point_that_is_not_finite_is_refused(check, bad):
         check(FibrationParams.minimal(2, 3, 7), np.array([bad, 0.5, 1j]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: numcheck.hessian_model(2, -4.0), "a must be positive and finite"),
+        (lambda: numcheck.hessian_model(2, math.inf), "a must be positive and finite"),
+        (lambda: numcheck.hessian_model(3, 10**400), "a must be positive and finite"),
+        (lambda: FibrationParams(2, 3, 7, a=10**400), "a must be positive and finite"),
+        (lambda: FibrationParams(2, 3, 7, a=1e13, theta=10**400), "theta must be finite"),
+        (lambda: FibrationParams(2, 3, 7, a=1e13, theta=-(10**400)), "theta must be finite"),
+    ],
+)
+def test_an_out_of_range_a_or_theta_is_refused_with_a_value_error(build, message):
+    """Not a TypeError from a complex lam, an OverflowError from a huge
+    int, or a NaN model with a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            build()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("a", [math.nan, 0.0, -0.0, 1.0])
+def test_a_nan_or_small_a_keeps_its_admissibility_error(a):
+    with pytest.raises(numcheck.AdmissibilityError, match="^model requires lam > 1; enlarge a$"):
+        numcheck.hessian_model(2, a)
+
+
 @pytest.mark.parametrize("pqr,theta", [((2, 3, 7), 3e7), ((2, 3, 7), 1e8), ((2, 3, 7), 1e16),
                                        ((2, 3, 7), -1e8), ((3, 4, 5), 1e8)], ids=str)
 def test_a_large_theta_gives_the_report_of_its_reduced_angle(pqr, theta):
