@@ -23,13 +23,13 @@ _JSON_INT_LIMIT = 2**53
 # the critical-point count p+q+r.  Newton projection onto the fiber already
 # fails for (2,3,r) between r = 350 and 400, and every triple probed above
 # the critical-point limit exits 2 on that failure.  At each limit the
-# slowest case measured takes 0.21 s (`monodromy`), 0.38 s (`lattice`),
-# 0.45 s (`verify-fibration` samples) and 0.34 s (`verify-fibration
-# --pqr 2,3,995`) in a fresh process, median of 3, on a 2-vCPU x86-64
-# machine with Python 3.11.  `verify-fibration` checks the critical-point
-# count and an explicit `--samples` before it imports numpy, so those
-# rejections exit without loading it; a sample count read from a tolerance
-# file is checked once numcheck has parsed the file.
+# slowest case measured, text or `--json`, takes 0.14 s (`monodromy`),
+# 0.19 s (`lattice`), 0.26 s (`verify-fibration` samples) and 0.24 s
+# (`verify-fibration --pqr 2,3,995`) in a fresh process, min of 3, on a
+# 2-vCPU x86-64 machine with Python 3.11.  `verify-fibration` checks the
+# critical-point count and an explicit `--samples` before it imports
+# numpy, so those rejections exit without loading it; a sample count read
+# from a tolerance file is checked once numcheck has parsed the file.
 _MONODROMY_RANK_LIMIT = 120
 _LATTICE_RANK_LIMIT = 180
 _SAMPLES_LIMIT = 10_000

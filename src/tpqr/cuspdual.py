@@ -85,7 +85,7 @@ class QuadIrrational:
 
     The constructor is the one normaliser: it takes any int a, b, c, d
     with c != 0 and d > 0 and keeps the canonical form of the number,
-    which is a function of the number alone; ``make`` is the same call.
+    which is a function of the number alone.
     An irrational x is keyed by its primitive minimal polynomial
     u x^2 + v x + w (u > 0), whose discriminant disc is intrinsic to x.
     Below 10^18, d is the square-free part of disc, so d names the field.
@@ -122,11 +122,6 @@ class QuadIrrational:
         g = math.gcd(a, b, c)
         for name, value in zip("abcd", (a // g, b // g, c // g, d)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def make(cls, a: int, b: int, c: int, d: int) -> "QuadIrrational":
-        """(a + b*sqrt(d)) / c; the same call as the constructor."""
-        return cls(a, b, c, d)
 
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
@@ -202,26 +197,44 @@ class CycleData:
         block: a smaller gamma is smaller, and for equal gamma the longer
         run is smaller, since where the shorter run ends that rotation has
         an entry >= 3 and the other a 2.  So rotations are ordered as
-        their sequences of block keys (gamma, -z), and only those that
-        start at a block of least key are compared in full.  The cost is
-        linear in the length unless several blocks tie for the least key:
-        a periodic cycle ties every block and builds every rotation, as a
-        comparison of all of them would (Booth's algorithm, IPL 10, 1980,
-        is linear for every input)."""
-        return CycleData(_least_rotation(self.entries))
+        their sequences of block keys (gamma, -z).  The least rotation of
+        the key sequence is found in time linear in the length for every
+        input, like Booth's algorithm (IPL 10, 1980) but with two
+        candidates in place of a failure function."""
+        e = self.entries
+        s = _least_blocks(e)[0]
+        return CycleData(e[s:] + e[:s])
 
     def to_json(self) -> list[int]:
         return list(self.entries)
 
 
-def _least_rotation(e: tuple[int, ...]) -> tuple[int, ...]:
-    """The entries of ``CycleData.canonical``, which ``dual_cycle`` reads
-    without building the cycle.  The key of the block at s, with the next
-    block at t, is (gamma, s - t), as s - t = -z - 1."""
+def _least_blocks(e: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The start in e of ``CycleData.canonical`` and the keys of its blocks
+    in order, which ``dual_cycle`` reads without building the cycle.  The
+    key of the block at s, with the next block at t, is (gamma, s - t), as
+    s - t = -z - 1.
+
+    The key rotations at i < j are the two candidates left; every other
+    start below j is ruled out.  They agree on their first k keys.  At
+    the first difference, the rotation at the larger candidate and at
+    each of the k starts after it is beaten by the rotation as far after
+    the other candidate, so those starts are ruled out.  If they agree
+    on all n keys, the two rotations are equal and i serves.  Each step
+    raises i + j + k, which stays below 3n."""
     starts = [i for i, c in enumerate(e) if c >= 3]
     keys = [(e[s], s - t) for s, t in zip(starts, starts[1:] + [starts[0] + len(e)])]
-    least = min(keys)
-    return min(e[s:] + e[:s] for s, key in zip(starts, keys) if key == least)
+    n, twice = len(keys), keys + keys
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = twice[i + k], twice[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j + 1, i + k + 1), 0
+        else:
+            j, k = j + k + 1, 0
+    return starts[i], twice[i:i + n]
 
 
 def triple_to_cycle(p: int, q: int, r: int) -> CycleData:
@@ -268,15 +281,9 @@ def dual_cycle(cycle: CycleData) -> CycleData:
     2^(gamma_1 - 3), delta_n, 2^(gamma_2 - 3), delta_{n-1}, ..., delta_1.
     The operation is involutive up to rotation.
     """
-    runs: list[list[int]] = []  # [gamma_i, z_i]
-    for c in _least_rotation(cycle.entries):
-        if c >= 3:
-            runs.append([c, 0])
-        else:
-            runs[-1][1] += 1
     dual: list[int] = []
-    for gamma, z in reversed(runs):
-        dual.append(z + 3)
+    for gamma, back in reversed(_least_blocks(cycle.entries)[1]):
+        dual.append(2 - back)  # z + 3, as back = -z - 1
         dual += [2] * (gamma - 3)
     return CycleData(tuple(dual))
 

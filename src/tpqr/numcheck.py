@@ -737,7 +737,10 @@ def hessian_model(p: int, a: float) -> HessianModel:
         raise ValueError("exponent must be >= 2")
     if a < 0 or a > sys.float_info.max:  # NaN and 0 fail the lam check below
         raise ValueError("a must be positive and finite")
-    lam = (2.0 / p) * a ** ((2 * p - 3) / p)
+    try:
+        lam = (2.0 / p) * a ** ((2 * p - 3) / p)
+    except OverflowError:  # only the power can leave the double range
+        raise ValueError("lam = (2/p) a^((2p-3)/p) exceeds the double range") from None
     if not lam > 1.0:
         raise AdmissibilityError("model requires lam > 1; enlarge a")
     A = np.array(

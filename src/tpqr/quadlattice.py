@@ -112,13 +112,6 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.labels)
 
-    def basis_changed(self, b: list[list[int]]) -> "GramLattice":
-        """Gram matrix B^T G B for the new basis given by the columns of B."""
-        r = range(self.rank)
-        gb = [[sum(self.gram[i][k] * b[k][j] for k in r) for j in r] for i in r]
-        new = [[sum(b[k][i] * gb[k][j] for k in r) for j in r] for i in r]
-        return GramLattice(self.labels, new)
-
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
 

@@ -18,9 +18,11 @@ one-seed-at-a-time draws of torus and shell seeds.  The RL
 reduction oracle is the earlier conjugator construction from products of
 R^u and the determinant -1 swap iota on raw tuples; the monodromy and
 cycle-dual oracles are the earlier three-factor product and the dual
-built from the least of all rotations.  The SNF certificate oracle is the
-earlier dense check: U G V multiplied out in full, then one elimination
-each to show |det U| = |det V| = 1; it reads the divisors and the dense
+built from the least of all rotations; ``block_key_canonical`` is the
+earlier rotation rule that compared in full every rotation starting at a
+block of least key.  The SNF certificate oracle is the earlier dense
+check: U G V multiplied out in full, then one elimination each to show
+|det U| = |det V| = 1; it reads the divisors and the dense
 U and V, so it judges the views of an operation list as well.
 ``dense_smith`` is the earlier Smith normal form on dense lists, which
 carried U and V along: the same pivot rule and operations, each one
@@ -32,9 +34,11 @@ diagram builders are the earlier constructors of H, T(p,q,r) and
 its Milnor lattices, each filling a dense matrix by hand from arm
 offsets of its own, and ``column_monodromy_action`` is the earlier
 monodromy, built image column by image column and then transposed, with
-the S' basis indices derived again from p, q and r.  The dense Berkowitz and dense
-elimination oracles are the exact kernels before they used sparsity: full
-Krylov vectors, and every trailing row rescaled at every step.
+the S' basis indices derived again from p, q and r.  ``basis_changed`` is
+the Gram matrix B^T G B of a change of basis, multiplied out in full.
+The dense Berkowitz and dense elimination oracles are the exact kernels
+before they used sparsity: full Krylov vectors, and every trailing row
+rescaled at every step.
 ``general_eliminate`` is the sparse elimination as it ran on any square
 matrix, with a row swap and a determinant sign for a skew block, and a
 congruence pair m_ab + m_ba read off every row of the block.  The
@@ -420,7 +424,7 @@ class Quad(QuadIrrational):
     @classmethod
     def rational(cls, x: Fraction | int) -> "Quad":
         x = Fraction(x)
-        return cls.make(x.numerator, 0, x.denominator, 1)
+        return cls(x.numerator, 0, x.denominator, 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadIrrational):
@@ -434,7 +438,7 @@ class Quad(QuadIrrational):
         return self.b == 0
 
     def conjugate(self) -> "Quad":
-        return Quad.make(self.a, -self.b, self.c, self.d)
+        return Quad(self.a, -self.b, self.c, self.d)
 
     def over(self, d: int) -> tuple[int, int, int]:
         """(a, b, c) with self = (a + b*sqrt(d)) / c."""
@@ -453,24 +457,24 @@ class Quad(QuadIrrational):
 
     def __add__(self, other) -> "Quad":
         (a1, b1, c1), (a2, b2, c2), d = self.common(other)
-        return Quad.make(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
+        return Quad(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
 
     def __neg__(self) -> "Quad":
-        return Quad.make(-self.a, -self.b, self.c, self.d)
+        return Quad(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other) -> "Quad":
         return self + (-Quad.of(other))
 
     def __mul__(self, other) -> "Quad":
         (a1, b1, c1), (a2, b2, c2), d = self.common(other)
-        return Quad.make(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
+        return Quad(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
 
     def inverse(self) -> "Quad":
         # 1/((a+b sqrt d)/c) = c(a - b sqrt d)/(a^2 - b^2 d)
         norm_num = self.a * self.a - self.b * self.b * self.d
         if norm_num == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Quad.make(self.c * self.a, -self.c * self.b, norm_num, self.d)
+        return Quad(self.c * self.a, -self.c * self.b, norm_num, self.d)
 
     def __truediv__(self, other) -> "Quad":
         return self * Quad.of(other).inverse()
@@ -730,6 +734,17 @@ def all_rotations_canonical(cycle: CycleData) -> CycleData:
     start at an entry >= 3, each copied in full."""
     e = cycle.entries
     return CycleData(min(e[i:] + e[:i] for i, c in enumerate(e) if c >= 3))
+
+
+def block_key_canonical(cycle: CycleData) -> CycleData:
+    """The earlier ``CycleData.canonical``: of the rotations that start
+    at a block of least key (gamma, s - t), the least, each copied in
+    full, so a cycle with many tied blocks costs quadratic time."""
+    e = cycle.entries
+    starts = [i for i, c in enumerate(e) if c >= 3]
+    keys = [(e[s], s - t) for s, t in zip(starts, starts[1:] + [starts[0] + len(e)])]
+    least = min(keys)
+    return CycleData(min(e[s:] + e[:s] for s, key in zip(starts, keys) if key == least))
 
 
 def rotation_dual_cycle(cycle: CycleData) -> CycleData:
@@ -1116,6 +1131,14 @@ def dense_t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> Gram
         rows[n - 2][last] = rows[last][n - 2] = -2
         return GramLattice(labels + ["s-"], rows)
     raise LatticeError(f"unknown generator tag {generator!r}")
+
+
+def basis_changed(lat: GramLattice, b: list[list[int]]) -> GramLattice:
+    """Gram matrix B^T G B for the new basis given by the columns of B."""
+    r = range(lat.rank)
+    gb = [[sum(lat.gram[i][k] * b[k][j] for k in r) for j in r] for i in r]
+    new = [[sum(b[k][i] * gb[k][j] for k in r) for j in r] for i in r]
+    return GramLattice(lat.labels, new)
 
 
 def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:

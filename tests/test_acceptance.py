@@ -75,9 +75,9 @@ def test_criterion_05_lattice_identification():
 def test_criterion_06_duality_example():
     c = cuspdual.triple_to_cycle(2, 3, 8)
     ok = c.entries == (4,)
-    ok = ok and cuspdual.cf_value(cuspdual.CycleData.of(4)) == cuspdual.QuadIrrational.make(2, 1, 1, 3)
-    ok = ok and cuspdual.cf_value(cuspdual.CycleData.of(3, 2)) == cuspdual.QuadIrrational.make(3, 1, 2, 3)
-    ok = ok and cuspdual.alpha_v(cuspdual.CycleData.of(3, 2)) == cuspdual.QuadIrrational.make(2, 1, 1, 3)
+    ok = ok and cuspdual.cf_value(cuspdual.CycleData.of(4)) == cuspdual.QuadIrrational(2, 1, 1, 3)
+    ok = ok and cuspdual.cf_value(cuspdual.CycleData.of(3, 2)) == cuspdual.QuadIrrational(3, 1, 2, 3)
+    ok = ok and cuspdual.alpha_v(cuspdual.CycleData.of(3, 2)) == cuspdual.QuadIrrational(2, 1, 1, 3)
     ok = ok and cuspdual.dual_triple(2, 3, 8) == (2, 4, 5)
     report(6, "cycle (4), omega/alpha values, dual (2,4,5) all exact", ok)
 

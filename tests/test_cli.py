@@ -47,7 +47,7 @@ def test_dual_json(capsys):
     assert data["dual"] == [2, 4, 5]
     assert data["alpha_v"] == "2+sqrt(3)"
     assert data["passed"] is True
-    assert QuadIrrational.from_json(data["alpha_v_exact"]) == QuadIrrational.make(
+    assert QuadIrrational.from_json(data["alpha_v_exact"]) == QuadIrrational(
         2, 1, 1, 3
     )
 

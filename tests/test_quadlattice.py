@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_triples,
     bareiss_det,
+    basis_changed,
     congruence_sig,
     dense_eliminate,
     dense_hyperbolic_plane,
@@ -232,7 +233,7 @@ def test_t_tilde_last_row_zero_for_S_prime():
 
 
 def test_S_and_S_prime_related_by_basis_change():
-    for triple in [(2, 3, 7), (3, 3, 4), (2, 4, 6)]:
+    for triple in all_triples(8):
         tts = t_tilde_lattice(*triple, "S")
         ttp = t_tilde_lattice(*triple, "S'")
         n = ttp.rank
@@ -240,7 +241,7 @@ def test_S_and_S_prime_related_by_basis_change():
         # last S-vector in the S' basis: s- = s+ - t2
         b[n - 2][n - 1] = 1
         b[n - 1][n - 1] = -1
-        assert ttp.basis_changed(b).gram == tts.gram
+        assert basis_changed(ttp, b).gram == tts.gram
 
 
 def test_e10_cartan_block_from_permuted_s_prime():

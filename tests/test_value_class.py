@@ -61,7 +61,7 @@ def _rl_entries():
 def _quad_entries():
     ints = st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(-1, 4), st.integers(0, 8))
     made = ints.filter(lambda v: v[2] != 0 and v[3] > 0).map(
-        lambda v: tuple(vars(QuadIrrational.make(*v)).values())
+        lambda v: tuple(vars(QuadIrrational(*v)).values())
     )
     return st.one_of(made, ints)
 
@@ -233,8 +233,8 @@ def test_no_value_class_writes_its_own_init():
         lambda: TwistWord(((ALPHA, 1), (BETA, True))),
         lambda: QuadIrrational(True, 1, 2, 5),
         lambda: QuadIrrational(1, 1, 2.0, 5),
-        lambda: QuadIrrational.make(1, 1, 2, True),
-        lambda: QuadIrrational.make(1.0, 1, 2, 5),
+        lambda: QuadIrrational(1, 1, 2, True),
+        lambda: QuadIrrational(1.0, 1, 2, 5),
         lambda: numcheck.NumericalConfig(samples=True),
         lambda: numcheck.NumericalConfig(samples=200.0),
         lambda: numcheck.NumericalConfig(seed=True),

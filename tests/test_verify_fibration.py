@@ -202,6 +202,19 @@ def test_a_nan_or_small_a_keeps_its_admissibility_error(a):
         numcheck.hessian_model(2, a)
 
 
+@pytest.mark.parametrize("p,below,above", [(4, 1e246, 1e247), (7, 1.45e196, 1.46e196),
+                                             (100, 2.98e156, 2.99e156), (100, 2.98e156, 1e300)], ids=str)
+def test_a_lam_beyond_the_double_range_is_refused_with_a_value_error(p, below, above):
+    """At ``above`` a is a finite double but lam = (2/p) a^((2p-3)/p) is
+    not, which raised an OverflowError; at ``below`` the model is built."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(numcheck.hessian_model(p, below).lam)
+        with pytest.raises(ValueError, match=r"^lam = \(2/p\) a\^\(\(2p-3\)/p\) exceeds the double range$") as info:
+            numcheck.hessian_model(p, above)
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("pqr,theta", [((2, 3, 7), 3e7), ((2, 3, 7), 1e8), ((2, 3, 7), 1e16),
                                        ((2, 3, 7), -1e8), ((3, 4, 5), 1e8)], ids=str)
 def test_a_large_theta_gives_the_report_of_its_reduced_angle(pqr, theta):
