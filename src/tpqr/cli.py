@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-CONFIG_ENV = "TPQR_CONFIG"
 
 _JSON_INT_LIMIT = 2**53
 
@@ -66,7 +63,7 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 def _load_config(args):
     from . import numcheck
 
-    path = args.tolerance_file or os.environ.get(CONFIG_ENV)
+    path = args.tolerance_file
     cfg = numcheck.parse_config_file(path) if path else numcheck.NumericalConfig()
     given = {"samples": args.samples, "seed": args.seed}
     updates = {key: value for key, value in given.items() if value is not None}

@@ -102,10 +102,10 @@ class FibrationParams:
 
     Construction validates structure and the double-precision range of a
     (|xyz| = 1/a^2 must stay a normal double, so a <= 6.7e153) and
-    reduces theta to [0, 2 pi), where it is kept as given; the
-    admissibility bounds on a are checked by ``check()`` so that
-    deliberately inadmissible parameters can still be built and then
-    flagged by the audits.
+    reduces theta to [0, 2 pi), where it is kept as given; a negative
+    zero of theta or t becomes 0.0.  The admissibility bounds on a are
+    checked by ``check()`` so that deliberately inadmissible parameters
+    can still be built and then flagged by the audits.
     """
 
     p: int
@@ -134,6 +134,9 @@ class FibrationParams:
             object.__setattr__(self, "theta", theta % _TAU % _TAU)  # a rounded 2 pi is 0
         if not 0 <= self.t <= 1:
             raise ValueError("homotopy time t must lie in [0,1]")
+        for name in ("theta", "t"):  # -0.0 equals 0.0, so it reports as 0.0
+            if getattr(self, name) == 0 and math.copysign(1.0, getattr(self, name)) < 0:
+                object.__setattr__(self, name, 0.0)
 
     @property
     def big_m(self) -> int:
@@ -1279,7 +1282,7 @@ def domain_y_audit(
     tau = params.target
     prod = np.abs(pts[:, 0] * pts[:, 1] * pts[:, 2])
     xyz_ok = not (
-        np.any(np.abs(ft_eval(params, pts) - tau) > 1e-9 * abs(tau))
+        np.any(np.abs(ft_eval(params, pts) - tau) > config.residual_tol * abs(tau))
         or np.any(np.abs(_row_norm(pts) - 0.5) > 1e-9)
         or not np.all((np.min(np.abs(pts), axis=-1) ** 3 <= prod) & (prod < 1.0 / params.a))
     )

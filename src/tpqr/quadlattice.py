@@ -251,18 +251,17 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
-    """The orthogonal sum, with labels suffixed .1, .2, ... by part.  Its
-    determinant is the product of the parts' and its inertia their sum;
-    a part built by hand runs its own elimination, once, for them.  The
-    parts were checked when they were built, so the sum is stored without
-    a scan; its sparse rows are left to be built on first read."""
+    """The orthogonal sum, with labels suffixed .1, .2, ... by part, a
+    single part included.  Its determinant is the product of the parts'
+    and its inertia their sum; a part built by hand runs its own
+    elimination, once, for them.  The parts were checked when they were
+    built, so the sum is stored without a scan; its sparse rows are left
+    to be built on first read."""
     for lat in lattices:
         if not isinstance(lat, GramLattice):
             raise TypeError(f"direct_sum takes GramLattice parts, got {type(lat).__name__}")
     if not lattices:
         raise LatticeError("direct_sum of nothing")
-    if len(lattices) == 1:
-        return lattices[0]
     n = sum(lat.rank for lat in lattices)
     rows, labels, offset = [], [], 0
     for bi, lat in enumerate(lattices, 1):

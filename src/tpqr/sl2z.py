@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from . import _check_ints, _check_triple, value_class
@@ -225,18 +224,12 @@ def monodromy_matrix(p: int, q: int, r: int) -> SL2Matrix:
 
 def cycle_matrix(entries: Iterable[int]) -> SL2Matrix:
     """Product of the factors (c -1; 1 0) over the entries, leftmost first:
-    the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle.
-    A run of z twos is one factor, (2 -1; 1 0)^z = (z+1 -z; z 1-z)."""
+    the Moebius map x -> c1 - 1/(c2 - ... - 1/x) of a resolution cycle."""
     entries = tuple(entries)
     _check_ints("cycle entries", entries)
     a, b, c, d = 1, 0, 0, 1
-    for e, run in groupby(entries):
-        z = len(tuple(run))
-        if e == 2:
-            a, b, c, d = _prod((a, b, c, d), (z + 1, -z, z, 1 - z))
-        else:
-            for _ in range(z):
-                a, b, c, d = a * e + b, -a, c * e + d, -c
+    for e in entries:
+        a, b, c, d = a * e + b, -a, c * e + d, -c
     return SL2Matrix(a, b, c, d)
 
 

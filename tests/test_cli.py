@@ -387,7 +387,7 @@ def test_verify_fibration_rejects_bad_a(capsys):
     assert code == 2
 
 
-def test_tolerance_file_and_env(capsys, tmp_path, monkeypatch):
+def test_the_tolerance_file_sets_samples_and_seed(capsys, tmp_path):
     cfgfile = tmp_path / "tight.cfg"
     cfgfile.write_text("samples=40\nseed=7\n")
     code, data = run_json(
@@ -398,10 +398,26 @@ def test_tolerance_file_and_env(capsys, tmp_path, monkeypatch):
         "--tolerance-file",
         str(cfgfile),
     )
-    assert code == 0 and data["config"]["samples"] == 40
-    monkeypatch.setenv(cli.CONFIG_ENV, str(cfgfile))
+    assert code == 0 and data["config"]["samples"] == 40 and data["config"]["seed"] == 7
+
+
+def test_the_environment_names_no_tolerance_file(capsys, tmp_path, monkeypatch):
+    """Only --tolerance-file names a tolerance file; TPQR_CONFIG is not
+    read."""
+    cfgfile = tmp_path / "tight.cfg"
+    cfgfile.write_text("samples=40\n")
+    monkeypatch.setenv("TPQR_CONFIG", str(cfgfile))
     code, data = run_json(capsys, "verify-fibration", "--pqr", "2,3,7")
-    assert code == 0 and data["config"]["seed"] == 7
+    assert code == 0 and data["config"]["samples"] == 1000
+
+
+def test_a_negative_zero_theta_and_t_give_the_report_of_zero(capsys):
+    """-0 and 0 are equal parameters, so their reports are the same bytes."""
+    argv = ["verify-fibration", "--pqr", "2,3,7", "--samples", "20", "--json"]
+    minus = run(capsys, *argv, "--theta", "-0", "--t", "-0")
+    plus = run(capsys, *argv, "--theta", "0", "--t", "0")
+    assert minus == plus and minus[0] == 0
+    assert '"theta": 0.0' in plus[1] and '"t": 0.0' in plus[1]
 
 
 def test_tolerance_file_rejects_an_unknown_key(capsys, tmp_path):

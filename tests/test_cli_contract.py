@@ -82,22 +82,21 @@ def verify_fibration(g):
     if g.draw(st.integers(0, 3)) == 0:
         argv += ["--a", g.value(st.sampled_from(["1e9", "2e10", "1771200.0000000002"]), REALS)]
     g.option(argv, "--seed", lambda: g.value(st.integers(0, 99).map(str)))
-    env, path = (g.value(st.none() | GOOD_FILES, FILES) for _ in range(2))
+    path = g.value(st.none() | GOOD_FILES, FILES)
     if path is not None:
         argv += ["--tolerance-file", f"@{path}"]
-    if not CONFIG_FILES.get(path or env, ("", False))[1] or g.draw(st.booleans()):
+    if not CONFIG_FILES.get(path, ("", False))[1] or g.draw(st.booleans()):
         argv += ["--samples", g.value(st.integers(1, 20).map(str),
                                       st.sampled_from(["0", "-1", "10001", "x", "1e3"]))]
-    return argv, env
+    return argv
 
 
 @st.composite
 def commands(draw):
-    """(argv, the tolerance file named by the environment or None)."""
+    """One argv of the grammar."""
     g = Grammar(draw)
     kind = draw(st.sampled_from(["monodromy", "dual", "lattice", "k3", "inose",
                                  "verify-fibration", "verify-fibration", "table", "junk"]))
-    env = None
     if kind in ("monodromy", "dual"):
         argv = [kind] + g.triple()
     elif kind == "lattice":
@@ -113,7 +112,7 @@ def commands(draw):
         counts = st.lists(st.sampled_from(["0", "1", "2"]), min_size=4, max_size=4)
         g.option(argv, "--case", lambda: ",".join(g.value(counts, st.lists(VALUES, max_size=5))))
     elif kind == "verify-fibration":
-        argv, env = verify_fibration(g)
+        argv = verify_fibration(g)
     elif kind == "table":
         argv = ["table"]
     else:
@@ -121,7 +120,7 @@ def commands(draw):
                                      ["monodromy", "2", "3", "7", "--bogus"]]))
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, env
+    return argv
 
 
 @pytest.fixture(scope="module")
@@ -140,16 +139,10 @@ USAGE_ERROR = re.compile(r"tpqr( \S+)?: error: ")
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(request=commands())
 def test_every_request_ends_in_a_verdict_or_one_clear_error(request, config_paths):
-    argv, env = request
-    argv = [config_paths[a[1:]] if a.startswith("@") else a for a in argv]
+    argv = [config_paths[a[1:]] if a.startswith("@") else a for a in request]
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        if env is None:
-            mp.delenv(cli.CONFIG_ENV, raising=False)
-        else:
-            mp.setenv(cli.CONFIG_ENV, config_paths[env])
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:

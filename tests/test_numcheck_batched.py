@@ -251,6 +251,18 @@ def test_the_domain_audit_passes_one_ulp_above_the_domain_bound(triple):
     assert report.chain_bound_ok and report.passed, report
 
 
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 4, 5), (4, 4, 4)], ids=str)
+def test_the_domain_audit_level_check_reads_the_residual_tolerance(triple):
+    """The boundary points lie on the level up to rounding (relative
+    residuals up to about 4e-16), so residual_tol = 1e-17 fails the check
+    that the default 1e-9 passes."""
+    bound = FibrationParams(*triple, a=1.0).domain_bound
+    params = FibrationParams(*triple, a=math.nextafter(bound, math.inf))
+    assert numcheck.domain_y_audit(params).boundary_xyz_bound_ok
+    tight = numcheck.domain_y_audit(params, NumericalConfig(residual_tol=1e-17))
+    assert not tight.boundary_xyz_bound_ok and not tight.passed
+
+
 def _cusp_triples_with_the_domain_bound_3_to_the_m():
     """The 322 cusp triples p <= q <= 6, 18 <= r <= 40: from M = 18 on,
     3^M exceeds m^2(m+3), so the domain bound is 3^M."""

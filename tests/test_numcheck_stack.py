@@ -228,13 +228,13 @@ ALL_TRIPLES = (*TABLE_TRIPLES, (3, 3, 3), (2, 4, 4), (2, 3, 6))
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_theta_of_either_signed_zero_gives_the_same_bits(t):
     """θ = 0.0 and θ = -0.0 are equal parameters, so they share a stack:
-    each must give the same bytes on its own."""
+    each must give the same bytes on its own, and -0.0 is kept as 0.0."""
     config = NumericalConfig(samples=200, seed=3)
     compute = numcheck._level_stack.__wrapped__
     for triple in ALL_TRIPLES:
         plus = FibrationParams.minimal(*triple, t=t)
         minus = FibrationParams.minimal(*triple, theta=-0.0, t=t)
-        assert math.copysign(1.0, minus.theta) == -1.0
+        assert math.copysign(1.0, minus.theta) == 1.0
         assert plus == minus and hash(plus) == hash(minus)
         for got, want in zip(compute(minus, config), compute(plus, config)):
             assert got[3] is want[3] is None

@@ -1048,6 +1048,17 @@ def test_direct_sum_multiplies_determinants_and_adds_inertias(parts):
     assert (discriminant(lat), signature(lat)) == _eliminate(lat._rows)
 
 
+@pytest.mark.parametrize("part", [hyperbolic_plane(), e_lattice(8), t_lattice(3, 4, 5),
+                                  GramLattice(["u", "v"], [[1, 0], [0, -1]])],
+                         ids=["H", "E8", "T(3,4,5)", "by hand"])
+def test_direct_sum_of_one_part_suffixes_its_labels(part):
+    """One part goes the way of several: a copy with labels suffixed .1."""
+    lat = direct_sum(part)
+    assert lat is not part and lat.labels == tuple(f"{lab}.1" for lab in part.labels)
+    assert lat.gram == part.gram
+    assert (discriminant(lat), signature(lat)) == (discriminant(part), signature(part))
+
+
 @pytest.mark.parametrize("rank", [25, 45, 65, 85, 180])
 @pytest.mark.parametrize("kind", ["T", "S", "S'"])
 def test_the_closed_forms_agree_with_the_smith_certificate_on_the_ladder(kind, rank):

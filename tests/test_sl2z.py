@@ -572,6 +572,14 @@ def test_cycle_matrix_equals_the_object_products(runs):
     assert got == object_cycle_matrix(entries) == entrywise_cycle_matrix(entries)
 
 
+@pytest.mark.parametrize("k", [1, 10, 1000, 10**4])
+def test_cycle_matrix_equals_the_closed_form_of_a_run_of_twos(k):
+    """Long runs of twos, against the oracle that takes a run of z twos
+    as the one factor (z+1 -z; z 1-z)."""
+    for entries in ((3,) + (2,) * k, (2,) * k + (5,)):
+        assert cycle_matrix(entries) == object_cycle_matrix(entries)
+
+
 @given(st.lists(st.integers(-(10**12), 10**12), max_size=24))
 @settings(max_examples=200, deadline=None)
 def test_word_matrix_equals_the_object_product(exps):
