@@ -178,10 +178,6 @@ class CycleData:
         ``cf_value``, ``alpha_v`` and ``module_action_matrix``."""
         return cycle_matrix(self.entries)
 
-    @classmethod
-    def of(cls, *entries: int) -> "CycleData":
-        return cls(entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -247,10 +243,10 @@ def triple_to_cycle(p: int, q: int, r: int) -> CycleData:
     _check_triple((p, q, r), CuspDualityError, 1)
     p, q, r = sorted((p, q, r))
     if p >= 3:
-        return CycleData.of(q - 1, r - 1, p - 1)
+        return CycleData((q - 1, r - 1, p - 1))
     if q >= 4:
-        return CycleData.of(q - 2, r - 2)
-    return CycleData.of(r - 4)
+        return CycleData((q - 2, r - 2))
+    return CycleData((r - 4,))
 
 
 def cycle_to_triple(cycle: CycleData) -> Optional[tuple[int, int, int]]:

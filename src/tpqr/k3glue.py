@@ -54,10 +54,6 @@ class DualPair:
     def self_dual(self) -> bool:
         return self.left == self.right
 
-    @property
-    def index_sum(self) -> int:
-        return sum(self.left) + sum(self.right)
-
     def to_json(self) -> dict:
         return {
             "left": {"label": self.left_label, "triple": list(self.left)},
@@ -101,7 +97,7 @@ def critical_count(pair: DualPair) -> int:
     """Total count of fibration critical points over the two sides."""
     if pair not in _TABLE:
         raise ValueError(f"{pair} is not a duality-table pair")
-    return pair.index_sum
+    return sum(pair.left) + sum(pair.right)
 
 
 @value_class
@@ -156,10 +152,6 @@ class InoseCase:
         if len(self.counts) != 4 or any(c not in (0, 1, 2) for c in self.counts):
             raise ValueError("quadrant counts must be four values in {0,1,2}")
         object.__setattr__(self, "counts", tuple(self.counts))
-
-    @classmethod
-    def of(cls, c1: int, c2: int, c3: int, c4: int) -> "InoseCase":
-        return cls((c1, c2, c3, c4))
 
 
 def inose_monodromy(

@@ -69,10 +69,6 @@ class SL2Matrix:
         so ``rl_word`` and the conjugacy test both read this."""
         return _rl_reduce(self if self.trace > 0 else -self)
 
-    @classmethod
-    def identity(cls) -> "SL2Matrix":
-        return cls(1, 0, 0, 1)
-
     @property
     def trace(self) -> int:
         return self.a + self.d
@@ -179,10 +175,6 @@ class TwistWord:
         _check_ints("exponents", [e for _, e in steps], steps)
         object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
-    @classmethod
-    def of(cls, *steps: tuple[HomologyClass, int]) -> "TwistWord":
-        return cls(steps)
-
     def __iter__(self) -> Iterator[tuple[HomologyClass, int]]:
         return iter(self.steps)
 
@@ -191,7 +183,7 @@ class TwistWord:
 
     @classmethod
     def from_json(cls, data) -> "TwistWord":
-        return cls.of(*((HomologyClass(*s["class"]), s["exp"]) for s in data))
+        return cls((HomologyClass(*s["class"]), s["exp"]) for s in data)
 
 
 @value_class

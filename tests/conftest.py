@@ -143,7 +143,7 @@ from tpqr.sl2z import (
     monodromy_matrix,
 )
 
-_I = SL2Matrix.identity()
+_I = SL2Matrix(1, 0, 0, 1)
 
 
 @pytest.fixture(autouse=True)
@@ -559,7 +559,7 @@ def _raw_rpow(n):
 def power_word_matrix(exps) -> SL2Matrix:
     """R^{e1} L^{e2} R^{e3} ... by repeated squaring of R and L."""
     r, l = SL2Matrix(1, 1, 0, 1), SL2Matrix(1, 0, 1, 1)
-    out = SL2Matrix.identity()
+    out = SL2Matrix(1, 0, 0, 1)
     for i, e in enumerate(exps):
         out = out * ((r if i % 2 == 0 else l) ** e)
     return out
@@ -611,7 +611,7 @@ def preperiod_rl_reduce(m: SL2Matrix):
 
 
 def entrywise_cycle_matrix(entries) -> SL2Matrix:
-    out = SL2Matrix.identity()
+    out = SL2Matrix(1, 0, 0, 1)
     for c in entries:
         out = out * SL2Matrix(c, -1, 1, 0)
     return out

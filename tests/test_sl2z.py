@@ -46,7 +46,7 @@ from tpqr.sl2z import (
 )
 from tpqr.sl2z import _reduce
 
-I = SL2Matrix.identity()
+I = SL2Matrix(1, 0, 0, 1)
 
 
 # --- construction and basic arithmetic -------------------------------------
@@ -79,7 +79,7 @@ def test_pow_and_inverse():
 def test_json_round_trip():
     m = monodromy_matrix(3, 4, 5)
     assert SL2Matrix.from_json(m.to_json()) == m
-    w = TwistWord.of((ALPHA, 2), (GAMMA, -1))
+    w = TwistWord(((ALPHA, 2), (GAMMA, -1)))
     assert TwistWord.from_json(w.to_json()) == w
 
 
@@ -402,7 +402,7 @@ def test_torus_relation_and_word_evaluation():
     tb_ta = evaluate_word([(BETA, 1), (ALPHA, 1)])
     for n in range(1, 5):
         assert tb_ta ** (6 * n) == I
-    assert evaluate_word(TwistWord.of()) == I
+    assert evaluate_word(TwistWord(())) == I
     assert evaluate_word([(ALPHA, 1), (BETA, 1)]) ** 4 == mat2(((0, 1), (-1, -1)))
 
 
@@ -609,7 +609,7 @@ def twist_words(draw):
 @settings(max_examples=200, deadline=None)
 def test_evaluate_word_equals_the_object_twist_powers(word):
     assert evaluate_word(word) == object_evaluate_word(word)
-    assert evaluate_word(TwistWord.of(*word)) == object_evaluate_word(word)
+    assert evaluate_word(TwistWord(word)) == object_evaluate_word(word)
 
 
 @given(
@@ -627,11 +627,19 @@ def test_reduce_equals_the_object_reduction(data, base, sign):
 
 
 def test_twist_word_stores_each_step_as_a_tuple():
-    word = TwistWord.of([ALPHA, 1], (BETA, -2))
-    assert word == TwistWord.of((ALPHA, 1), (BETA, -2)) == TwistWord(([ALPHA, 1], [BETA, -2]))
+    word = TwistWord(([ALPHA, 1], (BETA, -2)))
+    assert word == TwistWord(((ALPHA, 1), (BETA, -2))) == TwistWord(([ALPHA, 1], [BETA, -2]))
     assert word.steps == ((ALPHA, 1), (BETA, -2))
-    assert hash(TwistWord(([ALPHA, 1],))) == hash(TwistWord.of((ALPHA, 1)))
+    assert hash(TwistWord(([ALPHA, 1],))) == hash(TwistWord(((ALPHA, 1),)))
     assert TwistWord(step for step in word).steps == word.steps  # read once, then kept
+
+
+def test_a_twist_word_reads_back_its_json():
+    word = TwistWord(((ALPHA, 1), (BETA, -2), (GAMMA, 0)))
+    assert TwistWord.from_json(word.to_json()) == word
+    assert TwistWord.from_json([]) == TwistWord(())
+    with pytest.raises(TypeError, match="integer exponents required"):
+        TwistWord.from_json([{"class": [1, 0], "exp": 1.0}])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -721,8 +729,8 @@ def test_matrix_reader_rejects_floats_and_bools(data):
         lambda: TwistWord.from_json([{"class": [1, 0], "exp": 2.9}]),
         lambda: TwistWord.from_json([{"class": [1, 0], "exp": True}]),
         lambda: TwistWord.from_json([{"class": [1.0, 0], "exp": 2}]),
-        lambda: TwistWord.of((ALPHA, 2.0)),
-        lambda: TwistWord.of((ALPHA, 1), (BETA, False)),
+        lambda: TwistWord(((ALPHA, 2.0),)),
+        lambda: TwistWord(((ALPHA, 1), (BETA, False))),
     ],
 )
 def test_twist_word_readers_reject_floats_and_bools(read):

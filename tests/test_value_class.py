@@ -42,7 +42,7 @@ from tpqr.quadlattice import (
 )
 from tpqr.sl2z import ALPHA, BETA, L, R, RLWord, SL2Matrix, TwistWord
 
-_I, _S = SL2Matrix.identity(), SL2Matrix(0, -1, 1, 0)
+_I, _S = SL2Matrix(1, 0, 0, 1), SL2Matrix(0, -1, 1, 0)
 
 # entries that fail the validation by type
 ODD = st.sampled_from([1.0, "1", None])
@@ -191,7 +191,7 @@ def test_a_one_field_class_hashes_the_one_tuple():
     c = k3glue.InoseCase((2, 2, 0, 1))
     assert hash(c) == hash(((2, 2, 0, 1),))
     assert repr(c) == "InoseCase(counts=(2, 2, 0, 1))"
-    assert c == k3glue.InoseCase.of(2, 2, 0, 1) and c != (2, 2, 0, 1)
+    assert c == k3glue.InoseCase([2, 2, 0, 1]) and c != (2, 2, 0, 1)
 
 
 @value_class
@@ -217,6 +217,25 @@ def test_no_value_class_writes_its_own_init():
     assert {SL2Matrix, QuadIrrational, TwistWord, GramLattice, numcheck.FibrationParams} <= classes
     for cls in classes:
         assert vars(cls)["__init__"].__code__ is _Probe.__init__.__code__, cls.__qualname__
+
+
+def test_the_only_classmethods_are_the_json_readers_and_minimal():
+    """A value has one way in, its constructor: a classmethod may read a
+    value back from JSON, or, as FibrationParams.minimal, compute a field
+    the caller does not give."""
+    found = {
+        f"{cls.__qualname__}.{name}"
+        for cls in _layer_value_classes()
+        for name, attr in vars(cls).items()
+        if isinstance(attr, classmethod)
+    }
+    assert found == {
+        "FibrationParams.minimal",
+        "GramLattice.from_json",
+        "QuadIrrational.from_json",
+        "SL2Matrix.from_json",
+        "TwistWord.from_json",
+    }
 
 
 @pytest.mark.parametrize(
@@ -311,14 +330,14 @@ def test_a_triple_out_of_range_or_class_raises_its_layers_own_error(build, tripl
     "build",
     [
         lambda: TwistWord((((1, 0), 1),)),
-        lambda: TwistWord.of((ALPHA, 1), ("beta", 2)),
+        lambda: TwistWord(((ALPHA, 1), ("beta", 2))),
         lambda: sl2z.evaluate_word([((1, 0), 1)]),
         lambda: sl2z.evaluate_word([(ALPHA, 1, 2)]),
         lambda: sl2z.evaluate_word([(ALPHA,)]),
         lambda: sl2z.evaluate_word([ALPHA]),
-        lambda: TwistWord.of((ALPHA, 1, 2)),
-        lambda: TwistWord.of((ALPHA,)),
-        lambda: TwistWord.of(ALPHA),
+        lambda: TwistWord(((ALPHA, 1, 2),)),
+        lambda: TwistWord(((ALPHA,),)),
+        lambda: TwistWord((ALPHA,)),
     ],
 )
 def test_a_twist_word_takes_homology_classes(build):

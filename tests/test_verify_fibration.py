@@ -4,6 +4,7 @@ but for the one key it added, and the rules behind two of its verdicts:
 the corank of the differential at a critical point, and the points the
 Lagrangian defect skips and the share of them it may skip."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -249,3 +250,38 @@ def test_a_reduced_theta_reduces_to_itself(theta):
     reduced = FibrationParams(2, 3, 7, a=1e8, theta=theta).theta
     assert 0.0 <= reduced < 2.0 * math.pi
     assert FibrationParams(2, 3, 7, a=1e8, theta=reduced).theta == reduced
+
+
+# The five `verify-fibration` requests of the CI smoke step, as (triple,
+# t, theta, config fields), with the sha256 of the report's sorted-key
+# JSON less the three floats an SVD computes, whose last bits depend on
+# the LAPACK build.
+PINNED_REPORTS = [
+    ((2, 3, 7), 1.0, 0.0, {"samples": 10000},
+     "20a14f326c9b060b71a6b211865c0fe489cd0f8caf01ee3239b3048db432c14b"),
+    ((3, 4, 5), 1.0, 1.0, {"samples": 3000, "seed": 7},
+     "c3686ab08fb5d3952b851a7bcab499452cebbfc27d3dbf01888c9152f0a223f2"),
+    ((2, 4, 5), 0.5, 2.0, {"samples": 2000, "seed": 3},
+     "040b6e8ac93263b80a23264d8f36191cefdb55efbd6a352e7cccd5cb61d29ebc"),
+    ((2, 3, 7), 0.0, 0.0, {"samples": 5000, "seed": 9},
+     "ef1e920223b0abf76a6448f8f7a34c29a9377e0bec7edf762702d0556941dd87"),
+    ((4, 4, 4), 0.5, 6.249554709692088, {"samples": 200, "seed": 1},
+     "abddced5472911dd05a80ab0e92dbb8e1e52a96bdae200df0132395a30a256e6"),
+]
+SVD_FLOATS = [
+    ("critical_points", "worst_rank_ratio"),
+    ("critical_points", "worst_corank2_ratio"),
+    ("lagrangian_defect", "max_defect"),
+]
+
+
+@pytest.mark.parametrize(
+    "pqr, t, theta, fields, digest", PINNED_REPORTS, ids=[f"{c[0]}-t{c[1]}" for c in PINNED_REPORTS]
+)
+def test_the_checked_reports_are_pinned(pqr, t, theta, fields, digest):
+    report = verify_fibration(FibrationParams.minimal(*pqr, theta=theta, t=t),
+                              NumericalConfig(**fields))
+    assert report["passed"]
+    for stage, key in SVD_FLOATS:
+        report.get(stage, {}).pop(key, None)
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
