@@ -60,9 +60,11 @@ def _check_int_rows(what: str, rows) -> None:
 
 
 def _check_triple(given: tuple, error, least_excess=None) -> None:
-    """TypeError unless the three entries of ``given`` are ints; then
+    """TypeError unless ``given`` is three entries, each an int; then
     ``error`` unless each is >= 2 and, with ``least_excess`` 1 or 0, unless
     ``triple_excess`` reaches it: a cusp, or a cusp or parabolic triple."""
+    if len(given) != 3:
+        raise TypeError(f"integer triple required, got {given!r}")
     _check_ints("triple", given, given)
     name = "({},{},{})".format(*given)
     if min(given) < 2:

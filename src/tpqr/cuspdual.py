@@ -124,7 +124,13 @@ class QuadIrrational:
             object.__setattr__(self, name, value)
 
     def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
+        """Within 1 ulp, from integers alone: |a + b sqrt(d)| > 2^-m, m the
+        bits of |a| + |b| sqrt(d), so with 2^k >= |b| 2^(m+64) flooring
+        sqrt(d) 2^k moves the numerator by < 2^-64 of it; the int division
+        rounds once and overflows only past the double range."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        k = 66 + b.bit_length() + max(a.bit_length(), b.bit_length() + d.bit_length())
+        return ((a << k) + b * math.isqrt(d << 2 * k)) / (c << k)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}

@@ -50,6 +50,12 @@ class DualPair:
     right_label: str
     right: tuple[int, int, int]
 
+    def __post_init__(self):
+        for name in ("left", "right"):
+            triple = tuple(getattr(self, name))
+            _check_triple(triple, ValueError)
+            object.__setattr__(self, name, triple)
+
     @property
     def self_dual(self) -> bool:
         return self.left == self.right
@@ -119,15 +125,16 @@ class GluedVerdict:
 
 
 def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
-    """T(left) + T(right) + H, the H spanned by a section and the common
-    fiber class; unimodular exactly for the (2,3,7) self-pair, in which
-    case the sum is the K3 lattice."""
+    """T(left) + T(right) + H, unimodular exactly for the (2,3,7) self-pair,
+    in which case the sum is the K3 lattice.  H is ``hyperbolic_plane()``:
+    e.3 = sigma + F and f.3 = F for a section sigma (sigma^2 = -2) and the
+    fiber class F, the isotropic basis with Gram [[0, 1], [1, 0]]."""
     if pair not in _TABLE:
         raise ValueError(f"{pair} is not a duality-table pair")
     from . import quadlattice as ql  # the one user of the layer here
 
-    h = ql.GramLattice(["section", "fiber"], ql.hyperbolic_plane().gram)
-    lat = ql.direct_sum(ql.t_lattice(*pair.left), ql.t_lattice(*pair.right), h)
+    left, right = ql.t_lattice(*pair.left), ql.t_lattice(*pair.right)
+    lat = ql.direct_sum(left, right, ql.hyperbolic_plane())
     det, sig = ql.discriminant(lat), ql.signature(lat)
     uni = abs(det) == 1
     iso = ql.unimodular_indefinite_isomorphic(lat, ql.k3_lattice()) if uni else None

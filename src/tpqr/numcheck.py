@@ -558,7 +558,6 @@ def _project(params, seeds, config, max_iter):
     ``project_to_level``, and the outcome of each row (n, 3) under
     _newton; a row whose gradient vanishes stops where it is."""
     tau = params.target
-    scale = max(abs(tau), 1e-300)
     cur = np.array(seeds, dtype=complex)
 
     def step(rows, res, grad):
@@ -570,7 +569,7 @@ def _project(params, seeds, config, max_iter):
             stuck = None
         return rows - res[:, None] * np.conj(grad) / norm2[:, None], stuck
 
-    tol = config.residual_tol * scale
+    tol = config.residual_tol * abs(tau)  # |tau| = 1/a >= 1.5e-154 by FibrationParams
     return cur, _newton(params, cur.reshape(-1, 3), tau, tol, max_iter, step)
 
 

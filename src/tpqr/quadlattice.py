@@ -11,16 +11,16 @@ carries its determinant and inertia in closed form (``_star_form``);
 ``direct_sum`` multiplies the determinants of its parts and adds their
 inertias.  A builder checks its own inputs, a diagonal and an edge list
 or checked parts, in time linear in them, and stores the lattice without
-the O(n^2) scans of the constructor (``_stored``).  A lattice built by
-hand, ``GramLattice(labels, gram)``, keeps every check and gets its
-determinant and inertia from one plain fraction-free (Bareiss) integer
-elimination, ``_eliminate``, run at most once per object; only such a
-lattice reaches it.
+the O(n^2) scans of the constructor (``_stored``).  Only a lattice built
+by hand, ``GramLattice(labels, gram)`` from JSON or a library caller,
+keeps every check and runs one plain fraction-free (Bareiss) integer
+elimination, ``_eliminate``, at most once per object, for its
+determinant and inertia; no CLI request builds one.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, compress
 from math import prod
 
@@ -253,8 +253,8 @@ def t_tilde_lattice(p: int, q: int, r: int, generator: str = "S'") -> GramLattic
 def direct_sum(*lattices: GramLattice) -> GramLattice:
     """The orthogonal sum, with labels suffixed .1, .2, ... by part, a
     single part included.  Its determinant is the product of the parts'
-    and its inertia their sum; a part built by hand runs its own
-    elimination, once, for them.  The parts were checked when they were
+    and its inertia their sum, so only a part built by hand runs an
+    elimination, its own, once.  The parts were checked when they were
     built, so the sum is stored without a scan; its sparse rows are left
     to be built on first read."""
     for lat in lattices:
@@ -273,10 +273,8 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
     return _stored(tuple(labels), tuple(rows), _elimination=form)
 
 
-@cache
 def k3_lattice() -> GramLattice:
-    """The even unimodular lattice of rank 22 and signature (3,19), built
-    once per process: the value is frozen and keeps its reductions."""
+    """2E8 + 3H: the even unimodular lattice of rank 22 and signature (3,19)."""
     h = hyperbolic_plane()
     return direct_sum(e_lattice(8), e_lattice(8), h, h, h)
 

@@ -1,7 +1,10 @@
 import itertools
 import math
+import random
+import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -198,6 +201,31 @@ def test_the_constructor_is_the_one_normaliser(a, b, c, d):
     assert vars(QuadIrrational(**vars(x))) == vars(x)  # canonical values are fixed points
     assert x.c > 0 and math.gcd(x.a, x.b, x.c) == 1 and (x.b == 0) == (x.d == 1)
     assert math.isclose(float(x), (a + b * math.sqrt(d)) / c, rel_tol=1e-12, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 10, 100, 400, 1000])
+def test_float_is_within_one_ulp_however_long_the_coefficients(length):
+    """float() of cf_value and alpha_v against a 1200-digit decimal
+    evaluation, on aperiodic cycles whose coefficients pass the double
+    range long before their values do: (3)^399 (4) has d of 1112 bits.
+    A value past the double range raises OverflowError."""
+    rng = random.Random(length)
+    cycles = [(3,) * (length - 1) + (4,)]
+    while len(cycles) < 4:
+        cycle = tuple(rng.choice((2, 2, 3, 4, 5, 6)) for _ in range(length))
+        if max(cycle) >= 3 and all(cycle != cycle[k:] + cycle[:k] for k in range(1, length)):
+            cycles.append(cycle)
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        for cycle in cycles:
+            for x in (cf_value(CycleData(cycle)), alpha_v(CycleData(cycle))):
+                exact = (Decimal(x.a) + Decimal(x.b) * Decimal(x.d).sqrt()) / x.c
+                if exact > sys.float_info.max:
+                    with pytest.raises(OverflowError):
+                        float(x)
+                    continue
+                f = float(x)
+                assert abs(Decimal(f) - exact) <= Decimal(math.ulp(f)), (cycle, x)
 
 
 def test_squarefree_refuses_from_the_bound():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -61,6 +62,29 @@ def test_critical_count():
         critical_count(DualPair("X", (2, 2, 2), "X", (2, 2, 2)))
 
 
+def test_a_pair_built_from_lists_is_the_table_pair():
+    e12 = pair_for_triple(2, 3, 7)
+    pair = DualPair("E12", [2, 3, 7], "E12", [2, 3, 7])
+    assert pair == e12 and hash(pair) == hash(e12)
+    assert pair.left == pair.right == (2, 3, 7) and type(pair.left) is tuple
+    assert critical_count(pair) == 24
+
+
+@pytest.mark.parametrize(
+    "left, right, error, message",
+    [
+        ((2.0, 3, 7), (2, 3, 7), TypeError, "integer triple required, got (2.0, 3, 7)"),
+        ((2, 3, 7), (2, 3, True), TypeError, "integer triple required, got (2, 3, True)"),
+        ((2, 3), (2, 3, 7), TypeError, "integer triple required, got (2, 3)"),
+        ((2, 3, 7), (2, 3, 7, 7), TypeError, "integer triple required, got (2, 3, 7, 7)"),
+        ((1, 3, 7), (2, 3, 7), ValueError, "indices must be >= 2, got (1,3,7)"),
+    ],
+)
+def test_a_pair_refuses_a_side_that_is_not_three_indices(left, right, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        DualPair("E12", left, "E12", right)
+
+
 def test_boundary_gluing_inverse_conjugacy_all_pairs():
     for pair in strange_duality_table():
         a = monodromy_matrix(*pair.left)
@@ -110,7 +134,9 @@ def test_glued_lattice_237():
     assert abs(verdict.det) == 1
     assert verdict.parity == "even"
     assert verdict.unimodular and verdict.isomorphic_to_k3
-    assert "section.3" in lat.labels and "fiber.3" in lat.labels
+    # H as hyperbolic_plane() returns it: e = section + fiber, f = fiber
+    assert lat.labels[-2:] == ("e.3", "f.3")
+    assert [row[-2:] for row in lat.gram[-2:]] == [(0, 1), (1, 0)]
 
 
 def test_glued_lattice_z11_e13_not_unimodular():

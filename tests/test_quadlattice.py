@@ -858,44 +858,43 @@ def test_one_elimination_and_one_snf_per_lattice(monkeypatch):
     assert (discriminant(built), signature(built)) == (discriminant(lat), signature(lat))
 
 
-def test_glued_lattice_eliminates_each_lattice_once(monkeypatch):
-    """Only the hand-built section/fiber plane of ``glued_lattice`` runs
-    an elimination: its T parts, their sum and the K3 lattice are builder
-    lattices."""
-    k3_lattice.cache_clear()
-    calls = _counting(monkeypatch, "_smith")
-    sizes = []
+def _counting_the_scans(monkeypatch):
+    """Counts of ``_eliminate`` and ``_smith`` calls and of the
+    constructor's checks, ``GramLattice.__post_init__``."""
+    calls = _counting(monkeypatch, "_eliminate", "_smith")
 
-    def recorded(rows, _fn=_eliminate):
-        sizes.append(len(rows))
-        return _fn(rows)
+    def counted(self, _fn=GramLattice.__post_init__):
+        calls["__post_init__"] += 1
+        _fn(self)
 
-    monkeypatch.setattr(quadlattice, "_eliminate", recorded)
-    pair = k3glue.pair_for_triple(2, 3, 7)
-    _, verdict = k3glue.glued_lattice(pair)
-    assert verdict.isomorphic_to_k3
-    assert sizes == [2]
-    for p in k3glue.strange_duality_table():
-        k3glue.glued_lattice(p)
+    monkeypatch.setattr(GramLattice, "__post_init__", counted)
+    return calls
+
+
+def test_glued_lattices_run_no_elimination(monkeypatch):
+    """The T parts, the plane H, their sum and the K3 lattice that
+    ``glued_lattice`` reads are builder lattices: none is checked by the
+    constructor or eliminated, and none is reduced."""
+    calls = _counting_the_scans(monkeypatch)
+    GramLattice(("a",), ((2,),))
+    assert calls == {"__post_init__": 1}  # the spy sees a lattice built by hand
+    calls.clear()
+    for pair in k3glue.strange_duality_table():
+        _, verdict = k3glue.glued_lattice(pair)
+        assert verdict.isomorphic_to_k3 == (True if pair.left == pair.right == (2, 3, 7) else None)
     k3 = k3_lattice()
     signature(k3), discriminant(k3)
-    assert sizes == [2] * 11 and calls == {}
-    assert k3_lattice() is k3  # built once per process
+    assert calls == {}
+    assert k3_lattice() == k3 and not hasattr(k3_lattice, "cache_clear")
 
 
-def test_only_the_k3_command_eliminates_once_on_its_rank_2_plane(monkeypatch, capsys):
-    """At the CLI the elimination runs only on hand-built lattices: the
-    section/fiber plane of each ``k3`` request.  Every lattice that
-    ``lattice``, ``monodromy``, ``dual``, ``table`` and ``inose`` read is a
-    builder lattice."""
-    ranks = []
-
-    def recorded(rows, _fn=_eliminate):
-        ranks.append(len(rows))
-        return _fn(rows)
-
-    monkeypatch.setattr(quadlattice, "_eliminate", recorded)
-    others = [
+def test_no_command_runs_the_elimination_or_the_constructor_checks(monkeypatch, capsys):
+    """Every lattice that a CLI request reads is a builder lattice, so no
+    request runs ``_eliminate`` or ``GramLattice.__post_init__``: neither
+    ``lattice``, ``monodromy``, ``dual``, ``table`` and ``inose``, nor
+    ``k3`` on any of the ten pairs."""
+    calls = _counting_the_scans(monkeypatch)
+    argvs = [
         ["lattice", "t", "--triple", "3,4,5"],
         ["lattice", "ttilde", "--triple", "3,4,5", "--generator", "S"],
         ["lattice", "ttilde", "--triple", "3,4,5", "--generator", "S'"],
@@ -908,13 +907,11 @@ def test_only_the_k3_command_eliminates_once_on_its_rank_2_plane(monkeypatch, ca
         ["table"],
         ["inose", "--case", "2,2,2,2"],
     ]
-    for argv in others:
+    argvs += [["k3", "--pair", ",".join(map(str, pair.left))]
+              for pair in k3glue.strange_duality_table()]
+    for argv in argvs:
         assert cli.main(argv + ["--json"]) == 0, argv
-        assert ranks == [], argv
-    for pair in k3glue.strange_duality_table():
-        assert cli.main(["k3", "--pair", ",".join(map(str, pair.left)), "--json"]) == 0
-        assert ranks == [2], pair
-        ranks.clear()
+        assert calls["_eliminate"] == calls["__post_init__"] == 0, argv
     capsys.readouterr()
 
 

@@ -14,9 +14,11 @@ sequence fields as tuples, so a value built from lists is the value built
 from tuples, and the caller's lists can change afterwards without changing
 the value or what was computed from it."""
 
+import ast
 from dataclasses import MISSING, fields
 from functools import reduce
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tpqr
 from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z, value_class
 from tpqr.cuspdual import CuspDualityError, CycleData, QuadIrrational, cf_value
 from tpqr.quadlattice import (
@@ -236,6 +239,21 @@ def test_the_only_classmethods_are_the_json_readers_and_minimal():
         "SL2Matrix.from_json",
         "TwistWord.from_json",
     }
+
+
+def test_no_module_builds_a_lattice_by_hand():
+    """``GramLattice(labels, gram)``, with its O(n^2) checks and its
+    elimination, is for input from outside the program: no module of the
+    package calls it by name, so every lattice it builds comes from a
+    builder.  ``from_json`` builds through ``cls``, which does not count."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(tpqr.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "GramLattice" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []
 
 
 @pytest.mark.parametrize(
