@@ -124,21 +124,30 @@ class GluedVerdict:
         }
 
 
+# Rank, inertia and parity of quadlattice.k3_lattice(), 2E8 + 3H.
+_K3 = (22, (3, 0, 19), "even")
+
+
 def glued_lattice(pair: DualPair) -> tuple[GramLattice, GluedVerdict]:
     """T(left) + T(right) + H, unimodular exactly for the (2,3,7) self-pair,
     in which case the sum is the K3 lattice.  H is ``hyperbolic_plane()``:
     e.3 = sigma + F and f.3 = F for a section sigma (sigma^2 = -2) and the
-    fiber class F, the isotropic basis with Gram [[0, 1], [1, 0]]."""
+    fiber class F, the isotropic basis with Gram [[0, 1], [1, 0]].
+
+    A unimodular sum is compared with the K3 lattice by its rank, inertia
+    and parity, against ``_K3``: by Milnor's classification these fix an
+    indefinite unimodular lattice, and the sum is indefinite, as H is.  No
+    K3 lattice is built; ``isomorphic_to_k3`` is None for any other sum."""
     if pair not in _TABLE:
         raise ValueError(f"{pair} is not a duality-table pair")
     from . import quadlattice as ql  # the one user of the layer here
 
     left, right = ql.t_lattice(*pair.left), ql.t_lattice(*pair.right)
     lat = ql.direct_sum(left, right, ql.hyperbolic_plane())
-    det, sig = ql.discriminant(lat), ql.signature(lat)
+    det, sig, par = ql.discriminant(lat), ql.signature(lat), ql.parity(lat)
     uni = abs(det) == 1
-    iso = ql.unimodular_indefinite_isomorphic(lat, ql.k3_lattice()) if uni else None
-    return lat, GluedVerdict(det, sig, ql.parity(lat), uni, iso)
+    iso = (lat.rank, sig, par) == _K3 if uni else None
+    return lat, GluedVerdict(det, sig, par, uni, iso)
 
 
 # Euler numbers of the singular fibers of the Kummer-surface fibration:

@@ -1,9 +1,8 @@
 """Exact integral-lattice arithmetic.
 
 Gram matrices of the star diagrams T(p,q,r) and their degenerate
-extensions, discriminants and signatures, Smith normal form certified by
-its row and column operations, radicals, and the rank/signature/parity
-isomorphism test for indefinite unimodular lattices.
+extensions, discriminants, signatures and parity, Smith normal form
+certified by its row and column operations, and radicals.
 
 Every lattice a builder returns (``t_lattice``, ``t_tilde_lattice``,
 ``e_lattice``, ``hyperbolic_plane``, ``direct_sum`` and ``k3_lattice``)
@@ -30,8 +29,6 @@ __all__ = [
     "GramLattice",
     "SNFResult",
     "LatticeError",
-    "NotUnimodularError",
-    "DefiniteLatticeError",
     "e_lattice",
     "hyperbolic_plane",
     "direct_sum",
@@ -43,19 +40,10 @@ __all__ = [
     "parity",
     "smith_normal_form",
     "radical",
-    "unimodular_indefinite_isomorphic",
 ]
 
 
 class LatticeError(ValueError):
-    pass
-
-
-class NotUnimodularError(LatticeError):
-    pass
-
-
-class DefiniteLatticeError(LatticeError):
     pass
 
 
@@ -274,7 +262,9 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 
 
 def k3_lattice() -> GramLattice:
-    """2E8 + 3H: the even unimodular lattice of rank 22 and signature (3,19)."""
+    """2E8 + 3H: the even unimodular lattice of rank 22 and signature (3,19),
+    built on each call.  Of the CLI requests only ``lattice k3`` builds it:
+    k3glue compares a glued lattice with its rank, inertia and parity."""
     h = hyperbolic_plane()
     return direct_sum(e_lattice(8), e_lattice(8), h, h, h)
 
@@ -605,17 +595,3 @@ def radical(lat: GramLattice) -> list[tuple[int, ...]]:
         return []
     rows = _v_rows(snf.col_ops, lat.rank, zero)
     return [tuple(row.get(j, 0) for row in rows) for j in zero]
-
-
-def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:
-    """Isomorphism test valid for indefinite unimodular lattices: rank,
-    signature and parity decide."""
-    sigs = []
-    for lat in (l1, l2):
-        sig = signature(lat)
-        if abs(discriminant(lat)) != 1:
-            raise NotUnimodularError(f"|det| != 1 for lattice of rank {lat.rank}")
-        if sig[0] == 0 or sig[2] == 0:
-            raise DefiniteLatticeError("definite lattice outside the test's scope")
-        sigs.append(sig)
-    return l1.rank == l2.rank and sigs[0] == sigs[1] and parity(l1) == parity(l2)

@@ -36,6 +36,10 @@ offsets of its own, and ``column_monodromy_action`` is the earlier
 monodromy, built image column by image column and then transposed, with
 the S' basis indices derived again from p, q and r.  ``basis_changed`` is
 the Gram matrix B^T G B of a change of basis, multiplied out in full.
+``unimodular_indefinite_isomorphic`` is the library's earlier isomorphism
+test for two indefinite unimodular lattices, which compares their rank,
+inertia and parity, and refuses a lattice that is not unimodular
+(``NotUnimodularError``) or is definite (``DefiniteLatticeError``).
 The dense Berkowitz and dense elimination oracles are the exact kernels
 before they used sparsity: full Krylov vectors, and every trailing row
 rescaled at every step.
@@ -126,6 +130,9 @@ from tpqr.quadlattice import (
     LatticeError,
     _add,
     _eliminate,
+    discriminant,
+    parity,
+    signature,
     t_tilde_lattice,
 )
 from tpqr.sl2z import (
@@ -1139,6 +1146,28 @@ def basis_changed(lat: GramLattice, b: list[list[int]]) -> GramLattice:
     gb = [[sum(lat.gram[i][k] * b[k][j] for k in r) for j in r] for i in r]
     new = [[sum(b[k][i] * gb[k][j] for k in r) for j in r] for i in r]
     return GramLattice(lat.labels, new)
+
+
+class NotUnimodularError(LatticeError):
+    pass
+
+
+class DefiniteLatticeError(LatticeError):
+    pass
+
+
+def unimodular_indefinite_isomorphic(l1: GramLattice, l2: GramLattice) -> bool:
+    """Isomorphism test valid for indefinite unimodular lattices: rank,
+    signature and parity decide."""
+    sigs = []
+    for lat in (l1, l2):
+        sig = signature(lat)
+        if abs(discriminant(lat)) != 1:
+            raise NotUnimodularError(f"|det| != 1 for lattice of rank {lat.rank}")
+        if sig[0] == 0 or sig[2] == 0:
+            raise DefiniteLatticeError("definite lattice outside the test's scope")
+        sigs.append(sig)
+    return l1.rank == l2.rank and sigs[0] == sigs[1] and parity(l1) == parity(l2)
 
 
 def column_monodromy_action(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:

@@ -9,6 +9,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from conftest import unimodular_indefinite_isomorphic
 from tpqr import cuspdual, k3glue, milnorfiber, numcheck, quadlattice, sl2z
 
 
@@ -66,9 +67,9 @@ def test_criterion_04_discriminant_law():
 def test_criterion_05_lattice_identification():
     t = quadlattice.t_lattice(2, 3, 7)
     e8h = quadlattice.direct_sum(quadlattice.e_lattice(8), quadlattice.hyperbolic_plane())
-    ok = quadlattice.unimodular_indefinite_isomorphic(t, e8h)
+    ok = unimodular_indefinite_isomorphic(t, e8h)
     glued = quadlattice.direct_sum(t, t, quadlattice.hyperbolic_plane())
-    ok = ok and quadlattice.unimodular_indefinite_isomorphic(glued, quadlattice.k3_lattice())
+    ok = ok and unimodular_indefinite_isomorphic(glued, quadlattice.k3_lattice())
     report(5, "T(2,3,7) = E8+H and 2T(2,3,7)+H = 2E8+3H", ok)
 
 

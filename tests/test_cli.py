@@ -167,6 +167,7 @@ TEXT_SHA256 = {
     "lattice h": "53f7a05135611a75b03f47a3110c683140748f0447667c3e97520a2e6ba563d3",
     "lattice k3": "ae218dc28469d0b5b0665845dedd7e9a342011c6b36b71b119d052fe9a3ced79",
     "k3 --pair 3,4,5": "e6a4a895232f499917058751b012992398dcc3c3fabde1b5e7b9f83d7f11b933",
+    "k3 --pair 2,3,7": "46280138d46888213192886a59469ef993db78ff4dd7d71a625d02cdbff780ad",
     "inose --case 2,2,2,2": "4504fdc01be80c3aa645aae3b183503704425e8084961675a6340e49cb532dcc",
     "inose --case 0,0,0,0": "757f4ffd5b280dd0948920ef925ac0f0610f55b913aeb8ff845fe8ba68b5e06d",
     "table": "4dc4c9e97cdb0027cd122cbdf2fabc000b2be77284e7d9928380810f665fa834",

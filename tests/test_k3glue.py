@@ -10,9 +10,10 @@ from conftest import (
     mat2,
     meyer_signature,
     two_pass_inose_classification,
+    unimodular_indefinite_isomorphic,
     word_letters,
 )
-from tpqr import k3glue
+from tpqr import cli, k3glue, quadlattice
 from tpqr.cuspdual import CuspDualityError, _duality
 from tpqr.k3glue import (
     INOSE_FIBER_COUNTS,
@@ -26,7 +27,7 @@ from tpqr.k3glue import (
     pair_for_triple,
     strange_duality_table,
 )
-from tpqr.quadlattice import discriminant, k3_lattice, signature, t_lattice
+from tpqr.quadlattice import discriminant, k3_lattice, parity, signature, t_lattice
 from tpqr.sl2z import (
     GAMMA,
     HomologyClass,
@@ -147,6 +148,38 @@ def test_glued_lattice_z11_e13_not_unimodular():
     assert abs(discriminant(t_lattice(2, 3, 8))) == 2
     assert abs(verdict.det) == 4
     assert not verdict.unimodular and verdict.isomorphic_to_k3 is None
+
+
+def test_the_glue_reads_the_k3_lattices_invariants():
+    """``_K3`` is the rank, inertia and parity of ``k3_lattice()``, and on
+    each pair the verdict agrees with the rank/signature/parity oracle
+    against the K3 lattice when the glue is unimodular."""
+    k3 = k3_lattice()
+    assert k3glue._K3 == (k3.rank, signature(k3), parity(k3))
+    for pair in strange_duality_table():
+        lat, verdict = glued_lattice(pair)
+        want = unimodular_indefinite_isomorphic(lat, k3) if verdict.unimodular else None
+        assert verdict.isomorphic_to_k3 is want, pair
+
+
+def test_no_glue_builds_the_k3_lattice(monkeypatch, capsys):
+    """``k3 --pair`` on each of the 14 table triples builds no K3 lattice;
+    ``lattice k3`` builds it once."""
+    calls = []
+
+    def counted(_fn=quadlattice.k3_lattice):
+        calls.append(1)
+        return _fn()
+
+    monkeypatch.setattr(quadlattice, "k3_lattice", counted)
+    triples = sorted({t for pair in strange_duality_table() for t in (pair.left, pair.right)})
+    assert len(triples) == 14
+    for t in triples:
+        assert cli.main(["k3", "--pair", ",".join(map(str, t)), "--json"]) == 0, t
+    assert calls == []
+    assert cli.main(["lattice", "k3", "--json"]) == 0
+    assert calls == [1]
+    capsys.readouterr()
 
 
 def test_glued_lattice_unimodular_only_for_237():

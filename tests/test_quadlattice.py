@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DefiniteLatticeError,
+    NotUnimodularError,
     all_triples,
     bareiss_det,
     basis_changed,
@@ -29,15 +31,14 @@ from conftest import (
     sparse_rows,
     square_matrices,
     symmetric_matrices,
+    unimodular_indefinite_isomorphic,
     word_letters,
 )
 from tpqr import cli, k3glue, quadlattice, triple_excess
 from tpqr.milnorfiber import char_poly
 from tpqr.quadlattice import (
-    DefiniteLatticeError,
     GramLattice,
     LatticeError,
-    NotUnimodularError,
     SNFResult,
     _eliminate,
     _v_rows,
@@ -52,7 +53,6 @@ from tpqr.quadlattice import (
     smith_normal_form,
     t_lattice,
     t_tilde_lattice,
-    unimodular_indefinite_isomorphic,
 )
 from tpqr.sl2z import monodromy_matrix
 
@@ -872,9 +872,9 @@ def _counting_the_scans(monkeypatch):
 
 
 def test_glued_lattices_run_no_elimination(monkeypatch):
-    """The T parts, the plane H, their sum and the K3 lattice that
-    ``glued_lattice`` reads are builder lattices: none is checked by the
-    constructor or eliminated, and none is reduced."""
+    """The T parts, the plane H and their sum that ``glued_lattice``
+    builds, and ``k3_lattice()``, are builder lattices: none is checked by
+    the constructor or eliminated, and none is reduced."""
     calls = _counting_the_scans(monkeypatch)
     GramLattice(("a",), ((2,),))
     assert calls == {"__post_init__": 1}  # the spy sees a lattice built by hand
