@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Each subcommand returns its report, its text lines and its verdict;
-``main`` alone prints them and picks the exit code: 0 all checks passed,
-1 a mathematical check failed (the failing certificate is in the report),
-2 usage or precondition error.
+Each subcommand returns its report and its text lines; ``main`` alone
+prints them and exits on the report's ``passed``, true where a report has
+none: 0 all checks passed, 1 a mathematical check failed (the failing
+certificate is in the report), 2 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ def _load_config(args):
 
 # A command parses its arguments, then imports only the layers it calls: a
 # usage error compiles no layer, a request none it does not run, and only
-# verify-fibration loads numcheck (numpy).  It returns (report, lines, passed).
+# verify-fibration loads numcheck (numpy).  It returns (report, lines), and
+# a report that can fail holds its verdict as report["passed"].
 
-Result = tuple[dict, list[str], bool]
+Result = tuple[dict, list[str]]
 
 
 def _cmd_monodromy(args) -> Result:
@@ -104,7 +105,7 @@ def _cmd_monodromy(args) -> Result:
             "mu": [list(row) for row in mu],
             "char_poly": list(milnorfiber.char_poly(mu)),
         }
-    return report, [f"A_{{{p},{q},{r}}} = {m}", f"trace {m.trace}, {cls.value}"], True
+    return report, [f"A_{{{p},{q},{r}}} = {m}", f"trace {m.trace}, {cls.value}"]
 
 
 def _cmd_dual(args) -> Result:
@@ -112,16 +113,15 @@ def _cmd_dual(args) -> Result:
     from . import cuspdual
 
     rep = cuspdual.verify_duality(p, q, r)
-    ok = rep.verify()
     report = rep.to_json()
-    report["passed"] = ok
+    report["passed"] = rep.verify()
     lines = [
         "dual of ({},{},{}): ({},{},{})".format(p, q, r, *rep.dual),
         f"cycle {rep.self_cycle.entries} <-> {rep.dual_side_cycle.entries}",
         f"alpha_v = {rep.alpha_self} (dual side {rep.alpha_dual}, equal: {rep.alphas_equal})",
-        f"conjugacy certificates verified: {ok}",
+        f"conjugacy certificates verified: {report['passed']}",
     ]
-    return report, lines, ok
+    return report, lines
 
 
 def _cmd_lattice(args) -> Result:
@@ -157,7 +157,7 @@ def _cmd_lattice(args) -> Result:
         f"signature {tuple(report['signature'])}, {report['parity']}",
         f"SNF divisors: {snf.divisors}",
     ]
-    return report, lines, True
+    return report, lines
 
 
 def _cmd_k3(args) -> Result:
@@ -172,14 +172,13 @@ def _cmd_k3(args) -> Result:
     a = sl2z.monodromy_matrix(*pair.left)
     b = sl2z.monodromy_matrix(*pair.right)
     cert = sl2z.is_conjugate_to_inverse(a, b)
-    ok = count == 24 and cert is not None
     report = {
         "pair": pair.to_json(),
         "critical_count": count,
         "glued": verdict.to_json(),
         "glued_rank": lat.rank,
         "boundary_inverse_conjugacy": cert.to_json() if cert else None,
-        "passed": ok,
+        "passed": count == 24 and cert is not None,
     }
     lines = [
         f"{pair.left_label} {pair.left} <-> {pair.right_label} {pair.right}",
@@ -188,7 +187,7 @@ def _cmd_k3(args) -> Result:
         f"{verdict.parity}, unimodular {verdict.unimodular}",
         f"boundary monodromies inverse-conjugate: {cert is not None}",
     ]
-    return report, lines, ok
+    return report, lines
 
 
 def _cmd_inose(args) -> Result:
@@ -214,7 +213,7 @@ def _cmd_inose(args) -> Result:
         lines.append(f"boundary of X_{{{p},{q},{r}}} (matched: {cls.side})")
     else:
         lines.append("no duality-table boundary matches")
-    return report, lines, True
+    return report, lines
 
 
 def _cmd_verify_fibration(args) -> Result:
@@ -251,7 +250,7 @@ def _cmd_verify_fibration(args) -> Result:
     if "domain_y" in report:
         lines.append(f"domain_y audit: passed={report['domain_y']['passed']}")
     lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-    return report, lines, report["passed"]
+    return report, lines
 
 
 def _cmd_table(args) -> Result:
@@ -290,7 +289,7 @@ def _cmd_table(args) -> Result:
         )
         for row in rows
     ]
-    return report, lines, ok
+    return report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        report, lines, passed = args.func(args)
+        report, lines = args.func(args)
         if args.json:
             print(json.dumps(_sanitize(report), indent=2, sort_keys=True))
         else:
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    return 0 if passed else 1
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

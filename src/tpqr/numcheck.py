@@ -204,8 +204,15 @@ class FibrationParams:
     @classmethod
     def minimal(cls, p: int, q: int, r: int, theta: float = 0.0,
                 t: float = 1.0) -> "FibrationParams":
-        """The least admissible a: the tube bound + 1."""
+        """The least admissible a: the tube bound + 1.  Raises
+        AdmissibilityError where the tube bound reaches 6.7e153, past
+        which no a is a double that the fiber can hold."""
         bound = cls(p, q, r, a=1.0, theta=theta, t=t).tube_bound
+        if not bound < _A_MAX:
+            raise AdmissibilityError(
+                f"({p},{q},{r}) has no admissible a: max(12M, m^2(m+3)) = {bound} "
+                f"is not below {_A_MAX:.3g}"
+            )
         # past 2^53, bound + 1.0 rounds back to bound
         return cls(p, q, r, a=max(bound + 1.0, math.nextafter(bound, math.inf)), theta=theta, t=t)
 
@@ -592,9 +599,10 @@ def project_to_level(
 ) -> C3Point:
     """Newton step along the holomorphic gradient until the map value
     reaches params.target within the relative residual tolerance; a stack
-    is projected row by row.  Raises ProjectionError if a row's gradient
-    vanishes or a row has not converged after max_iter steps."""
-    cur, outcome = _project(params, pt, config, max_iter)
+    is projected row by row.  Raises ValueError for a NaN or infinite
+    component, and ProjectionError if a row's gradient vanishes or a row
+    has not converged after max_iter steps."""
+    cur, outcome = _project(params, _finite(np.asarray(pt, dtype=complex)), config, max_iter)
     error = _projection_error(outcome, max_iter)
     if error is not None:
         raise ProjectionError(error)
@@ -871,7 +879,7 @@ def hessian_fd_check(
     transverse coordinates and only fights rounding noise, so it keeps the
     larger step, 1e-4 of the center's modulus.
     """
-    pt = np.asarray(pt, dtype=complex)
+    pt = _finite(np.asarray(pt, dtype=complex))
     axis = int(np.argmax(np.abs(pt)))
     n = (params.p, params.q, params.r)[axis]
     tau = params.target

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tpqr import cli
+from tpqr import cli, cuspdual, sl2z
 from tpqr.cuspdual import QuadIrrational
 from tpqr.quadlattice import GramLattice
 from tpqr.sl2z import SL2Matrix
@@ -224,6 +224,31 @@ def test_k3_json(capsys):
 def test_k3_unknown_pair(capsys):
     code, _ = run(capsys, "k3", "--pair", "5,5,5")
     assert code == 2
+
+
+NO_DUALITY = (cuspdual.DualityReport, "verify", lambda self: False)
+NO_CONJUGATOR = (sl2z, "is_conjugate_to_inverse", lambda a, b: None)
+
+
+@pytest.mark.parametrize(
+    "argv, patch, failing_line, count",
+    [
+        (["dual", "2", "3", "7"], NO_DUALITY, "conjugacy certificates verified: False", 1),
+        (["table"], NO_DUALITY, " ok:False", 10),
+        (["k3", "--pair", "3,4,5"], NO_CONJUGATOR, "boundary monodromies inverse-conjugate: False", 1),
+    ],
+    ids=["dual", "table", "k3"],
+)
+def test_a_failed_exact_check_exits_1(capsys, monkeypatch, argv, patch, failing_line, count):
+    """The exact subcommands' exit 1, with the source of the verdict made
+    to fail; the text shows the failure on ``count`` lines."""
+    monkeypatch.setattr(*patch)
+    assert cli.main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["passed"] is False
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and sum(line.endswith(failing_line) for line in out.splitlines()) == count
 
 
 def test_table_deterministic(capsys):

@@ -7,6 +7,7 @@ Lagrangian defect skips and the share of them it may skip."""
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -162,18 +163,32 @@ def test_a_critical_point_needs_a_vanishing_differential():
         assert rep.ok and rep.corank2_ratio < 1e-15
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1), -math.inf])
 @pytest.mark.parametrize(
     "check",
     [
         numcheck.verify_critical_point,
         lambda params, pt: numcheck.lagrangian_defect(params, points=[numcheck.point(1, 1j, -1), pt]),
+        numcheck.project_to_level,
+        numcheck.hessian_fd_check,
     ],
-    ids=["critical point", "defect"],
+    ids=["critical point", "defect", "projection", "hessian"],
 )
 def test_a_point_that_is_not_finite_is_refused(check, bad):
-    with pytest.raises(ValueError, match="^point components must be finite$"):
-        check(FibrationParams.minimal(2, 3, 7), np.array([bad, 0.5, 1j]))
+    """Before any Newton step: not a ProjectionError, or a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^point components must be finite$") as info:
+            check(FibrationParams.minimal(2, 3, 7), np.array([bad, 0.5, 1j]))
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("r, bound", [(10**50, "2.7e+154"), (10**200, "inf")], ids=["past", "overflow"])
+def test_minimal_names_a_tube_bound_past_the_double_range(r, bound):
+    """Not the refusal of an a that the caller never passed."""
+    message = f"(2,3,{r}) has no admissible a: max(12M, m^2(m+3)) = {bound} is not below 6.7e+153"
+    with pytest.raises(numcheck.AdmissibilityError, match=f"^{re.escape(message)}$"):
+        FibrationParams.minimal(2, 3, r)
 
 
 @pytest.mark.parametrize(
