@@ -540,19 +540,27 @@ def _newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
     the rows it could not step, or None.  Rows do not interact, so each has
     the iterates it has alone.  Returns the outcome of each row: _VANISHED
     where step could not move it, _STALLED where it was still moving after
-    max_iter steps, and _CONVERGED."""
+    max_iter steps, and _CONVERGED.
+
+    Until a row stops, as on the first step, the pass reads pts itself,
+    and on a step where every row it read moves again, step reads those
+    rows and the pass's arrays as they are: no gathered copy, the same
+    bits.  step and its arguments are evaluated before the write-back."""
     outcome = np.full(len(pts), _CONVERGED, dtype=np.int8)
     todo = np.arange(len(pts))
     for _ in range(max_iter):
-        rows = pts.take(todo, axis=0)
+        rows = pts if len(todo) == len(pts) else pts.take(todo, axis=0)
         value, grads = _ft_pass(params, rows)
         res = value - tau
         moving = ~(np.abs(res) <= tol)
         keep = moving.nonzero()[0]
         if keep.size == 0:
             return outcome
-        todo = todo.take(keep)
-        pts[todo], stuck = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
+        if keep.size == len(todo):
+            pts[todo], stuck = step(rows, res, grads())
+        else:
+            todo = todo.take(keep)
+            pts[todo], stuck = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
         if stuck is not None:
             outcome[todo[stuck]] = _VANISHED
             todo = todo[~stuck]
@@ -561,11 +569,11 @@ def _newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
 
 
 def _project(params, seeds, config, max_iter):
-    """The seeds Newton-projected along the holomorphic gradient as in
-    ``project_to_level``, and the outcome of each row (n, 3) under
-    _newton; a row whose gradient vanishes stops where it is."""
+    """Newton-projects the seeds, a C-contiguous complex (..., 3) array,
+    in place along the holomorphic gradient as in ``project_to_level``,
+    and returns the outcome of each row under _newton; a row whose
+    gradient vanishes stops where it is."""
     tau = params.target
-    cur = np.array(seeds, dtype=complex)
 
     def step(rows, res, grad):
         norm2 = _row_sum(grad.real**2 + grad.imag**2)
@@ -577,7 +585,7 @@ def _project(params, seeds, config, max_iter):
         return rows - res[:, None] * np.conj(grad) / norm2[:, None], stuck
 
     tol = config.residual_tol * abs(tau)  # |tau| = 1/a >= 1.5e-154 by FibrationParams
-    return cur, _newton(params, cur.reshape(-1, 3), tau, tol, max_iter, step)
+    return _newton(params, seeds.reshape(-1, 3), tau, tol, max_iter, step)
 
 
 def _projection_error(outcome: np.ndarray, max_iter: int) -> Optional[str]:
@@ -599,14 +607,15 @@ def project_to_level(
 ) -> C3Point:
     """Newton step along the holomorphic gradient until the map value
     reaches params.target within the relative residual tolerance; a stack
-    is projected row by row.  Raises ValueError for a NaN or infinite
-    component, and ProjectionError if a row's gradient vanishes or a row
-    has not converged after max_iter steps."""
-    cur, outcome = _project(params, _finite(np.asarray(pt, dtype=complex)), config, max_iter)
-    error = _projection_error(outcome, max_iter)
+    is projected row by row, in a C-ordered copy, so pt is never written.
+    Raises ValueError for a NaN or infinite component, and
+    ProjectionError if a row's gradient vanishes or a row has not
+    converged after max_iter steps."""
+    pts = _finite(np.array(pt, dtype=complex, order="C"))
+    error = _projection_error(_project(params, pts, config, max_iter), max_iter)
     if error is not None:
         raise ProjectionError(error)
-    return cur
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -1040,16 +1049,18 @@ def _level_stack(params: FibrationParams, config: NumericalConfig):
     Returns, per side, (points, holo, anti, error): error is the
     ProjectionError message of that side's own rows, or None.  The arrays
     are read-only; only the last stack asked for is kept, and equal
-    arguments share it."""
-    samples = _sample_seeds(params, config)
-    seeds = np.concatenate([samples, _defect_seeds(params, config)])
-    pts, outcome = _project(params, seeds, config, _PROJECTION_STEPS)
+    arguments share it.  A new stack drops the last one before its seeds
+    are drawn, and is projected in the array its seeds are joined in, so
+    one cell's arrays are alive at a time."""
+    _level_stack.cache_clear()  # a miss: the last stack goes first
+    pts = np.concatenate([_sample_seeds(params, config), _defect_seeds(params, config)])
+    outcome = _project(params, pts, config, _PROJECTION_STEPS)
     holo, anti = _ft_pass(params, pts)[1](anti=True)
     for a in (pts, holo, anti):
         a.flags.writeable = False
     return tuple(
         (pts[rows], holo[rows], anti[rows], _projection_error(outcome[rows], _PROJECTION_STEPS))
-        for rows in (slice(len(samples)), slice(len(samples), None))
+        for rows in (slice(config.samples), slice(config.samples, None))
     )
 
 

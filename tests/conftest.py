@@ -69,6 +69,9 @@ conversions, ``stacked_real_jacobian`` interleaves the real Jacobian with
 each call, and ``triu_fd_hessian`` its index arrays.
 ``staged_verify_fibration`` is the fibration pipeline and its verdict as
 the CLI ran them stage by stage before ``numcheck.verify_fibration``.
+``gathered_newton`` is the Newton loop as it ran before a step whose
+rows all move read them in place: every step gathers the rows still
+moving, and the kernel pass's arrays at them by mask.
 ``two_pass_inose_classification`` is the earlier Inose boundary match: a
 pass over the table triples for the inverse side and, only when nothing
 matched there, a second pass for the direct side, building each
@@ -1749,6 +1752,28 @@ def whole_stack_project_to_level(params: FibrationParams, seeds: np.ndarray,
             raise numcheck.ProjectionError("vanishing gradient during projection")
         pts[todo] = rows.take(keep, axis=0) - res.take(keep)[:, None] * np.conj(grad) / norm2[:, None]
     raise numcheck.ProjectionError(f"no convergence after {max_iter} iterations")
+
+
+def gathered_newton(params, pts, tau, tol, max_iter, step) -> np.ndarray:
+    """numcheck._newton with a gathered copy of the rows still moving, and
+    their gradients by mask, on every step."""
+    outcome = np.full(len(pts), numcheck._CONVERGED, dtype=np.int8)
+    todo = np.arange(len(pts))
+    for _ in range(max_iter):
+        rows = pts.take(todo, axis=0)
+        value, grads = numcheck._ft_pass(params, rows)
+        res = value - tau
+        moving = ~(np.abs(res) <= tol)
+        keep = moving.nonzero()[0]
+        if keep.size == 0:
+            return outcome
+        todo = todo.take(keep)
+        pts[todo], stuck = step(rows.take(keep, axis=0), res.take(keep), grads(moving))
+        if stuck is not None:
+            outcome[todo[stuck]] = numcheck._VANISHED
+            todo = todo[~stuck]
+    outcome[todo] = numcheck._STALLED
+    return outcome
 
 
 def separate_sample_on_level(params: FibrationParams, config: NumericalConfig) -> np.ndarray:

@@ -1,7 +1,9 @@
 """The level-set kernel against the one it replaced (the oracle
 reducing_ft_pass in conftest), bit for bit with signed zeros; the numpy
-identities its column arithmetic rests on; and the axial Newton solve,
-which accepts rows that stall at the rounding floor of ft and no others."""
+identities its column arithmetic rests on; the Newton loop against the
+one that gathered its rows on every step (gathered_newton); and the
+axial Newton solve, which accepts rows that stall at the rounding floor
+of ft and no others."""
 
 import math
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, reducing_ft_pass
+from conftest import assert_same_bits, gathered_newton, reducing_ft_pass
 from test_numcheck_bitwise import TABLE_TRIPLES, rows
 from tpqr import cli, numcheck
 from tpqr.numcheck import FibrationParams, ProjectionError, critical_points, hessian_fd_check
@@ -262,6 +264,57 @@ def test_a_row_stalled_far_above_the_floor_raises(monkeypatch):
     with pytest.raises(ProjectionError, match="axial Newton did not converge"):
         numcheck._solve_axial(params, 2, np.array([[1e-3, 2e-3j], [0.0, 1e-4]]) * abs(pt[2]), pt[2])
     assert len(calls) == 61  # the 60 steps and the check of the last iterates
+
+
+# --- the Newton loop against the gathered one ----------------------------------------
+
+
+def newton_runs(loop, call):
+    """What call leaves of each _newton run with loop in its place: the
+    iterates and the outcome of its rows; then the error call raised, if
+    any.  numpy's warnings are off, as far seeds overflow on the way."""
+    runs = []
+
+    def spy(params, pts, *rest):
+        outcome = loop(params, pts, *rest)
+        runs.extend((pts.copy(), outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(numcheck, "_newton", spy)
+        try:
+            call()
+        except (ProjectionError, ValueError) as exc:
+            runs.append(repr(exc))
+    return runs
+
+
+def assert_same_runs(call):
+    got, want = newton_runs(numcheck._newton, call), newton_runs(gathered_newton, call)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=stacks, triple=st.sampled_from(TABLE_TRIPLES), theta=phase,
+       depth=st.sampled_from([0.0, 1.0, 2.0]), crit=st.integers(0, 8),
+       stretch=st.sampled_from([0.0, 0.01, 0.5]))
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_a_step_whose_rows_all_move_equals_the_gathered_step_bitwise(
+        t, stack, triple, theta, depth, crit, stretch):
+    """The rows of stack scaled by a^(-depth/3): at depth 0 they are
+    about a^(2/3) times as far out as the regular torus, and every row
+    moves for several steps; at depth 2 they are about as far out.  The
+    axial solve starts stretch away from a critical point."""
+    params = FibrationParams.minimal(*triple, theta=theta, t=t)
+    seeds = np.array(stack) * params.a ** (-depth / 3.0)
+    config = numcheck.NumericalConfig()
+    assert_same_runs(lambda: numcheck._project(params, seeds.copy(), config, 50))
+    pt = critical_points(params)[crit % sum(triple)]
+    axis = int(np.argmax(np.abs(pt)))
+    transverse = 0.1 * abs(pt[axis]) * np.array(stack)[:, :2]
+    assert_same_runs(lambda: numcheck._solve_axial(params, axis, transverse, pt[axis] * (1.0 + stretch)))
 
 
 def test_the_floor_is_a_few_hundred_roundings_of_the_terms():
